@@ -38,7 +38,6 @@ from repro.gateway.streaming import (
     DEFAULT_CHUNK_SIZE,
     collect,
     serialize_pieces,
-    stream_document,
     stream_element,
 )
 from repro.gateway.core import AsyncRequestGateway
@@ -62,7 +61,6 @@ __all__ = [
     "collect",
     "retry_async",
     "serialize_pieces",
-    "stream_document",
     "stream_element",
 ]
 

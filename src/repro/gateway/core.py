@@ -20,9 +20,9 @@ contracts while removing its blocking:
   monopolizes the loop;
 * **dissemination streams** — :meth:`stream` pins the store epoch *at
   admission* and serves chunked canonical bytes from interned snapshot
-  fragments; writers publish freely between chunks and the pinned
-  snapshot stays alive until the stream finishes (released in a
-  ``finally``, so cancelled consumers release too).
+  fragments, interning what it serializes; writers publish freely
+  between chunks and the pinned snapshot stays alive until the stream
+  ends, faults, or is closed or dropped — started or not.
 
 Fault semantics extend the threaded gateway's fail-closed contract:
 the injector is stepped per shard-group at ``agateway:shard<i>`` and
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import AsyncIterator, Callable
+from typing import AsyncIterator, Callable, Iterator
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -63,7 +63,11 @@ from repro.gateway.admission import (
     TenantConfig,
 )
 from repro.gateway.stats import GatewayStats
-from repro.gateway.streaming import DEFAULT_CHUNK_SIZE, stream_element
+from repro.gateway.streaming import (
+    DEFAULT_CHUNK_SIZE,
+    chunked,
+    serialize_pieces,
+)
 
 #: FaultKind → the typed TransportError the shard-group or stream
 #: fails with (same mapping as the threaded gateway).
@@ -83,6 +87,28 @@ _FAULT_ERRORS = {
 #: Precedence when one step yields several fault events.
 _FAULT_ORDER = (FaultKind.CRASH, FaultKind.CORRUPT, FaultKind.STALE_READ,
                 FaultKind.DROP, FaultKind.REORDER)
+
+
+class _Stream:
+    """The async face of one admitted stream: its chunk generator,
+    *primed* to its first yield, so that closing or dropping the stream
+    — started or not — runs the ``finally`` that releases the pin."""
+
+    def __init__(self, chunks: Iterator[str]) -> None:
+        next(chunks)
+        self._chunks = chunks
+
+    def __aiter__(self) -> "_Stream":
+        return self
+
+    async def __anext__(self) -> str:
+        try:
+            return next(self._chunks)
+        except StopIteration:
+            raise StopAsyncIteration from None
+
+    async def aclose(self) -> None:
+        self._chunks.close()
 
 
 class AsyncRequestGateway:
@@ -181,12 +207,8 @@ class AsyncRequestGateway:
 
     # -- admission (never blocks) ------------------------------------------
 
-    def submit_nowait(self, tenant: str, request) -> asyncio.Future:
-        """Admit *request* for *tenant* or raise the typed refusal.
-
-        Returns a future resolving to the :class:`Decision` (or the
-        typed transport error a fault converted its batch into).
-        """
+    def _admit(self, tenant: str) -> None:
+        """Charge *tenant* one admission or raise the typed refusal."""
         if self._closing:
             raise AdmissionRejected("gateway is shutting down")
         self._ensure_tenant(tenant)
@@ -201,6 +223,14 @@ class AsyncRequestGateway:
             with self.stats._lock:
                 self.stats.rejected += 1
             raise
+
+    def submit_nowait(self, tenant: str, request) -> asyncio.Future:
+        """Admit *request* for *tenant* or raise the typed refusal.
+
+        Returns a future resolving to the :class:`Decision` (or the
+        typed transport error a fault converted its batch into).
+        """
+        self._admit(tenant)
         future = asyncio.get_running_loop().create_future()
         self._drr.push(tenant, (request, future, self.clock()))
         with self.stats._lock:
@@ -344,20 +374,7 @@ class AsyncRequestGateway:
         if self._stream_epochs is None:
             raise ConfigurationError(
                 "gateway has no snapshot store; pass store= to stream")
-        if self._closing:
-            raise AdmissionRejected("gateway is shutting down")
-        self._ensure_tenant(tenant)
-        try:
-            self.admission.admit(tenant, self._drr.pending(),
-                                 self._drain_rate())
-        except Overloaded:
-            with self.stats._lock:
-                self.stats.shed += 1
-            raise
-        except AdmissionRejected:
-            with self.stats._lock:
-                self.stats.rejected += 1
-            raise
+        self._admit(tenant)
         snapshot = self._stream_epochs.acquire()
         try:
             node = resolve(snapshot)
@@ -369,8 +386,7 @@ class AsyncRequestGateway:
             self.stats.admitted += 1
             self.stats.streams += 1
             self.stats.snapshot_reads += 1
-        return self._stream_chunks(snapshot, root, chunk_size,
-                                   self.clock())
+        return _Stream(self._stream_chunks(snapshot, root, chunk_size))
 
     def stream_document(self, tenant: str, collection: str, doc_id: str,
                         chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -380,27 +396,29 @@ class AsyncRequestGateway:
             tenant, lambda snapshot: snapshot.document(collection, doc_id),
             chunk_size=chunk_size)
 
-    async def _stream_chunks(self, snapshot, root, chunk_size: int,
-                             admitted_at: float) -> AsyncIterator[str]:
+    def _stream_chunks(self, snapshot, root,
+                       chunk_size: int) -> Iterator[str]:
+        admitted_at, sent, completed = self.clock(), 0, False
         try:
-            async for chunk in stream_element(root, self._pool,
-                                              chunk_size=chunk_size):
+            yield ""  # where _Stream parks it: the finally is now armed
+            for chunk in chunked(serialize_pieces(root, self._pool),
+                                 chunk_size):
                 error = self._fault_for(f"{self.fault_site}:stream")
                 if error is not None:
                     # Fail closed: a typed error, never garbled bytes.
                     raise error
-                with self.stats._lock:
-                    self.stats.stream_chunks += 1
+                sent += 1
                 yield chunk
-            with self.stats._lock:
-                self.stats.completed += 1
-                self.stats.stage("stream").record(
-                    self.clock() - admitted_at)
-        except BaseException:
-            with self.stats._lock:
-                self.stats.failed += 1
-            raise
+            completed = True
         finally:
+            with self.stats._lock:
+                self.stats.stream_chunks += sent
+                if completed:
+                    self.stats.completed += 1
+                    self.stats.stage("stream").record(
+                        self.clock() - admitted_at)
+                else:
+                    self.stats.failed += 1
             self._stream_epochs.release(snapshot)
 
     # -- snapshot read/write (store side) ----------------------------------

@@ -1,103 +1,63 @@
 """Chunked dissemination: async serialization over frozen snapshots.
 
 A streaming response must satisfy the same contract as the serial
-serializer — concatenating every chunk yields *byte-identical* output
-to :meth:`repro.snap.intern.InternPool.serialize` (itself proven
-byte-identical to :func:`repro.xmldb.serializer.serialize_element`) —
-while never holding the event loop for the whole document.  The
-generator walks the frozen tree iteratively; whenever it reaches a
-subtree whose canonical bytes are already interned (shared by
-reference across epochs, so the cache key is object identity) it emits
-the cached fragment verbatim instead of descending, which is what
-makes repeat streams of unchanged documents a sequence of dictionary
-hits.  Pieces accumulate into ``chunk_size``-character chunks; each
-``yield`` is a suspension point, so writers can publish epochs between
-chunks while the reader's pinned epoch keeps its snapshot alive
-(property-tested in ``tests/property``).
+serializer — concatenating every chunk yields output *byte-identical*
+to :func:`repro.xmldb.serializer.serialize_element` — while never
+holding the event loop for the whole document.  A stream is the one
+walk of frozen trees, :func:`repro.snap.intern.serialize_pieces`, cut
+into chunks: it emits interned fragments where the pool has them,
+serializes where it does not, and interns what it serialized.  The
+first stream of a document pays for the later ones: a repeat stream is
+one pool probe and one join per chunk, and after a transaction only
+the copied spine is serialized again.
 
-The functions are pure with respect to the pool: they consult the
-fragment cache but never populate it — a stream is a read path, and
-interning stays the serializer's job.
+Chunk boundaries do not depend on what the pool holds: every chunk but
+the last is exactly ``chunk_size`` characters, cold or warm.  Each
+chunk is a suspension point, so writers can publish epochs between
+chunks while the reader's pinned epoch keeps its snapshot alive.
 """
 
 from __future__ import annotations
 
-from typing import AsyncIterator, Iterator
+from typing import AsyncIterator, Iterable, Iterator
 
-from repro.snap.frozen import FrozenDocument, FrozenElement
-from repro.xmldb.serializer import escape_attribute, escape_text
-
-#: Default chunk size (characters) — small enough to interleave with
-#: writers, large enough that per-chunk overhead stays negligible.
-DEFAULT_CHUNK_SIZE = 4096
+from repro.core.errors import ConfigurationError
+from repro.snap.frozen import FrozenElement
+from repro.snap.intern import DEFAULT_CHUNK_SIZE, serialize_pieces
 
 
-def serialize_pieces(node: FrozenElement,
-                     pool=None) -> Iterator[str]:
-    """The serialization of *node* as a piece stream.
-
-    Emits the exact pieces whose concatenation is the canonical
-    serialization: interned fragments for already-seen subtrees, and
-    open-tag / text / close-tag pieces where the walk must descend.
-    *pool* is anything with ``cached_fragment(node) -> str | None``
-    (an :class:`~repro.snap.intern.InternPool`), or ``None`` to
-    serialize without fragment reuse.
-    """
-    stack: list[tuple[str, object]] = [("open", node)]
-    while stack:
-        op, current = stack.pop()
-        if op == "close":
-            yield f"</{current.tag}>"
-            continue
-        if op == "text":
-            yield escape_text(current)
-            continue
-        if pool is not None:
-            cached = pool.cached_fragment(current)
-            if cached is not None:
-                yield cached
-                continue
-        attrs = "".join(
-            f' {name}="{escape_attribute(value)}"'
-            for name, value in sorted(current.attributes.items()))
-        if not current.children:
-            yield f"<{current.tag}{attrs}/>"
-            continue
-        yield f"<{current.tag}{attrs}>"
-        stack.append(("close", current))
-        for child in reversed(current.children):
-            stack.append(("text" if isinstance(child, str) else "open",
-                          child))
+def chunked(pieces: Iterable[str], chunk_size: int) -> Iterator[str]:
+    """Re-cut *pieces* into chunks of exactly *chunk_size* characters
+    (the last may be shorter), one join per chunk."""
+    if chunk_size < 1:
+        raise ConfigurationError("chunk_size must be >= 1")
+    buffer: list[str] = []
+    room = chunk_size
+    for piece in pieces:
+        size, start = len(piece), 0
+        while size - start >= room:
+            buffer.append(piece[start:start + room])
+            yield "".join(buffer)
+            buffer = []
+            start += room
+            room = chunk_size
+        if start < size:
+            buffer.append(piece[start:])
+            room -= size - start
+    if buffer:
+        yield "".join(buffer)
 
 
 async def stream_element(node: FrozenElement, pool=None,
                          chunk_size: int = DEFAULT_CHUNK_SIZE
                          ) -> AsyncIterator[str]:
-    """Serialize *node* as an async stream of ~*chunk_size* chunks.
+    """Serialize *node* as an async stream of *chunk_size* chunks.
 
     ``"".join([chunk async for chunk in stream_element(n, pool)])`` is
     byte-identical to ``pool.serialize(n)``; every yield suspends, so
     the event loop interleaves other work between chunks.
     """
-    buffer: list[str] = []
-    buffered = 0
-    for piece in serialize_pieces(node, pool):
-        buffer.append(piece)
-        buffered += len(piece)
-        if buffered >= chunk_size:
-            yield "".join(buffer)
-            buffer.clear()
-            buffered = 0
-    if buffer:
-        yield "".join(buffer)
-
-
-async def stream_document(document: FrozenDocument, pool=None,
-                          chunk_size: int = DEFAULT_CHUNK_SIZE
-                          ) -> AsyncIterator[str]:
-    """Async chunk stream of a frozen document's canonical bytes."""
-    async for chunk in stream_element(document.root, pool,
-                                      chunk_size=chunk_size):
+    for chunk in chunked(serialize_pieces(node, pool), chunk_size):
         yield chunk
 
 

@@ -31,6 +31,11 @@ from repro.core.errors import SnapshotError
 from repro.xmldb.model import Document, Element
 
 
+#: Shared by every attribute-less node (a plain dict, so nodes stay
+#: picklable); nothing writes attributes in place, edits copy first.
+_NO_ATTRIBUTES: dict[str, str] = {}
+
+
 class FrozenElement:
     """One immutable XML element; treat ``attributes`` as read-only."""
 
@@ -39,7 +44,7 @@ class FrozenElement:
     def __init__(self, tag: str, attributes: dict[str, str] | None = None,
                  children: tuple = ()) -> None:
         self.tag = tag
-        self.attributes: dict[str, str] = attributes or {}
+        self.attributes: dict[str, str] = attributes or _NO_ATTRIBUTES
         self.children: tuple = children
 
     # -- Element-compatible read surface --------------------------------

@@ -10,10 +10,16 @@ node objects themselves (which hash by identity; holding them as keys
 also pins them, so a collected node's recycled ``id()`` can never alias
 an entry):
 
-* **fragments** — canonical serialized bytes per subtree.  A repeat
-  read of an unchanged document is a single dict hit; after a point
-  edit only the copied spine is re-assembled, every shared subtree
-  contributes its cached bytes verbatim;
+* **fragments** — canonical serialized bytes per subtree, filled by
+  :func:`serialize_pieces`, the one walk that serializes frozen trees
+  (streams, :meth:`InternPool.serialize`, checkpoint capture).  The
+  *maximal* subtree whose bytes fit in :data:`DEFAULT_CHUNK_SIZE`
+  characters is one ``str``; a larger element is a **rope**: a tuple
+  of its own markup (tags, text, leaf children) and references to its
+  children's fragments.  No byte is held twice and no entry owns more
+  than a chunk of characters (unless one text run is longer); leaves
+  are neither probed nor interned.  A warm read is one probe, and a
+  point edit re-serializes only the spine it copied;
 * **merkle** — Merkle subtree hashes, composed with the same
   :func:`repro.merkle.xml_merkle.node_hash` recurrence as the live
   hashers, so snapshot root hashes are interchangeable with theirs;
@@ -26,16 +32,113 @@ The pool is shared across epochs on purpose — that is where the
 cross-epoch reuse the benchmarks measure comes from.  All three caches
 are plain :class:`~repro.perf.cache.LRUCache` instances (no generation
 stamps needed: frozen state never mutates, so an entry can never go
-stale, only cold).
+stale, only cold).  Fragment hit rates are low by construction: one
+hit per warm read against one miss per non-leaf element walked cold.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.merkle.xml_merkle import content_hash, node_hash
 from repro.perf.cache import LRUCache, MISS
 from repro.snap.frozen import FrozenDocument, FrozenElement, thaw_document
 from repro.xmldb.model import Document
 from repro.xmldb.serializer import escape_attribute, escape_text
+
+#: The interning unit and the default stream chunk (characters): small
+#: enough to interleave with writers, large enough to amortize a chunk.
+DEFAULT_CHUNK_SIZE = 4096
+
+
+def _open_tag(node: FrozenElement) -> str:
+    """``<tag a="1" b="2"`` — canonical, closing bracket left open."""
+    attrs = "".join(
+        f' {name}="{escape_attribute(value)}"'
+        for name, value in sorted(node.attributes.items()))
+    return f"<{node.tag}{attrs}"
+
+
+def _leaf(node: FrozenElement) -> str | None:
+    """Canonical bytes of an element with no element child, or None."""
+    for child in node.children:
+        if not isinstance(child, str):
+            return None
+    if not node.children:
+        return f"{_open_tag(node)}/>"
+    text = escape_text("".join(node.children))
+    return f"{_open_tag(node)}>{text}</{node.tag}>"
+
+
+def _strings(rope: tuple) -> Iterator[str]:
+    """The strings of *rope*, in document order."""
+    stack = [iter(rope)]
+    while stack:
+        for piece in stack[-1]:
+            if isinstance(piece, tuple):
+                stack.append(iter(piece))
+                break
+            yield piece
+        else:
+            stack.pop()
+
+
+def serialize_pieces(node: FrozenElement,
+                     pool: "InternPool | None" = None) -> Iterator[str]:
+    """The canonical serialization of *node* (byte-identical to
+    :func:`repro.xmldb.serializer.serialize_element`) as pieces in
+    document order, interning into *pool* on the way up (``None``: into
+    a private cache that dies with the walk).
+
+    An element's fragment enters the pool only after its close tag has
+    been produced, so an abandoned walk leaves the pool consistent.
+    """
+    fragments = LRUCache(1) if pool is None else pool._fragments
+    # A frame per open element: it, its children to come, the pieces
+    # of its fragment so far, the (child, str) pairs serialized here —
+    # maximal, so interned, once it outgrows a chunk or is the caller.
+    frames: list[tuple] = []
+    owner, pending, pieces, fresh = None, iter((node,)), [], []
+    while True:
+        for child in pending:
+            if isinstance(child, str):
+                piece = escape_text(child)
+            else:
+                piece = _leaf(child)
+                if piece is None:
+                    piece = fragments.get(child)
+                    if piece is MISS:
+                        frames.append((owner, pending, pieces, fresh))
+                        owner, pending, fresh = child, iter(child.children), []
+                        pieces = [f"{_open_tag(child)}>"]
+                        yield pieces[0]
+                        break
+                    if isinstance(piece, tuple):
+                        pieces.append(piece)
+                        yield from _strings(piece)
+                        continue
+            pieces.append(piece)
+            yield piece
+        else:
+            if owner is None:
+                break
+            piece = f"</{owner.tag}>"
+            pieces.append(piece)
+            yield piece
+            small = (all(isinstance(piece, str) for piece in pieces)
+                     and sum(map(len, pieces)) <= DEFAULT_CHUNK_SIZE)
+            fragment = "".join(pieces) if small else tuple(pieces)
+            if not small:
+                for entry in fresh:
+                    fragments.put(*entry)
+                fragments.put(owner, fragment)
+            child = owner
+            owner, pending, pieces, fresh = frames.pop()
+            pieces.append(fragment)
+            if small:
+                fresh.append((child, fragment))
+    for entry in fresh:
+        fragments.put(*entry)
 
 
 class InternPool:
@@ -51,58 +154,13 @@ class InternPool:
     # -- canonical serialization ----------------------------------------
 
     def serialize(self, node: FrozenElement) -> str:
-        """Canonical serialization of *node*, reusing cached fragments
-        of every already-seen subtree (byte-identical to
+        """Canonical serialization of *node*, reusing (and filling) the
+        fragment cache (byte-identical to
         :func:`repro.xmldb.serializer.serialize_element`)."""
-        cached = self._fragments.get(node)
-        if cached is not MISS:
-            return cached
-        memo: dict[int, str] = {}
-        stack: list[tuple[FrozenElement, bool]] = [(node, False)]
-        while stack:
-            current, ready = stack.pop()
-            if ready:
-                attrs = "".join(
-                    f' {name}="{escape_attribute(value)}"'
-                    for name, value in sorted(current.attributes.items()))
-                if not current.children:
-                    fragment = f"<{current.tag}{attrs}/>"
-                else:
-                    parts = [f"<{current.tag}{attrs}>"]
-                    for child in current.children:
-                        if isinstance(child, str):
-                            parts.append(escape_text(child))
-                        else:
-                            parts.append(memo[id(child)])
-                    parts.append(f"</{current.tag}>")
-                    fragment = "".join(parts)
-                memo[id(current)] = fragment
-                self._fragments.put(current, fragment)
-                continue
-            if id(current) in memo:
-                continue
-            if current is not node:
-                hit = self._fragments.get(current)
-                if hit is not MISS:
-                    memo[id(current)] = hit
-                    continue
-            stack.append((current, True))
-            for child in current.children:
-                if not isinstance(child, str):
-                    stack.append((child, False))
-        return memo[id(node)]
+        return "".join(serialize_pieces(node, self))
 
     def serialize_document(self, document: FrozenDocument) -> str:
         return self.serialize(document.root)
-
-    def cached_fragment(self, node: FrozenElement) -> str | None:
-        """The interned serialization of *node* if present, else
-        ``None`` — a read-only probe that never computes.  The
-        streaming serializer uses this to emit already-interned
-        subtrees verbatim without forcing a full serialization on the
-        event loop."""
-        hit = self._fragments.get(node)
-        return None if hit is MISS else hit
 
     # -- Merkle hashing --------------------------------------------------
 

@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from repro.gateway import collect, serialize_pieces, stream_element
+from repro.core.errors import ConfigurationError
+from repro.gateway import (
+    DEFAULT_CHUNK_SIZE,
+    collect,
+    serialize_pieces,
+    stream_element,
+)
 from repro.gateway.core import AsyncRequestGateway
+from repro.snap import intern
 from repro.snap.frozen import freeze_document
 from repro.snap.intern import InternPool
 from repro.snap.xmlstore import SnapshotXmlDatabase
@@ -20,6 +27,33 @@ DOCS = [
     "<r><v>a&amp;b</v><v>&lt;tag&gt;</v><v attr=\"a&quot;b\"/></r>",
     "<deep><a><b><c><d>x</d></c></b></a></deep>",
 ]
+
+
+#: 60 records of ~100 characters: the document outgrows a chunk, each
+#: record fits in one, and every record has a non-leaf child of its own.
+BIG_XML = "<doc>" + "".join(
+    f"<rec id=\"{i}\"><name>entity {i}</name>"
+    f"<vals><v>payload {i}</v><w>more {i}</w></vals></rec>"
+    for i in range(60)) + "</doc>"
+
+
+def count_serialized(monkeypatch) -> list[str]:
+    """Record the tag of every element the walk serializes from now on
+    (each one opens exactly one tag)."""
+    opened: list[str] = []
+    open_tag = intern._open_tag
+
+    def counting(node):
+        opened.append(node.tag)
+        return open_tag(node)
+
+    monkeypatch.setattr(intern, "_open_tag", counting)
+    return opened
+
+
+def fragment_counts(pool: InternPool) -> tuple[int, int]:
+    stats = pool.stats()["fragments"]
+    return stats["hits"], stats["misses"]
 
 
 def random_xml(rng: random.Random, depth: int = 4) -> str:
@@ -74,24 +108,153 @@ class TestByteIdentity:
         assert bare == warmed == pool.serialize(frozen.root)
 
 
-class TestInternReuse:
-    def test_cached_fragment_probe_is_read_only(self):
-        frozen = freeze_document(parse("<doc><a>x</a></doc>", "d"))
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+    def test_every_chunk_but_the_last_is_exact_cold_and_warm(
+            self, chunk_size):
+        frozen = freeze_document(parse(BIG_XML, "d"))
         pool = InternPool()
-        assert pool.cached_fragment(frozen.root) is None
-        pool.serialize(frozen.root)
-        assert pool.cached_fragment(frozen.root) == \
-            pool.serialize(frozen.root)
 
-    def test_warm_pool_streams_from_interned_fragments(self):
-        """After a serial serialization, the stream of the same tree is
-        a single cached-fragment emission — no re-walk."""
-        xml = random_xml(random.Random(42))
+        async def scenario():
+            return [[chunk async for chunk in stream_element(
+                frozen.root, pool, chunk_size=chunk_size)]
+                for _ in range(2)]
+
+        cold, warm = asyncio.run(scenario())
+        assert cold == warm
+        assert "".join(cold) == BIG_XML
+        assert {len(chunk) for chunk in cold[:-1]} <= {chunk_size}
+        assert 1 <= len(cold[-1]) <= chunk_size
+
+    def test_exact_multiple_of_chunk_size_has_no_empty_tail(self):
+        frozen = freeze_document(parse("<doc>abcdef</doc>", "d"))
+
+        async def scenario():
+            return [chunk async for chunk in stream_element(
+                frozen.root, chunk_size=4)]
+
+        assert asyncio.run(scenario()) == [
+            "<doc", ">abc", "def<", "/doc", ">"]
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_is_refused(self, chunk_size):
+        frozen = freeze_document(parse("<doc/>", "d"))
+
+        async def scenario():
+            await collect(stream_element(frozen.root,
+                                         chunk_size=chunk_size))
+
+        with pytest.raises(ConfigurationError):
+            asyncio.run(scenario())
+
+
+class TestInternReuse:
+    """The walk fills the pool it reads: strs for the maximal subtrees
+    that fit in a chunk, ropes above them."""
+
+    def test_cold_walk_interns_and_warm_walk_is_one_probe(
+            self, monkeypatch):
+        frozen = freeze_document(parse(BIG_XML, "d"))
+        pool = InternPool()
+        opened = count_serialized(monkeypatch)
+        cold = "".join(serialize_pieces(frozen.root, pool))
+        assert cold == BIG_XML
+        assert len(opened) == frozen.size()     # each element, once
+        # One probe per non-leaf element (doc, 60 rec, 60 vals), all
+        # misses; the leaves were never looked up.
+        assert fragment_counts(pool) == (0, 121)
+        opened.clear()
+        warm = list(serialize_pieces(frozen.root, pool))
+        assert "".join(warm) == BIG_XML
+        assert fragment_counts(pool) == (1, 121)    # one probe, a hit
+        assert opened == []                         # no node visited
+        assert len(warm) == 62      # open tag, 60 records, close tag
+
+    def test_pool_holds_maximal_strings_under_ropes(self):
+        frozen = freeze_document(parse(BIG_XML, "d"))
+        pool = InternPool()
+        pool.serialize(frozen.root)
+        entries = dict(pool._fragments._entries)
+        records = frozen.root.element_children
+        # The records are the maximal subtrees that fit in a chunk:
+        # nothing below them is held a second time, no leaf is held.
+        assert set(entries) == {frozen.root, *records}
+        rope = entries[frozen.root]
+        assert isinstance(rope, tuple)
+        assert all(isinstance(entries[record], str)
+                   and len(entries[record]) <= DEFAULT_CHUNK_SIZE
+                   for record in records)
+        # The rope refers to the records' strings, it does not copy.
+        assert [id(piece) for piece in rope[1:-1]] == [
+            id(entries[record]) for record in records]
+        assert rope[0] == "<doc>" and rope[-1] == "</doc>"
+
+    def test_document_that_fits_in_a_chunk_is_one_string(self):
+        frozen = freeze_document(parse(
+            "<doc><a><b>x</b></a><c/></doc>", "d"))
+        pool = InternPool()
+        pool.serialize(frozen.root)
+        assert dict(pool._fragments._entries) == {
+            frozen.root: "<doc><a><b>x</b></a><c/></doc>"}
+
+    def test_ropes_nest_and_no_string_outgrows_a_chunk(self):
+        xml = "<lib>" + "".join(
+            "<shelf>" + "".join(
+                f"<book><t>title {s}-{b}</t><a><n>author {b}</n></a>"
+                f"</book>" for b in range(80)) + "</shelf>"
+            for s in range(3)) + "</lib>"
         frozen = freeze_document(parse(xml, "d"))
         pool = InternPool()
-        pool.serialize(frozen.root)
-        pieces = list(serialize_pieces(frozen.root, pool))
-        assert pieces == [pool.serialize(frozen.root)]
+        assert pool.serialize(frozen.root) == xml
+        entries = dict(pool._fragments._entries)
+        shelves = frozen.root.element_children
+        assert all(isinstance(entries[shelf], tuple) for shelf in shelves)
+        assert [id(piece) for piece in entries[frozen.root][1:-1]] == [
+            id(entries[shelf]) for shelf in shelves]
+        assert max(len(value) for value in entries.values()
+                   if isinstance(value, str)) <= DEFAULT_CHUNK_SIZE
+        assert pool.serialize(frozen.root) == xml       # from the ropes
+
+    def test_one_long_text_run_is_the_documented_exception(self):
+        xml = f"<doc><a><b>{'x' * 10_000}</b></a><c>y</c></doc>"
+        frozen = freeze_document(parse(xml, "d"))
+        pool = InternPool()
+        assert pool.serialize(frozen.root) == xml
+        assert pool.serialize(frozen.root) == xml
+        held = {id(piece): len(piece)
+                for value in pool._fragments._entries.values()
+                for piece in intern._strings((value,))}
+        assert max(held.values()) == len(f"<b>{'x' * 10_000}</b>")
+        assert sum(held.values()) == len(xml)       # each byte once
+
+    def test_after_one_set_text_only_the_copied_spine_is_serialized(
+            self, monkeypatch):
+        db = SnapshotXmlDatabase()
+        db.create_collection("c")
+        db.insert("c", "d", BIG_XML)
+        db.current().serialize("c", "d")
+        db.set_text("c", "d", "/doc/rec[7]/vals/v", "edited")
+        opened = count_serialized(monkeypatch)
+        hits, misses = fragment_counts(db.pool)
+        after = db.current().serialize("c", "d")
+        assert after == BIG_XML.replace("payload 6", "edited")
+        # The root and the one copied record (all five of its
+        # elements; nothing below a record is interned) — the other 59
+        # records are re-linked by reference.
+        assert sorted(opened) == ["doc", "name", "rec", "v", "vals", "w"]
+        assert fragment_counts(db.pool) == (hits + 59, misses + 3)
+
+    def test_abandoned_walk_leaves_the_pool_consistent(self):
+        frozen = freeze_document(parse(BIG_XML, "d"))
+        pool = InternPool()
+        walk = serialize_pieces(frozen.root, pool)
+        for _ in range(100):
+            next(walk)
+        walk.close()
+        for node, value in pool._fragments._entries.items():
+            assert "".join(intern._strings((value,))) == \
+                serialize_element(node)
+        assert pool.serialize(frozen.root) == BIG_XML
 
 
 class TestGatewayStreaming:
@@ -163,9 +326,59 @@ class TestGatewayStreaming:
 
         asyncio.run(scenario())
 
-    def test_stream_without_store_is_a_configuration_error(self):
-        from repro.core.errors import ConfigurationError
+    def test_stream_closed_before_its_first_chunk_releases_the_pin(self):
+        db = self.make_db()
 
+        async def scenario():
+            gateway = AsyncRequestGateway(_tiny_engine(), store=db,
+                                          auto_dispatch=False)
+            stream = gateway.stream_document("t", "c", "d1")
+            await stream.aclose()           # never iterated
+            with pytest.raises(StopAsyncIteration):
+                await stream.__anext__()
+            return gateway.stats.snapshot()
+
+        stats = asyncio.run(scenario())
+        assert db.epochs.stats.acquires == db.epochs.stats.releases == 1
+        assert db.epochs.pins(db.epochs.current_epoch()) == 0
+        assert (stats["streams"], stats["completed"], stats["failed"],
+                stats["stream_chunks"]) == (1, 0, 1, 0)
+
+    def test_stream_dropped_before_its_first_chunk_releases_the_pin(self):
+        db = self.make_db()
+
+        async def scenario():
+            gateway = AsyncRequestGateway(_tiny_engine(), store=db,
+                                          auto_dispatch=False)
+            gateway.stream_document("t", "c", "d1")   # dropped at once
+            gateway.write(lambda store: store.set_text(
+                "c", "d1", "/doc/a", "next epoch"))
+            return gateway.stats.snapshot()
+
+        stats = asyncio.run(scenario())
+        assert db.epochs.stats.acquires == db.epochs.stats.releases == 1
+        assert db.epochs.retired_epochs() == []     # nothing held back
+        assert (stats["completed"], stats["failed"]) == (0, 1)
+
+    def test_first_and_second_stream_count_the_same_chunks(self):
+        db = SnapshotXmlDatabase()
+        db.create_collection("c")
+        db.insert("c", "d", BIG_XML)
+
+        async def scenario():
+            gateway = AsyncRequestGateway(_tiny_engine(), store=db,
+                                          auto_dispatch=False)
+            counts = []
+            for _ in range(2):
+                await collect(gateway.stream_document(
+                    "t", "c", "d", chunk_size=512))
+                counts.append(gateway.stats.stream_chunks)
+            return counts
+
+        expected = -(-len(BIG_XML) // 512)
+        assert asyncio.run(scenario()) == [expected, 2 * expected]
+
+    def test_stream_without_store_is_a_configuration_error(self):
         async def scenario():
             gateway = AsyncRequestGateway(_tiny_engine(),
                                           auto_dispatch=False)

@@ -1,9 +1,12 @@
 """Frozen trees: freeze/thaw fidelity and copy-on-write sharing."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import SnapshotError
 from repro.snap.frozen import (
+    FrozenElement,
     freeze_document,
     freeze_element,
     resolve,
@@ -95,6 +98,32 @@ class TestCopyOnWrite:
         assert resolve(old, "/hospital/record[2]").attributes == {"id": "2"}
         back = without_attribute(new, "/hospital/record[2]", "ward")
         assert resolve(back, "/hospital/record[2]").attributes == {"id": "2"}
+
+    def test_attribute_less_nodes_share_one_mapping_no_edit_writes_to(self):
+        """Every attribute-less node holds the same empty mapping, so
+        an edit that wrote to it in place would give an attribute to
+        every such node in the process."""
+        old = frozen_root()
+        bare = [node for node in old.iter() if not node.attributes]
+        assert len(bare) > 1
+        assert len({id(node.attributes) for node in bare}) == 1
+        assert FrozenElement("x").attributes is bare[0].attributes
+        assert FrozenElement("x", {}).attributes is bare[0].attributes
+        new = with_attribute(old, "/hospital/record[1]/name", "k", "v")
+        assert resolve(new, "/hospital/record[1]/name").attributes == {
+            "k": "v"}
+        back = without_attribute(new, "/hospital/record[1]/name", "k")
+        assert resolve(back, "/hospital/record[1]/name").attributes == {}
+        thawed = thaw_document(freeze_document(parse(XML))).root
+        thawed.set_attribute("k", "v")      # a thawed copy is private
+        assert all(node.attributes == {} for node in bare)
+        assert serialize_element(old) == XML
+
+    def test_frozen_nodes_pickle_with_the_shared_mapping(self):
+        old = frozen_root()
+        copy = pickle.loads(pickle.dumps(old, protocol=5))
+        assert serialize_element(copy) == XML
+        assert resolve(copy, "/hospital/record[1]/name").attributes == {}
 
     def test_removing_an_absent_attribute_is_a_no_op_share(self):
         old = frozen_root()

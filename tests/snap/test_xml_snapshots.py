@@ -149,18 +149,28 @@ class TestInterning:
 
     def test_untouched_subtrees_reuse_bytes_across_epochs(self):
         """After an edit, the *new* epoch's serialization recomputes only
-        the spine — shared subtrees hit the pool by identity."""
-        db = snapshot_db()
-        db.current().serialize("c", "d1")  # warm the pool on epoch N
-        db.set_text("c", "d1", "/hospital/record/diagnosis", "cold")
+        the copied spine — untouched records hit the pool by identity."""
+        db = SnapshotXmlDatabase()
+        db.create_collection("c")
+        xml = "<hospital>" + "".join(
+            f"<record id=\"{i}\"><name>patient number {i}</name>"
+            f"<diagnosis>{'flu' * 30}</diagnosis></record>"
+            for i in range(50)) + "</hospital>"     # outgrows a chunk
+        db.insert("c", "big", xml)
+        db.current().serialize("c", "big")  # warm the pool on epoch N
+        db.set_text("c", "big", "/hospital/record[3]/diagnosis", "cold")
         stats = db.pool.stats()["fragments"]
         hits, misses = stats["hits"], stats["misses"]
-        db.current().serialize("c", "d1")  # epoch N+1
+        after = db.current().serialize("c", "big")  # epoch N+1
+        assert after == xml.replace(
+            f"<name>patient number 2</name><diagnosis>{'flu' * 30}",
+            "<name>patient number 2</name><diagnosis>cold")
         stats = db.pool.stats()["fragments"]
-        # <name> subtree was shared: cache hit.  Spine (hospital, record,
-        # diagnosis) was rebuilt: exactly 3 fresh fragments.
-        assert stats["hits"] > hits
-        assert stats["misses"] - misses == 3
+        # The 49 untouched records were shared: cache hits.  Only the
+        # rebuilt hospital and record were looked up and missed — leaf
+        # elements (name, diagnosis) are never probed.
+        assert stats["hits"] - hits == 49
+        assert stats["misses"] - misses == 2
 
     def test_merkle_interning_across_epochs(self):
         db = snapshot_db()
