@@ -343,9 +343,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{at_accept.get('baseline_completion_rate')}, "
               f"{at_accept.get('mean_attempts')} attempts/call")
 
-    for written in write_bench_json("faults", report,
-                                    output=args.output):
-        print(f"wrote {written}")
+    written = write_bench_json("faults", report, output=args.output)
+    print(f"wrote {written}")
     if failures:
         print(f"oracle divergence in: {', '.join(failures)}",
               file=sys.stderr)

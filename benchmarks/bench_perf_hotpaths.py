@@ -285,9 +285,8 @@ def main(argv: list[str] | None = None) -> int:
                              "logarithmic_update_cost")}
         print(f"{name}: {'ok' if ok else 'ORACLE DIVERGED'} {headline}")
 
-    for written in write_bench_json("perf", report,
-                                    output=args.output):
-        print(f"wrote {written}")
+    written = write_bench_json("perf", report, output=args.output)
+    print(f"wrote {written}")
     if failures:
         print(f"oracle divergence in: {', '.join(failures)}",
               file=sys.stderr)

@@ -235,9 +235,8 @@ def main(argv: list[str] | None = None) -> int:
                              "converged", "seeds")}
         print(f"{name}: {'ok' if ok else 'ORACLE/GATE FAILED'} {headline}")
 
-    for written in write_bench_json("replica", report,
-                                    output=args.output):
-        print(f"wrote {written}")
+    written = write_bench_json("replica", report, output=args.output)
+    print(f"wrote {written}")
     if failures:
         print(f"oracle or gate failure in: {', '.join(failures)}",
               file=sys.stderr)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Throughput benchmarks for the ``repro.scale`` layer (ablation A7).
 
-Three sections, each asserting its equivalence oracle before reporting
+Two sections, each asserting its equivalence oracle before reporting
 a number — a speedup that changes answers is a bug, not a result:
 
 * ``batched_authorization`` — serial ``decide()`` loop vs
@@ -11,20 +11,15 @@ a number — a speedup that changes answers is a bug, not a result:
   ``Decision`` equality, request by request;
 * ``sharded_stores`` — hash-sharded relational / XML / UDDI stores vs
   their monolithic counterparts holding identical content.  Oracles:
-  equal rows, equal query results, byte-identical UDDI state digests;
-* ``closed_loop`` — the ``RequestGateway`` pipeline swept over
-  workers × shards × batch size against a serial one-at-a-time
-  baseline.  Oracles: byte-identical serialized responses for every
-  configuration, and *no sweep point slower than serial* — batching
-  that loses to a one-at-a-time loop is a regression, asserted per
-  point (``oracle_no_slowdown``).  The headline number: requests/s at
-  8 workers × 8 shards vs serial (target: ≥4x full, ≥2x --quick).
-  Each point also reports p50/p99 request latency from the gateway's
-  shared histogram.
+  equal rows, equal query results, byte-identical UDDI state digests.
+
+The closed-loop pipeline sweep is ``bench_gateway.py``.
+``authorization_workload`` / ``response_bytes`` / ``timed`` live here
+and ``bench_gateway.py`` and ``bench_multicore.py`` import them.
 
 ``--quick`` shrinks workloads for the CI perf-smoke job, which gates on
-the oracles plus a ≥2x batched-pipeline speedup; full runs establish
-the numbers EXPERIMENTS.md records.  Writes ``BENCH_scale.json``.
+the oracles; full runs establish the numbers EXPERIMENTS.md records.
+Writes ``BENCH_scale.json``.
 """
 
 from __future__ import annotations
@@ -56,11 +51,8 @@ from repro.relational.table import (  # noqa: E402
     Column, ColumnType, TableSchema)
 from repro.scale import (  # noqa: E402
     BatchDecisionEngine,
-    Request,
-    RequestGateway,
     ShardedCollection,
     ShardedDatabase,
-    ShardedPolicyEngine,
     ShardedUddiRegistry,
 )
 from repro.uddi.model import BusinessEntity, BusinessService  # noqa: E402
@@ -69,11 +61,6 @@ from repro.xmldb.database import Collection  # noqa: E402
 from repro.xmldb.parser import parse  # noqa: E402
 
 DEFAULT_OUTPUT = default_output("scale")
-
-#: Serial-vs-batched pipeline speedup the CI smoke job requires.
-QUICK_SPEEDUP_GATE = 2.0
-#: The A7 headline target at 8 workers x 8 shards (full runs).
-FULL_SPEEDUP_TARGET = 4.0
 
 
 def timed(fn):
@@ -245,92 +232,9 @@ def bench_sharded_stores(quick: bool) -> tuple[dict, bool]:
     }, ok
 
 
-# -- 3. closed-loop pipeline -------------------------------------------
-
-def _build_engine(base, shard_count: int) -> ShardedPolicyEngine:
-    engine = ShardedPolicyEngine(shard_count=shard_count)
-    for policy in base:
-        engine.add(policy)
-    return engine
-
-
-def _run_gateway(engine, triples, workers: int,
-                 batch_size: int) -> tuple[float, list[Decision], dict]:
-    gateway = RequestGateway(engine, workers=workers,
-                             queue_limit=len(triples) + 1,
-                             batch_size=batch_size)
-    start = time.perf_counter()
-    futures = [gateway.submit(Request(s, a, p)) for s, a, p in triples]
-    if workers == 0:
-        gateway.process_pending()
-    decisions = [future.result(timeout=60) for future in futures]
-    elapsed = time.perf_counter() - start
-    stats = gateway.stats.snapshot()
-    gateway.close()
-    return elapsed, decisions, stats
-
-
-def bench_closed_loop(quick: bool) -> tuple[dict, bool]:
-    base, triples = authorization_workload(quick)
-
-    serial_evaluator = PolicyEvaluator(base)
-    serial_s, serial = timed(
-        lambda: [serial_evaluator.decide(*t) for t in triples])
-    baseline = response_bytes(serial)
-    baseline_rps = len(triples) / serial_s
-
-    configs = ([(1, 1, 8), (2, 4, 32), (8, 8, 64), (8, 8, 256)]
-               if quick else
-               [(1, 1, 8), (1, 4, 32), (2, 4, 32), (4, 8, 64),
-                (8, 8, 64), (8, 8, 256), (8, 8, 512)])
-    sweep = []
-    ok = True
-    no_slowdown = True
-    best_8x8 = 0.0
-    for workers, shards, batch_size in configs:
-        engine = _build_engine(base, shards)
-        elapsed, decisions, stats = _run_gateway(
-            engine, triples, workers, batch_size)
-        identical = response_bytes(decisions) == baseline
-        ok = ok and identical
-        speedup = serial_s / elapsed
-        point_ok = speedup >= 1.0
-        no_slowdown = no_slowdown and point_ok
-        if workers == 8 and shards == 8:
-            best_8x8 = max(best_8x8, speedup)
-        sweep.append({
-            "workers": workers,
-            "shards": shards,
-            "batch": batch_size,
-            "elapsed_s": round(elapsed, 4),
-            "requests_per_s": round(len(triples) / elapsed),
-            "speedup_vs_serial": round(speedup, 1),
-            "latency_p50_s": stats["latency_p50_s"],
-            "latency_p99_s": stats["latency_p99_s"],
-            "oracle_byte_identical": identical,
-            "oracle_no_slowdown": point_ok,
-        })
-
-    gate = QUICK_SPEEDUP_GATE if quick else FULL_SPEEDUP_TARGET
-    target_met = best_8x8 >= gate
-    ok = ok and target_met and no_slowdown
-    return {
-        "requests": len(triples),
-        "serial_s": round(serial_s, 4),
-        "serial_requests_per_s": round(baseline_rps),
-        "sweep": sweep,
-        "speedup_at_8w_8s": round(best_8x8, 1),
-        "speedup_gate": gate,
-        "oracle_speedup_target_met": target_met,
-        "oracle_no_sweep_point_slower_than_serial": no_slowdown,
-        "oracle_responses_byte_identical": ok,
-    }, ok
-
-
 SECTIONS = (
     ("batched_authorization", bench_batched_authorization),
     ("sharded_stores", bench_sharded_stores),
-    ("closed_loop", bench_closed_loop),
 )
 
 
@@ -359,15 +263,13 @@ def main(argv: list[str] | None = None) -> int:
         if not ok:
             failures.append(name)
         headline = {k: v for k, v in section.items()
-                    if k in ("speedup", "speedup_at_8w_8s",
-                             "oracle_all_stores_equivalent")}
-        print(f"{name}: {'ok' if ok else 'ORACLE/GATE FAILED'} {headline}")
+                    if k in ("speedup", "oracle_all_stores_equivalent")}
+        print(f"{name}: {'ok' if ok else 'ORACLE FAILED'} {headline}")
 
-    for written in write_bench_json("scale", report,
-                                    output=args.output):
-        print(f"wrote {written}")
+    written = write_bench_json("scale", report, output=args.output)
+    print(f"wrote {written}")
     if failures:
-        print(f"oracle or gate failure in: {', '.join(failures)}",
+        print(f"oracle failure in: {', '.join(failures)}",
               file=sys.stderr)
         return 1
     return 0

@@ -1,9 +1,9 @@
 """One place that knows where benchmark JSON reports live.
 
-Every ``benchmarks/bench_*.py`` persists its report twice — the
-canonical copy under ``benchmarks/results/BENCH_<name>.json`` and a
-mirror at the repo root (what CI uploads and the docs link to).  The
-double-write used to be copy-pasted per bench; this helper owns it.
+Every ``benchmarks/bench_*.py`` persists its report to exactly one
+file: ``--output`` when given, else the committed copy under
+``benchmarks/results/BENCH_<name>.json`` (what CI uploads and the docs
+link to).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import json
 import pathlib
 
 #: src/repro/bench/output.py -> repo root is three levels up from src.
-_REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
-RESULTS_DIR = _REPO_ROOT / "benchmarks" / "results"
+RESULTS_DIR = (pathlib.Path(__file__).resolve().parents[3]
+               / "benchmarks" / "results")
 
 
 def default_output(name: str) -> pathlib.Path:
@@ -22,19 +22,12 @@ def default_output(name: str) -> pathlib.Path:
 
 
 def write_bench_json(name: str, report: dict,
-                     output: pathlib.Path | None = None
-                     ) -> list[pathlib.Path]:
+                     output: pathlib.Path | None = None) -> pathlib.Path:
     """Serialize *report* to *output* (default: the canonical results
-    path) and mirror it to ``BENCH_<name>.json`` at the repo root;
-    returns every path written, in write order."""
+    path) and nowhere else; returns the path written."""
     output = pathlib.Path(output) if output is not None \
         else default_output(name)
-    payload = json.dumps(report, indent=2) + "\n"
     output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(payload, encoding="utf-8")
-    written = [output]
-    mirror = _REPO_ROOT / f"BENCH_{name}.json"
-    if output.resolve() != mirror:
-        mirror.write_text(payload, encoding="utf-8")
-        written.append(mirror)
-    return written
+    output.write_text(json.dumps(report, indent=2) + "\n",
+                      encoding="utf-8")
+    return output

@@ -13,7 +13,7 @@ is never consulted even by code reading ``current()`` directly.
 
 The engine duck-types the surfaces its neighbours expect:
 
-* the gateway contract (:mod:`repro.scale.gateway`) — ``decide_batch``;
+* the gateway contract (:mod:`repro.gateway.core`) — ``decide_batch``;
 * the serial evaluator surface — ``decide``/``check``, with identical
   audit records (one per decision, in request order);
 * the ``PolicyBase`` evaluation surface — ``candidates``/

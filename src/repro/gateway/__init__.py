@@ -1,16 +1,16 @@
 """repro.gateway: the asyncio streaming gateway (A10).
 
-The serving tier rebuilt around an event loop: non-blocking
+The one serving pipeline, built around an event loop: non-blocking
 multi-tenant admission (token buckets + deficit-round-robin fairness +
 queue-depth watermarks), per-tick batched authorization against
 compiled epoch snapshots, and chunked dissemination streams built from
-interned snapshot fragments.  The threaded
-:class:`~repro.scale.gateway.RequestGateway` remains as the
-compatibility shim; both record into the shared
-:class:`~repro.gateway.stats.GatewayStats`.
+interned snapshot fragments.
+:class:`~repro.gateway.core.AsyncRequestGateway` is the only
+implementation; the process tier (:mod:`repro.multicore`) subclasses
+it, and both record into :class:`~repro.gateway.stats.GatewayStats`.
 
-Equivalence contracts carried over from the threaded gateway and
-re-asserted by the gateway bench oracles and chaos battery:
+Equivalence contracts, re-asserted by the gateway bench oracles and
+the chaos batteries:
 
 * every decision equals the serial evaluator's (sharding + compilation
   are answer-preserving);
@@ -21,11 +21,6 @@ re-asserted by the gateway bench oracles and chaos battery:
   wrong grant, never garbled bytes.
 """
 
-# Import order is load-bearing: ``stats`` must load before ``core`` —
-# repro.scale.gateway imports it from here while this package is still
-# initializing whenever repro.scale (or repro.snap, via scale.batch)
-# is the import entry point.
-from repro.gateway.stats import GatewayStats, LatencyHistogram
 from repro.gateway.admission import (
     AdmissionController,
     DeficitRoundRobin,
@@ -33,15 +28,17 @@ from repro.gateway.admission import (
     TenantConfig,
     TokenBucket,
 )
+from repro.gateway.core import AsyncRequestGateway
 from repro.gateway.engine import EpochalShardRouter
+from repro.gateway.resilience import call_with_deadline, retry_async
+from repro.gateway.stats import GatewayStats, LatencyHistogram
 from repro.gateway.streaming import (
     DEFAULT_CHUNK_SIZE,
     collect,
     serialize_pieces,
     stream_element,
 )
-from repro.gateway.core import AsyncRequestGateway
-from repro.gateway.resilience import call_with_deadline, retry_async
+from repro.scale.gateway import Request
 
 __all__ = [
     "AdmissionController",
@@ -66,13 +63,6 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # ``Request`` still lives in repro.scale.gateway (its historical
-    # home; the async gateway duck-types it).  Re-exported lazily —
-    # a module-level import would cycle whenever repro.scale is the
-    # import entry point.
-    if name == "Request":
-        from repro.scale.gateway import Request
-        return Request
     # The replica router lives in repro.replica; lazily re-exported so
     # importing the gateway package does not pull the replication
     # stack (and its faults/scale dependencies) until it is used.

@@ -20,8 +20,8 @@ is itself a brokered, rate-limited grant.  Three mechanisms compose:
   priority climbs linearly with depth, so low-priority tenants are
   refused (gracefully, with Retry-After) first, higher tiers only as
   depth approaches the hard queue limit — where
-  :class:`~repro.core.errors.AdmissionRejected` is raised exactly like
-  the threaded gateway's bounded queue.  Shedding starts at the high
+  :class:`~repro.core.errors.AdmissionRejected` is raised: the bounded
+  queue never grows past it.  Shedding starts at the high
   watermark and stops only once depth falls back under the low
   watermark (hysteresis), so the loop drains instead of oscillating.
 
@@ -260,16 +260,17 @@ class AdmissionController:
 
     def admit(self, tenant: str, depth: int,
               drain_rate: float = 0.0, amount: float = 1.0) -> None:
-        """Admit one request for *tenant* given *depth* pending, or
-        raise the typed refusal.  ``drain_rate`` (requests/s served
+        """Admit *amount* requests for *tenant* given *depth* pending,
+        or raise the typed refusal.  ``drain_rate`` (requests/s served
         recently) scales the watermark Retry-After hint; ``amount``
-        charges several bucket tokens in one decision (batch
-        admission — the multicore dispatcher admits a closed-loop
-        batch as a unit instead of paying the bucket per request)."""
+        is what one decision admits as a unit (batch admission): it
+        must fit under the hard queue bound whole and charges that
+        many bucket tokens at once."""
         config = self.config(tenant)
-        if depth >= self.queue_limit:
+        if depth + amount > self.queue_limit:
             raise AdmissionRejected(
-                f"admission queue full ({self.queue_limit} pending)")
+                f"admission queue full ({depth} pending + {amount:g} "
+                f"> limit {self.queue_limit})")
         if self._shedding and depth <= self.low_watermark:
             self._shedding = False
         elif not self._shedding and depth >= self.high_watermark:

@@ -1,8 +1,11 @@
-"""The asyncio serving loop: admission → tick batches → streaming.
+"""The one serving pipeline: admission → tick batches → streaming.
 
-:class:`AsyncRequestGateway` is the event-loop successor to the
-threaded :class:`~repro.scale.gateway.RequestGateway`, keeping its
-contracts while removing its blocking:
+:class:`AsyncRequestGateway` is the only implementation of the tenant
+registry, admission, the deficit-round-robin dispatch loop, queue-wait
+accounting, the fault → typed-error mapping, streaming, the snapshot
+read/write path and the replica path.  The process tier
+(:class:`~repro.multicore.dispatcher.MulticoreGateway`) subclasses it
+and overrides only what a process boundary changes.  Its contracts:
 
 * **admission is non-blocking** — :meth:`submit_nowait` either enqueues
   and returns an :class:`asyncio.Future`, or raises a typed refusal:
@@ -13,9 +16,11 @@ contracts while removing its blocking:
 * **authorization is batched per tick** — a dispatcher task wakes when
   work arrives, yields once so every submitter racing this tick lands
   in the same batch, dequeues fairly across tenants (deficit round
-  robin), groups by shard and resolves each group through the engine's
-  ``decide_batch`` — against compiled epoch snapshots when the engine
-  is an :class:`~repro.gateway.engine.EpochalShardRouter`.  Groups are
+  robin) and hands the batch to :meth:`_decide` — the per-*batch*
+  override point — which groups by shard and resolves each group
+  through the engine's ``decide_batch``, against compiled epoch
+  snapshots when the engine is an
+  :class:`~repro.gateway.engine.EpochalShardRouter`.  Groups are
   separated by ``await asyncio.sleep(0)`` so a large batch never
   monopolizes the loop;
 * **dissemination streams** — :meth:`stream` pins the store epoch *at
@@ -24,25 +29,24 @@ contracts while removing its blocking:
   between chunks and the pinned snapshot stays alive until the stream
   ends, faults, or is closed or dropped — started or not.
 
-Fault semantics extend the threaded gateway's fail-closed contract:
-the injector is stepped per shard-group at ``agateway:shard<i>`` and
-per stream chunk at ``agateway:stream``; a fault turns the whole
-group/stream into one typed :class:`~repro.core.errors.TransportError`
-— never an altered decision, never corrupted bytes.  DELAY charges the
-fault clock, DUPLICATE is harmless (decisions are read-only; a
-duplicated chunk is deduplicated by any sane transport, so we send
-once).
+Fault semantics (fail closed): the injector is stepped per shard-group
+at ``<fault_site>:shard<i>`` and per stream chunk at
+``<fault_site>:stream``; a fault turns the whole group/stream into one
+typed :class:`~repro.core.errors.TransportError` — never an altered
+decision, never corrupted bytes.  DELAY charges the fault clock,
+DUPLICATE is harmless (decisions are read-only; a duplicated chunk is
+deduplicated by any sane transport, so we send once).
 
 Determinism: construct with ``auto_dispatch=False`` and drive
-:meth:`process_pending` yourself — the asyncio analog of the threaded
-gateway's ``workers=0`` mode, and what the chaos battery runs.
+:meth:`process_pending` yourself — same submissions + same fault plan
+⇒ same responses, which is what the chaos batteries run.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import AsyncIterator, Callable, Iterator
+from typing import AsyncIterator, Callable, Iterator, Sequence
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -69,8 +73,8 @@ from repro.gateway.streaming import (
     serialize_pieces,
 )
 
-#: FaultKind → the typed TransportError the shard-group or stream
-#: fails with (same mapping as the threaded gateway).
+#: FaultKind → the typed TransportError the shard-group, worker frame
+#: or stream fails with.
 _FAULT_ERRORS = {
     FaultKind.CRASH: lambda site: ReplicaUnavailable(
         f"shard behind {site} is down"),
@@ -121,8 +125,7 @@ class AsyncRequestGateway:
     :meth:`stream` / :meth:`stream_document` and :meth:`write`.
 
     Requests are duck-typed: anything with ``triple()`` and ``path``
-    (the threaded gateway's :class:`~repro.scale.gateway.Request`
-    works unchanged).
+    (:class:`~repro.scale.gateway.Request` is the stock one).
     """
 
     def __init__(self, engine, store=None, *,
@@ -139,10 +142,9 @@ class AsyncRequestGateway:
                  durability: str | None = None) -> None:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        # Durability wiring (repro.wal): same contract as the threaded
-        # gateway — "fsync" makes write() block on the store's
-        # wal_sync() barrier, "enqueue" acks at enqueue under the
-        # store's bounded-lag backpressure.
+        # Durability wiring (repro.wal): "fsync" makes write() block
+        # on the store's wal_sync() barrier, "enqueue" acks at enqueue
+        # under the store's bounded-lag backpressure.
         if durability is not None:
             if durability not in ("fsync", "enqueue"):
                 raise ConfigurationError(
@@ -207,14 +209,15 @@ class AsyncRequestGateway:
 
     # -- admission (never blocks) ------------------------------------------
 
-    def _admit(self, tenant: str) -> None:
-        """Charge *tenant* one admission or raise the typed refusal."""
+    def _admit(self, tenant: str, amount: float = 1.0) -> None:
+        """Charge *tenant* one admission decision worth *amount*
+        requests, or raise the typed refusal."""
         if self._closing:
             raise AdmissionRejected("gateway is shutting down")
         self._ensure_tenant(tenant)
         try:
             self.admission.admit(tenant, self._drr.pending(),
-                                 self._drain_rate())
+                                 self._drain_rate(), amount=amount)
         except Overloaded:
             with self.stats._lock:
                 self.stats.shed += 1
@@ -240,6 +243,30 @@ class AsyncRequestGateway:
             self._dispatcher = asyncio.get_running_loop().create_task(
                 self._dispatch_loop(), name="gateway-dispatcher")
         return future
+
+    def submit_batch_nowait(self, tenant: str,
+                            requests: Sequence) -> asyncio.Future:
+        """Admit *requests* as one unit — one admission decision
+        charging ``len(requests)`` tokens, one future resolving to the
+        decision list in submission order.  The cheap way to amortize
+        admission over closed-loop batches."""
+        if not requests:
+            raise ConfigurationError("empty batch")
+        self._admit(tenant, amount=float(len(requests)))
+        loop = asyncio.get_running_loop()
+        futures = [loop.create_future() for _ in requests]
+        now = self.clock()
+        for request, future in zip(requests, futures):
+            self._drr.push(tenant, (request, future, now))
+        with self.stats._lock:
+            self.stats.admitted += len(requests)
+        # Same wake-up as submit_nowait, repeated here rather than
+        # shared so the per-request path pays for no extra call.
+        self._wake.set()
+        if self.auto_dispatch and self._dispatcher is None:
+            self._dispatcher = loop.create_task(
+                self._dispatch_loop(), name="gateway-dispatcher")
+        return asyncio.gather(*futures)
 
     async def submit(self, tenant: str, request) -> Decision:
         """Admit and await the decision in one call."""
@@ -280,7 +307,7 @@ class AsyncRequestGateway:
         return shard_for_path(request.path)
 
     async def _evaluate(self, batch: list) -> None:
-        """Group one dequeued batch by shard; decide each group."""
+        """Account one dequeued batch's queue wait, then decide it."""
         dequeued_at = self.clock()
         with self.stats._lock:
             self.stats.batches += 1
@@ -289,7 +316,12 @@ class AsyncRequestGateway:
                 wait = dequeued_at - submitted_at
                 self.stats.queue_wait_s += wait
                 queue_wait.record(wait)
+        await self._decide(batch)
 
+    async def _decide(self, batch: list) -> None:
+        """Resolve every future of one dequeued batch: group by shard,
+        decide each group.  The override point of the process tier —
+        per batch, so a subclass costs the per-request paths nothing."""
         groups: dict[int, list] = {}
         for request, future, submitted_at in batch:
             groups.setdefault(self._shard_of(request), []).append(
@@ -335,7 +367,8 @@ class AsyncRequestGateway:
     def _fault_for(self, site: str) -> Exception | None:
         """Step the injector at *site*; worst event wins.  DELAY has
         already charged the fault clock inside ``step``; DUPLICATE is
-        harmless for read-only work."""
+        harmless for read-only work.  CRASH is the only kind that maps
+        to :class:`ReplicaUnavailable`."""
         if self.faults is None:
             return None
         events = self.faults.step(site)

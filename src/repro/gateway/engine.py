@@ -41,6 +41,7 @@ from repro.core.subjects import Subject
 from repro.perf.cache import MISS, LRUCache
 from repro.scale.engine import is_broadcast, _pattern_head
 from repro.scale.router import ConsistentHashRouter
+from repro.snap.policy import EpochalPolicyEngine
 
 
 class EpochalShardRouter:
@@ -52,12 +53,6 @@ class EpochalShardRouter:
                  default: DefaultDecision = DefaultDecision.CLOSED,
                  audit: AuditLog | None = None,
                  compile_policies: bool = True) -> None:
-        # Imported here, not at module top: repro.snap.policy itself
-        # imports the scale layer, whose gateway imports this package —
-        # a module-level import would deadlock that cycle when the snap
-        # package is the entry point.
-        from repro.snap.policy import EpochalPolicyEngine
-
         self.router = ConsistentHashRouter(shard_count)
         self.shard_count = shard_count
         self.compile_policies = compile_policies

@@ -1,10 +1,9 @@
 """Shared gateway telemetry: stage counters + latency percentiles.
 
-All serving front ends — the threaded
-:class:`~repro.scale.gateway.RequestGateway`, the asyncio
-:class:`~repro.gateway.core.AsyncRequestGateway`, and the multi-process
-:class:`~repro.multicore.dispatcher.MulticoreGateway` — record into the
-same :class:`GatewayStats`, so BENCH_scale, BENCH_gateway and
+Both tiers of the serving pipeline — the asyncio
+:class:`~repro.gateway.core.AsyncRequestGateway` and its multi-process
+subclass :class:`~repro.multicore.dispatcher.MulticoreGateway` — record
+into the same :class:`GatewayStats`, so BENCH_gateway and
 BENCH_multicore report the same shape: per-stage counters plus
 :class:`LatencyHistogram` percentiles (p50/p99/p999), not just
 throughput.

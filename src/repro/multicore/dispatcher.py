@@ -1,13 +1,18 @@
 """The multicore front end: admission here, evaluation per core.
 
-:class:`MulticoreGateway` is the process-per-core successor to the
-single-loop :class:`~repro.gateway.core.AsyncRequestGateway`.  The
-dispatcher process keeps everything that must be globally consistent —
-token-bucket/DRR/watermark admission (the same
-:class:`~repro.gateway.admission.AdmissionController` machinery), the
-authoritative :class:`~repro.gateway.engine.EpochalShardRouter`, delta
-versioning, stats — and ships evaluation to N worker processes, each
-running its own asyncio loop over the shards ``{s : s % N == i}``.
+:class:`MulticoreGateway` is the process tier of the one serving
+pipeline: a subclass of
+:class:`~repro.gateway.core.AsyncRequestGateway` that inherits the
+tenant registry, admission, the DRR dispatch loop, queue-wait
+accounting, the fault → typed-error mapping, dispatcher-local
+streaming, ``read``/``write`` and ``close``, and overrides only what a
+process boundary changes — how one dequeued batch is decided, remote
+streaming, the start/seed handshake, delta broadcast and worker
+retirement.  The dispatcher process keeps everything that must be
+globally consistent — admission, the authoritative
+:class:`~repro.gateway.engine.EpochalShardRouter`, delta versioning,
+stats — and ships evaluation to N worker processes, each running its
+own asyncio loop over the shards ``{s : s % N == i}``.
 
 Lifecycle:
 
@@ -24,24 +29,23 @@ Lifecycle:
   version answers typed and is retired
   (:class:`~repro.core.errors.WorkerDiverged`) instead of serving
   stale policy;
-* requests are admitted exactly like the async gateway (typed
-  ``Overloaded``/``AdmissionRejected``), batched per tick, grouped by
-  owning worker and shipped as pickle-5 frames; subjects are interned
-  per worker (first frame carries the object, later frames an int
-  key); decisions come back as compact id tuples and are surfaced as
+* requests are admitted and batched per tick by the inherited
+  pipeline; :meth:`_decide` groups each batch by owning worker and
+  ships it as pickle-5 frames; subjects are interned per worker (first
+  frame carries the object, later frames an int key); decisions come
+  back as compact id tuples and are surfaced as
   :class:`RemoteDecision` — attribute-compatible with
   :class:`~repro.core.evaluator.Decision` for serialization, so the
   byte-identity oracle runs the same code against both tiers.
 
 Fault semantics: the injector is stepped per dispatched frame at
-``mcore:worker<i>`` with the same FaultKind → TransportError mapping as
-both existing gateways; a CRASH (or :meth:`kill_worker`) retires the
-worker and every later request owned by it fails typed
-:class:`~repro.core.errors.ReplicaUnavailable` — degraded, never
-wrong.  ``workers=0`` runs the same worker code in-process on the
-caller's task with every message still round-tripped through the frame
-codec: the deterministic mode the handshake tests and the chaos
-battery drive.
+``mcore:worker<i>`` through the inherited mapping; a CRASH (or
+:meth:`kill_worker`) retires the worker and every later request owned
+by it fails typed :class:`~repro.core.errors.ReplicaUnavailable` —
+degraded, never wrong.  ``workers=0`` runs the same worker code
+in-process on the caller's task with every message still round-tripped
+through the frame codec: the deterministic mode the handshake tests
+and the chaos battery drive.
 """
 
 from __future__ import annotations
@@ -54,26 +58,16 @@ from collections import deque
 from typing import AsyncIterator, Sequence
 
 from repro.core.errors import (
-    AdmissionRejected,
     ConfigurationError,
     CorruptMessage,
-    MessageDropped,
-    Overloaded,
     ReplicaUnavailable,
     SeedMismatch,
-    StaleRead,
     WorkerDiverged,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind
-from repro.gateway.admission import (
-    AdmissionController,
-    Clock,
-    DeficitRoundRobin,
-    TenantConfig,
-)
+from repro.gateway.admission import Clock, TenantConfig
+from repro.gateway.core import AsyncRequestGateway
 from repro.gateway.engine import EpochalShardRouter
-from repro.gateway.stats import GatewayStats
 from repro.gateway.streaming import DEFAULT_CHUNK_SIZE
 from repro.multicore.frames import (
     read_frame_async,
@@ -85,23 +79,6 @@ from repro.multicore.worker import (
     ShardWorker,
     worker_process_main,
 )
-
-#: FaultKind → typed TransportError (same mapping as both gateways).
-_FAULT_ERRORS = {
-    FaultKind.CRASH: lambda site: ReplicaUnavailable(
-        f"worker behind {site} is down"),
-    FaultKind.DROP: lambda site: MessageDropped(
-        f"frame to {site} lost in transit"),
-    FaultKind.REORDER: lambda site: MessageDropped(
-        f"frame to {site} arrived out of order and was discarded"),
-    FaultKind.CORRUPT: lambda site: CorruptMessage(
-        f"frame to {site} failed its checksum"),
-    FaultKind.STALE_READ: lambda site: StaleRead(
-        f"worker behind {site} served a lagging snapshot"),
-}
-
-_FAULT_ORDER = (FaultKind.CRASH, FaultKind.CORRUPT, FaultKind.STALE_READ,
-                FaultKind.DROP, FaultKind.REORDER)
 
 
 class _PolicyRef:
@@ -245,7 +222,7 @@ class _InProcessChannel:
         self.dead = self.dead or ReplicaUnavailable("gateway closed")
 
 
-class MulticoreGateway:
+class MulticoreGateway(AsyncRequestGateway):
     """Process-per-core serving over digest-verified compiled shards.
 
     *policies* is an iterable of :class:`~repro.core.policy.Policy` (or
@@ -273,43 +250,31 @@ class MulticoreGateway:
                  worker_router: EpochalShardRouter | None = None) -> None:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         self.worker_count = workers if workers > 0 else logical_workers
         if self.worker_count < 1:
             raise ConfigurationError("need at least one logical worker")
         self.in_process = workers == 0
         if hasattr(policies, "shard_for_path"):
-            self.router = policies
-            self._policy_list = list(self.router.policies())
+            router = policies
+            self._policy_list = list(router.policies())
         else:
             self._policy_list = list(policies)
-            self.router = EpochalShardRouter.from_policies(
+            router = EpochalShardRouter.from_policies(
                 self._policy_list,
                 shard_count=shard_count or max(4, self.worker_count),
                 compile_policies=True)
-        if not self.router.compile_policies:
+        if not router.compile_policies:
             raise ConfigurationError(
                 "multicore serving requires compile_policies=True: the "
                 "seed handshake verifies compiled-table digests")
-        self.store = store
-        self.batch_size = batch_size
-        self.default_tenant = default_tenant
-        self.clock = clock
-        self.faults = faults
-        self.fault_site = fault_site
-        self.auto_dispatch = auto_dispatch
-        self.admission = AdmissionController(
-            clock, queue_limit=queue_limit,
-            high_watermark=high_watermark, low_watermark=low_watermark)
-        self.stats = GatewayStats()
-        self._drr = DeficitRoundRobin()
-        self._known_tenants: set[str] = set()
-        self._wake = asyncio.Event()
-        self._dispatcher: asyncio.Task | None = None
-        self._closing = False
+        super().__init__(
+            router, store, queue_limit=queue_limit,
+            high_watermark=high_watermark, low_watermark=low_watermark,
+            batch_size=batch_size, default_tenant=default_tenant,
+            clock=clock, faults=faults, fault_site=fault_site,
+            auto_dispatch=auto_dispatch)
+        self.router = router
         self._started = False
-        self._started_at = clock()
         self._delta_version = 0
         self._batch_counter = 0
         self._stream_counter = 0
@@ -387,150 +352,25 @@ class MulticoreGateway:
                     f"{reply[2] if len(reply) > 2 else reply}")
 
     async def close(self, drain: bool = True) -> None:
-        self._closing = True
-        self._wake.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
-        if drain:
-            await self.process_pending()
-        else:
-            for _, future, _ in self._drr.drain_all():
-                if not future.done():
-                    future.set_exception(AdmissionRejected(
-                        "gateway closed before evaluation"))
+        await super().close(drain)
         for channel in self._channels:
             await channel.close()
 
     async def __aenter__(self) -> "MulticoreGateway":
         return await self.start()
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    # -- tenants -----------------------------------------------------------
-
-    def register(self, tenant: str,
-                 config: TenantConfig | None = None) -> TenantConfig:
-        config = config if config is not None else self.default_tenant
-        if config is None:
-            raise ConfigurationError(
-                f"no config for tenant {tenant!r} and no default")
-        self.admission.register(tenant, config)
-        self._drr.register(tenant, config.quantum)
-        self._known_tenants.add(tenant)
-        return config
-
-    def _ensure_tenant(self, tenant: str) -> None:
-        if tenant not in self._known_tenants:
-            self.register(tenant)
-
-    def _drain_rate(self) -> float:
-        elapsed = max(self.clock() - self._started_at, 1e-3)
-        return self.stats.completed / elapsed
-
-    def pending(self) -> int:
-        return self._drr.pending()
-
     # -- admission ---------------------------------------------------------
 
     def _admit(self, tenant: str, amount: float = 1.0) -> None:
-        if self._closing:
-            raise AdmissionRejected("gateway is shutting down")
         if not self._started:
             raise ConfigurationError(
                 "gateway not started; call await gateway.start() first")
-        self._ensure_tenant(tenant)
-        try:
-            self.admission.admit(tenant, self._drr.pending(),
-                                 self._drain_rate(), amount=amount)
-        except Overloaded:
-            with self.stats._lock:
-                self.stats.shed += 1
-            raise
-        except AdmissionRejected:
-            with self.stats._lock:
-                self.stats.rejected += 1
-            raise
+        super()._admit(tenant, amount)
 
-    def submit_nowait(self, tenant: str, request) -> asyncio.Future:
-        """Admit one request or raise the typed refusal; the future
-        resolves to a :class:`RemoteDecision` (or the typed transport
-        error its frame was converted into)."""
-        self._admit(tenant)
-        future = asyncio.get_running_loop().create_future()
-        self._drr.push(tenant, (request, future, self.clock()))
-        with self.stats._lock:
-            self.stats.admitted += 1
-        self._kick()
-        return future
+    # -- deciding one batch across the process boundary --------------------
 
-    def submit_batch_nowait(self, tenant: str,
-                            requests: Sequence) -> asyncio.Future:
-        """Admit *requests* as one unit — one admission decision
-        charging ``len(requests)`` tokens, one future resolving to the
-        decision list in submission order.  The cheap way to amortize
-        admission over closed-loop batches."""
-        if not requests:
-            raise ConfigurationError("empty batch")
-        self._admit(tenant, amount=float(len(requests)))
-        loop = asyncio.get_running_loop()
-        futures = [loop.create_future() for _ in requests]
-        now = self.clock()
-        for request, future in zip(requests, futures):
-            self._drr.push(tenant, (request, future, now))
-        with self.stats._lock:
-            self.stats.admitted += len(requests)
-        self._kick()
-        return asyncio.gather(*futures)
-
-    async def submit(self, tenant: str, request) -> RemoteDecision:
-        return await self.submit_nowait(tenant, request)
-
-    def _kick(self) -> None:
-        self._wake.set()
-        if self.auto_dispatch and self._dispatcher is None:
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._dispatch_loop(), name="mcore-dispatcher")
-
-    # -- the dispatch loop -------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self._drr.pending() == 0:
-                if self._closing:
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            await asyncio.sleep(0)
-            batch = self._drr.take(self.batch_size)
-            if batch:
-                await self._evaluate(batch)
-
-    async def process_pending(self) -> int:
-        """Drain everything queued on the caller's task — with
-        ``workers=0`` this is fully deterministic: same submissions +
-        same fault plan ⇒ same responses in the same order."""
-        processed = 0
-        while self._drr.pending():
-            batch = self._drr.take(self.batch_size)
-            if not batch:
-                break
-            await self._evaluate(batch)
-            processed += len(batch)
-        return processed
-
-    async def _evaluate(self, batch: list) -> None:
-        dequeued_at = self.clock()
-        with self.stats._lock:
-            self.stats.batches += 1
-            enqueue = self.stats.stage("enqueue")
-            for _, _, submitted_at in batch:
-                wait = dequeued_at - submitted_at
-                self.stats.queue_wait_s += wait
-                enqueue.record(wait)
-
+    async def _decide(self, batch: list) -> None:
+        """Group one dequeued batch by owning worker; one frame each."""
         groups: dict[int, list] = {}
         for request, future, submitted_at in batch:
             shard = self.router.shard_for_path(request.path)
@@ -608,21 +448,14 @@ class MulticoreGateway:
             # Keep the retirement's own type: a diverged worker keeps
             # answering WorkerDiverged, a killed one ReplicaUnavailable.
             return retired
-        if self.faults is None:
-            return None
-        site = f"{self.fault_site}:worker{worker_id}"
-        events = self.faults.step(site)
-        for kind in _FAULT_ORDER:
-            if any(event.kind is kind for event in events):
-                error = _FAULT_ERRORS[kind](site)
-                if kind is FaultKind.CRASH:
-                    # A crashed worker stays crashed: typed degradation
-                    # for everything it owned, byte-identical service
-                    # from everyone else.
-                    self._retired[worker_id] = error
-                    self._channels[worker_id].kill()
-                return error
-        return None
+        error = self._fault_for(f"{self.fault_site}:worker{worker_id}")
+        if isinstance(error, ReplicaUnavailable):
+            # CRASH.  A crashed worker stays crashed: typed degradation
+            # for everything it owned, byte-identical service from
+            # everyone else.
+            self._retired[worker_id] = error
+            self._channels[worker_id].kill()
+        return error
 
     def _reply_error(self, worker_id: int,
                      reply: tuple) -> Exception | None:
@@ -737,9 +570,14 @@ class MulticoreGateway:
         the document's shard; its cached encoded chunks ride back out
         of band (no per-request payload copy) and are yielded exactly
         as the single-process gateway would.  After a dispatcher-side
-        store write (fork-mode workers cannot see it) the stream is
-        served locally instead — correct first, accelerated second.
+        store write (fork-mode workers cannot see it, and every
+        worker's chunk cache predates it) the stream is the inherited
+        dispatcher-local one instead — correct first, accelerated
+        second.
         """
+        if self._store_dirty:
+            return super().stream_document(tenant, collection, doc_id,
+                                           chunk_size)
         if self.store is None:
             raise ConfigurationError(
                 "gateway has no snapshot store; pass store= to stream")
@@ -749,15 +587,8 @@ class MulticoreGateway:
             self.stats.streams += 1
             self.stats.snapshot_reads += 1
         shard = self.router.shard_for_path(f"{collection}/{doc_id}")
-        worker_id = self.worker_for_shard(shard)
-        if self._store_dirty and not self.in_process:
-            # Pin the epoch at admission, exactly like the async
-            # gateway: the stream observes the snapshot current now.
-            snapshot = self.store.epochs.acquire()
-            return self._stream_local(snapshot, collection, doc_id,
-                                      chunk_size)
-        return self._stream_remote(worker_id, collection, doc_id,
-                                   chunk_size)
+        return self._stream_remote(self.worker_for_shard(shard),
+                                   collection, doc_id, chunk_size)
 
     async def _stream_remote(self, worker_id: int, collection: str,
                              doc_id: str,
@@ -788,48 +619,10 @@ class MulticoreGateway:
         for chunk in chunks:
             yield bytes(chunk).decode()
 
-    async def _stream_local(self, snapshot, collection: str, doc_id: str,
-                            chunk_size: int) -> AsyncIterator[str]:
-        from repro.gateway.streaming import stream_element
-
-        started = self.clock()
-        pool = getattr(self.store, "pool", None)
-        try:
-            node = snapshot.document(collection, doc_id)
-            root = getattr(node, "root", node)
-            async for chunk in stream_element(root, pool,
-                                              chunk_size=chunk_size):
-                with self.stats._lock:
-                    self.stats.stream_chunks += 1
-                yield chunk
-            with self.stats._lock:
-                self.stats.completed += 1
-                self.stats.stage("stream").record(self.clock() - started)
-        except BaseException:
-            with self.stats._lock:
-                self.stats.failed += 1
-            raise
-        finally:
-            self.store.epochs.release(snapshot)
-
     def write(self, fn):
         """Apply ``fn(store)`` as one write and publish a new epoch.
-        Fork-mode workers keep their fork-time corpus, so streaming
-        falls back to dispatcher-local service afterwards."""
-        if self.store is None:
-            raise ConfigurationError(
-                "gateway has no snapshot store; pass store=")
-        writer = getattr(self.store, "writer", None)
-        if writer is not None:
-            with writer():
-                result = fn(self.store)
-        else:
-            result = fn(self.store)
-            publish = getattr(self.store, "publish", None)
-            if publish is not None:
-                publish()
+        Workers keep their fork-time corpus and cached chunks, so
+        streaming falls back to dispatcher-local service afterwards."""
+        result = super().write(fn)
         self._store_dirty = True
-        with self.stats._lock:
-            self.stats.writes += 1
-            self.stats.epochs_advanced += 1
         return result

@@ -12,14 +12,14 @@ property tests and bench oracles enforce:
   :class:`ShardedCollection` / :class:`ShardedXmlDatabase`,
   :class:`ShardedUddiRegistry` — each sharded store answers exactly as
   its monolithic counterpart holding the union of the shards;
-* :class:`RequestGateway` — closed-loop admission/batching pipeline
-  whose responses under faults are byte-identical to the fault-free
-  run or a typed :class:`~repro.core.errors.TransportError`.
+* :class:`Request` — the value type the one serving pipeline
+  (:class:`~repro.gateway.core.AsyncRequestGateway`) carries; it lives
+  here because its callers import it from here.
 """
 
 from repro.scale.batch import BatchDecisionEngine, BatchStats
 from repro.scale.engine import ShardedPolicyEngine, is_broadcast
-from repro.scale.gateway import GatewayStats, Request, RequestGateway
+from repro.scale.gateway import Request
 from repro.scale.registry import ShardedUddiRegistry
 from repro.scale.relational import ShardedDatabase
 from repro.scale.router import ConsistentHashRouter
@@ -29,9 +29,7 @@ __all__ = [
     "BatchDecisionEngine",
     "BatchStats",
     "ConsistentHashRouter",
-    "GatewayStats",
     "Request",
-    "RequestGateway",
     "ShardedCollection",
     "ShardedDatabase",
     "ShardedPolicyEngine",

@@ -1,61 +1,19 @@
-"""The closed-loop request pipeline: admission → batch → decision.
+"""The request value type the serving pipeline carries.
 
-:class:`RequestGateway` is the end-to-end throughput harness the A7
-experiment drives: callers :meth:`submit` authorization requests and
-get futures back; a bounded admission queue sheds load with a typed
-:class:`~repro.core.errors.AdmissionRejected` (never an unbounded
-backlog); worker threads drain the queue in batches, group each batch
-by shard, and push the groups through the sharded engine's batched
-decision path.  Per-stage counters (admitted/rejected, queue wait,
-evaluation time, batch sizes) make the sweep's bottlenecks visible.
-
-Fault semantics (the chaos battery's contract): an optional
-:class:`~repro.faults.injector.FaultInjector` is stepped once per
-shard-group at the site ``gateway:shard<i>``.  A fault never alters a
-decision — it converts the whole group's responses into one *typed*
-:class:`~repro.core.errors.TransportError` subclass (CRASH →
-ReplicaUnavailable, DROP/REORDER → MessageDropped, CORRUPT →
-CorruptMessage, STALE_READ → StaleRead).  DELAY only charges the fault
-clock and DUPLICATE re-evaluates the group (decisions are read-only,
-so a duplicate is harmless — which the chaos suite asserts).  Every
-response is therefore byte-identical to the fault-free run or a typed
-error: fail closed, never a silently wrong grant.
-
-``workers=0`` runs the gateway synchronously — :meth:`process_pending`
-drains the queue on the caller's thread in submission order, which is
-what makes the chaos battery deterministic per seed.
+The pipeline itself lives in :mod:`repro.gateway.core`
+(:class:`~repro.gateway.core.AsyncRequestGateway`); this module keeps
+:class:`Request` at the import path its callers already use.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass
 
-from repro.core.errors import (
-    AdmissionRejected,
-    ConfigurationError,
-    CorruptMessage,
-    MessageDropped,
-    ReplicaUnavailable,
-    StaleRead,
-)
-from repro.core.evaluator import Decision
 from repro.core.objects import ResourcePath
 from repro.core.policy import Action
 from repro.core.subjects import Subject
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind
-# Telemetry is shared with the asyncio gateway (repro.gateway.stats
-# loads before anything else in that package, so this import is safe
-# from every entry point); GatewayStats/LatencyHistogram stay
-# re-exported here for existing callers.
-from repro.gateway.stats import GatewayStats, LatencyHistogram
 
-__all__ = ["GatewayStats", "LatencyHistogram", "Request",
-           "RequestGateway"]
+__all__ = ["Request"]
 
 
 @dataclass(frozen=True)
@@ -69,346 +27,3 @@ class Request:
 
     def triple(self) -> tuple:
         return (self.subject, self.action, self.path, self.payload)
-
-
-#: FaultKind → the typed TransportError the whole shard-group fails with.
-_FAULT_ERRORS = {
-    FaultKind.CRASH: lambda site: ReplicaUnavailable(
-        f"shard behind {site} is down"),
-    FaultKind.DROP: lambda site: MessageDropped(
-        f"batch to {site} lost in transit"),
-    FaultKind.REORDER: lambda site: MessageDropped(
-        f"batch to {site} arrived out of order and was discarded"),
-    FaultKind.CORRUPT: lambda site: CorruptMessage(
-        f"batch to {site} failed its frame checksum"),
-    FaultKind.STALE_READ: lambda site: StaleRead(
-        f"shard behind {site} served a lagging snapshot"),
-}
-
-
-class RequestGateway:
-    """Bounded admission + worker pool over a sharded policy engine.
-
-    *engine* needs ``decide_batch(requests)`` and (optionally)
-    ``shard_for_path(path)``; a monolithic
-    :class:`~repro.scale.batch.BatchDecisionEngine` works too — all
-    requests then form a single shard-0 group.
-    """
-
-    def __init__(self, engine, workers: int = 4,
-                 queue_limit: int = 1024, batch_size: int = 32,
-                 linger_s: float = 0.0,
-                 faults: FaultInjector | None = None,
-                 epochs=None, publisher=None, replicas=None,
-                 durability: str | None = None) -> None:
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.engine = engine
-        # Snapshot wiring (repro.snap): *epochs* is an EpochManager the
-        # read path pins; *publisher* is a writer-side store (needs
-        # ``publish()`` and optionally ``writer()``) the write path
-        # advances.  Both stay duck-typed so this module does not
-        # depend on repro.snap; an engine carrying its own manager
-        # (EpochalPolicyEngine) donates it when *epochs* is omitted.
-        if epochs is None:
-            epochs = getattr(publisher, "epochs", None)
-        if epochs is None:
-            epochs = getattr(engine, "epochs", None)
-        self.epochs = epochs
-        self.publisher = publisher
-        # Replication wiring (repro.replica): *replicas* is a
-        # ReplicaRouter (duck-typed: ``get``/``put``/``session``) the
-        # key-value read/write path routes through — reads fan to any
-        # caught-up replica, writes go to the shard primary.
-        self.replicas = replicas
-        # Durability wiring (repro.wal): *durability* selects the ack
-        # contract of :meth:`write` when *publisher* is a durable store
-        # (duck-typed: exposes ``wal_sync()``).  ``"fsync"`` — write()
-        # returns only after every record it produced is fsynced;
-        # ``"enqueue"`` — write() returns at enqueue and the store's
-        # bounded lag (typed DurabilityLagExceeded) is the only brake.
-        if durability is not None:
-            if durability not in ("fsync", "enqueue"):
-                raise ConfigurationError(
-                    f"unknown durability mode {durability!r}; expected "
-                    f"'fsync' or 'enqueue'")
-            if not hasattr(publisher, "wal_sync"):
-                raise ConfigurationError(
-                    "durability= needs a durable publisher (one with "
-                    "wal_sync()); wrap the store in repro.wal.durable")
-        self.durability = durability
-        self.queue_limit = queue_limit
-        self.batch_size = batch_size
-        # Optional: how long a worker holding a *partial* batch waits
-        # for it to fill before evaluating anyway.  Off by default —
-        # under a closed loop the linger only added idle waits (the
-        # submitter is blocked on our futures, so the batch can never
-        # fill), which showed up as sub-serial sweep points.  Open-loop
-        # callers who want deeper batches can opt back in.
-        self.linger_s = linger_s
-        self.faults = faults
-        self.stats = GatewayStats()
-        self._queue: deque[tuple[Request, Future, float]] = deque()
-        self._mutex = threading.Lock()
-        self._not_empty = threading.Condition(self._mutex)
-        self._closing = False
-        self._workers: list[threading.Thread] = []
-        for index in range(workers):
-            thread = threading.Thread(target=self._worker_loop,
-                                      name=f"gateway-worker-{index}",
-                                      daemon=True)
-            thread.start()
-            self._workers.append(thread)
-
-    # -- admission ---------------------------------------------------------
-
-    def submit(self, request: Request) -> Future:
-        """Admit *request* or shed it with AdmissionRejected."""
-        future: Future = Future()
-        with self._mutex:
-            if self._closing:
-                raise AdmissionRejected("gateway is shutting down")
-            if len(self._queue) >= self.queue_limit:
-                with self.stats._lock:
-                    self.stats.rejected += 1
-                raise AdmissionRejected(
-                    f"admission queue full ({self.queue_limit} pending)")
-            self._queue.append((request, future, time.perf_counter()))
-            with self.stats._lock:
-                self.stats.admitted += 1
-            self._not_empty.notify()
-        return future
-
-    def pending(self) -> int:
-        with self._mutex:
-            return len(self._queue)
-
-    # -- the pipeline ------------------------------------------------------
-
-    def _drain(self) -> list[tuple[Request, Future, float]]:
-        """Pop up to batch_size entries (caller holds no locks)."""
-        with self._mutex:
-            batch = []
-            while self._queue and len(batch) < self.batch_size:
-                batch.append(self._queue.popleft())
-            return batch
-
-    def _shard_of(self, request: Request) -> int:
-        shard_for_path = getattr(self.engine, "shard_for_path", None)
-        if shard_for_path is None:
-            return 0
-        return shard_for_path(request.path)
-
-    def _evaluate(self, batch: list[tuple[Request, Future, float]]) -> None:
-        """Group one drained batch by shard and decide each group."""
-        dequeued_at = time.perf_counter()
-        with self.stats._lock:
-            self.stats.batches += 1
-            queue_wait = self.stats.stage("queue_wait")
-            for _, _, submitted_at in batch:
-                wait = dequeued_at - submitted_at
-                self.stats.queue_wait_s += wait
-                queue_wait.record(wait)
-
-        groups: dict[int, list[tuple[Request, Future, float]]] = {}
-        for request, future, submitted_at in batch:
-            groups.setdefault(self._shard_of(request), []).append(
-                (request, future, submitted_at))
-
-        for shard in sorted(groups):
-            group = groups[shard]
-            error = self._fault_for(shard)
-            if error is not None:
-                for _, future, _ in group:
-                    future.set_exception(error)
-                with self.stats._lock:
-                    self.stats.failed += len(group)
-                continue
-            started = time.perf_counter()
-            try:
-                decisions: list[Decision] = self.engine.decide_batch(
-                    [request.triple() for request, _, _ in group])
-            except Exception as exc:  # typed errors flow to the caller
-                for _, future, _ in group:
-                    future.set_exception(exc)
-                with self.stats._lock:
-                    self.stats.failed += len(group)
-                continue
-            finished = time.perf_counter()
-            with self.stats._lock:
-                self.stats.evaluate_s += finished - started
-                self.stats.completed += len(group)
-                self.stats.stage("evaluate").record(finished - started)
-                for _, _, submitted_at in group:
-                    self.stats.latency.record(finished - submitted_at)
-            for (_, future, _), decision in zip(group, decisions):
-                future.set_result(decision)
-
-    def _fault_for(self, shard: int) -> Exception | None:
-        """Step the injector for this shard-group; worst event wins.
-
-        DELAY has already charged the fault clock inside ``step``;
-        DUPLICATE means the group would be evaluated twice — decisions
-        are read-only, so the second evaluation is the one we run.
-        """
-        if self.faults is None:
-            return None
-        events = self.faults.step(f"gateway:shard{shard}")
-        for kind in (FaultKind.CRASH, FaultKind.CORRUPT,
-                     FaultKind.STALE_READ, FaultKind.DROP,
-                     FaultKind.REORDER):
-            if any(event.kind is kind for event in events):
-                return _FAULT_ERRORS[kind](f"gateway:shard{shard}")
-        return None
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._not_empty:
-                # Park until there is work (or shutdown) — a pure
-                # condition wait, no poll timeout: every submit and
-                # close notifies, so a missed-wakeup backstop would
-                # only add idle latency.
-                while not self._queue and not self._closing:
-                    self._not_empty.wait()
-                if self._closing and not self._queue:
-                    return
-                if self.linger_s > 0:
-                    # Opt-in linger: give a partial batch a bounded
-                    # chance to fill before evaluating it.
-                    deadline = time.monotonic() + self.linger_s
-                    while (len(self._queue) < self.batch_size
-                            and not self._closing):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._not_empty.wait(timeout=remaining)
-            batch = self._drain()
-            if batch:
-                self._evaluate(batch)
-
-    # -- synchronous mode (workers=0) --------------------------------------
-
-    def process_pending(self) -> int:
-        """Drain and evaluate everything queued, on this thread, in
-        submission order.  The deterministic path: same submissions +
-        same fault plan ⇒ same responses, every run."""
-        processed = 0
-        while True:
-            batch = self._drain()
-            if not batch:
-                return processed
-            self._evaluate(batch)
-            processed += len(batch)
-
-    # -- the snapshot read/write path (repro.snap) -------------------------
-
-    def read(self, fn):
-        """Run ``fn(snapshot)`` against the pinned current epoch.
-
-        Lock-free with respect to writers: the epoch pointer swap is
-        the only synchronization point, and the pinned snapshot cannot
-        be reclaimed until *fn* returns.
-        """
-        if self.epochs is None:
-            raise ConfigurationError(
-                "gateway has no epoch manager; pass epochs= or a "
-                "publisher/engine that carries one")
-        with self.epochs.reading() as snapshot:
-            result = fn(snapshot)
-        with self.stats._lock:
-            self.stats.snapshot_reads += 1
-        return result
-
-    def write(self, fn):
-        """Apply ``fn(publisher)`` as one write and advance the epoch.
-
-        When the publisher supports multi-operation atomicity
-        (``writer()``), every mutation *fn* makes lands in a single
-        published epoch; in-flight :meth:`read` calls keep their pinned
-        snapshot and the next read sees the new epoch.
-        """
-        if self.publisher is None:
-            raise ConfigurationError(
-                "gateway has no snapshot publisher; pass publisher=")
-        writer = getattr(self.publisher, "writer", None)
-        if writer is not None:
-            with writer():
-                result = fn(self.publisher)
-        else:
-            result = fn(self.publisher)
-            publish = getattr(self.publisher, "publish", None)
-            if publish is not None:
-                publish()
-        if self.durability == "fsync":
-            # Settle every record *fn* produced before acknowledging;
-            # a sealed pipeline's typed WalError propagates to the
-            # caller instead of a false ack.
-            self.publisher.wal_sync()
-        with self.stats._lock:
-            self.stats.writes += 1
-            self.stats.epochs_advanced += 1
-        return result
-
-    # -- the replicated key-value path (repro.replica) ---------------------
-
-    def replica_session(self):
-        """A read-your-writes session over the replica router."""
-        if self.replicas is None:
-            raise ConfigurationError(
-                "gateway has no replica router; pass replicas=")
-        return self.replicas.session()
-
-    def replica_read(self, key: str, session=None):
-        """Read *key* from any caught-up replica of its shard.
-
-        With a *session*, the read is served at or above the session's
-        watermark floor (read-your-writes); lagging replicas answer
-        with a typed StaleRead and the router probes the next copy.
-        """
-        if self.replicas is None:
-            raise ConfigurationError(
-                "gateway has no replica router; pass replicas=")
-        value = self.replicas.get(key, session=session)
-        with self.stats._lock:
-            self.stats.replica_reads += 1
-        return value
-
-    def replica_write(self, key: str, value: str, session=None) -> int:
-        """Write through the shard primary; acknowledged only when at
-        least one read replica holds the delta.  Returns the version,
-        which also raises the session's watermark floor."""
-        if self.replicas is None:
-            raise ConfigurationError(
-                "gateway has no replica router; pass replicas=")
-        version = self.replicas.put(key, value, session=session)
-        with self.stats._lock:
-            self.stats.replica_writes += 1
-        return version
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self, drain: bool = True) -> None:
-        """Stop accepting work; by default finish what was admitted."""
-        with self._mutex:
-            self._closing = True
-            self._not_empty.notify_all()
-        for thread in self._workers:
-            thread.join(timeout=5.0)
-        if drain:
-            self.process_pending()
-        else:
-            while True:
-                batch = self._drain()
-                if not batch:
-                    break
-                for _, future, _ in batch:
-                    future.set_exception(
-                        AdmissionRejected("gateway closed before evaluation"))
-
-    def __enter__(self) -> RequestGateway:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -24,7 +24,7 @@ mutation freezes and publishes a new epoch (whose snapshot carries its
 own evaluator + batch engine), and every read pins the current epoch
 for exactly one decision or batch.  It satisfies the gateway's engine
 contract (``decide_batch``), making the lock-free read path a drop-in
-for :class:`~repro.scale.gateway.RequestGateway`.
+engine for :class:`~repro.gateway.core.AsyncRequestGateway`.
 
 With ``compile_policies=True`` each published snapshot carries a
 :class:`~repro.compile.engine.CompiledPolicyEngine` instead of the

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness and table rendering."""
 
+import pathlib
+
 import pytest
 
 from repro.bench.harness import (
@@ -85,3 +87,31 @@ class TestHarness:
         rendered = result.render()
         assert "* note one" in rendered
         assert "completed in" in rendered
+
+
+class TestBenchOutput:
+    def test_explicit_output_is_the_only_file_written(
+            self, tmp_path, monkeypatch):
+        from repro.bench import output
+
+        # Anything aimed at the committed results would land here.
+        results = tmp_path / "results"
+        monkeypatch.setattr(output, "RESULTS_DIR", results)
+        target = tmp_path / "elsewhere" / "x.json"
+        written = output.write_bench_json("demo", {"k": 1}, output=target)
+        assert written == target
+        assert target.read_text(encoding="utf-8") == '{\n  "k": 1\n}\n'
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [target]
+        # ...and no mirror at the repo root (the pre-PR-20 behaviour,
+        # which let a --quick run overwrite a committed full run).
+        repo_root = pathlib.Path(output.__file__).resolve().parents[3]
+        assert not (repo_root / "BENCH_demo.json").exists()
+
+    def test_default_output_is_the_committed_results_copy(
+            self, tmp_path, monkeypatch):
+        from repro.bench import output
+
+        monkeypatch.setattr(output, "RESULTS_DIR", tmp_path)
+        written = output.write_bench_json("demo", {"k": 1})
+        assert written == tmp_path / "BENCH_demo.json"
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [written]

@@ -1,9 +1,9 @@
 """Chaos battery for the asyncio gateway.
 
-The fail-closed invariant carried over from the threaded battery, over
-60 seeds and with *concurrent tenants*: every response from an
-:class:`AsyncRequestGateway` under a bounded fault plan is either
-byte-identical to the fault-free run's response for the same request,
+The fail-closed invariant of ``test_scale_chaos.py``, over 60 seeds,
+against the compiled epochal router and with *concurrent tenants*:
+every response from an :class:`AsyncRequestGateway` under a bounded
+fault plan is either byte-identical to the fault-free run's response for the same request,
 or a *typed* :class:`TransportError` — never a silently wrong grant,
 and streams never yield corrupted bytes.
 

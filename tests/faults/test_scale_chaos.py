@@ -1,15 +1,17 @@
-"""Chaos battery for the closed-loop gateway.
+"""Chaos battery for the gateway over the interpreter-backed engine.
 
-The fail-closed invariant, over ≥50 seeds: every response from a
-:class:`RequestGateway` under a bounded fault plan is either
-byte-identical to the fault-free run's response for the same request,
-or a *typed* :class:`TransportError` — never a silently wrong grant.
+The fail-closed invariant, over ≥50 seeds: every response from the
+gateway over a :class:`ShardedPolicyEngine` under a bounded fault plan
+is either byte-identical to the fault-free run's response for the same
+request, or a *typed* :class:`TransportError` — never a silently wrong
+grant.  Sites are ``gateway:shard<i>`` (``fault_site="gateway"``).
 
-``workers=0`` keeps each run deterministic: requests drain on the
-caller's thread in submission order, so the injector's per-site step
+``auto_dispatch=False`` keeps each run deterministic: requests drain on
+the caller's task in submission order, so the injector's per-site step
 counters advance identically for identical (seed, plan) pairs.
 """
 
+import asyncio
 import json
 import random
 
@@ -22,8 +24,9 @@ from repro.core.errors import (
 )
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.scale.engine import ShardedPolicyEngine
-from repro.scale.gateway import Request, RequestGateway
+from repro.scale.gateway import Request
 
+from tests.gateway.driver import drive, sync_gateway
 from tests.scale.workloads import random_policies, random_requests
 
 SHARDS = 4
@@ -61,10 +64,9 @@ def run(engine: ShardedPolicyEngine, requests,
     decisions are read-only, and policy ids (which the byte oracle
     serializes) are only comparable within one engine build.
     """
-    gateway = RequestGateway(engine, workers=0,
-                             batch_size=batch_size, faults=faults)
-    futures = [gateway.submit(Request(*r)) for r in requests]
-    gateway.process_pending()
+    futures = drive(sync_gateway(engine, batch_size=batch_size,
+                                 faults=faults, fault_site="gateway"),
+                    requests)
     outcomes = []
     for future in futures:
         error = future.exception()
@@ -162,19 +164,27 @@ class TestTargetedFaults:
         assert all(kind == "err" for kind, _ in chaotic)
 
 
-class TestThreadedChaosSmoke:
-    def test_threaded_gateway_stays_fail_closed(self):
+class TestDispatcherChaosSmoke:
+    def test_dispatcher_task_stays_fail_closed(self):
+        """The real dispatcher task under faults."""
         seed = 2
         engine, requests = build_engine(seed), workload(seed)
         oracle = {value for kind, value in run(engine, requests)
                   if kind == "ok"}
         plan = FaultPlan.random(seed, sites=SITES, rate=0.3,
                                 horizon=200)
-        gateway = RequestGateway(engine, workers=3, batch_size=8,
-                                 faults=FaultInjector(plan))
-        futures = [gateway.submit(Request(*r)) for r in requests]
-        gateway.close()
-        for future in futures:
+
+        async def scenario():
+            gateway = sync_gateway(engine, batch_size=8,
+                                   faults=FaultInjector(plan),
+                                   fault_site="gateway",
+                                   auto_dispatch=True)
+            futures = [gateway.submit_nowait("t", Request(*r))
+                       for r in requests]
+            await gateway.close()
+            return futures
+
+        for future in asyncio.run(scenario()):
             error = future.exception()
             if error is not None:
                 assert isinstance(error, TransportError)

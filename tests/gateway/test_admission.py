@@ -136,6 +136,16 @@ class TestAdmissionController:
         with pytest.raises(AdmissionRejected):
             ctl.admit("t", depth=10)
 
+    def test_a_batch_must_fit_under_the_hard_limit_whole(self):
+        ctl = controller(limit=4, high_watermark=4, low_watermark=4)
+        ctl.register("t", TenantConfig(rate=1e9, burst=1e9))
+        with pytest.raises(AdmissionRejected):
+            ctl.admit("t", depth=0, amount=64.0)
+        with pytest.raises(AdmissionRejected):
+            ctl.admit("t", depth=2, amount=3.0)
+        ctl.admit("t", depth=2, amount=2.0)     # fills it exactly
+        ctl.admit("t", depth=3)                 # one request: depth < limit
+
     def test_bucket_exhaustion_sheds_with_retry_after(self):
         ctl = controller()
         ctl.register("t", TenantConfig(rate=10.0, burst=2.0))

@@ -1,8 +1,7 @@
 """The asyncio gateway: equivalence, fairness, backpressure, lifecycle.
 
 Deterministic tests drive ``auto_dispatch=False`` gateways with
-``process_pending`` (the asyncio analog of the threaded gateway's
-``workers=0``); the event-loop tests use the real dispatcher.
+``process_pending``; the event-loop tests use the real dispatcher.
 """
 
 import asyncio
@@ -23,6 +22,7 @@ from repro.gateway import (
     ManualClock,
     TenantConfig,
 )
+from repro.multicore import MulticoreGateway
 from repro.scale.gateway import Request
 from tests.scale.workloads import random_policies, random_requests
 
@@ -127,6 +127,37 @@ class TestAdmissionIntegration:
             await gateway.process_pending()
 
         run(scenario())
+
+    @pytest.mark.parametrize("tier", ["async", "multicore"])
+    def test_batch_admission_respects_the_queue_bound(self, tier):
+        """Both tiers inherit one ``submit_batch_nowait``."""
+        policies, requests = build(4)
+        serial = PolicyEvaluator(PolicyBase(policies))
+        options = dict(queue_limit=4, high_watermark=4, low_watermark=4,
+                       auto_dispatch=False,
+                       default_tenant=TenantConfig(rate=1e9, burst=1e9))
+
+        async def scenario():
+            gateway = (
+                AsyncRequestGateway(
+                    EpochalShardRouter.from_policies(policies), **options)
+                if tier == "async" else
+                MulticoreGateway(policies, workers=0, **options))
+            async with gateway:
+                batch = [Request(*r) for r in (requests * 2)[:64]]
+                with pytest.raises(AdmissionRejected):
+                    gateway.submit_batch_nowait("t", batch)
+                assert gateway.pending() == 0       # nothing enqueued
+                assert gateway.stats.rejected == 1
+                # A batch that fits is one admission, decided in order.
+                gathered = gateway.submit_batch_nowait("t", batch[:4])
+                assert gateway.pending() == 4
+                await gateway.process_pending()
+                return await gathered
+
+        decisions = run(scenario())
+        assert [d.granted for d in decisions] == [
+            serial.decide(*r).granted for r in requests[:4]]
 
     def test_watermark_sheds_low_priority_tenant_first(self):
         policies, _ = build(5)

@@ -1,14 +1,14 @@
-"""Both front ends speak replica: wiring, sessions, typed refusals."""
+"""The gateway speaks replica: wiring, sessions, typed refusals."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
-from repro.gateway.core import AsyncRequestGateway
 from repro.replica.router import ReplicaRouter
 from repro.scale.batch import BatchDecisionEngine
-from repro.scale.gateway import RequestGateway
+
+from tests.gateway.driver import sync_gateway
 
 
 def _engine():
@@ -19,26 +19,25 @@ def _router():
     return ReplicaRouter(shard_count=2, replica_count=3, bucket_count=8)
 
 
-class TestThreadedGatewayWiring:
+class TestGatewayWiring:
     def test_write_then_read_your_writes(self):
-        gateway = RequestGateway(_engine(), workers=0,
-                                 replicas=_router())
+        gateway = sync_gateway(_engine(), replicas=_router())
         session = gateway.replica_session()
-        version = gateway.replica_write("k", "v", session=session)
-        assert version == 1
-        assert gateway.replica_read("k", session=session) == "v"
+        assert gateway.replica_write("a", "1", session=session) == 1
+        gateway.replica_write("b", "2", session=session)
+        assert gateway.replica_read("a", session=session) == "1"
+        assert gateway.replica_read("b", session=session) == "2"
         snap = gateway.stats.snapshot()
-        assert snap["replica_writes"] == 1
-        assert snap["replica_reads"] == 1
+        assert snap["replica_writes"] == 2
+        assert snap["replica_reads"] == 2
 
     def test_sessionless_reads_still_work(self):
-        gateway = RequestGateway(_engine(), workers=0,
-                                 replicas=_router())
+        gateway = sync_gateway(_engine(), replicas=_router())
         gateway.replica_write("k", "v")
         assert gateway.replica_read("k") == "v"
 
     def test_unwired_gateway_refuses_typed(self):
-        gateway = RequestGateway(_engine(), workers=0)
+        gateway = sync_gateway(_engine())
         with pytest.raises(ConfigurationError):
             gateway.replica_read("k")
         with pytest.raises(ConfigurationError):
@@ -47,37 +46,15 @@ class TestThreadedGatewayWiring:
             gateway.replica_session()
 
 
-class TestAsyncGatewayWiring:
-    def test_write_then_read_your_writes(self):
-        gateway = AsyncRequestGateway(_engine(), auto_dispatch=False,
-                                      replicas=_router())
-        session = gateway.replica_session()
-        gateway.replica_write("a", "1", session=session)
-        gateway.replica_write("b", "2", session=session)
-        assert gateway.replica_read("a", session=session) == "1"
-        assert gateway.replica_read("b", session=session) == "2"
-        snap = gateway.stats.snapshot()
-        assert snap["replica_writes"] == 2
-        assert snap["replica_reads"] == 2
-
-    def test_unwired_gateway_refuses_typed(self):
-        gateway = AsyncRequestGateway(_engine(), auto_dispatch=False)
-        with pytest.raises(ConfigurationError):
-            gateway.replica_read("k")
-        with pytest.raises(ConfigurationError):
-            gateway.replica_session()
-
-
 class TestSharedRouter:
-    def test_one_router_serves_both_front_ends(self):
+    def test_one_router_serves_two_gateways(self):
         router = _router()
-        threaded = RequestGateway(_engine(), workers=0, replicas=router)
-        asyncgw = AsyncRequestGateway(_engine(), auto_dispatch=False,
-                                      replicas=router)
-        session = threaded.replica_session()
-        threaded.replica_write("shared", "payload", session=session)
-        # The async front end reads the same replica groups; the
+        writer = sync_gateway(_engine(), replicas=router)
+        reader = sync_gateway(_engine(), replicas=router)
+        session = writer.replica_session()
+        writer.replica_write("shared", "payload", session=session)
+        # The other front end reads the same replica groups; the
         # session carries read-your-writes across front ends.
-        assert asyncgw.replica_read("shared", session=session) == \
+        assert reader.replica_read("shared", session=session) == \
             "payload"
         assert router.converged()

@@ -1,4 +1,4 @@
-"""Shared gateway telemetry: histogram math + both gateways record it."""
+"""Shared gateway telemetry: histogram math + the gateway records it."""
 
 import pytest
 
@@ -75,24 +75,21 @@ class TestGatewayStats:
         assert snap["latency_p50_s"] > 0
 
 
-class TestThreadGatewayRecordsLatency:
-    def test_threaded_gateway_shares_the_histogram(self):
+class TestGatewayRecordsLatency:
+    def test_gateway_records_into_the_shared_histogram(self):
         from repro.core.policy import PolicyBase
         from repro.core.evaluator import PolicyEvaluator
         from repro.scale.batch import BatchDecisionEngine
-        from repro.scale.gateway import (GatewayStats as ReExported,
-                                         Request, RequestGateway)
+        from tests.gateway.driver import drive, sync_gateway
         from tests.scale.workloads import random_policies, random_requests
         import random
 
-        assert ReExported is GatewayStats   # one shared class
         rng = random.Random(3)
         engine = BatchDecisionEngine(
             PolicyEvaluator(PolicyBase(random_policies(rng, 10))))
-        gateway = RequestGateway(engine, workers=0)
-        futures = [gateway.submit(Request(*r))
-                   for r in random_requests(rng, 20)]
-        gateway.process_pending()
+        gateway = sync_gateway(engine)
+        assert type(gateway.stats) is GatewayStats
+        futures = drive(gateway, random_requests(rng, 20))
         assert all(f.exception() is None for f in futures)
         snap = gateway.stats.snapshot()
         assert snap["latency_count"] == 20

@@ -4,8 +4,9 @@
 monotonicity, merge); this file pins *exact values* at the edges —
 empty histogram, single sample, bucket floor, saturating last bucket —
 so a refactor of the bucket math cannot silently shift them.  Both
-front ends (threaded ``repro.scale.gateway`` and asyncio
-``repro.gateway.core``) share the one class, which is also pinned.
+tiers (asyncio ``repro.gateway.core`` and its process-tier subclass
+``repro.multicore.dispatcher``) share the one class, which is also
+pinned.
 """
 
 import pytest
@@ -137,14 +138,16 @@ class TestStageHistograms:
 
 
 class TestSharedAcrossFrontEnds:
-    def test_both_gateways_expose_the_same_stats_class(self):
-        from repro.gateway.core import AsyncRequestGateway
-        from repro.scale.gateway import RequestGateway
-        import inspect
-        # Both constructors default their stats to this one class.
-        assert "GatewayStats" in inspect.getsource(RequestGateway.__init__)
-        assert "GatewayStats" in inspect.getsource(
-            AsyncRequestGateway.__init__)
+    def test_both_tiers_expose_the_same_stats_class(self):
+        from repro.core.credentials import anyone
+        from repro.core.policy import Action, grant
+        from repro.gateway import AsyncRequestGateway, EpochalShardRouter
+        from repro.multicore import MulticoreGateway
+        policies = [grant(anyone(), Action.READ, "**")]
+        router = EpochalShardRouter.from_policies(policies)
+        for gateway in (AsyncRequestGateway(router),
+                        MulticoreGateway(policies, workers=0)):
+            assert type(gateway.stats) is GatewayStats
 
     def test_snapshot_key_set_is_pinned(self):
         snap = GatewayStats().snapshot()

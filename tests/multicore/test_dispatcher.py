@@ -396,6 +396,21 @@ class TestStreaming:
         text = run_async(scenario())
         assert "fresh" in text
 
+    def test_write_to_an_already_streamed_document_is_not_served_stale(
+            self):
+        db = self.make_store()
+
+        async def scenario():
+            policies = [grant(anyone(), Action.READ, "**")]
+            async with make_gateway(policies, store=db) as gateway:
+                await collect(gateway.stream_document("t", "c", "d1"))
+                gateway.write(lambda store: store.set_text(
+                    "c", "d1", "/doc/rec[1]/v", "edited"))
+                return await collect(
+                    gateway.stream_document("t", "c", "d1"))
+
+        assert run_async(scenario()) == db.current().serialize("c", "d1")
+
     def test_stream_without_store_is_a_configuration_error(self):
         async def scenario():
             policies = [grant(anyone(), Action.READ, "**")]
@@ -438,6 +453,6 @@ class TestStats:
 
         snapshot = run_async(scenario())
         assert snapshot["completed"] == len(requests)
-        assert snapshot["stage_enqueue_count"] == len(requests)
+        assert snapshot["stage_queue_wait_count"] == len(requests)
         assert snapshot["stage_evaluate_count"] >= 1
         assert snapshot["stage_ipc_count"] >= 1

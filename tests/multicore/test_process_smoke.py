@@ -17,6 +17,7 @@ import pytest
 from repro.core.credentials import anyone
 from repro.core.errors import ReplicaUnavailable
 from repro.core.policy import Action, grant
+from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.gateway import TenantConfig, collect
 from repro.multicore import MulticoreGateway
 from repro.scale.gateway import Request
@@ -124,3 +125,88 @@ class TestForkMode:
 
         outcomes = run_async(scenario())
         assert "ok" in outcomes and "err" in outcomes
+
+
+class TestDispatcherLocalStreams:
+    """After a dispatcher-side write the forked workers' corpus is
+    stale, so streams are served by the inherited single-process
+    ``stream()`` — with its pin-release, accounting and per-chunk
+    fault check."""
+
+    def make_store(self):
+        db = SnapshotXmlDatabase()
+        db.create_collection("c")
+        db.insert("c", "d1", "<doc><a>one</a><b>two</b></doc>")
+        db.publish()
+        return db
+
+    def run_after_write(self, db, body, **options):
+        async def scenario():
+            policies = [grant(anyone(), Action.READ, "**")]
+            async with MulticoreGateway(
+                    policies, workers=1, shard_count=4, store=db,
+                    default_tenant=WIDE_OPEN, **options) as gateway:
+                gateway.write(lambda store: store.set_text(
+                    "c", "d1", "/doc/a", "edited"))
+                result = await body(gateway)
+                return result, gateway.stats.snapshot()
+
+        return run_async(scenario())
+
+    def test_post_write_stream_is_byte_identical_to_serialize(self):
+        db = self.make_store()
+
+        async def body(gateway):
+            return await collect(gateway.stream_document(
+                "t", "c", "d1", chunk_size=8))
+
+        text, stats = self.run_after_write(db, body)
+        assert text == db.current().serialize("c", "d1")
+        assert "edited" in text
+        assert db.epochs.stats.acquires == db.epochs.stats.releases == 1
+        assert (stats["streams"], stats["completed"], stats["failed"],
+                stats["stream_chunks"]) == (1, 1, 0, -(-len(text) // 8))
+
+    def test_stream_closed_before_its_first_chunk_releases_the_pin(self):
+        db = self.make_store()
+
+        async def body(gateway):
+            stream = gateway.stream_document("t", "c", "d1")
+            await stream.aclose()           # never iterated
+            with pytest.raises(StopAsyncIteration):
+                await stream.__anext__()
+
+        _, stats = self.run_after_write(db, body)
+        assert db.epochs.stats.acquires == db.epochs.stats.releases == 1
+        assert db.epochs.pins(db.epochs.current_epoch()) == 0
+        assert (stats["streams"], stats["completed"], stats["failed"],
+                stats["stream_chunks"]) == (1, 0, 1, 0)
+
+    def test_stream_dropped_before_its_first_chunk_releases_the_pin(self):
+        db = self.make_store()
+
+        async def body(gateway):
+            gateway.stream_document("t", "c", "d1")   # dropped at once
+            gateway.write(lambda store: store.set_text(
+                "c", "d1", "/doc/a", "next epoch"))
+
+        _, stats = self.run_after_write(db, body)
+        assert db.epochs.stats.acquires == db.epochs.stats.releases == 1
+        assert db.epochs.retired_epochs() == []     # nothing held back
+        assert (stats["completed"], stats["failed"]) == (0, 1)
+
+    def test_chunk_fault_fails_the_stream_typed_and_releases_the_pin(self):
+        db = self.make_store()
+        plan = FaultPlan()
+        plan.add("mcore:stream", 1, FaultKind.CRASH)
+
+        async def body(gateway):
+            with pytest.raises(ReplicaUnavailable):
+                await collect(gateway.stream_document(
+                    "t", "c", "d1", chunk_size=8))
+
+        _, stats = self.run_after_write(db, body,
+                                        faults=FaultInjector(plan))
+        assert db.epochs.pins(db.epochs.current_epoch()) == 0
+        assert (stats["completed"], stats["failed"],
+                stats["stream_chunks"]) == (0, 1, 1)

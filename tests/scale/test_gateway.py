@@ -1,16 +1,21 @@
-"""RequestGateway: admission control, batching, ordering, lifecycle."""
+"""The gateway over the scale-layer engines — interpreter-backed
+:class:`ShardedPolicyEngine` / :class:`BatchDecisionEngine`: admission
+control, batching, ordering, lifecycle.
+"""
 
+import asyncio
 import random
 
 import pytest
 
-from repro.core.errors import AdmissionRejected
+from repro.core.errors import AdmissionRejected, ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
 from repro.scale.batch import BatchDecisionEngine
 from repro.scale.engine import ShardedPolicyEngine
-from repro.scale.gateway import Request, RequestGateway
+from repro.scale.gateway import Request
 
+from tests.gateway.driver import drive, sync_gateway
 from tests.scale.workloads import random_policies, random_requests
 
 
@@ -23,41 +28,37 @@ def build_engine(seed=5, shards=4):
     return policies, engine
 
 
+def hard_limit(limit):
+    """Watermarks at the limit: only the hard bound refuses."""
+    return dict(queue_limit=limit, high_watermark=limit,
+                low_watermark=limit)
+
+
 class TestAdmission:
     def test_queue_limit_sheds_load_with_typed_error(self):
         _, engine = build_engine()
-        gateway = RequestGateway(engine, workers=0, queue_limit=5)
+        gateway = sync_gateway(engine, **hard_limit(5))
         requests = random_requests(random.Random(1), 10)
-        admitted = 0
-        rejected = 0
-        for r in requests:
-            try:
-                gateway.submit(Request(*r))
-                admitted += 1
-            except AdmissionRejected:
-                rejected += 1
-        assert admitted == 5 and rejected == 5
+        entries = drive(gateway, requests)
+        rejected = [e for e in entries if isinstance(e, AdmissionRejected)]
+        assert len(rejected) == 5 and len(entries) - len(rejected) == 5
         stats = gateway.stats.snapshot()
         assert stats["admitted"] == 5 and stats["rejected"] == 5
-        gateway.process_pending()
 
     def test_rejected_request_was_never_evaluated(self):
         _, engine = build_engine()
-        gateway = RequestGateway(engine, workers=0, queue_limit=1)
-        requests = random_requests(random.Random(2), 3)
-        gateway.submit(Request(*requests[0]))
-        with pytest.raises(AdmissionRejected):
-            gateway.submit(Request(*requests[1]))
-        gateway.process_pending()
+        gateway = sync_gateway(engine, **hard_limit(1))
+        entries = drive(gateway, random_requests(random.Random(2), 3))
+        assert [isinstance(e, AdmissionRejected) for e in entries] == [
+            False, True, True]
         assert gateway.stats.snapshot()["completed"] == 1
 
     def test_submit_after_close_rejected(self):
         _, engine = build_engine()
-        gateway = RequestGateway(engine, workers=0)
-        gateway.close()
-        with pytest.raises(AdmissionRejected):
-            gateway.submit(Request(*random_requests(
-                random.Random(3), 1)[0]))
+        gateway = sync_gateway(engine)
+        asyncio.run(gateway.close())
+        entries = drive(gateway, random_requests(random.Random(3), 1))
+        assert isinstance(entries[0], AdmissionRejected)
 
 
 class TestSynchronousPipeline:
@@ -65,10 +66,9 @@ class TestSynchronousPipeline:
         policies, engine = build_engine(seed=7)
         mono = PolicyEvaluator(PolicyBase(policies))
         requests = random_requests(random.Random(7), 60)
-        gateway = RequestGateway(engine, workers=0, batch_size=16)
-        futures = [gateway.submit(Request(*r)) for r in requests]
-        processed = gateway.process_pending()
-        assert processed == len(requests)
+        gateway = sync_gateway(engine, batch_size=16)
+        futures = drive(gateway, requests)
+        assert gateway.stats.snapshot()["completed"] == len(requests)
         assert [f.result() for f in futures] == \
             [mono.decide(*r) for r in requests]
 
@@ -77,19 +77,14 @@ class TestSynchronousPipeline:
         mono = PolicyEvaluator(PolicyBase(policies))
         batch = BatchDecisionEngine(PolicyEvaluator(PolicyBase(policies)))
         requests = random_requests(random.Random(8), 30)
-        gateway = RequestGateway(batch, workers=0)
-        futures = [gateway.submit(Request(*r)) for r in requests]
-        gateway.process_pending()
+        futures = drive(sync_gateway(batch), requests)
         assert [f.result() for f in futures] == \
             [mono.decide(*r) for r in requests]
 
     def test_stage_counters(self):
         _, engine = build_engine(seed=9)
-        requests = random_requests(random.Random(9), 40)
-        gateway = RequestGateway(engine, workers=0, batch_size=8)
-        for r in requests:
-            gateway.submit(Request(*r))
-        gateway.process_pending()
+        gateway = sync_gateway(engine, batch_size=8)
+        drive(gateway, random_requests(random.Random(9), 40))
         stats = gateway.stats.snapshot()
         assert stats["admitted"] == stats["completed"] == 40
         assert stats["batches"] == 5
@@ -99,37 +94,40 @@ class TestSynchronousPipeline:
 
     def test_validation_of_parameters(self):
         _, engine = build_engine()
-        with pytest.raises(ValueError):
-            RequestGateway(engine, workers=0, queue_limit=0)
-        with pytest.raises(ValueError):
-            RequestGateway(engine, workers=0, batch_size=0)
+        with pytest.raises(ConfigurationError):
+            sync_gateway(engine, queue_limit=0)
+        with pytest.raises(ConfigurationError):
+            sync_gateway(engine, batch_size=0)
 
 
-class TestThreadedPipeline:
-    def test_workers_produce_serial_answers(self):
+class TestDispatcherPipeline:
+    """The real dispatcher task (``auto_dispatch=True``)."""
+
+    def test_dispatcher_produces_serial_answers(self):
         policies, engine = build_engine(seed=11, shards=8)
         mono = PolicyEvaluator(PolicyBase(policies))
         requests = random_requests(random.Random(11), 120)
-        with RequestGateway(engine, workers=4, batch_size=32) as gateway:
-            futures = [gateway.submit(Request(*r)) for r in requests]
-            results = [f.result(timeout=30) for f in futures]
-        assert results == [mono.decide(*r) for r in requests]
+
+        async def scenario():
+            async with sync_gateway(engine, batch_size=32,
+                                    auto_dispatch=True) as gateway:
+                return await asyncio.wait_for(asyncio.gather(*[
+                    gateway.submit("t", Request(*r))
+                    for r in requests]), timeout=30)
+
+        assert asyncio.run(scenario()) == \
+            [mono.decide(*r) for r in requests]
 
     def test_close_drains_admitted_work(self):
         _, engine = build_engine(seed=12)
-        gateway = RequestGateway(engine, workers=2, batch_size=8)
-        futures = [gateway.submit(Request(*r))
-                   for r in random_requests(random.Random(12), 30)]
-        gateway.close()
-        assert all(f.done() for f in futures)
-        assert gateway.stats.snapshot()["completed"] == 30
 
-    def test_close_without_drain_fails_pending(self):
-        _, engine = build_engine(seed=13)
-        gateway = RequestGateway(engine, workers=0)
-        futures = [gateway.submit(Request(*r))
-                   for r in random_requests(random.Random(13), 5)]
-        gateway.close(drain=False)
-        for future in futures:
-            with pytest.raises(AdmissionRejected):
-                future.result()
+        async def scenario():
+            gateway = sync_gateway(engine, batch_size=8,
+                                   auto_dispatch=True)
+            futures = [gateway.submit_nowait("t", Request(*r))
+                       for r in random_requests(random.Random(12), 30)]
+            await gateway.close()
+            assert all(f.done() for f in futures)
+            return gateway.stats.snapshot()
+
+        assert asyncio.run(scenario())["completed"] == 30

@@ -1,4 +1,4 @@
-"""Gateway over the snapshot layer: workers=0 deterministic pipeline."""
+"""Gateway over the snapshot layer: the deterministic pipeline."""
 
 import pytest
 
@@ -7,9 +7,10 @@ from repro.core.errors import ConfigurationError
 from repro.core.policy import Action, deny, grant
 from repro.core.subjects import Role, Subject
 from repro.scale.batch import BatchDecisionEngine
-from repro.scale.gateway import Request, RequestGateway
 from repro.snap.policy import EpochalPolicyEngine
 from repro.snap.xmlstore import SnapshotXmlDatabase
+
+from tests.gateway.driver import drive, sync_gateway
 
 DOCTOR = Subject("dr", roles={Role("doctor")})
 VISITOR = Subject("vis")
@@ -23,32 +24,28 @@ POLICIES = [
 
 def make_gateway(**kwargs):
     engine = EpochalPolicyEngine(POLICIES)
-    return engine, RequestGateway(engine, workers=0, **kwargs)
+    return engine, sync_gateway(engine, **kwargs)
 
 
 class TestDeterministicDecisions:
     def test_submissions_flow_through_the_epochal_engine(self):
         _, gateway = make_gateway()
-        futures = [gateway.submit(Request(subject, action, path))
-                   for subject, action, path in [
-                       (DOCTOR, Action.READ, "hospital/lobby"),
-                       (VISITOR, Action.READ, "hospital/records/ssn"),
-                       (DOCTOR, Action.WRITE, "hospital/records/r1"),
-                       (VISITOR, Action.WRITE, "hospital/records/r1"),
-                   ]]
-        assert gateway.process_pending() == 4
+        futures = drive(gateway, [
+            (DOCTOR, Action.READ, "hospital/lobby"),
+            (VISITOR, Action.READ, "hospital/records/ssn"),
+            (DOCTOR, Action.WRITE, "hospital/records/r1"),
+            (VISITOR, Action.WRITE, "hospital/records/r1"),
+        ])
         assert [f.result().granted for f in futures] == [
             True, False, True, False]
         assert gateway.stats.snapshot()["completed"] == 4
 
     def test_policy_write_between_batches_changes_later_decisions_only(self):
         engine, gateway = make_gateway(batch_size=4)
-        request = Request(VISITOR, Action.READ, "hospital/lobby")
-        before = gateway.submit(request)
-        gateway.process_pending()
+        request = (VISITOR, Action.READ, "hospital/lobby")
+        before, = drive(gateway, [request])
         engine.add_policy(deny(anyone(), Action.READ, "hospital/lobby"))
-        after = gateway.submit(request)
-        gateway.process_pending()
+        after, = drive(gateway, [request])
         assert before.result().granted
         assert not after.result().granted
 
@@ -59,16 +56,15 @@ class TestDeterministicDecisions:
         outcomes = []
         for _ in range(2):
             _, gateway = make_gateway()
-            futures = [gateway.submit(Request(*r)) for r in requests]
-            gateway.process_pending()
+            futures = drive(gateway, requests)
             outcomes.append([f.result().granted for f in futures])
         assert outcomes[0] == outcomes[1]
 
 
 class TestSnapshotReadWritePath:
-    def test_engine_donates_its_epoch_manager(self):
-        engine, gateway = make_gateway()
-        assert gateway.epochs is engine.epochs
+    def test_an_epochal_engine_can_be_the_snapshot_store(self):
+        engine = EpochalPolicyEngine(POLICIES)
+        gateway = sync_gateway(engine, store=engine)
         generation = gateway.read(lambda snapshot: snapshot.generation)
         assert generation == engine.current().generation
         assert gateway.stats.snapshot()["snapshot_reads"] == 1
@@ -78,8 +74,7 @@ class TestSnapshotReadWritePath:
         db.create_collection("c")
         db.insert("c", "d1", "<doc><a>1</a></doc>")
         engine = BatchDecisionEngine(POLICIES)
-        gateway = RequestGateway(engine, workers=0, publisher=db)
-        assert gateway.epochs is db.epochs
+        gateway = sync_gateway(engine, store=db)
 
         before = gateway.read(lambda s: s.serialize("c", "d1"))
         epoch_before = db.epochs.current_epoch()
@@ -103,8 +98,7 @@ class TestSnapshotReadWritePath:
         db = SnapshotXmlDatabase()
         db.create_collection("c")
         db.insert("c", "d1", "<doc><a>1</a></doc>")
-        gateway = RequestGateway(BatchDecisionEngine(POLICIES),
-                                 workers=0, publisher=db)
+        gateway = sync_gateway(BatchDecisionEngine(POLICIES), store=db)
 
         def mutate(store):
             store.set_text("c", "d1", "/doc/a", "2")
@@ -117,8 +111,7 @@ class TestSnapshotReadWritePath:
             lambda s: s.serialize("c", "d1")) == "<doc><a>2</a></doc>"
 
     def test_unconfigured_gateway_raises_typed_errors(self):
-        gateway = RequestGateway(BatchDecisionEngine(POLICIES), workers=0)
-        assert gateway.epochs is None
+        gateway = sync_gateway(BatchDecisionEngine(POLICIES))
         with pytest.raises(ConfigurationError):
             gateway.read(lambda snapshot: snapshot)
         with pytest.raises(ConfigurationError):

@@ -5,12 +5,12 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
-from repro.gateway.core import AsyncRequestGateway
 from repro.scale.batch import BatchDecisionEngine
-from repro.scale.gateway import RequestGateway
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.wal.durable import DurableXmlStore
 from repro.wal.vfs import MemVfs
+
+from tests.gateway.driver import sync_gateway
 
 
 def engine():
@@ -22,12 +22,11 @@ def durable_store(vfs, **kwargs):
     return DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=2, **kwargs)
 
 
-class TestThreadedGateway:
+class TestGatewayDurability:
     def test_fsync_write_acks_only_after_settle(self):
         vfs = MemVfs()
         store = durable_store(vfs)
-        gateway = RequestGateway(engine(), workers=0, publisher=store,
-                                 durability="fsync")
+        gateway = sync_gateway(engine(), store=store, durability="fsync")
 
         def seed(publisher):
             publisher.create_collection("g")
@@ -43,37 +42,20 @@ class TestThreadedGateway:
 
     def test_enqueue_write_acks_before_the_fsync(self):
         store = durable_store(MemVfs(), durability="enqueue")
-        gateway = RequestGateway(engine(), workers=0, publisher=store,
-                                 durability="enqueue")
+        gateway = sync_gateway(engine(), store=store,
+                               durability="enqueue")
         gateway.write(lambda s: s.create_collection("g"))
         assert store.durability_lag > 0  # acked, durability trails
         store.wal_sync()
         assert store.durability_lag == 0
 
-    def test_durability_needs_a_durable_publisher(self):
+    def test_durability_needs_a_durable_store(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            RequestGateway(engine(), workers=0,
-                           publisher=SnapshotXmlDatabase(),
-                           durability="fsync")
+            sync_gateway(engine(), store=SnapshotXmlDatabase(),
+                         durability="fsync")
         assert "wal_sync" in str(excinfo.value)
 
     def test_unknown_mode_is_refused(self):
         with pytest.raises(ConfigurationError):
-            RequestGateway(engine(), workers=0,
-                           publisher=durable_store(MemVfs()),
-                           durability="paranoid")
-
-
-class TestAsyncGateway:
-    def test_fsync_write_settles_before_ack(self):
-        store = durable_store(MemVfs())
-        gateway = AsyncRequestGateway(engine(), store=store,
-                                      auto_dispatch=False,
-                                      durability="fsync")
-        gateway.write(lambda s: s.create_collection("g"))
-        assert store.durability_lag == 0
-
-    def test_durability_needs_a_durable_store(self):
-        with pytest.raises(ConfigurationError):
-            AsyncRequestGateway(engine(), store=SnapshotXmlDatabase(),
-                                auto_dispatch=False, durability="fsync")
+            sync_gateway(engine(), store=durable_store(MemVfs()),
+                         durability="paranoid")
