@@ -25,6 +25,7 @@ snapshot equivalence oracles depend on.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterator
 
 from repro.core.errors import SnapshotError
@@ -152,8 +153,10 @@ def thaw_document(document: FrozenDocument) -> Document:
 _SEGMENT = re.compile(r"^([^\[\]]+)(?:\[(\d+)\])?$")
 
 
-def _parse_path(path: str) -> list[tuple[str, int]]:
-    """``/a/b[2]/c`` → ``[("a", 1), ("b", 2), ("c", 1)]`` (1-based)."""
+@lru_cache(maxsize=4096)
+def _parse_path(path: str) -> tuple[tuple[str, int], ...]:
+    """``/a/b[2]/c`` → ``(("a", 1), ("b", 2), ("c", 1))`` (1-based).
+    Memoised: writers address the same few paths edit after edit."""
     stripped = path.strip("/")
     if not stripped:
         raise SnapshotError(f"empty node path {path!r}")
@@ -163,7 +166,7 @@ def _parse_path(path: str) -> list[tuple[str, int]]:
         if match is None:
             raise SnapshotError(f"bad node path segment {raw!r} in {path!r}")
         segments.append((match.group(1), int(match.group(2) or 1)))
-    return segments
+    return tuple(segments)
 
 
 def resolve_spine(root: FrozenElement, path: str

@@ -6,7 +6,10 @@ persistent two-level map ``{collection: {doc_id: FrozenDocument}}``:
 
 * inserting/replacing/deleting a document copies the outer dict and the
   one touched inner dict (every other collection map and every document
-  is shared by reference with all outstanding snapshots);
+  is shared by reference with all outstanding snapshots) — **once per
+  publication**: the copies are private to the writer until the next
+  :meth:`freeze` hands them to a snapshot, so the later edits of a
+  :meth:`writer` block update them in place;
 * a node-level update (:meth:`set_text`, :meth:`append_child`, …)
   additionally rebuilds the root-to-target spine of one frozen tree via
   :mod:`repro.snap.frozen` — the rest of the document is shared.
@@ -162,6 +165,10 @@ class SnapshotXmlDatabase:
         self.epochs = epochs if epochs is not None else EpochManager()
         self._lock = threading.RLock()
         self._collections: StoreState = {}
+        # Collections whose dict (and, when not None, the outer dict)
+        # was copied since the last freeze(): no snapshot holds them
+        # yet, so edits may update them in place.
+        self._owned: set[str] | None = None
         self._generation = Generation()
         self._deferred = 0
         self.publish()
@@ -175,6 +182,7 @@ class SnapshotXmlDatabase:
     def freeze(self) -> XmlSnapshot:
         """Capture the current state — O(1), no tree copying."""
         with self._lock:
+            self._owned = None  # the snapshot shares every dict now
             return XmlSnapshot(self._collections, self._generation.value,
                                self.pool)
 
@@ -203,10 +211,25 @@ class SnapshotXmlDatabase:
                 if self._deferred == 0:
                     self.publish()
 
-    def _commit(self, collections: StoreState) -> None:
-        """Swap in new state (caller holds the lock) and publish unless
-        inside a :meth:`writer` block."""
-        self._collections = collections
+    def _own(self, collection: str | None = None) -> dict:
+        """The collections dict — or *collection*'s document dict —
+        as a copy no snapshot shares, made at most once between two
+        :meth:`freeze` calls (caller holds the lock).  Only the dicts
+        are ever edited in place; frozen nodes never are."""
+        if self._owned is None:
+            self._collections = dict(self._collections)
+            self._owned = set()
+        if collection is None:
+            return self._collections
+        if collection not in self._owned:
+            self._collections[collection] = dict(
+                self._collections[collection])
+            self._owned.add(collection)
+        return self._collections[collection]
+
+    def _commit(self) -> None:
+        """Count one applied mutation (caller holds the lock) and
+        publish unless inside a :meth:`writer` block."""
         self._generation.bump()
         if self._deferred == 0:
             self.publish()
@@ -218,17 +241,17 @@ class SnapshotXmlDatabase:
             if name in self._collections:
                 raise ConfigurationError(
                     f"collection {name!r} already exists")
-            collections = dict(self._collections)
-            collections[name] = {}
-            self._commit(collections)
+            self._own()[name] = {}
+            self._owned.add(name)
+            self._commit()
 
     def drop_collection(self, name: str) -> None:
         with self._lock:
             if name not in self._collections:
                 raise QueryError(f"no collection {name!r}")
-            collections = dict(self._collections)
-            del collections[name]
-            self._commit(collections)
+            del self._own()[name]
+            self._owned.discard(name)
+            self._commit()
 
     def insert(self, collection: str, doc_id: str,
                document: Document | str) -> FrozenDocument:
@@ -241,17 +264,15 @@ class SnapshotXmlDatabase:
                 raise ConfigurationError(
                     f"document {doc_id!r} already in collection "
                     f"{collection!r}")
-            self._commit(self._with_document(collection, doc_id, frozen))
+            self._own(collection)[doc_id] = frozen
+            self._commit()
         return frozen
 
     def delete(self, collection: str, doc_id: str) -> FrozenDocument:
         with self._lock:
             frozen = self._document(collection, doc_id)
-            collections = dict(self._collections)
-            documents = dict(collections[collection])
-            del documents[doc_id]
-            collections[collection] = documents
-            self._commit(collections)
+            del self._own(collection)[doc_id]
+            self._commit()
         return frozen
 
     def replace(self, collection: str, doc_id: str,
@@ -261,7 +282,8 @@ class SnapshotXmlDatabase:
         frozen = freeze_document(document)
         with self._lock:
             self._document(collection, doc_id)  # must exist
-            self._commit(self._with_document(collection, doc_id, frozen))
+            self._own(collection)[doc_id] = frozen
+            self._commit()
         return frozen
 
     # -- node-level mutations (copy-on-write spine edits) ----------------
@@ -312,18 +334,10 @@ class SnapshotXmlDatabase:
                 f"no document {doc_id!r} in collection {collection!r}"
             ) from None
 
-    def _with_document(self, collection: str, doc_id: str,
-                       frozen: FrozenDocument) -> StoreState:
-        collections = dict(self._collections)
-        documents = dict(collections[collection])
-        documents[doc_id] = frozen
-        collections[collection] = documents
-        return collections
-
     def _edit_root(self, collection: str, doc_id: str, edit) -> None:
         with self._lock:
             frozen = self._document(collection, doc_id)
             new_root = edit(frozen.root)
-            self._commit(self._with_document(
-                collection, doc_id,
-                FrozenDocument(new_root, frozen.name)))
+            self._own(collection)[doc_id] = FrozenDocument(new_root,
+                                                           frozen.name)
+            self._commit()

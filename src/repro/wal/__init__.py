@@ -1,4 +1,4 @@
-"""Durable write path: group-commit WAL, checkpoints, parallel replay.
+"""Durable write path: one-record transactions, group commit, checkpoints.
 
 Layering, bottom up:
 
@@ -11,12 +11,14 @@ Layering, bottom up:
   separates torn tails from corruption.
 * :mod:`repro.wal.log` — per-shard segment chains over one global LSN
   space, rotation, checkpoint-driven truncation.
-* :mod:`repro.wal.pipeline` — group commit: one buffered write + one
-  fsync per batch, adaptive linger, ``wal:{shard}`` fault sites.
+* :mod:`repro.wal.pipeline` — leader/follower group commit: one
+  buffered write + one fsync per batch on the first committer's own
+  thread, traffic-conditional linger, ``wal:{shard}`` fault sites.
 * :mod:`repro.wal.checkpoint` — atomic, digest-keyed checkpoint files.
-* :mod:`repro.wal.replay` — parallel shard scans merged into one
-  LSN-ordered history.
-* :mod:`repro.wal.durable` — the wrappers stores and gateways use.
+* :mod:`repro.wal.replay` — shard scans merged into one LSN-ordered
+  history.
+* :mod:`repro.wal.durable` — the wrappers stores and gateways use: a
+  transaction (``group()`` block or stand-alone op) is one record.
 """
 
 from repro.wal.checkpoint import CheckpointStore

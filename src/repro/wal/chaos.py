@@ -8,9 +8,11 @@ one of exactly two outcomes:
 
 * **byte-identical** — the recovered store's state digest equals the
   digest of replaying the *durable record set* against a fresh inner
-  store, and every acknowledged op is in that set (durability: an ack
-  means the record survives; an unacked record *may* survive — the WAL
-  promises durability, not multi-op atomicity);
+  store, and every acknowledged group is in that set (durability: an
+  ack means the record survives; an unacked record *may* survive).
+  One group is one record, so the reference replays whole groups: a
+  matching digest means the recovered state is a **group boundary** —
+  never part of a transaction;
 * **typed** — recovery refuses with :class:`~repro.core.errors.WalCorrupt`
   because the damage cannot be explained as a torn tail.  Reserved for
   the corrupt-frame overlay; silent truncation of acknowledged data is
@@ -18,8 +20,8 @@ one of exactly two outcomes:
 
 Each seed overlays one of three adversarial scenarios (``seed % 3``):
 
-0. **torn tail** — extra ops are applied and appended but the power
-   fails between ``write()`` and ``fsync()``, keeping a seed-chosen
+0. **torn tail** — extra transactions are applied and appended but the
+   power fails between ``write()`` and ``fsync()``, keeping a seed-chosen
    byte prefix of the pending tail (possibly slicing a frame, possibly
    a freshly-rotated segment's header);
 1. **corrupt frame** — a ``wal:{shard}`` CORRUPT fault rots one byte of
@@ -39,7 +41,6 @@ same trace, same digests.
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass
 
@@ -48,7 +49,7 @@ from repro.faults.clock import FaultClock
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.snap.xmlstore import SnapshotXmlDatabase
-from repro.wal.durable import DurableXmlStore
+from repro.wal.durable import DurableXmlStore, encode_ops
 from repro.wal.format import encode_frame, segment_name
 from repro.wal.replay import recover as scan_logs
 
@@ -125,7 +126,7 @@ class ChaosResult:
     seed: int
     scenario: str
     outcome: str                 # "identical" | "typed"
-    acked: int                   # ops acknowledged before the crash
+    acked: int                   # groups acknowledged before the crash
     durable: int                 # records in the recovered set
     checkpoint_lsn: int
     truncated: int               # torn tails cut during recovery
@@ -150,13 +151,14 @@ class ChaosResult:
         return self.digest_matches and self.acked_durable and self.revived
 
 
-def _reference_digest(lsn_ops: dict[int, tuple[str, tuple]],
+def _reference_digest(lsn_ops: dict[int, list[tuple[str, tuple]]],
                       lsns: list[int]) -> str:
-    """Replay exactly *lsns* (LSN order) against a fresh inner store."""
+    """Replay exactly the groups at *lsns* (LSN order), each whole,
+    against a fresh inner store."""
     reference = SnapshotXmlDatabase()
     for lsn in sorted(lsns):
-        op, args = lsn_ops[lsn]
-        getattr(reference, op)(*args)
+        for op, args in lsn_ops[lsn]:
+            getattr(reference, op)(*args)
     return DurableXmlStore._digest_of(reference.freeze())
 
 
@@ -178,22 +180,27 @@ def run_chaos(seed: int) -> ChaosResult:
         pipeline.injector = injector
 
     rng = random.Random(seed * 104729 + 7)
-    lsn_ops: dict[int, tuple[str, tuple]] = {}
+    lsn_ops: dict[int, list[tuple[str, tuple]]] = {}
     acked: set[int] = set()
     trace: list[tuple] = []
     for group_index, ops in enumerate(chaos_groups()):
-        group_lsns: list[int] = []
+        before = store.wal.allocator.last
+        failure = None
         try:
             with store.group():
                 for op, args in ops:
                     getattr(store, op)(*args)
-                    lsn = store.wal.allocator.last
-                    lsn_ops[lsn] = (op, args)
-                    group_lsns.append(lsn)
         except WalError as exc:
-            trace.append((group_index, f"failed:{type(exc).__name__}"))
+            failure = exc
+        # One group, one record, one LSN (none if it was refused).
+        lsn = store.wal.allocator.last
+        if lsn > before:
+            lsn_ops[lsn] = ops
+        if failure is not None:
+            trace.append((group_index,
+                          f"failed:{type(failure).__name__}"))
             continue
-        acked.update(group_lsns)
+        acked.add(lsn)
         trace.append((group_index, "acked"))
         if group_index == 2 and seed % 2 == 0:
             store.checkpoint()
@@ -205,14 +212,16 @@ def run_chaos(seed: int) -> ChaosResult:
         # and fsync(), keeping a seed-chosen prefix of the pending tail.
         log = store.wal.logs[home_shard]
         for extra in range(1 + seed % 2):
-            op = ("insert", ("alpha", f"x{extra}",
-                             f'<item><v>extra-{seed}-{extra}</v></item>'))
-            payload = store._encode(op[0], op[1], {})
-            store._apply(op[0], op[1], {})
+            ops = [("insert", ("alpha", f"x{extra}{part}",
+                               f'<item><v>extra-{seed}-{extra}</v></item>'))
+                   for part in "ab"]
+            for op, args in ops:
+                store._apply(op, args, {})
             lsn = store.wal.allocator.allocate()
+            payload = encode_ops([(op, args, {}) for op, args in ops])
             log.append_encoded(
                 encode_frame(lsn, payload, log._alg_id), lsn, 1)
-            lsn_ops[lsn] = op
+            lsn_ops[lsn] = ops
         tail = segment_name(home_shard, log._index)
         pending = vfs.size(tail) - vfs.durable_size(tail)
         keep_partial[tail] = rng.randrange(pending + 1)
@@ -250,9 +259,3 @@ def run_chaos(seed: int) -> ChaosResult:
         truncated=len(report.truncated), digest=digest,
         digest_matches=digest_matches, acked_durable=acked_durable,
         revived=revived, error=None, trace=tuple(trace))
-
-
-def _unpickle_count(records: list[tuple[int, bytes]]) -> int:
-    """Sanity helper for the bench: decoded records must be real ops."""
-    return sum(1 for _, payload in records
-               if isinstance(pickle.loads(payload), tuple))

@@ -1,25 +1,37 @@
 """Durable wrappers: WAL + checkpoints under the existing stores.
 
 Each wrapper keeps the inner store's read surface intact (attribute
-delegation) and intercepts its mutators: an op is **applied first**
-under one store-wide mutex — so a rejected op (authorization failure,
-missing document) raises before anything is logged — then its pickled
-``(op, args, kwargs)`` record is submitted to the owning shard's
-commit pipeline *inside the same critical section*, which makes apply
-order, LSN order, and log order one and the same.  The durability wait
-happens **outside** the mutex, which is what lets concurrent writers
-pile into one fsync batch (group commit) instead of serializing on the
-device.
+delegation) and intercepts its mutators.  The unit of logging is the
+**transaction**: a :meth:`DurableStore.group` block (a stand-alone op
+is a transaction of one) holds the store-wide re-entrant mutex from
+its first op to its last, applies each op **first** — so a rejected op
+(authorization failure, missing document) raises before anything is
+logged — collects the ``(op, args, kwargs)`` triples it applied, and
+at the outermost exit pickles them *once* into **one record**: one
+payload, one submit, one frame, one LSN, one ticket.  A frame is valid
+or torn as a whole, so a crash leaves all of a transaction or none of
+it — the log is crash-atomic at the same grain at which the snapshot
+store is reader-atomic.  A block that raises still logs exactly the
+prefix it applied before the exception leaves: state and log agree.
+
+Submitting inside the critical section makes apply order, LSN order,
+and log order one and the same.  The durability wait happens
+**outside** the mutex and on the committer's own thread
+(:mod:`repro.wal.pipeline`: the first committer to find the pipeline
+idle leads the batch, the rest follow), which is what lets concurrent
+writers share one fsync instead of serializing on the device.
 
 Two acknowledgement modes:
 
-* ``durability="fsync"`` — every op blocks until the fsync covering
-  its record returns; an acknowledged op is durable, full stop.
-* ``durability="enqueue"`` — ops return at enqueue; durability
-  trails by at most ``max_lag`` records, enforced with a typed
-  :class:`~repro.core.errors.DurabilityLagExceeded` at submit (bounded
-  staleness, never silent unbounded loss), and :meth:`wal_sync` is the
-  barrier callers (the gateways' write path) use to settle.
+* ``durability="fsync"`` — every transaction blocks until the fsync
+  covering its record returns; an acknowledged write is durable.
+* ``durability="enqueue"`` — transactions return at enqueue;
+  durability trails by at most ``max_lag`` transactions, enforced with
+  a typed :class:`~repro.core.errors.DurabilityLagExceeded` before the
+  transaction's first op applies (bounded staleness, never silent
+  unbounded loss), and :meth:`wal_sync` is the barrier callers (the
+  gateway's write path) use to settle.  Only this mode runs a
+  background flusher thread — its acks return before anyone waits.
 
 Logged arguments must be picklable — module-level predicates, entity
 dataclasses, strings.  A lambda row-filter is rejected with a typed
@@ -27,11 +39,12 @@ dataclasses, strings.  A lambda row-filter is rejected with a typed
 store never diverges from its log.
 
 Recovery (``<class>.recover(vfs, ...)``) loads the newest checkpoint,
-replays the merged log suffix in LSN order (segment scanning fans out
-over worker processes on a real directory), and returns the rebuilt
-store plus a :class:`RecoveryReport`.  Replaying an op that fails is
-:class:`~repro.core.errors.WalCorrupt`: only *successful* ops are ever
-logged, so a replay failure means the log and checkpoint disagree.
+replays the merged log suffix in LSN order, one transaction at a time,
+and returns the rebuilt store plus a :class:`RecoveryReport`.
+Replaying an op that fails, or a payload that is not a sequence of op
+triples, is :class:`~repro.core.errors.WalCorrupt`: only *successful*
+ops are ever logged, so a replay failure means the log and checkpoint
+disagree.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.errors import ReproError, WalCorrupt, WalError
 from repro.core.policy import PolicyBase
@@ -56,6 +70,41 @@ from repro.xmldb.serializer import serialize, serialize_element
 
 DURABILITY_MODES = ("fsync", "enqueue")
 
+#: Argument types that always pickle; an op made only of these skips
+#: the trial pickle that refuses unloggable arguments before apply.
+_PLAIN = frozenset({str, int, float, bool, bytes, type(None)})
+
+
+def encode_ops(ops) -> bytes:
+    """The record payload of one transaction: its ``(op, args,
+    kwargs)`` triples, in apply order, as one pickle."""
+    try:
+        return pickle.dumps(tuple(ops), protocol=5)
+    except Exception as exc:
+        raise WalError(
+            f"op {ops[-1][0]!r} has unpicklable arguments and cannot "
+            f"be made durable: {exc}") from exc
+
+
+def decode_ops(lsn: int, payload: bytes) -> tuple:
+    """Inverse of :func:`encode_ops`; anything else is corruption."""
+    try:
+        ops = pickle.loads(payload)
+        for op, args, kwargs in ops:
+            if not (isinstance(op, str) and isinstance(args, tuple)
+                    and isinstance(kwargs, dict)):
+                raise TypeError(f"{op!r} is not an op triple")
+    except Exception as exc:
+        raise WalCorrupt(
+            f"LSN {lsn} does not decode as a sequence of op triples "
+            f"({exc})") from exc
+    return ops
+
+
+@lru_cache(maxsize=4096)
+def _hash_shard(key: str, shards: int) -> int:
+    return sha256_int(f"walshard:{key}") % shards
+
 
 @dataclass
 class RecoveryReport:
@@ -68,7 +117,6 @@ class RecoveryReport:
     segments_scanned: int = 0
     bytes_scanned: int = 0
     truncated: list[tuple[str, int]] = field(default_factory=list)
-    parallel: bool = False
 
 
 class DurableStore:
@@ -93,16 +141,22 @@ class DurableStore:
         self.durability = durability
         self.wal = ShardedWal(vfs, shards, segment_bytes=segment_bytes,
                               start_lsn=start_lsn)
+        # A flusher thread only where acks return before anyone waits;
+        # under "fsync" the committers flush on their own threads.
         self.pipelines = tuple(
             CommitPipeline(log, max_batch=max_batch, max_lag=max_lag,
-                           auto_flush=auto_flush, injector=injector,
-                           vfs=vfs)
+                           auto_flush=(auto_flush
+                                       and durability == "enqueue"),
+                           injector=injector, vfs=vfs)
             for log in self.wal.logs)
         self.checkpoints = CheckpointStore(vfs)
-        self._auto_flush = auto_flush
-        self._mutex = threading.Lock()
-        self._pending: list = []
-        self._group_depth = 0
+        # Re-entrant: a group() holds it across its ops, each of which
+        # takes it again.  Everything below is guarded by it.
+        self._mutex = threading.RLock()
+        self._depth = 0
+        self._ops: list[tuple[str, tuple, dict]] = []  # open transaction
+        self._shard = 0       # where the open transaction's record goes
+        self._pending: list = []  # enqueue-mode tickets, for wal_sync()
 
     # -- delegation --------------------------------------------------------
 
@@ -112,59 +166,65 @@ class DurableStore:
     # -- the durable op path ----------------------------------------------
 
     def _shard_for(self, key: str) -> int:
-        return sha256_int(f"walshard:{key}") % self.wal.shard_count
-
-    def _encode(self, op: str, args: tuple, kwargs: dict) -> bytes:
-        try:
-            return pickle.dumps((op, args, kwargs), protocol=5)
-        except Exception as exc:
-            raise WalError(
-                f"op {op!r} has unpicklable arguments and cannot be "
-                f"made durable: {exc}") from exc
+        return _hash_shard(key, self.wal.shard_count)
 
     def _apply(self, op: str, args: tuple, kwargs: dict):
         return getattr(self.inner, op)(*args, **kwargs)
 
     def _durable_op(self, shard: int, op: str, *args, **kwargs):
-        payload = self._encode(op, args, kwargs)  # refuse *before* apply
-        with self._mutex:
+        self._begin()
+        try:
+            if not self._ops:
+                # The record goes to its first op's shard; a sealed or
+                # lagging pipeline refuses before anything applies.
+                self.pipelines[shard].admit()
+                self._shard = shard
+            if kwargs or not all(type(arg) in _PLAIN for arg in args):
+                encode_ops([(op, args, kwargs)])  # refuse *before* apply
             result = self._apply(op, args, kwargs)
-            ticket = self.pipelines[shard].submit(payload)
-            deferred = self._group_depth > 0
-            if deferred or self.durability == "enqueue":
-                self._pending.append(ticket)
-        if not deferred and self.durability == "fsync":
-            if not self._auto_flush:
-                self.pipelines[shard].flush()
+            self._ops.append((op, args, kwargs))
+            return result
+        finally:
+            self._end()
+
+    def _begin(self) -> None:
+        self._mutex.acquire()
+        self._depth += 1
+
+    def _end(self) -> None:
+        """Leave a transaction level; the outermost exit logs the ops
+        applied as one record and settles it outside the mutex."""
+        ticket = None
+        try:
+            self._depth -= 1
+            if self._depth == 0 and self._ops:
+                ops, self._ops = self._ops, []
+                ticket = self.pipelines[self._shard].submit(
+                    encode_ops(ops))
+                if self.durability == "enqueue":
+                    self._pending.append(ticket)
+        finally:
+            self._mutex.release()
+        if ticket is not None and self.durability == "fsync":
             ticket.wait()
-        return result
 
     @contextmanager
     def group(self):
-        """Defer durability waits across a block of ops, settling them
-        against one (or few) fsync batches at exit — the multi-op
-        analogue of group commit for a single writer."""
-        with self._mutex:
-            self._group_depth += 1
+        """One transaction: every op of the block in one WAL record,
+        one durability wait at exit.  Nested groups join the outermost
+        one.  Other writers wait for the whole block."""
+        self._begin()
         try:
             yield self
         finally:
-            with self._mutex:
-                self._group_depth -= 1
-                settle = self._group_depth == 0
-            if settle and self.durability == "fsync":
-                self.wal_sync()
+            self._end()
 
     def wal_sync(self) -> int:
-        """Barrier: flush every pipeline and wait out every pending
-        ticket; returns how many tickets were settled.  Typed errors
-        from sealed pipelines propagate — never swallowed."""
+        """Barrier: wait out every pending (enqueue-mode) ticket;
+        returns how many were settled.  Typed errors from sealed
+        pipelines propagate — never swallowed."""
         with self._mutex:
             pending, self._pending = self._pending, []
-        if not self._auto_flush:
-            for pipeline in self.pipelines:
-                while pipeline.flush():
-                    pass
         first_error: WalError | None = None
         for ticket in pending:
             try:
@@ -210,9 +270,13 @@ class DurableStore:
                 f"{type(self).__name__} has no picklable full-state "
                 f"snapshot; it runs WAL-only")
         with self._mutex:
+            if self._depth:
+                raise WalError(
+                    "checkpoint inside an open transaction: its ops "
+                    "are applied but have no LSN yet")
             # Under the op mutex the allocator's last LSN is exactly
-            # the last *applied* op, so the serialized state covers
-            # every record at or below it.
+            # the last *applied* transaction, so the serialized state
+            # covers every record at or below it.
             lsn = self.wal.allocator.last
             payload, digest, release = self._capture()
         try:
@@ -238,8 +302,13 @@ class DurableStore:
     def _restore_inner(cls, payload: bytes, **inner_kwargs):
         raise NotImplementedError
 
+    def _replay(self, ops) -> None:
+        """Re-apply one recovered transaction."""
+        for op, args, kwargs in ops:
+            self._apply(op, args, kwargs)
+
     @classmethod
-    def recover(cls, vfs, *, shards: int = 4, workers: int | None = None,
+    def recover(cls, vfs, *, shards: int = 4,
                 inner_kwargs: dict | None = None,
                 **store_kwargs) -> tuple["DurableStore", RecoveryReport]:
         """Rebuild the store from its directory: newest checkpoint plus
@@ -256,24 +325,22 @@ class DurableStore:
         else:
             inner = cls._fresh_inner(**inner_kwargs)
         scan = replay_recover(vfs, shards,
-                              from_lsn=report.checkpoint_lsn,
-                              workers=workers)
+                              from_lsn=report.checkpoint_lsn)
         report.records_replayed = len(scan.records)
         report.last_lsn = max(scan.last_lsn, report.checkpoint_lsn)
         report.segments_scanned = scan.segments
         report.bytes_scanned = scan.bytes_scanned
         report.truncated = scan.truncated
-        report.parallel = scan.parallel
         store = cls(inner, vfs, shards=shards,
                     start_lsn=report.last_lsn, **store_kwargs)
         for lsn, payload in scan.records:
-            op, args, kwargs = pickle.loads(payload)
+            ops = decode_ops(lsn, payload)
             try:
-                store._apply(op, args, kwargs)
+                store._replay(ops)
             except ReproError as exc:
                 raise WalCorrupt(
-                    f"replaying LSN {lsn} op {op!r} failed ({exc}); "
-                    f"only successful ops are logged, so the log and "
+                    f"replaying LSN {lsn} failed ({exc}); only "
+                    f"successful ops are logged, so the log and "
                     f"checkpoint disagree") from exc
         return store, report
 
@@ -296,52 +363,44 @@ class DurableXmlStore(DurableStore):
     serialization.
     """
 
-    _MUTATORS = frozenset({
-        "create_collection", "drop_collection", "insert", "delete",
-        "replace", "set_text", "set_attribute", "remove_attribute",
-        "append_child", "remove_child"})
-
-    def _op_shard(self, collection: str) -> int:
-        return self._shard_for(collection)
-
     def create_collection(self, name: str) -> None:
-        return self._durable_op(self._op_shard(name),
+        return self._durable_op(self._shard_for(name),
                                 "create_collection", name)
 
     def drop_collection(self, name: str) -> None:
-        return self._durable_op(self._op_shard(name),
+        return self._durable_op(self._shard_for(name),
                                 "drop_collection", name)
 
     def insert(self, collection: str, doc_id: str, document):
         if not isinstance(document, str):
             document = serialize(document)
-        return self._durable_op(self._op_shard(collection), "insert",
+        return self._durable_op(self._shard_for(collection), "insert",
                                 collection, doc_id, document)
 
     def delete(self, collection: str, doc_id: str):
-        return self._durable_op(self._op_shard(collection), "delete",
+        return self._durable_op(self._shard_for(collection), "delete",
                                 collection, doc_id)
 
     def replace(self, collection: str, doc_id: str, document):
         if not isinstance(document, str):
             document = serialize(document)
-        return self._durable_op(self._op_shard(collection), "replace",
+        return self._durable_op(self._shard_for(collection), "replace",
                                 collection, doc_id, document)
 
     def set_text(self, collection: str, doc_id: str, path: str,
                  text: str) -> None:
-        return self._durable_op(self._op_shard(collection), "set_text",
+        return self._durable_op(self._shard_for(collection), "set_text",
                                 collection, doc_id, path, text)
 
     def set_attribute(self, collection: str, doc_id: str, path: str,
                       name: str, value: str) -> None:
-        return self._durable_op(self._op_shard(collection),
+        return self._durable_op(self._shard_for(collection),
                                 "set_attribute", collection, doc_id,
                                 path, name, value)
 
     def remove_attribute(self, collection: str, doc_id: str, path: str,
                          name: str) -> None:
-        return self._durable_op(self._op_shard(collection),
+        return self._durable_op(self._shard_for(collection),
                                 "remove_attribute", collection, doc_id,
                                 path, name)
 
@@ -349,23 +408,26 @@ class DurableXmlStore(DurableStore):
                      parent_path: str, child) -> None:
         if not isinstance(child, str):
             child = serialize_element(child)
-        return self._durable_op(self._op_shard(collection),
+        return self._durable_op(self._shard_for(collection),
                                 "append_child", collection, doc_id,
                                 parent_path, child)
 
     def remove_child(self, collection: str, doc_id: str,
                      path: str) -> None:
-        return self._durable_op(self._op_shard(collection),
+        return self._durable_op(self._shard_for(collection),
                                 "remove_child", collection, doc_id, path)
 
+    @contextmanager
     def writer(self):
-        """Atomic multi-op epoch (inner) + one durability settle."""
-        @contextmanager
-        def _writer():
-            with self.group():
-                with self.inner.writer():
-                    yield self
-        return _writer()
+        """One transaction that is also one epoch: atomic for readers
+        (inner writer) and for crashes (one record)."""
+        with self.group(), self.inner.writer():
+            yield self
+
+    def _replay(self, ops) -> None:
+        # All-or-nothing, and the epochs the live store published.
+        with self.inner.writer():
+            super()._replay(ops)
 
     def _apply(self, op: str, args: tuple, kwargs: dict):
         if op == "append_child" and isinstance(args[3], str):

@@ -20,6 +20,14 @@ Segment file (``seg-SSS-IIIIIIII.wal``, shard ``SSS``, sequence
             !B  record type (1 = RECORD)
             payload bytes
 
+The frame layer is payload-agnostic.  The durable stores
+(:mod:`repro.wal.durable`) put **one transaction per record**: the
+payload is one pickle of the sequence of ``(op, args, kwargs)`` triples
+the transaction applied, in apply order (``encode_ops`` /
+``decode_ops``) — a stand-alone op is a sequence of one.  Because a
+frame's checksum covers its whole body, a transaction is durable as a
+whole or is a torn tail as a whole.
+
 Torn tail vs corruption — the call recovery has to get right:
 
 * A **torn tail** is the legitimate artifact of a crash between write

@@ -3,11 +3,10 @@
 One :class:`WriteAheadLog` owns one shard's segment chain.  LSNs come
 from a single :class:`LsnAllocator` shared by every shard of a store,
 so records on *different* shards still carry a total order: recovery
-scans shard logs independently (that part parallelizes across worker
-processes) and then merges by LSN, replaying the exact serialization
-the writers produced.  Within one shard the append lock makes file
-order equal LSN order, which is what lets the segment scanner treat a
-non-increasing LSN as corruption.
+scans shard logs independently and then merges by LSN, replaying the
+exact serialization the writers produced.  Within one shard the append
+lock makes file order equal LSN order, which is what lets the segment
+scanner treat a non-increasing LSN as corruption.
 
 Segments rotate at a byte threshold; a sealed segment is synced before
 the next one opens, so only the *last* segment of a shard can ever

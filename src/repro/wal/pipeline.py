@@ -1,15 +1,29 @@
-"""Group commit: many writers, one buffered write + one fsync per batch.
+"""Group commit: many committers, one buffered write + one fsync per batch.
 
 Naive durability syncs once per record; at ~6k fsyncs/s that caps the
 whole store at ~6k writes/s regardless of CPU.  The pipeline instead
-has writers *enqueue* framed records and either return immediately
-(``ack-on-enqueue``) or block on a ticket (``ack-on-fsync``) while a
-single flusher drains the queue: every drain is one ``write()`` of the
-concatenated frames and one ``sync()``, so the fsync cost is shared by
-every record in the batch.  The flusher lingers briefly when a batch is
-small — adaptive, a fraction of the *measured* sync cost, mirroring the
-gateway's partial-batch linger — trading that bounded latency for
-batch depth.
+has writers *enqueue* framed records and then wait on their ticket, and
+the waiting is where the work happens — **leader/follower commit**: the
+committer that finds the pipeline idle claims it, takes the queue,
+writes and syncs it *on its own thread* and resolves the batch (no
+hand-off to a flusher, so a lone writer pays the device and nothing
+else); a committer that finds a leader at work waits on the pipeline's
+condition.  Every batch is one ``write()`` of the concatenated frames
+and one ``sync()``, so the fsync cost is shared by every record in it.
+
+Followers wait on the *condition*, never on a lock around the flush:
+blocked on a flush lock they wake one at a time, each finding only its
+own record queued and flushing a batch of one (the follower convoy —
+mean batch 1.02 on a 1 ms device).  Woken together by the leader's
+``notify_all``, they return to their callers, and their next records
+land in the next leader's batch.  That leader lingers for them — a
+fraction of the *measured* sync cost — **only when the previous batch
+carried more than one record**: a rule over observed traffic, so a lone
+writer never waits for company that cannot arrive.
+
+A background flusher thread exists only for ``auto_flush=True``, which
+ack-on-enqueue stores ask for: their acks return before anyone waits,
+so somebody else has to lead.  It runs the same ``_lead``.
 
 LSNs are allocated at submit time, under the queue mutex, so queue
 order, LSN order, and file order all agree per shard.
@@ -17,10 +31,11 @@ order, LSN order, and file order all agree per shard.
 Fault site ``wal:{shard}`` (one step per batch sync):
 
 * CRASH / DROP — the device refused the batch.  Every ticket in it
-  fails with a typed :class:`~repro.core.errors.WalError`; the records
-  are *not* acknowledged and the pipeline seals itself, because a log
-  whose tail failed mid-write must not accept later appends (ack-then
-  -loss is the one unforgivable durability sin).
+  *and every ticket still queued behind it* fails with a typed
+  :class:`~repro.core.errors.WalError`; nothing is acknowledged and
+  the pipeline seals itself, because a log whose tail failed mid-write
+  must not accept later appends (ack-then-loss is the one unforgivable
+  durability sin) nor flush records behind the hole.
 * CORRUPT — the batch "succeeds" but its bytes rot on the platter
   (deterministic single-byte damage), to be discovered by recovery.
 * DELAY — charged to the shared fault clock, modelling a stalled
@@ -65,46 +80,44 @@ class PipelineStats:
 
 
 class CommitTicket:
-    """One writer's claim on a batch: wait() blocks until the fsync
-    that covers this record has happened (or failed, typed)."""
+    """One committer's claim on a batch: wait() returns once the fsync
+    that covers this record has happened (or failed, typed) — leading
+    that fsync itself when nobody else is."""
 
-    __slots__ = ("lsn", "_event", "_error")
+    __slots__ = ("lsn", "_pipeline", "_done", "_error")
 
-    def __init__(self, lsn: int) -> None:
+    def __init__(self, lsn: int, pipeline: "CommitPipeline") -> None:
         self.lsn = lsn
-        self._event = threading.Event()
+        self._pipeline = pipeline
+        self._done = False
         self._error: WalError | None = None
-
-    def _resolve(self, error: WalError | None = None) -> None:
-        self._error = error
-        self._event.set()
 
     @property
     def synced(self) -> bool:
-        return self._event.is_set() and self._error is None
+        return self._done and self._error is None
 
     def wait(self, timeout: float | None = None) -> int:
-        if not self._event.wait(timeout):
-            raise WalError(f"timed out waiting for LSN {self.lsn} "
-                           f"to become durable")
+        if not self._done:  # resolved tickets skip the mutex
+            self._pipeline._await(self, timeout)
         if self._error is not None:
             raise self._error
         return self.lsn
 
 
 class CommitPipeline:
-    """One shard's group-commit queue + flusher.
+    """One shard's group-commit queue; committers flush it themselves.
 
-    ``auto_flush=True`` (the default) runs a daemon flusher thread;
-    ``auto_flush=False`` leaves draining to explicit :meth:`flush`
-    calls, which is what deterministic tests and the chaos battery use
-    — same code path, no wall-clock dependence.
+    ``auto_flush=True`` adds a daemon flusher thread for ack-on-enqueue
+    callers that never wait; with ``auto_flush=False`` the queue drains
+    when a ticket is waited on or :meth:`flush` is called — same code
+    path, no wall-clock dependence, which is what deterministic tests
+    and the chaos battery use.
     """
 
     def __init__(self, log: WriteAheadLog, *,
                  max_batch: int = 256,
                  max_lag: int = 4096,
-                 auto_flush: bool = True,
+                 auto_flush: bool = False,
                  injector=None,
                  vfs=None) -> None:
         self.log = log
@@ -115,13 +128,14 @@ class CommitPipeline:
         self.stats = PipelineStats()
         self._site = f"wal:{log.shard}"
         self._mutex = threading.Lock()
-        # Serializes take-batch + write + sync: concurrent flush()
-        # callers would otherwise take disjoint batches and race to
-        # append them, and a later-LSN batch landing first makes the
-        # earlier append a WalError — applied-but-unlogged records.
-        self._flush_mutex = threading.Lock()
-        self._wakeup = threading.Condition(self._mutex)
+        self._idle = threading.Condition(self._mutex)
         self._queue: list[tuple[CommitTicket, bytes]] = []
+        # One leader at a time owns take-batch + write + sync: two
+        # would take disjoint batches and race to append them, and a
+        # later-LSN batch landing first makes the earlier append a
+        # WalError — applied-but-unlogged records.
+        self._leading = False
+        self._shared = False  # did the previous batch carry company?
         self._sealed: WalError | None = None
         self._closed = False
         self._sync_cost_ema = 0.0
@@ -134,6 +148,23 @@ class CommitPipeline:
 
     # -- writer side -------------------------------------------------------
 
+    def _refuse(self) -> None:
+        if self._sealed is not None:
+            raise WalError(
+                f"commit pipeline for shard {self.log.shard} is "
+                f"sealed after a write fault: {self._sealed}")
+        if self._closed:
+            raise WalError("commit pipeline is closed")
+        if len(self._queue) >= self.max_lag:
+            raise DurabilityLagExceeded(len(self._queue), self.max_lag)
+
+    def admit(self) -> None:
+        """Raise what :meth:`submit` would raise right now.  A store
+        asks *before* applying a transaction, so a sealed or lagging
+        log refuses the write instead of diverging from it."""
+        with self._mutex:
+            self._refuse()
+
     def submit(self, payload: bytes) -> CommitTicket:
         """Frame and enqueue one record; returns its ticket.
 
@@ -145,21 +176,14 @@ class CommitPipeline:
         stops being a log.
         """
         with self._mutex:
-            if self._sealed is not None:
-                raise WalError(
-                    f"commit pipeline for shard {self.log.shard} is "
-                    f"sealed after a write fault: {self._sealed}")
-            if self._closed:
-                raise WalError("commit pipeline is closed")
-            if len(self._queue) >= self.max_lag:
-                raise DurabilityLagExceeded(len(self._queue),
-                                            self.max_lag)
+            self._refuse()
             lsn = self.log.allocator.allocate()
-            ticket = CommitTicket(lsn)
+            ticket = CommitTicket(lsn, self)
             self._queue.append(
                 (ticket, encode_frame(lsn, payload, self.log._alg_id)))
             self.stats.submitted += 1
-            self._wakeup.notify()
+            if self._flusher is not None:
+                self._idle.notify_all()
             return ticket
 
     @property
@@ -167,63 +191,113 @@ class CommitPipeline:
         with self._mutex:
             return len(self._queue)
 
-    # -- flusher side ------------------------------------------------------
-
-    def _take_batch(self) -> list[tuple[CommitTicket, bytes]]:
+    def _await(self, ticket: CommitTicket, timeout: float | None) -> None:
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._mutex:
-            batch = self._queue[:self.max_batch]
-            del self._queue[:len(batch)]
-            return batch
+            while not ticket._done:
+                if not self._leading and self._queue:
+                    # Idle pipeline, unresolved ticket: it is queued,
+                    # and this thread is the one to flush it.
+                    try:
+                        self._lead()
+                    except WalError:
+                        pass  # sealed; the ticket carries the error
+                    continue
+                remaining = (None if deadline is None
+                             else deadline - time.monotonic())
+                if remaining is not None and remaining <= 0:
+                    raise WalError(f"timed out waiting for LSN "
+                                   f"{ticket.lsn} to become durable")
+                self._idle.wait(remaining)
+
+    # -- leader side -------------------------------------------------------
 
     def flush(self) -> int:
         """Drain one batch through write+sync; returns records flushed.
 
-        Called by the flusher thread, or directly in ``auto_flush=
-        False`` mode.  Safe to call concurrently with submits *and*
-        with other flush() calls — batches are taken and written under
-        one flush mutex, so batch order stays LSN order.
+        Safe to call concurrently with submits, waiters *and* other
+        flush() calls — whoever holds the leadership writes, everyone
+        else waits their turn, so batch order stays LSN order.
         """
-        with self._flush_mutex:
-            batch = self._take_batch()
-            if not batch:
-                return 0
-            try:
-                return self._flush_batch(batch)
-            except WalError as exc:
-                self._fail_batch(batch, exc)
-                raise
-            except Exception as exc:
-                error = WalError(f"wal flush failed on shard "
-                                 f"{self.log.shard}: {exc}")
-                self._fail_batch(batch, error)
-                raise error from exc
-
-    def _fail_batch(self, batch: list[tuple[CommitTicket, bytes]],
-                    error: WalError) -> None:
-        """Seal the pipeline and fail every ticket of a taken batch —
-        a taken-but-unresolved ticket strands its waiter forever."""
         with self._mutex:
-            self._sealed = self._sealed or error
-        for ticket, _ in batch:
-            ticket._resolve(error)
+            while self._leading:
+                self._idle.wait()
+            return self._lead()
 
-    def _flush_batch(self, batch: list[tuple[CommitTicket, bytes]]) -> int:
-        error: WalError | None = None
+    def _lead(self) -> int:
+        """Flush one batch on the calling thread.  Entered with the
+        mutex held and no leader; drops the mutex around the linger and
+        the device work, holds it again on return."""
+        if not self._queue:
+            return 0
+        self._leading = True
+        batch: list[tuple[CommitTicket, bytes]] = []
+        # Until the batch is known durable, whatever stops this leader
+        # (an interrupt included) seals the log.
+        error: WalError | None = WalError(
+            f"wal flush on shard {self.log.shard} was interrupted")
+        try:
+            if self._shared and len(self._queue) < self.max_batch:
+                # The last batch had company, so company is likely on
+                # its way back: wait a fraction of one sync for it.
+                self._mutex.release()
+                try:
+                    time.sleep(self._linger())
+                finally:
+                    self._mutex.acquire()
+            batch = self._queue[:self.max_batch]
+            del self._queue[:len(batch)]
+            self._mutex.release()
+            try:
+                error = self._write_batch(batch)
+            finally:
+                self._mutex.acquire()
+        except WalError as exc:
+            error = exc
+            raise
+        except Exception as exc:
+            error = WalError(f"wal flush failed on shard "
+                             f"{self.log.shard}: {exc}")
+            raise error from exc
+        finally:
+            if error is None:
+                for ticket, _ in batch:
+                    ticket._done = True
+                self._shared = len(batch) > 1
+            else:
+                self._seal(batch, error)
+            self._leading = False
+            self._idle.notify_all()
+        return 0 if error is not None else len(batch)
+
+    def _seal(self, batch: list[tuple[CommitTicket, bytes]],
+              error: WalError) -> None:
+        """The one place that seals (mutex held): fail the taken batch
+        *and* everything queued behind it, typed.  A taken-but-
+        unresolved ticket strands its waiter forever; a record left
+        queued would later be flushed behind the hole."""
+        self._sealed = self._sealed or error
+        for ticket, _ in batch + self._queue:
+            ticket._error = self._sealed
+            ticket._done = True
+        self._queue.clear()
+
+    def _write_batch(self, batch: list[tuple[CommitTicket, bytes]]
+                     ) -> WalError | None:
+        """One write + one sync (no mutex held).  An injected device
+        fault comes back as the error to seal with; a real one raises."""
         corrupt_after = False
         if self.injector is not None:
             for event in self.injector.step(self._site):
                 self.stats.faults_injected += 1
                 if event.kind in (FaultKind.CRASH, FaultKind.DROP):
-                    error = WalError(
+                    return WalError(
                         f"wal device fault ({event.kind.value}) on "
                         f"shard {self.log.shard}: batch of "
                         f"{len(batch)} records not durable")
-                elif event.kind is FaultKind.CORRUPT:
+                if event.kind is FaultKind.CORRUPT:
                     corrupt_after = True
                 # DELAY is charged by injector.step via the fault clock
-        if error is not None:
-            self._fail_batch(batch, error)
-            return 0
         data = b"".join(frame for _, frame in batch)
         started = time.perf_counter()
         self.log.append_encoded(data, batch[-1][0].lsn, len(batch))
@@ -234,14 +308,12 @@ class CommitPipeline:
                                + 0.2 * elapsed)
         if corrupt_after and self.vfs is not None:
             self._corrupt_tail(len(data))
-        for ticket, _ in batch:
-            ticket._resolve()
         self.stats.batches += 1
         self.stats.records_flushed += len(batch)
         self.stats.bytes_flushed += len(data)
         self.stats.syncs += 1
         self.stats.max_batch = max(self.stats.max_batch, len(batch))
-        return len(batch)
+        return None
 
     def _corrupt_tail(self, batch_bytes: int) -> None:
         """CORRUPT overlay: rot one byte of the just-synced batch in
@@ -267,32 +339,20 @@ class CommitPipeline:
                    self._sync_cost_ema * LINGER_FRACTION) or 0.0001
 
     def _flush_loop(self) -> None:
-        while True:
-            with self._mutex:
-                while not self._queue and not self._closed:
-                    self._wakeup.wait()
-                if self._closed and not self._queue:
-                    return
-                depth = len(self._queue)
-            if 0 < depth < self.max_batch:
-                # Partial batch: linger a fraction of one sync cost to
-                # let concurrent writers pile in, then take whatever
-                # arrived.
-                time.sleep(self._linger())
-            try:
-                self.flush()
-            except WalError as exc:
-                with self._mutex:
-                    self._sealed = self._sealed or exc
-                    drained = self._queue[:]
-                    self._queue.clear()
-                for ticket, _ in drained:
-                    ticket._resolve(self._sealed)
+        with self._mutex:
+            while not self._closed:
+                if self._leading or not self._queue:
+                    self._idle.wait()
+                    continue
+                try:
+                    self._lead()
+                except WalError:
+                    pass  # sealed: every ticket already failed typed
 
     def close(self) -> None:
         with self._mutex:
             self._closed = True
-            self._wakeup.notify_all()
+            self._idle.notify_all()
         if self._flusher is not None:
             self._flusher.join(timeout=5.0)
         while self.flush():

@@ -1,14 +1,14 @@
-"""Recovery: scan shard logs in parallel, replay one merged history.
+"""Recovery: scan each shard's log, replay one merged history.
 
-The expensive part of recovery — mapping segments, verifying every
-frame checksum, decoding bodies — is embarrassingly parallel across
-shards, so :func:`recover` fans shard scans out over worker processes
-(same discipline as ``repro.multicore``: a module-level worker function
-re-opening the store root by path, results shipped back as picklable
-tuples).  The *application* of recovered records stays strictly
+:func:`recover` scans every shard's segment chain — mapping segments,
+verifying every frame checksum, decoding bodies — and merges the
+records by LSN.  The *application* of recovered records is strictly
 sequential in LSN order: shards share one LSN space precisely so that
 cross-shard operations (a registry delete purging assertions on other
-shards) replay in the order writers produced them.
+shards) replay in the order writers produced them.  (Shard scans used
+to fan out over worker processes; measured, the fan-out lost to the
+sequential scan — 0.57 s against 0.23 s on 100k records — and was
+deleted.)
 
 Per-shard invariants enforced while scanning:
 
@@ -23,13 +23,10 @@ Per-shard invariants enforced while scanning:
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 from dataclasses import dataclass, field
 
 from repro.core.errors import WalCorrupt
 from repro.wal.format import HEADER_SIZE, parse_segment_name, scan_segment
-from repro.wal.vfs import OsVfs
 
 
 @dataclass
@@ -92,11 +89,6 @@ def scan_shard(vfs, shard: int) -> ShardScan:
     return scan
 
 
-def _scan_shard_by_path(root: str, shard: int) -> ShardScan:
-    """Worker-process entry point: reopen the store by path and scan."""
-    return scan_shard(OsVfs(root), shard)
-
-
 @dataclass
 class RecoveryResult:
     """Everything :func:`recover` learned, ready to apply in order."""
@@ -106,7 +98,6 @@ class RecoveryResult:
     truncated: list[tuple[str, int]] = field(default_factory=list)
     segments: int = 0
     bytes_scanned: int = 0
-    parallel: bool = False
 
 
 def _merge(scans: list[ShardScan], from_lsn: int) -> RecoveryResult:
@@ -130,32 +121,11 @@ def _merge(scans: list[ShardScan], from_lsn: int) -> RecoveryResult:
 
 
 def recover(vfs, shards: int, *, from_lsn: int = 0,
-            workers: int | None = None,
             apply_truncation: bool = True) -> RecoveryResult:
-    """Scan every shard (in parallel where the vfs allows it), merge by
-    LSN, and optionally apply fail-closed torn-tail truncation.
-
-    *workers* > 1 fans shard scans out over processes; it requires a
-    real :class:`OsVfs` (workers reopen the directory by path) and the
-    ``fork`` start method.  Anything else scans sequentially — same
-    code, same result, one process.
-    """
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    use_processes = (workers is not None and workers > 1
-                     and isinstance(vfs, OsVfs) and can_fork
-                     and shards > 1)
-    if use_processes:
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, shards),
-                mp_context=context) as pool:
-            scans = list(pool.map(_scan_shard_by_path,
-                                  [str(vfs.root)] * shards,
-                                  range(shards)))
-    else:
-        scans = [scan_shard(vfs, shard) for shard in range(shards)]
-    result = _merge(scans, from_lsn)
-    result.parallel = use_processes
+    """Scan every shard, merge by LSN, and optionally apply fail-closed
+    torn-tail truncation."""
+    result = _merge([scan_shard(vfs, shard) for shard in range(shards)],
+                    from_lsn)
     if apply_truncation:
         for name, offset in result.truncated:
             if offset < HEADER_SIZE:

@@ -138,6 +138,88 @@ class TestStoreSemantics:
         assert db.current().generation == db.generation
 
 
+class TestWriterBlockCopiesOnce:
+    """Work, not time: a ``writer()`` block copies the collections dict
+    and the touched collection's dict once, whatever the store holds —
+    and nothing a snapshot already holds is ever edited."""
+
+    EDITS = 8
+
+    @staticmethod
+    def store_with(documents):
+        db = SnapshotXmlDatabase()
+        db.create_collection("other")
+        db.create_collection("c")
+        with db.writer():
+            for n in range(documents):
+                db.insert("c", f"d{n}", "<doc><v>0</v></doc>")
+        return db
+
+    def dict_copies(self, db):
+        """(outer, touched-collection) dict copies over one block."""
+        copies = [0, 0]
+        outer, inner = db._collections, db._collections["c"]
+        with db.writer():
+            for n in range(self.EDITS):
+                db.set_text("c", "d0", "/doc/v", str(n + 1))
+                copies[0] += db._collections is not outer
+                copies[1] += db._collections["c"] is not inner
+                outer, inner = db._collections, db._collections["c"]
+        return copies
+
+    def test_dicts_keep_their_identity_from_the_second_edit_on(self):
+        db = self.store_with(8)
+        published = db._collections
+        with db.writer():
+            db.set_text("c", "d0", "/doc/v", "1")
+            outer, inner = db._collections, db._collections["c"]
+            assert outer is not published
+            assert inner is not published["c"]
+            for n in range(2, self.EDITS + 1):
+                db.set_text("c", "d0", "/doc/v", str(n))
+                assert db._collections is outer
+                assert db._collections["c"] is inner
+            assert outer["other"] is published["other"]  # untouched
+        assert db.current().serialize("c", "d0") == "<doc><v>8</v></doc>"
+
+    def test_copies_per_transaction_do_not_grow_with_the_collection(self):
+        assert (self.dict_copies(self.store_with(64))
+                == self.dict_copies(self.store_with(512)) == [1, 1])
+
+    def test_no_snapshot_ever_shows_a_later_edit(self):
+        db = self.store_with(4)
+        pinned = db.current()
+        frozen_before = db.freeze()
+        with db.writer():
+            db.set_text("c", "d0", "/doc/v", "1")
+            frozen_during = db.freeze()  # takes the private dicts...
+            inner = db._collections["c"]
+            db.set_text("c", "d0", "/doc/v", "2")
+            assert db._collections["c"] is not inner  # ...so: copy again
+            db.insert("c", "new", "<doc/>")
+            db.create_collection("late")
+        for snapshot in (pinned, frozen_before):
+            assert snapshot.serialize("c", "d0") == "<doc><v>0</v></doc>"
+            assert snapshot.collection_names() == ["c", "other"]
+        assert frozen_during.serialize("c", "d0") == "<doc><v>1</v></doc>"
+        assert "new" not in frozen_during.doc_ids("c")
+        assert frozen_during.collection_names() == ["c", "other"]
+        current = db.current()
+        assert current.serialize("c", "d0") == "<doc><v>2</v></doc>"
+        assert current.collection_names() == ["c", "late", "other"]
+
+    def test_a_rejected_edit_changes_nothing(self):
+        db = self.store_with(2)
+        with db.writer():
+            db.set_text("c", "d0", "/doc/v", "1")
+            with pytest.raises(Exception):
+                db.set_text("c", "d0", "/doc/missing", "2")
+            with pytest.raises(ConfigurationError):
+                db.insert("c", "d1", "<doc/>")
+        assert db.current().serialize("c", "d0") == "<doc><v>1</v></doc>"
+        assert db.current().serialize("c", "d1") == "<doc><v>0</v></doc>"
+
+
 class TestInterning:
     def test_repeat_serialization_is_a_cache_hit(self):
         db = snapshot_db()

@@ -13,14 +13,13 @@ present in the recovered store.
 
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 
 import pytest
 
 from repro.snap.xmlstore import SnapshotXmlDatabase
-from repro.wal.durable import DurableXmlStore
+from repro.wal.durable import DurableXmlStore, decode_ops
 from repro.wal.replay import recover as scan_logs
 from repro.wal.vfs import OsVfs
 
@@ -53,9 +52,9 @@ def _reference_digest(records) -> str:
     reference = SnapshotXmlDatabase()
     store = DurableXmlStore.__new__(DurableXmlStore)
     store.inner = reference
-    for _, payload in records:
-        op, args, kwargs = pickle.loads(payload)
-        DurableXmlStore._apply(store, op, args, kwargs)
+    for lsn, payload in records:
+        for op, args, kwargs in decode_ops(lsn, payload):
+            DurableXmlStore._apply(store, op, args, kwargs)
     return DurableXmlStore._digest_of(reference.freeze())
 
 
@@ -85,7 +84,7 @@ def test_sigkill_mid_commit_recovers_byte_identical(tmp_path, grace):
     vfs = OsVfs(root)
     scan = scan_logs(vfs, SHARDS, apply_truncation=False)
     recovered, report = DurableXmlStore.recover(
-        vfs, shards=SHARDS, workers=2, auto_flush=False,
+        vfs, shards=SHARDS, auto_flush=False,
         segment_bytes=8 * 1024)
     # (b) self-consistent: recovered state is the reference replay of
     # exactly the records the scan decoded, byte for byte.

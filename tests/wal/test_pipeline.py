@@ -1,6 +1,8 @@
 """Segment chains and group commit: batching, lag bounds, fault seals."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -12,6 +14,23 @@ from repro.wal.log import LsnAllocator, ShardedWal, WriteAheadLog
 from repro.wal.pipeline import CommitPipeline
 from repro.wal.replay import scan_shard
 from repro.wal.vfs import MemVfs
+
+
+class SlowSyncVfs(MemVfs):
+    """A device that has a cost: every ``sync()`` sleeps 1 ms.  Plain
+    ``MemVfs`` syncs in no time, so a leader is done before any other
+    thread runs and batching cannot be observed at all."""
+
+    def create(self, name):
+        handle = super().create(name)
+        fast_sync = handle.sync
+
+        def sync():
+            time.sleep(0.001)
+            fast_sync()
+
+        handle.sync = sync
+        return handle
 
 
 def make_log(vfs=None, **kwargs):
@@ -103,13 +122,16 @@ class TestGroupCommit:
         pipeline.submit(b"fits again")
 
     def test_concurrent_writers_share_fsync_batches(self):
-        vfs, log = make_log()
+        # Judged on a device with a cost.  Followers wake together, so
+        # their next records share the next leader's batch; woken one
+        # at a time (the convoy) they would sync ~400 batches of one.
+        vfs, log = make_log(SlowSyncVfs())
         pipeline = CommitPipeline(log, max_batch=64)
         barrier = threading.Barrier(8)
 
         def writer():
             barrier.wait()
-            for _ in range(16):
+            for _ in range(50):
                 pipeline.submit(b"payload").wait(timeout=5)
 
         threads = [threading.Thread(target=writer) for _ in range(8)]
@@ -119,12 +141,68 @@ class TestGroupCommit:
             thread.join()
         pipeline.close()
         stats = pipeline.stats_snapshot()
-        assert stats["records_flushed"] == 128
-        # Group commit earns its keep: strictly fewer syncs than
-        # records, i.e. at least one batch carried several writers.
-        assert stats["syncs"] < 128
+        assert stats["records_flushed"] == 400
+        assert stats["mean_batch"] >= 6
+        assert stats["syncs"] <= 80
+        lsns = [lsn for lsn, _ in scan_shard(vfs, 0).records]
+        assert len(lsns) == 400 and lsns == sorted(lsns)
+
+    def test_committers_racing_for_the_lead_lose_nothing(self):
+        # More committers than cores on a zero-latency device, with
+        # the interpreter switching threads every 10 us: whoever leads,
+        # every record is written once, in LSN order, and every waiter
+        # is released.
+        vfs, log = make_log()
+        pipeline = CommitPipeline(log, max_batch=4)
+        lsns: list[int] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def writer():
+                for _ in range(100):
+                    lsns.append(pipeline.submit(b"x").wait(timeout=10))
+
+            threads = [threading.Thread(target=writer, daemon=True)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert pipeline.lag == 0
+        stats = pipeline.stats_snapshot()
+        assert stats["records_flushed"] == 800 and not stats["sealed"]
         assert [lsn for lsn, _ in scan_shard(vfs, 0).records] == sorted(
-            lsn for lsn, _ in scan_shard(vfs, 0).records)
+            lsns) == list(range(1, 801))
+
+    def test_a_solo_writer_never_waits_for_company(self):
+        # The linger rule reads traffic, not a parameter: no batch ever
+        # carried a second record, so no leader ever lingers (counted
+        # in calls, not time) whatever max_batch allows.
+        _, log = make_log(SlowSyncVfs())
+        pipeline = CommitPipeline(log, max_batch=256)
+        lingers = []
+        pipeline._linger = lambda: lingers.append(1) or 0.0
+        for _ in range(40):
+            pipeline.submit(b"payload").wait(timeout=5)
+        stats = pipeline.stats_snapshot()
+        assert stats["syncs"] == 40
+        assert stats["mean_batch"] == 1.0
+        assert lingers == []
+
+    def test_only_auto_flush_starts_a_flusher_thread(self):
+        _, log = make_log()
+        assert CommitPipeline(log)._flusher is None
+        pipeline = CommitPipeline(log, auto_flush=True)
+        ticket = pipeline.submit(b"nobody waits on this")
+        deadline = time.monotonic() + 5
+        while not ticket.synced and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert ticket.synced
+        pipeline.close()
+        assert not pipeline._flusher.is_alive()
 
     def test_device_fault_fails_every_ticket_and_seals(self):
         plan = FaultPlan()
@@ -192,6 +270,29 @@ class TestGroupCommit:
             ticket.wait(timeout=1)
         assert "timed out" not in str(excinfo.value)
         assert pipeline.stats_snapshot()["sealed"] is True
+
+
+    def test_sealing_fails_the_whole_queue_and_leaves_nothing_flushable(
+            self):
+        # A batch refused by the device seals the log.  Records queued
+        # behind it must fail with it: left queued, a later flush made
+        # LSNs 3-4 durable behind the lost 1-2 — a log with a hole
+        # under applied state.
+        plan = FaultPlan()
+        plan.add("wal:0", 0, FaultKind.CRASH)
+        vfs, log = make_log()
+        pipeline = CommitPipeline(
+            log, auto_flush=False, max_batch=2,
+            injector=FaultInjector(plan, FaultClock()))
+        tickets = [pipeline.submit(f"op-{n}".encode()) for n in range(4)]
+        pipeline.flush()
+        for ticket in tickets:
+            with pytest.raises(WalError) as excinfo:
+                ticket.wait(timeout=1)
+            assert "device fault" in str(excinfo.value)
+        assert pipeline.lag == 0
+        assert pipeline.flush() == 0
+        assert scan_shard(vfs, 0).records == []
 
 
 class TestShardedWal:

@@ -1,6 +1,4 @@
-"""Recovery scans: merge order, contiguity, torn tails, parallelism."""
-
-import multiprocessing
+"""Recovery scans: merge order, contiguity, torn tails."""
 
 import pytest
 
@@ -8,7 +6,7 @@ from repro.core.errors import WalCorrupt
 from repro.wal.format import HEADER_SIZE, segment_name
 from repro.wal.log import ShardedWal
 from repro.wal.replay import recover, scan_shard
-from repro.wal.vfs import MemVfs, OsVfs
+from repro.wal.vfs import MemVfs
 
 
 def build_wal(vfs, shards=2, records=12, segment_bytes=256):
@@ -116,23 +114,3 @@ class TestDamage:
         vfs.corrupt_byte(segment_name(0, 0), HEADER_SIZE + 8)
         with pytest.raises(WalCorrupt):
             recover(vfs, 1)
-
-
-class TestParallel:
-    def test_memvfs_never_forks(self):
-        vfs = MemVfs()
-        build_wal(vfs)
-        assert recover(vfs, 2, workers=4).parallel is False
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="platform has no fork start method")
-    def test_process_scan_matches_sequential(self, tmp_path):
-        vfs = OsVfs(tmp_path)
-        _, lsns = build_wal(vfs, shards=3, records=30)
-        sequential = recover(vfs, 3, workers=1)
-        parallel = recover(vfs, 3, workers=3)
-        assert parallel.parallel is True
-        assert sequential.parallel is False
-        assert parallel.records == sequential.records
-        assert [lsn for lsn, _ in parallel.records] == lsns
