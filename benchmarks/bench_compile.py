@@ -4,12 +4,12 @@
 Four sections; the two the acceptance gate cares about assert a
 byte-identity (or proof) oracle before reporting a number:
 
-* ``compiled_throughput`` — a warm mixed workload (more distinct
-  ``(subject, action, path)`` triples than the interpreter's 4096-entry
-  generational decision cache can hold) served by
-  :class:`~repro.compile.engine.CompiledPolicyEngine` versus the PR 4
-  :class:`~repro.scale.batch.BatchDecisionEngine`.  Oracle: every
-  decision byte-identical.  Gate: ≥10x full, ≥3x ``--quick``;
+* ``compiled_throughput`` — a warm mixed workload of distinct
+  ``(subject, action, path)`` triples served by an
+  :class:`~repro.snap.policy.EpochalPolicyEngine` (the compiled epoch
+  table) versus the cache-free interpreter's
+  :meth:`~repro.core.evaluator.PolicyEvaluator.decide_batch`.  Oracle:
+  every decision byte-identical.  Gate: ≥10x full, ≥3x ``--quick``;
 * ``static_verification`` — compile + statically verify many random
   policy bases.  Oracle/gate: zero unexplained cells across every seed;
 * ``recompilation`` — cold-compile latency by base size, plus the
@@ -20,7 +20,7 @@ byte-identity (or proof) oracle before reporting a number:
 
 ``--quick`` shrinks workloads for the CI perf-smoke job, which fails
 closed on either oracle or gate.  Writes ``BENCH_compile.json`` to
-``benchmarks/results/`` and to the repository root (canonical copy).
+``benchmarks/results/`` (or ``--output``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.bench.output import (  # noqa: E402
     write_bench_json,
 )
 from repro.compile import (  # noqa: E402
-    CompiledPolicyEngine,
     compile_policy_base,
     compile_xml_policy_base,
     verify_compiled,
@@ -55,7 +54,7 @@ from repro.datagen.documents import (  # noqa: E402
     hospital_documents, hospital_schema)
 from repro.datagen.population import (  # noqa: E402
     generate_population, named_cast)
-from repro.scale.batch import BatchDecisionEngine  # noqa: E402
+from repro.snap.policy import EpochalPolicyEngine  # noqa: E402
 from repro.xmlsec.authorx import XmlPolicyBase  # noqa: E402
 
 from tests.scale.workloads import HEADS, random_policies  # noqa: E402
@@ -76,9 +75,8 @@ def timed(fn):
 
 def _workload(rng: random.Random, subject_count: int,
               path_count: int) -> list[tuple]:
-    """More distinct triples than the decision cache holds: the
-    interpreter thrashes, the table's (path class x profile) keys
-    stay tiny."""
+    """Thousands of distinct triples: the interpreter evaluates each,
+    the table's (path class x profile) keys stay tiny."""
     directory = generate_population(subject_count, seed=7)
     subjects = [directory.get(f"user{i:05d}")
                 for i in range(subject_count)]
@@ -107,12 +105,12 @@ def bench_compiled_throughput(quick: bool) -> tuple[dict, bool]:
     policies = random_policies(rng, policy_count)
     base = PolicyBase(policies)
 
-    interpreter = BatchDecisionEngine(PolicyEvaluator(base))
-    compiled = CompiledPolicyEngine(base=base)
+    interpreter = PolicyEvaluator(base)
+    compiled = EpochalPolicyEngine(policies)
     requests = _workload(rng, subject_count, path_count)
 
-    # Warm both paths (fills the compiled table's touched cells and as
-    # much of the interpreter cache as fits), then time steady state.
+    # Warm both paths (fills the compiled table's touched cells), then
+    # time steady state.
     warm_interpreted = interpreter.decide_batch(requests)
     warm_compiled = compiled.decide_batch(requests)
     oracle = warm_interpreted == warm_compiled
@@ -126,11 +124,10 @@ def bench_compiled_throughput(quick: bool) -> tuple[dict, bool]:
     speedup = interp_s / compiled_s
     gate = THROUGHPUT_GATES["quick" if quick else "full"]
     target_met = speedup >= gate
-    stats = compiled.current().stats()
+    stats = compiled.current().table.stats()
     return {
         "policies": policy_count,
         "distinct_triples": len(requests),
-        "decision_cache_capacity": 4096,
         "passes": passes,
         "interpreter_s": round(interp_s, 4),
         "interpreter_decisions_per_s": round(total / interp_s),

@@ -294,8 +294,7 @@ def bench_streaming(quick: bool) -> tuple[dict, bool]:
 
     def engine():
         from repro.core.policy import PolicyBase
-        from repro.scale.batch import BatchDecisionEngine
-        return BatchDecisionEngine(PolicyEvaluator(PolicyBase()))
+        return PolicyEvaluator(PolicyBase())
 
     async def run_streams():
         gateway = AsyncRequestGateway(

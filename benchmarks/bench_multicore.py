@@ -219,7 +219,7 @@ def content_workload(quick: bool):
 def reference_baseline(policies, requests):
     """Serial compiled evaluation in request order — the byte oracle."""
     router = EpochalShardRouter.from_policies(
-        policies, shard_count=SHARDS, compile_policies=True)
+        policies, shard_count=SHARDS)
     decisions = []
     for request in requests:
         shard = router.shard_for_path(request.path)
@@ -290,7 +290,7 @@ def stage_percentiles(stats: dict) -> dict:
 def measure_model_inputs(policies, requests, baseline):
     """Measure the two pipeline bounds.  Returns (inputs, byte_ok)."""
     router = EpochalShardRouter.from_policies(
-        policies, shard_count=SHARDS, compile_policies=True)
+        policies, shard_count=SHARDS)
     by_shard: dict[int, list] = {}
     for request in requests:
         shard = router.shard_for_path(request.path)
@@ -422,7 +422,7 @@ def bench_degraded(quick: bool) -> tuple[dict, bool]:
     limit = len(requests) + 1
 
     router = EpochalShardRouter.from_policies(
-        policies, shard_count=SHARDS, compile_policies=True)
+        policies, shard_count=SHARDS)
     expected = []
     for request in requests:
         shard = router.shard_for_path(request.path)

@@ -1,11 +1,9 @@
 #!/usr/bin/env python
 """Hot-path benchmarks for the ``repro.perf`` layer (ablation A5).
 
-Measures the four optimized paths against their unoptimized
+Measures the three optimized paths against their unoptimized
 counterparts and writes a machine-readable ``BENCH_perf.json``:
 
-* ``decision_cache``  — repeated policy decisions, cold evaluator
-  (``cache_decisions=False``) vs warm generational cache;
 * ``single_pass_view`` — Author-X labelling, one DOM traversal per
   policy (``label_document_per_policy``) vs the simultaneous matcher
   (``label_document``), plus the fully cached re-label;
@@ -16,9 +14,9 @@ counterparts and writes a machine-readable ``BENCH_perf.json``:
   (reported for reference; the pure-python cipher is GIL-bound, so the
   headline here is byte-identity, not speedup).
 
-Every section asserts its correctness oracle (cached == uncached,
-single-pass labels == per-policy labels, incremental root == rebuilt
-root, threaded packet == serial packet); any divergence makes the
+Every section asserts its correctness oracle (single-pass and cached
+labels == per-policy labels, incremental root == rebuilt root, threaded
+packet == serial packet); any divergence makes the
 script exit nonzero, which is what the CI perf-smoke job gates on.
 ``--quick`` shrinks the workloads for CI; full runs establish the
 baseline numbers EXPERIMENTS.md records.
@@ -43,13 +41,9 @@ from repro.bench.output import (  # noqa: E402
     write_bench_json,
 )
 from repro.core.credentials import anyone, has_role  # noqa: E402
-from repro.core.evaluator import PolicyEvaluator  # noqa: E402
-from repro.core.policy import Action  # noqa: E402
 from repro.core.subjects import Role, Subject  # noqa: E402
 from repro.datagen.documents import hospital_corpus  # noqa: E402
-from repro.datagen.population import generate_population  # noqa: E402
-from repro.datagen.workload import (  # noqa: E402
-    subject_qualification_policies, xml_policy_workload)
+from repro.datagen.workload import xml_policy_workload  # noqa: E402
 from repro.merkle.tree import MerkleTree  # noqa: E402
 from repro.merkle.xml_merkle import (  # noqa: E402
     IncrementalXmlHasher, merkle_hash)
@@ -66,46 +60,7 @@ def timed(fn):
     return time.perf_counter() - start, result
 
 
-# -- 1. generational decision cache ------------------------------------
-
-def bench_decision_cache(quick: bool) -> tuple[dict, bool]:
-    policy_count = 120 if quick else 400
-    rounds = 15 if quick else 40
-    base = subject_qualification_policies(
-        policy_count, basis="role", user_count=200, seed=7)
-    directory = generate_population(24, seed=7)
-    subjects = [directory.get(f"user{i:05d}") for i in range(24)]
-    rng = random.Random(7)
-    requests = [(rng.choice(subjects),
-                 rng.choice((Action.READ, Action.WRITE)),
-                 f"hospital/records/r{rng.randrange(1, 500)}/name")
-                for _ in range(60)]
-
-    def run(evaluator):
-        return [evaluator.decide(s, a, r)
-                for _ in range(rounds) for s, a, r in requests]
-
-    cold = PolicyEvaluator(base, cache_decisions=False)
-    warm = PolicyEvaluator(base, cache_decisions=True)
-    cold_s, cold_decisions = timed(lambda: run(cold))
-    warm_s, warm_decisions = timed(lambda: run(warm))
-    oracle = all(
-        (a.granted, a.determining, a.reason)
-        == (b.granted, b.determining, b.reason)
-        for a, b in zip(cold_decisions, warm_decisions))
-    stats = warm.cache_stats
-    return {
-        "policies": policy_count,
-        "decisions": len(cold_decisions),
-        "cold_s": round(cold_s, 4),
-        "warm_s": round(warm_s, 4),
-        "speedup": round(cold_s / warm_s, 1),
-        "hit_rate": stats["hit_rate"],
-        "oracle_cached_equals_uncached": oracle,
-    }, oracle
-
-
-# -- 2. single-pass multi-policy labelling -----------------------------
+# -- 1. single-pass multi-policy labelling -----------------------------
 
 #: Hospital-DTD protection targets.  Deliberately few distinct shapes:
 #: real Author-X bases protect the same DTD elements for many subject
@@ -161,7 +116,7 @@ def bench_single_pass_view(quick: bool) -> tuple[dict, bool]:
     }, oracle
 
 
-# -- 3. incremental Merkle recomputation -------------------------------
+# -- 2. incremental Merkle recomputation -------------------------------
 
 def bench_incremental_merkle(quick: bool) -> tuple[dict, bool]:
     sizes = (64, 256, 1024) if quick else (64, 256, 1024, 4096, 16384)
@@ -221,7 +176,7 @@ def bench_incremental_merkle(quick: bool) -> tuple[dict, bool]:
     }, ok
 
 
-# -- 4. parallel dissemination packaging -------------------------------
+# -- 3. parallel dissemination packaging -------------------------------
 
 def bench_parallel_dissemination(quick: bool) -> tuple[dict, bool]:
     base = xml_policy_workload(16 if quick else 32, seed=5,
@@ -249,7 +204,6 @@ def bench_parallel_dissemination(quick: bool) -> tuple[dict, bool]:
 
 
 SECTIONS = (
-    ("decision_cache", bench_decision_cache),
     ("single_pass_view", bench_single_pass_view),
     ("incremental_merkle", bench_incremental_merkle),
     ("parallel_dissemination", bench_parallel_dissemination),

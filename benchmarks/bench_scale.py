@@ -1,14 +1,9 @@
 #!/usr/bin/env python
 """Throughput benchmarks for the ``repro.scale`` layer (ablation A7).
 
-Two sections, each asserting its equivalence oracle before reporting
-a number — a speedup that changes answers is a bug, not a result:
+One section, asserting its equivalence oracles before reporting a
+number — a speedup that changes answers is a bug, not a result:
 
-* ``batched_authorization`` — serial ``decide()`` loop vs
-  ``BatchDecisionEngine.decide_batch`` on the same distinct triples
-  (distinct so neither side's decision cache helps; the win must come
-  from group amortization + credential memoization).  Oracle: full
-  ``Decision`` equality, request by request;
 * ``sharded_stores`` — hash-sharded relational / XML / UDDI stores vs
   their monolithic counterparts holding identical content.  Oracles:
   equal rows, equal query results, byte-identical UDDI state digests.
@@ -40,7 +35,7 @@ from repro.bench.output import (  # noqa: E402
     default_output,
     write_bench_json,
 )
-from repro.core.evaluator import Decision, PolicyEvaluator  # noqa: E402
+from repro.core.evaluator import Decision  # noqa: E402
 from repro.core.policy import Action  # noqa: E402
 from repro.datagen.population import generate_population  # noqa: E402
 from repro.datagen.workload import (  # noqa: E402
@@ -50,7 +45,6 @@ from repro.relational.database import Database  # noqa: E402
 from repro.relational.table import (  # noqa: E402
     Column, ColumnType, TableSchema)
 from repro.scale import (  # noqa: E402
-    BatchDecisionEngine,
     ShardedCollection,
     ShardedDatabase,
     ShardedUddiRegistry,
@@ -104,34 +98,7 @@ def authorization_workload(quick: bool):
     return base, triples
 
 
-# -- 1. batched authorization ------------------------------------------
-
-def bench_batched_authorization(quick: bool) -> tuple[dict, bool]:
-    base, triples = authorization_workload(quick)
-
-    serial_evaluator = PolicyEvaluator(base)
-    serial_s, serial = timed(
-        lambda: [serial_evaluator.decide(*t) for t in triples])
-
-    batch_engine = BatchDecisionEngine(PolicyEvaluator(base))
-    batch_s, batched = timed(lambda: batch_engine.decide_batch(triples))
-
-    oracle = serial == batched
-    stats = batch_engine.stats.snapshot()
-    return {
-        "policies": len(base),
-        "requests": len(triples),
-        "serial_s": round(serial_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(serial_s / batch_s, 1),
-        "groups": stats["groups"],
-        "subject_checks": stats["subject_checks"],
-        "subject_reuses": stats["subject_reuses"],
-        "oracle_batch_equals_sequential": oracle,
-    }, oracle
-
-
-# -- 2. sharded stores --------------------------------------------------
+# -- sharded stores --------------------------------------------------
 
 def _relational_equivalence(quick: bool) -> tuple[dict, bool]:
     table_count = 8 if quick else 24
@@ -233,7 +200,6 @@ def bench_sharded_stores(quick: bool) -> tuple[dict, bool]:
 
 
 SECTIONS = (
-    ("batched_authorization", bench_batched_authorization),
     ("sharded_stores", bench_sharded_stores),
 )
 

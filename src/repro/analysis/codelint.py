@@ -31,12 +31,6 @@ error-severity finding):
   a constant expression should be compiled once before the loop (the
   process-wide compile cache softens the blow, but every iteration
   still pays a lookup for a value that never changes);
-* ``LINT-BATCHLOOP`` (warning) — per-item policy evaluation
-  (``.decide()``/``.check()``) inside a loop: each call re-derives
-  candidate policies and re-qualifies credentials the batch engine
-  (:class:`repro.scale.batch.BatchDecisionEngine`) would amortize
-  across the whole loop — collect the triples and ``decide_batch``
-  them instead;
 * ``LINT-STALECOMPILE`` (warning) — a compiled/derived artifact read
   without consulting its generation stamp: an attribute whose name
   contains ``compiled`` is loaded inside a function that nowhere
@@ -95,8 +89,8 @@ error-severity finding):
 
 A line may carry ``# lint: allow=RULE-ID[,RULE-ID...]`` to suppress
 exactly those rules on that line — for the rare site where the flagged
-pattern *is* the point (a benchmark measuring the unbatched serial
-path, say).  The pragma names the rule, so it documents the waiver and
+pattern *is* the point (a transport that must hand each receiver its
+own copy, say).  The pragma names the rule, so it documents the waiver and
 suppresses nothing else.
 """
 
@@ -137,12 +131,6 @@ REGISTRY.register(
     "constant XPath compiled inside a loop",
     "a literal path never changes between iterations; compile it once "
     "before the loop")
-REGISTRY.register(
-    "LINT-BATCHLOOP", Severity.WARNING, "lint",
-    "per-item policy evaluation inside a loop",
-    "each decide()/check() in a loop re-derives candidates and "
-    "re-qualifies credentials that decide_batch() amortizes once "
-    "per batch")
 REGISTRY.register(
     "LINT-HOTCOPY", Severity.WARNING, "lint",
     "whole-structure deep copy in a loop or hot-path module",
@@ -188,7 +176,6 @@ _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict",
                   "Counter", "bytearray"}
 _CHECK_PREFIXES = ("verify_", "check_")
 _XPATH_CALLS = {"compile_xpath", "evaluate", "select_elements"}
-_DECISION_CALLS = {"decide", "check"}
 _HOTCOPY_CALLS = {"deepcopy", "deep_copy", "clone"}
 #: Identifier substring marking a derived-artifact read (case-sensitive
 #: on purpose: ``CompiledPolicy``, the class, is not a read).
@@ -629,17 +616,6 @@ class _Linter(ast.NodeVisitor):
                 f"loop; the expression is re-looked-up every iteration",
                 fix_hint="compile_xpath() the literal once before the "
                          "loop and pass the compiled object")
-        if (callee in _DECISION_CALLS and self._loop_depth > 0
-                and isinstance(func, ast.Attribute)
-                and len(node.args) >= 2):
-            self._emit(
-                "LINT-BATCHLOOP", node,
-                f".{callee}() evaluates one request per loop iteration; "
-                f"candidate lookup and credential qualification repeat "
-                f"every pass",
-                fix_hint="collect the (subject, action, path) triples "
-                         "and evaluate them with "
-                         "BatchDecisionEngine.decide_batch()")
         if (callee in _REPLICA_READ_CALLS
                 and isinstance(func, ast.Attribute)
                 and self._function_stack

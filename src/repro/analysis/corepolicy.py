@@ -17,18 +17,12 @@ front-end (:mod:`repro.compile.pathdfa`) instead of a DTD graph:
   its whole subject mask: under deny-overrides the grant can never
   determine a decision.
 
-Shard invariance: :class:`~repro.scale.engine.ShardedPolicyEngine`
-broadcasts glob-head policies to every shard, so naive per-shard
-analysis reports the same defect once per shard.
-:func:`analyze_core_policies` therefore runs ``POL-DEAD`` and
-``POL-CONFLICT`` per shard but emits findings whose text depends only
-on the policies involved (never on shard-local DFA artifacts), dedupes
-by ``(rule, location, message)``, and computes ``POL-SHADOW`` once over
-the deduplicated union — a per-shard shadow verdict would be
-meaningless anyway, since the covering denies of a literal-head grant
-may live on other shards only for broadcast patterns.  The regression
-suite asserts the report is identical for shard counts 1–8 and equal
-to the monolithic analysis.
+Shard invariance: finding text depends only on the policies involved
+(conflicts are decided on a two-policy DFA and name the pair and their
+shared probe witnesses), never on which base or shard holds them.  A
+sharded router is therefore analysed through its deduplicated union —
+``analyze_core_policies(router.policies())`` — and the regression suite
+asserts that report equals the monolithic one for shard counts 1–8.
 """
 
 from __future__ import annotations
@@ -85,18 +79,16 @@ class CorePolicyAnalysis:
     policies: tuple[Policy, ...]
     probes: Sequence[Subject]
     masks: list[int] = field(default_factory=list)
-    #: Shadow needs the *whole* deny set; per-shard contexts disable it.
-    shadow_scope: bool = True
     _overlap_cache: dict[tuple[int, int], bool] = field(
         default_factory=dict)
 
     @classmethod
     def build(cls, policies: Iterable[Policy],
-              probes: Sequence[Subject] | None = None,
-              shadow_scope: bool = True) -> "CorePolicyAnalysis":
+              probes: Sequence[Subject] | None = None
+              ) -> "CorePolicyAnalysis":
         ordered = tuple(sorted(policies, key=lambda p: p.policy_id))
         probe_list = as_probe_list(probes)
-        analysis = cls(ordered, probe_list, shadow_scope=shadow_scope)
+        analysis = cls(ordered, probe_list)
         analysis.masks = [probe_mask(p.subject_expression, probe_list)
                           for p in ordered]
         return analysis
@@ -167,8 +159,6 @@ def check_conflicts(analysis: CorePolicyAnalysis) -> list[Finding]:
 @REGISTRY.checker("POL-SHADOW")
 def check_shadowed(analysis: CorePolicyAnalysis) -> list[Finding]:
     """Grants that deny-overrides resolution can never let decide."""
-    if not analysis.shadow_scope:
-        return []
     dfa = MergedPathDfa(analysis.policies)
     dfa.explore()
     states = [s for s in dfa.states() if s.applies_mask]
@@ -221,35 +211,10 @@ def dedupe_findings(findings: Iterable[Finding]) -> list[Finding]:
     return unique
 
 
-def _dedupe_policies(policies: Iterable[Policy]) -> list[Policy]:
-    by_id: dict[int, Policy] = {}
-    for policy in policies:
-        by_id.setdefault(policy.policy_id, policy)
-    return [by_id[policy_id] for policy_id in sorted(by_id)]
-
-
-def analyze_core_policies(source: object,
+def analyze_core_policies(policies: Iterable[Policy],
                           probes: Sequence[Subject] | None = None
                           ) -> Report:
-    """Run every ``policy``-domain rule over a base or sharded engine.
-
-    *source* may be a :class:`~repro.core.policy.PolicyBase`, any
-    iterable of policies, or (duck-typed via ``shard_count``/``base``)
-    a :class:`~repro.scale.engine.ShardedPolicyEngine` — for which the
-    per-shard findings are deduplicated and the shadow rule runs on the
-    deduplicated union, making the report shard-count invariant.
-    """
-    shard_count = getattr(source, "shard_count", None)
-    shard_base = getattr(source, "base", None)
-    if shard_count is not None and callable(shard_base):
-        findings: list[Finding] = []
-        for shard in range(shard_count):
-            analysis = CorePolicyAnalysis.build(
-                shard_base(shard), probes, shadow_scope=False)
-            findings.extend(REGISTRY.run_domain("policy", analysis))
-        union = _dedupe_policies(source.policies())
-        union_analysis = CorePolicyAnalysis.build(union, probes)
-        findings.extend(check_shadowed(union_analysis))
-        return Report(dedupe_findings(findings))
-    analysis = CorePolicyAnalysis.build(source, probes)
+    """Run every ``policy``-domain rule over a policy base (or any
+    iterable of policies, e.g. a sharded router's ``policies()``)."""
+    analysis = CorePolicyAnalysis.build(policies, probes)
     return Report(REGISTRY.run_domain("policy", analysis))

@@ -182,13 +182,6 @@ def label_all(documents):
     return out
 
 
-def audit_all(evaluator, requests):
-    granted = []
-    for subject, action, path in requests:
-        granted.append(evaluator.decide(subject, action, path))
-    return granted
-
-
 def broadcast_all(documents):
     import copy
     packets = []
@@ -253,8 +246,8 @@ EXPECTED_RULE_IDS = frozenset({
     "INF-CHANNEL", "INF-REDUNDANT",
     "RDF-REIFY", "RDF-CONTAINER",
     "LINT-MUTDEF", "LINT-BAREEXC", "LINT-SWALLOW", "LINT-HASH",
-    "LINT-CHECKRET", "LINT-XPATHLOOP", "LINT-BATCHLOOP",
-    "LINT-HOTCOPY", "LINT-STALECOMPILE", "LINT-BLOCKINGAWAIT",
+    "LINT-CHECKRET", "LINT-XPATHLOOP", "LINT-HOTCOPY",
+    "LINT-STALECOMPILE", "LINT-BLOCKINGAWAIT",
     "LINT-REPLICAREAD", "LINT-FORKSTATE", "LINT-UNFSYNCED",
 })
 

@@ -10,14 +10,16 @@ The pipeline (§3.2's policy bases made cheap to enforce):
 3. :mod:`repro.compile.table` — the flat decision table keyed by
    (path class, action, profile), filled by the interpreter's own
    conflict-resolution code;
-4. :mod:`repro.compile.engine` — the drop-in engine: generation-stamped
-   freshness, recompilation on drift, gateway/serial surfaces;
-5. :mod:`repro.compile.verify` — the static equivalence proof: every
+4. :mod:`repro.compile.verify` — the static equivalence proof: every
    compiled cell replayed through the interpreter on its witness, with
    analysis findings explaining (never masking) disagreements;
-6. :mod:`repro.compile.xmltable` — the Author-X analogue: per-profile
+5. :mod:`repro.compile.xmltable` — the Author-X analogue: per-profile
    label automata over tag chains, verified against the document
    labeller on spine documents.
+
+The table serves through :class:`~repro.snap.policy.EpochalPolicyEngine`:
+every published policy epoch carries its own :class:`CompiledPolicy`,
+so publication is recompilation and a read never checks freshness.
 """
 
 from repro.compile.pathdfa import (
@@ -33,7 +35,6 @@ from repro.compile.table import (
     CompileStats,
     compile_policy_base,
 )
-from repro.compile.engine import CompiledPolicyEngine, EngineStats
 from repro.compile.verify import (
     CellDisagreement,
     CompileVerification,
@@ -59,8 +60,6 @@ __all__ = [
     "CompiledPolicy",
     "CompileStats",
     "compile_policy_base",
-    "CompiledPolicyEngine",
-    "EngineStats",
     "CellDisagreement",
     "CompileVerification",
     "verify_compiled",

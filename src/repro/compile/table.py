@@ -19,9 +19,9 @@ credential profile)``:
 
 Content-dependent policies keep interpreter semantics: a request with a
 payload is resolved per request (its applicable list filtered through
-``applies_to_content``) and never cached, mirroring the serial
-evaluator's rule; payload-free cells evaluate ``condition(None)`` once
-at fill time, exactly as the serial cache does.
+``applies_to_content``) and never cached; payload-free cells evaluate
+``condition(None)`` once at fill time, which equals the interpreter's
+answer as long as conditions are pure functions of the payload.
 
 The artifact is a :class:`~repro.perf.cache.DerivedArtifact`: it
 carries the source generation it was compiled from, and a digest over
@@ -91,8 +91,7 @@ class CompiledPolicy(DerivedArtifact):
         # resolve() never touches the base, only resolution/default;
         # the empty base keeps the resolver free of mutable state.
         self._resolver = PolicyEvaluator(
-            PolicyBase(), resolution=resolution, default=default,
-            audit=None, cache_decisions=False)
+            PolicyBase(), resolution=resolution, default=default)
         self._by_action: dict[Action, tuple[int, ...]] = {}
         for index, policy in enumerate(self.policies):
             self._by_action.setdefault(policy.action, ())

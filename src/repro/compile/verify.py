@@ -3,8 +3,8 @@
 For every *cell* of a compiled artifact — an eagerly explored path
 class (which carries a concrete witness path), a credential-profile
 class of the probe universe (which carries a witness subject), and an
-action — this pass replays the witness request through a fresh,
-cache-free :class:`~repro.core.evaluator.PolicyEvaluator` over the
+action — this pass replays the witness request through a fresh
+:class:`~repro.core.evaluator.PolicyEvaluator` (the interpreter) over the
 source base and statically checks ``table[cell] ==
 interpreter(cell)``, full :class:`~repro.core.evaluator.Decision`
 equality: verdict, determining policy, applicable tuple and reason
@@ -168,8 +168,7 @@ def verify_compiled(artifact: CompiledPolicy, base: PolicyBase,
     probe_list = as_probe_list(
         probes if probes is not None else artifact.probes)
     interpreter = PolicyEvaluator(
-        base, resolution=artifact.resolution, default=artifact.default,
-        audit=None, cache_decisions=False)
+        base, resolution=artifact.resolution, default=artifact.default)
     if actions is None:
         mentioned = {p.action for p in artifact.policies}
         mentioned.add(Action.READ)
@@ -193,7 +192,7 @@ def verify_compiled(artifact: CompiledPolicy, base: PolicyBase,
                 result.cells += 1
                 compiled = artifact.decide_cell(
                     state.state_id, action, profile.mask)
-                interpreted = interpreter.decide(  # lint: allow=LINT-BATCHLOOP
+                interpreted = interpreter.decide(
                     profile.witness, action, witness_path)
                 if compiled == interpreted:
                     continue

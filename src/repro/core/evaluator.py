@@ -14,19 +14,25 @@ the paper builds on:
 
 and two defaults for uncovered requests: CLOSED (deny, conventional DBMS)
 and OPEN (grant, public web content).
+
+:class:`Authorizer` names the one authorization contract.
+:class:`PolicyEvaluator` is its interpreter — cache-free, the oracle;
+the compiled epochal tables behind
+:class:`~repro.gateway.engine.EpochalShardRouter` are its fast path,
+and the two are checked against each other.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Protocol, Sequence
 
 from repro.core.audit import AuditLog
 from repro.core.errors import AccessDenied
 from repro.core.objects import ResourcePath
 from repro.core.policy import Action, Policy, PolicyBase, Sign
 from repro.core.subjects import Subject
-from repro.perf.cache import MISS, GenerationalCache
 
 
 class ConflictResolution(enum.Enum):
@@ -59,8 +65,45 @@ class Decision:
         return self.granted
 
 
+class Authorizer(Protocol):
+    """The authorization contract, with exactly two implementations.
+
+    * :class:`PolicyEvaluator` — the cache-free interpreter: every
+      request re-derives its applicable policies from the base.  It is
+      the oracle every other answer is checked against.
+    * :class:`~repro.gateway.engine.EpochalShardRouter` (and each of its
+      :class:`~repro.snap.policy.EpochalPolicyEngine` shards) — the fast
+      path: every published epoch carries its compiled decision table.
+
+    ``decide_batch(requests)`` equals ``[decide(*r) for r in requests]``
+    — decisions and audit rows, in input order.  A request is a
+    ``(subject, action, path)`` triple, optionally with a payload.
+    """
+
+    def decide(self, subject: Subject, action: Action,
+               path: ResourcePath | str,
+               payload: object = None) -> Decision: ...
+
+    def decide_batch(self, requests: Sequence[tuple]
+                     ) -> list[Decision]: ...
+
+
+def audit_decision(audit: AuditLog, subject: Subject, action: Action,
+                   path: ResourcePath | str, decision: Decision) -> None:
+    """Append one decision to *audit* — the row both implementations
+    write, so their audit trails compare byte for byte."""
+    audit.record(subject=subject.identity.name, action=action.value,
+                 resource=str(ResourcePath(path)),
+                 granted=decision.granted, detail=decision.reason)
+
+
 class PolicyEvaluator:
-    """Evaluates requests against a :class:`PolicyBase`.
+    """Evaluates requests against a :class:`PolicyBase` — the interpreter.
+
+    Nothing is memoised: every :meth:`decide` asks the base for its
+    applicable policies and resolves them, so its cost is the cost of
+    evaluation (what experiments E1 and A3 time) and its answer is the
+    oracle for the compiled path.
 
     Parameters
     ----------
@@ -73,83 +116,31 @@ class PolicyEvaluator:
         Verdict when no policy applies at all.
     audit:
         Optional audit log; every decision is recorded when provided.
-    cache_decisions:
-        When True (default), payload-free decisions are memoized in a
-        generation-stamped cache keyed by (subject, action, path); any
-        policy add/remove invalidates every entry via the policy base's
-        generation counter.  Decisions with a content payload are never
-        cached — content conditions may read arbitrary payload state.
     """
 
     def __init__(self, policy_base: PolicyBase,
                  resolution: ConflictResolution = ConflictResolution.DENY_OVERRIDES,
                  default: DefaultDecision = DefaultDecision.CLOSED,
-                 audit: AuditLog | None = None,
-                 cache_decisions: bool = True) -> None:
+                 audit: AuditLog | None = None) -> None:
         self.policy_base = policy_base
         self.resolution = resolution
         self.default = default
         self.audit = audit
-        # Subject objects hash by identity and SubjectDirectory replaces
-        # (never mutates) them on role/credential change, so the subject
-        # itself is a sound cache key; keeping it in the key also pins it,
-        # ruling out id-recycling aliases.
-        self._decision_cache: GenerationalCache | None = (
-            GenerationalCache(maxsize=4096) if cache_decisions else None)
-
-    @property
-    def decision_cache(self) -> GenerationalCache | None:
-        """The generation-stamped decision cache (None when disabled).
-
-        Exposed so that batch evaluation (:mod:`repro.scale.batch`) can
-        share warm entries with the one-at-a-time path: a decision
-        cached by either path is a hit for the other.
-        """
-        return self._decision_cache
-
-    @property
-    def cache_stats(self) -> dict[str, int | float] | None:
-        """Decision-cache counters, or None when caching is disabled."""
-        if self._decision_cache is None:
-            return None
-        return self._decision_cache.stats.snapshot()
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached decision (generation stamps make this
-        unnecessary for policy changes; exposed for external state such
-        as changed content conditions)."""
-        if self._decision_cache is not None:
-            self._decision_cache.clear()
 
     def decide(self, subject: Subject, action: Action,
                path: ResourcePath | str,
                payload: object = None) -> Decision:
         """Evaluate a request and return the full decision object."""
         path = ResourcePath(path)
-        cache = self._decision_cache if payload is None else None
-        key = stamp = None
-        if cache is not None:
-            key = (subject, action, str(path))
-            stamp = self.policy_base.generation
-            decision = cache.get(key, stamp)
-            if decision is not MISS:
-                self.record(subject, action, path, decision)
-                return decision
-        applicable = self.policy_base.applicable(subject, action, path,
-                                                 payload)
-        decision = self.resolve(applicable)
-        if cache is not None:
-            cache.put(key, stamp, decision)
-        self.record(subject, action, path, decision)
+        decision = self.resolve(self.policy_base.applicable(
+            subject, action, path, payload))
+        if self.audit is not None:
+            audit_decision(self.audit, subject, action, path, decision)
         return decision
 
-    def record(self, subject: Subject, action: Action,
-               path: ResourcePath, decision: Decision) -> None:
-        if self.audit is not None:
-            self.audit.record(
-                subject=subject.identity.name, action=action.value,
-                resource=str(path), granted=decision.granted,
-                detail=decision.reason)
+    def decide_batch(self, requests: Sequence[tuple]) -> list[Decision]:
+        """The serial loop: same decisions, audit rows in input order."""
+        return [self.decide(*request) for request in requests]
 
     def check(self, subject: Subject, action: Action,
               path: ResourcePath | str, payload: object = None) -> bool:
@@ -171,10 +162,10 @@ class PolicyEvaluator:
     def resolve(self, applicable: list[Policy]) -> Decision:
         """Turn the applicable-policy set into a :class:`Decision`.
 
-        Public so that the batch engine (:mod:`repro.scale.batch`) can
-        compute applicable sets its own way and still share this exact
-        conflict-resolution logic — the batch-equivalence contract
-        depends on both paths resolving identically.
+        Public so that the compiled table (:mod:`repro.compile.table`)
+        fills its cells with this exact conflict-resolution logic — the
+        two implementations of :class:`Authorizer` agree because they
+        resolve identically.
         """
         if not applicable:
             granted = self.default is DefaultDecision.OPEN

@@ -178,8 +178,9 @@ class PolicyBase:
         # whose first segment is a glob.
         self._by_head: dict[Action, dict[str, list[Policy]]] = {
             a: {} for a in Action}
-        # Bumped on every add/remove; decision caches stamp entries with
-        # this so a policy change invalidates them in O(1).
+        # Bumped on every add/remove; a compiled table records the value
+        # it was built from, so verifying it against a drifted base
+        # shows the drift.
         self._generation = Generation()
         for policy in policies:
             self.add(policy)
@@ -188,10 +189,6 @@ class PolicyBase:
     def generation(self) -> int:
         """Mutation counter; changes whenever the policy set changes."""
         return self._generation.value
-
-    def add_invalidation_hook(self, hook: Callable[[], None]) -> None:
-        """Call *hook* after every policy add/remove."""
-        self._generation.add_hook(hook)
 
     def __len__(self) -> int:
         return len(self._policies)

@@ -116,9 +116,10 @@ class _Stream:
 
 
 class AsyncRequestGateway:
-    """Multi-tenant asyncio gateway over a batched decision engine.
+    """Multi-tenant asyncio gateway over an authorizer.
 
-    *engine* needs ``decide_batch(triples)`` and optionally
+    *engine* needs ``decide_batch(triples)`` (either implementation of
+    :class:`~repro.core.evaluator.Authorizer`) and optionally
     ``shard_for_path(path)`` (absent → one shard-0 group); *store* is
     an optional snapshot store (``epochs`` + ``pool``, e.g.
     :class:`~repro.snap.xmlstore.SnapshotXmlDatabase`) that enables

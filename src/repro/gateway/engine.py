@@ -1,28 +1,27 @@
-"""Sharded, epoch-published, *compiled* authorization for the gateway.
+"""Sharded, epoch-published, compiled authorization for the gateway.
 
-:class:`EpochalShardRouter` composes the three layers the async
-gateway's pipeline rides on:
+:class:`EpochalShardRouter` is the fast-path implementation of the
+:class:`~repro.core.evaluator.Authorizer` contract (the cache-free
+:class:`~repro.core.evaluator.PolicyEvaluator` is the other, and the
+oracle).  It composes:
 
-* routing — the same literal-head consistent-hash placement as
-  :class:`~repro.scale.engine.ShardedPolicyEngine` (glob-headed
-  policies broadcast to every shard, a path is decided entirely by its
-  head's owner), so ``shard_for_path`` gives the gateway its per-shard
-  fault sites and batch groups;
-* epochs — each shard is an
-  :class:`~repro.snap.policy.EpochalPolicyEngine`: reads pin a
-  published snapshot, writes freeze-and-publish a new epoch, so the
-  event loop never blocks on a writer lock;
-* compilation — with ``compile_policies=True`` (the default) every
-  published shard snapshot carries a
-  :class:`~repro.compile.engine.CompiledPolicyEngine`: admission
-  batches resolve against flat O(1) decision tables, with the
-  interpreter transparently covering residual (content-dependent)
-  cells.
+* routing — a policy whose pattern head is a literal lives on the
+  consistent-hash owner of that head; a glob-headed policy can reach any
+  path, so it is broadcast to every shard; a request is decided entirely
+  by the shard owning its path's head, which by that rule holds exactly
+  the candidates a monolithic policy base would return.
+  ``shard_for_path`` gives the gateway its per-shard fault sites and
+  batch groups;
+* epochs and compilation — each shard is an
+  :class:`~repro.snap.policy.EpochalPolicyEngine`: a write freezes,
+  compiles and publishes a new epoch, a read pins one and looks its
+  answer up in that epoch's decision table, so the event loop never
+  blocks on a writer lock.
 
-Answers are identical to a monolithic serial evaluator over the same
-policies — the sharding equivalence is the scale layer's property, the
-compiled-table equivalence is the compile layer's verified theorem, and
-the gateway chaos battery re-asserts the composition end to end.
+Answers — decisions and audit rows — equal the interpreter's serial loop
+over the same policies; the tier-1 oracles check that across
+resolutions, defaults, payloads and shard counts, and the gateway chaos
+battery re-asserts it end to end.
 """
 
 from __future__ import annotations
@@ -39,9 +38,22 @@ from repro.core.objects import ResourcePath
 from repro.core.policy import Action, Policy
 from repro.core.subjects import Subject
 from repro.perf.cache import MISS, LRUCache
-from repro.scale.engine import is_broadcast, _pattern_head
 from repro.scale.router import ConsistentHashRouter
 from repro.snap.policy import EpochalPolicyEngine
+
+_GLOB_CHARS = "*?["
+
+
+def _pattern_head(policy: Policy) -> str:
+    segments = policy.resource.segments
+    return segments[0] if segments else "**"
+
+
+def is_broadcast(policy: Policy) -> bool:
+    """True when the policy's pattern head is a glob, so the policy can
+    match paths under any head and must live on every shard."""
+    head = _pattern_head(policy)
+    return any(ch in head for ch in _GLOB_CHARS)
 
 
 class EpochalShardRouter:
@@ -51,15 +63,12 @@ class EpochalShardRouter:
                  resolution: ConflictResolution =
                  ConflictResolution.DENY_OVERRIDES,
                  default: DefaultDecision = DefaultDecision.CLOSED,
-                 audit: AuditLog | None = None,
-                 compile_policies: bool = True) -> None:
+                 audit: AuditLog | None = None) -> None:
         self.router = ConsistentHashRouter(shard_count)
         self.shard_count = shard_count
-        self.compile_policies = compile_policies
         self._engines = tuple(
             EpochalPolicyEngine(resolution=resolution, default=default,
-                                audit=audit,
-                                compile_policies=compile_policies)
+                                audit=audit)
             for _ in range(shard_count))
         # Placement depends only on the ring, which is fixed at
         # construction — path->shard answers never go stale, so a
@@ -137,20 +146,11 @@ class EpochalShardRouter:
         return self._engines[shard].decide(subject, action, path, payload)
 
     def decide_batch(self, requests: Sequence[tuple]) -> list[Decision]:
-        """Partition by shard, decide each sub-batch against that
-        shard's pinned snapshot, reassemble in input order."""
-        by_shard: dict[int, list[int]] = {}
-        for index, request in enumerate(requests):
-            by_shard.setdefault(
-                self.shard_for_path(request[2]), []).append(index)
-        results: list[Decision | None] = [None] * len(requests)
-        for shard in sorted(by_shard):
-            indices = by_shard[shard]
-            decisions = self._engines[shard].decide_batch(
-                [requests[i] for i in indices])
-            for index, decision in zip(indices, decisions):
-                results[index] = decision
-        return [d for d in results if d is not None]
+        """The serial loop over :meth:`decide`: decisions and audit rows
+        in input order.  The gateway, which has already grouped a batch
+        by shard, calls ``engine(shard).decide_batch`` instead — one
+        pinned epoch per group."""
+        return [self.decide(*request) for request in requests]
 
     # -- telemetry --------------------------------------------------------
 

@@ -261,12 +261,7 @@ class MulticoreGateway(AsyncRequestGateway):
             self._policy_list = list(policies)
             router = EpochalShardRouter.from_policies(
                 self._policy_list,
-                shard_count=shard_count or max(4, self.worker_count),
-                compile_policies=True)
-        if not router.compile_policies:
-            raise ConfigurationError(
-                "multicore serving requires compile_policies=True: the "
-                "seed handshake verifies compiled-table digests")
+                shard_count=shard_count or max(4, self.worker_count))
         super().__init__(
             router, store, queue_limit=queue_limit,
             high_watermark=high_watermark, low_watermark=low_watermark,
@@ -311,8 +306,7 @@ class MulticoreGateway(AsyncRequestGateway):
             if self._worker_router is None:
                 self._worker_router = EpochalShardRouter.from_policies(
                     self._policy_list,
-                    shard_count=self.router.shard_count,
-                    compile_policies=True)
+                    shard_count=self.router.shard_count)
             for worker_id in range(self.worker_count):
                 worker = ShardWorker(
                     worker_id, self._worker_router,

@@ -38,20 +38,13 @@ from repro.core.policy import Policy
 def shard_digest(engine) -> str:
     """The compiled-table digest of one shard's current epoch.
 
-    *engine* is an :class:`~repro.snap.policy.EpochalPolicyEngine`
-    publishing compiled snapshots; the digest is the
+    *engine* is an :class:`~repro.snap.policy.EpochalPolicyEngine`;
+    the digest is its current snapshot's
     :class:`~repro.compile.table.CompiledPolicy` one — deterministic
     over the policy set, so two processes that agree on it agree on
     every decision.
     """
-    snapshot = engine.current()
-    compiled = getattr(snapshot, "engine", None)
-    current = getattr(compiled, "current", None)
-    if current is None:
-        raise ConfigurationError(
-            "shard engine does not publish compiled snapshots; "
-            "multicore serving requires compile_policies=True")
-    return current().digest
+    return engine.current().table.digest
 
 
 def router_digests(router, shards=None) -> dict[int, str]:

@@ -18,8 +18,9 @@ generalizes that shape into a store-agnostic read path:
   Merkle-subtree caches keyed by shared node identity, so unchanged
   subtrees reuse their bytes across requests *and across epochs*;
 * :mod:`repro.snap.policy` — a persistent policy base whose ``freeze()``
-  is O(1), plus :class:`EpochalPolicyEngine`, a lock-free drop-in for
-  the gateway's ``decide_batch`` engine slot;
+  is O(1), plus :class:`EpochalPolicyEngine`, which compiles every
+  policy epoch it publishes and decides against the pinned epoch's
+  table — the compiled implementation of the authorization contract;
 * :mod:`repro.snap.xmlstore` / :mod:`repro.snap.uddi` — snapshot
   variants of the XML database and UDDI registry;
 * :mod:`repro.snap.dissemination` — packet packaging over snapshots

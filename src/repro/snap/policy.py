@@ -1,4 +1,4 @@
-"""Persistent policy bases and the epoch-published decision engine.
+"""Persistent policy bases and the epoch-published compiled engine.
 
 :class:`SnapshotPolicyBase` keeps the same state as
 :class:`~repro.core.policy.PolicyBase` — an ordered policy sequence plus
@@ -11,27 +11,19 @@ captures the current references into an immutable
 
 :class:`PolicySnapshot` duck-types the evaluator-facing surface of
 ``PolicyBase`` (``candidates`` / ``applicable`` / ``generation`` /
-iteration), so an unmodified
-:class:`~repro.core.evaluator.PolicyEvaluator` and
-:class:`~repro.scale.batch.BatchDecisionEngine` run against it.  Its
-generation is the stamp frozen at capture time and never changes, which
-turns the evaluator's generation-checked decision cache into a pure
-cache: entries computed against a snapshot are valid for that
-snapshot's whole lifetime.
+iteration), so the interpreter
+(:class:`~repro.core.evaluator.PolicyEvaluator`) and the compiler
+(:func:`~repro.compile.table.compile_policy_base`) both run against it.
 
 :class:`EpochalPolicyEngine` ties it to :mod:`repro.snap.epoch`: every
-mutation freezes and publishes a new epoch (whose snapshot carries its
-own evaluator + batch engine), and every read pins the current epoch
-for exactly one decision or batch.  It satisfies the gateway's engine
-contract (``decide_batch``), making the lock-free read path a drop-in
-engine for :class:`~repro.gateway.core.AsyncRequestGateway`.
-
-With ``compile_policies=True`` each published snapshot carries a
-:class:`~repro.compile.engine.CompiledPolicyEngine` instead of the
-interpreting batch engine: the snapshot is immutable, so the compiled
-decision table is fresh for the epoch's whole lifetime and every read
-is an O(1) table lookup.  Recompilation piggybacks on publication —
-there is no drift to detect because a new epoch is a new artifact.
+mutation freezes, compiles and publishes a new epoch, and every read
+pins the current epoch for exactly one decision or batch.  The snapshot
+is immutable, so its :class:`~repro.compile.table.CompiledPolicy` is
+fresh for the epoch's whole lifetime — publication *is* recompilation,
+and a read is a table lookup with no freshness check.  The engine is
+the per-shard half of the compiled
+:class:`~repro.core.evaluator.Authorizer`; its ``decide_batch`` is what
+:class:`~repro.gateway.core.AsyncRequestGateway` calls per shard group.
 """
 
 from __future__ import annotations
@@ -39,19 +31,19 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Iterator, Sequence
 
+from repro.compile.table import CompiledPolicy, compile_policy_base
 from repro.core.audit import AuditLog
 from repro.core.errors import ConfigurationError
 from repro.core.evaluator import (
     ConflictResolution,
     Decision,
     DefaultDecision,
-    PolicyEvaluator,
+    audit_decision,
 )
 from repro.core.objects import ResourcePath
 from repro.core.policy import Action, Policy
 from repro.core.subjects import Subject
 from repro.perf.cache import Generation
-from repro.scale.batch import BatchDecisionEngine
 from repro.snap.epoch import EpochManager
 
 #: action -> head -> tuple of policies (the persistent candidate index).
@@ -85,7 +77,8 @@ class PolicySnapshot:
     Duck-types :class:`~repro.core.policy.PolicyBase` for evaluation;
     mutation methods intentionally do not exist.  ``epoch`` is assigned
     by the :class:`~repro.snap.epoch.EpochManager` at publication;
-    ``evaluator``/``engine`` by :class:`EpochalPolicyEngine`.
+    ``table`` (the snapshot's compiled decision table) by
+    :class:`EpochalPolicyEngine`.
     """
 
     def __init__(self, policies: tuple[Policy, ...],
@@ -94,10 +87,7 @@ class PolicySnapshot:
         self._by_head = by_head
         self._generation = generation
         self.epoch: int | None = None
-        self.evaluator: PolicyEvaluator | None = None
-        #: BatchDecisionEngine, or a CompiledPolicyEngine when the
-        #: owning EpochalPolicyEngine compiles its snapshots.
-        self.engine: object | None = None
+        self.table: CompiledPolicy | None = None
 
     @property
     def generation(self) -> int:
@@ -118,11 +108,6 @@ class PolicySnapshot:
                    payload: object = None) -> list[Policy]:
         return [p for p in self.candidates(action, path)
                 if p.applies(subject, action, path, payload)]
-
-    def close(self) -> None:
-        """Reclamation hook: drop the per-epoch decision cache."""
-        if self.evaluator is not None:
-            self.evaluator.invalidate_cache()
 
     def __repr__(self) -> str:
         return (f"<PolicySnapshot gen={self._generation} "
@@ -202,13 +187,13 @@ class SnapshotPolicyBase:
 
 
 class EpochalPolicyEngine:
-    """Lock-free authorization: reads pin an epoch, writes advance it.
+    """Lock-free compiled authorization: reads pin an epoch, writes
+    advance it.
 
-    Implements the gateway engine contract (``decide_batch``); each
-    published snapshot carries its own :class:`PolicyEvaluator` and
-    :class:`BatchDecisionEngine` so worker threads never contend on
-    writer state, and the per-epoch decision cache is dropped when the
-    epoch is reclaimed.
+    Each published snapshot carries its compiled table, so worker
+    threads never contend on writer state; ``decide``/``decide_batch``
+    read the pinned table directly and record audit rows in the same
+    loop, in request order.
     """
 
     def __init__(self, policies: Iterable[Policy] = (),
@@ -216,32 +201,18 @@ class EpochalPolicyEngine:
                  ConflictResolution.DENY_OVERRIDES,
                  default: DefaultDecision = DefaultDecision.CLOSED,
                  audit: AuditLog | None = None,
-                 epochs: EpochManager | None = None,
-                 compile_policies: bool = False) -> None:
+                 epochs: EpochManager | None = None) -> None:
         self.base = SnapshotPolicyBase(policies)
         self.resolution = resolution
         self.default = default
         self.audit = audit
         self.epochs = epochs if epochs is not None else EpochManager()
-        self.compile_policies = compile_policies
         self._publish()
 
     def _publish(self) -> PolicySnapshot:
         snapshot = self.base.freeze()
-        if self.compile_policies:
-            # The snapshot is immutable, so the compiled table stays
-            # fresh for the epoch's whole lifetime; publication *is*
-            # the recompilation hook.
-            from repro.compile.engine import CompiledPolicyEngine
-
-            snapshot.engine = CompiledPolicyEngine(
-                base=snapshot, resolution=self.resolution,
-                default=self.default, audit=self.audit)
-        else:
-            snapshot.evaluator = PolicyEvaluator(
-                snapshot, resolution=self.resolution,
-                default=self.default, audit=self.audit)
-            snapshot.engine = BatchDecisionEngine(snapshot.evaluator)
+        snapshot.table = compile_policy_base(
+            snapshot, resolution=self.resolution, default=self.default)
         self.epochs.publish(snapshot)
         return snapshot
 
@@ -280,13 +251,19 @@ class EpochalPolicyEngine:
     def decide(self, subject: Subject, action: Action,
                path: ResourcePath | str,
                payload: object = None) -> Decision:
-        with self.epochs.reading() as snapshot:
-            if snapshot.evaluator is not None:
-                return snapshot.evaluator.decide(subject, action, path,
-                                                 payload)
-            return snapshot.engine.decide(subject, action, path,
-                                          payload)
+        return self.decide_batch([(subject, action, path, payload)])[0]
 
     def decide_batch(self, requests: Sequence[tuple]) -> list[Decision]:
+        """Decide every request against one pinned epoch's table;
+        decisions and audit rows in input order."""
+        audit = self.audit
+        decisions: list[Decision] = []
         with self.epochs.reading() as snapshot:
-            return snapshot.engine.decide_batch(requests)
+            decide = snapshot.table.decide
+            for request in requests:
+                decision = decide(*request)
+                decisions.append(decision)
+                if audit is not None:
+                    audit_decision(audit, request[0], request[1],
+                                   request[2], decision)
+        return decisions

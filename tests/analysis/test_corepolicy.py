@@ -11,7 +11,7 @@ from repro.analysis.corepolicy import (
 )
 from repro.core.credentials import anyone, has_role
 from repro.core.policy import Action, PolicyBase, deny, grant
-from repro.scale.engine import ShardedPolicyEngine
+from repro.gateway.engine import EpochalShardRouter
 
 from tests.scale.workloads import random_policies
 
@@ -50,10 +50,9 @@ def test_healthy_base_is_clean():
 @pytest.mark.parametrize("shard_count", [1, 2, 3, 4, 8])
 def test_sharded_report_matches_monolithic(shard_count):
     policies = seeded_defect_policies()
-    engine = ShardedPolicyEngine(shard_count=shard_count)
-    for policy in policies:
-        engine.add(policy)
-    assert finding_keys(analyze_core_policies(engine)) == \
+    router = EpochalShardRouter.from_policies(policies,
+                                              shard_count=shard_count)
+    assert finding_keys(analyze_core_policies(router.policies())) == \
         finding_keys(analyze_core_policies(policies))
 
 
@@ -64,10 +63,9 @@ def test_broadcast_glob_policies_report_once(shard_count):
         grant(has_role("doctor"), Action.READ, "**"),
         deny(anyone(), Action.READ, "**"),
     ]
-    engine = ShardedPolicyEngine(shard_count=shard_count)
-    for policy in policies:
-        engine.add(policy)
-    report = analyze_core_policies(engine)
+    router = EpochalShardRouter.from_policies(policies,
+                                              shard_count=shard_count)
+    report = analyze_core_policies(router.policies())
     conflicts = [f for f in report if f.rule_id == "POL-CONFLICT"]
     assert len(conflicts) == 1
 
@@ -78,11 +76,10 @@ def test_random_bases_are_shard_invariant():
         policies = random_policies(rng, rng.randrange(3, 12))
         monolithic = finding_keys(analyze_core_policies(policies))
         for shard_count in (1, 3, 7):
-            engine = ShardedPolicyEngine(shard_count=shard_count)
-            for policy in policies:
-                engine.add(policy)
-            assert finding_keys(analyze_core_policies(engine)) == \
-                monolithic, shard_count
+            router = EpochalShardRouter.from_policies(
+                policies, shard_count=shard_count)
+            assert finding_keys(analyze_core_policies(
+                router.policies())) == monolithic, shard_count
 
 
 def test_dedupe_findings_keeps_first_order():

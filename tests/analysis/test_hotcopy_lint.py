@@ -79,6 +79,24 @@ class TestHotCopyRule:
             "        keep(copy.deepcopy(d))  # lint: allow=LINT-HOTCOPY\n")
         assert "LINT-HOTCOPY" not in rule_ids(src)
 
+    def test_allow_pragma_is_rule_specific(self):
+        # Waiving a different rule on the line suppresses nothing.
+        src = (
+            "import copy\n"
+            "def f(docs):\n"
+            "    for d in docs:\n"
+            "        keep(copy.deepcopy(d))  # lint: allow=LINT-XPATHLOOP\n")
+        assert "LINT-HOTCOPY" in rule_ids(src)
+
+    def test_allow_pragma_is_line_specific(self):
+        src = (
+            "import copy\n"
+            "def f(docs):\n"
+            "    # lint: allow=LINT-HOTCOPY\n"
+            "    for d in docs:\n"
+            "        keep(copy.deepcopy(d))\n")
+        assert "LINT-HOTCOPY" in rule_ids(src)
+
     def test_src_tree_is_clean(self):
         import pathlib
 

@@ -1,14 +1,12 @@
-"""CompiledPolicyEngine: byte-identical decisions, fresh by generation."""
+"""The compiled path: byte-identical decisions, a new table per epoch."""
 
 from repro.core.audit import AuditLog
 from repro.core.credentials import anyone, has_role
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import Action, PolicyBase, deny, grant
 from repro.analysis.probes import default_probe_subjects
-from repro.compile import (
-    CompiledPolicyEngine,
-    compile_policy_base,
-)
+from repro.compile import compile_policy_base
+from repro.snap.policy import EpochalPolicyEngine
 
 
 def fixture_policies():
@@ -35,9 +33,8 @@ def fixture_requests(subjects):
 
 def test_decisions_identical_to_interpreter():
     policies = fixture_policies()
-    engine = CompiledPolicyEngine(policies)
-    oracle = PolicyEvaluator(PolicyBase(policies),
-                             cache_decisions=False)
+    engine = EpochalPolicyEngine(policies)
+    oracle = PolicyEvaluator(PolicyBase(policies))
     for request in fixture_requests(default_probe_subjects()[:12]):
         assert engine.decide(*request) == oracle.decide(*request)
 
@@ -45,9 +42,8 @@ def test_decisions_identical_to_interpreter():
 def test_decide_batch_matches_serial_and_audits_in_order():
     policies = fixture_policies()
     compiled_audit, serial_audit = AuditLog(), AuditLog()
-    engine = CompiledPolicyEngine(policies, audit=compiled_audit)
-    oracle = PolicyEvaluator(PolicyBase(policies), audit=serial_audit,
-                             cache_decisions=False)
+    engine = EpochalPolicyEngine(policies, audit=compiled_audit)
+    oracle = PolicyEvaluator(PolicyBase(policies), audit=serial_audit)
     requests = fixture_requests(default_probe_subjects()[:8])
     assert engine.decide_batch(requests) == \
         [oracle.decide(*r) for r in requests]
@@ -59,30 +55,21 @@ def test_decide_batch_matches_serial_and_audits_in_order():
 
 
 def test_recompiles_on_mutation_and_stays_correct():
-    engine = CompiledPolicyEngine(fixture_policies())
+    engine = EpochalPolicyEngine(fixture_policies())
     subject = default_probe_subjects()[0]
     first = engine.current()
-    compilations = engine.stats.compilations
     extra = deny(anyone(), Action.READ, "records/r1")
     engine.add_policy(extra)
-    decision = engine.decide(subject, Action.READ, "records/r1")
-    assert engine.stats.compilations == compilations + 1
-    assert not decision.granted
-    assert engine.current() is not first
+    second = engine.current()
+    assert second.epoch == first.epoch + 1
+    assert second.table is not first.table
+    assert second.table.source_generation == engine.base.generation
+    assert not engine.decide(subject, Action.READ, "records/r1").granted
     engine.remove_policy(extra)
-    oracle = PolicyEvaluator(engine.base, cache_decisions=False)
+    assert engine.current().table is not second.table
+    oracle = PolicyEvaluator(engine.base)
     assert engine.decide(subject, Action.READ, "records/r1") == \
         oracle.decide(subject, Action.READ, "records/r1")
-
-
-def test_artifact_dropped_eagerly_by_invalidation_hook():
-    engine = CompiledPolicyEngine(fixture_policies())
-    engine.ensure_fresh()
-    engine.base.add(deny(anyone(), Action.READ, "records/**"))
-    # The hook fires on mutation even when the change bypasses the
-    # engine's own writer API; current() must already recompile.
-    artifact = engine.current()
-    assert artifact.source_generation == engine.base.generation
 
 
 def test_digest_is_deterministic_and_generation_sensitive():
@@ -110,20 +97,6 @@ def test_conditional_cells_are_not_memoized_per_payload():
     artifact.decide(subject, Action.READ, "notes/a")
     artifact.decide(subject, Action.READ, "notes/a")
     assert artifact.stats().cells_filled == cells + 1
-
-
-def test_engine_duck_types_policy_base_surface():
-    policies = fixture_policies()
-    engine = CompiledPolicyEngine(policies)
-    assert len(engine) == len(policies)
-    assert sorted(p.policy_id for p in engine) == \
-        sorted(p.policy_id for p in policies)
-    base = PolicyBase(policies)
-    assert [p.policy_id
-            for p in engine.candidates(Action.READ, "records/r1")] == \
-        [p.policy_id for p in base.candidates(Action.READ,
-                                              "records/r1")]
-    assert engine.generation == engine.base.generation
 
 
 def test_stats_shape():

@@ -127,3 +127,37 @@ class TestEnforceAndAudit:
         ])
         assert ev.check(DOCTOR, Action.READ, "h/x", {"public": True})
         assert not ev.check(DOCTOR, Action.READ, "h/x", {"public": False})
+
+
+class TestEvaluationIsNotMemoised:
+    """The interpreter does the work every time — it is what experiments
+    E1 and A3 time, so a cache hit there would time the cache."""
+
+    def test_each_decide_asks_the_base_once(self):
+        base = PolicyBase([grant(anyone(), Action.READ, "h/**")])
+        calls = []
+        applicable = base.applicable
+
+        def counting(*args):
+            calls.append(args)
+            return applicable(*args)
+
+        base.applicable = counting
+        ev = PolicyEvaluator(base)
+        first = ev.decide(DOCTOR, Action.READ, "h/x")
+        second = ev.decide(DOCTOR, Action.READ, "h/x")
+        assert first == second
+        assert len(calls) == 2
+
+    def test_decide_batch_is_the_serial_loop(self):
+        audit = AuditLog()
+        ev = evaluator([grant(anyone(), Action.READ, "h/**"),
+                        deny(has_role("doctor"), Action.READ, "h/s")],
+                       audit=audit)
+        requests = [(DOCTOR, Action.READ, "h/x"),
+                    (DOCTOR, Action.READ, "h/s"),
+                    (DOCTOR, Action.WRITE, "h/x", {"k": 1})]
+        serial = [ev.decide(*r) for r in requests]
+        assert ev.decide_batch(requests) == serial
+        rows = [(r.resource, r.action, r.granted) for r in audit]
+        assert rows[3:] == rows[:3]

@@ -230,5 +230,4 @@ class TestStreamingChaos:
 def _noop_engine():
     from repro.core.evaluator import PolicyEvaluator
     from repro.core.policy import PolicyBase
-    from repro.scale.batch import BatchDecisionEngine
-    return BatchDecisionEngine(PolicyEvaluator(PolicyBase()))
+    return PolicyEvaluator(PolicyBase())

@@ -1,7 +1,7 @@
-"""Chaos battery for the gateway over the interpreter-backed engine.
+"""Chaos battery for the gateway over the sharded compiled router.
 
 The fail-closed invariant, over ≥50 seeds: every response from the
-gateway over a :class:`ShardedPolicyEngine` under a bounded fault plan
+gateway over an :class:`EpochalShardRouter` under a bounded fault plan
 is either byte-identical to the fault-free run's response for the same
 request, or a *typed* :class:`TransportError` — never a silently wrong
 grant.  Sites are ``gateway:shard<i>`` (``fault_site="gateway"``).
@@ -23,7 +23,7 @@ from repro.core.errors import (
     TransportError,
 )
 from repro.faults import FaultInjector, FaultKind, FaultPlan
-from repro.scale.engine import ShardedPolicyEngine
+from repro.gateway.engine import EpochalShardRouter
 from repro.scale.gateway import Request
 
 from tests.gateway.driver import drive, sync_gateway
@@ -34,11 +34,9 @@ SITES = tuple(f"gateway:shard{i}" for i in range(SHARDS))
 SEEDS = range(60)
 
 
-def build_engine(seed: int) -> ShardedPolicyEngine:
-    engine = ShardedPolicyEngine(shard_count=SHARDS)
-    for policy in random_policies(random.Random(seed), 25):
-        engine.add(policy)
-    return engine
+def build_engine(seed: int) -> EpochalShardRouter:
+    return EpochalShardRouter.from_policies(
+        random_policies(random.Random(seed), 25), shard_count=SHARDS)
 
 
 def workload(seed: int):
@@ -56,7 +54,7 @@ def decision_bytes(decision) -> bytes:
     }, sort_keys=True).encode()
 
 
-def run(engine: ShardedPolicyEngine, requests,
+def run(engine: EpochalShardRouter, requests,
         faults: FaultInjector | None = None, batch_size: int = 8):
     """One deterministic gateway run → per-request outcome list.
 

@@ -6,13 +6,12 @@ from repro.core.errors import ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
 from repro.replica.router import ReplicaRouter
-from repro.scale.batch import BatchDecisionEngine
 
 from tests.gateway.driver import sync_gateway
 
 
 def _engine():
-    return BatchDecisionEngine(PolicyEvaluator(PolicyBase()))
+    return PolicyEvaluator(PolicyBase())
 
 
 def _router():

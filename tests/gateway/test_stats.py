@@ -79,14 +79,12 @@ class TestGatewayRecordsLatency:
     def test_gateway_records_into_the_shared_histogram(self):
         from repro.core.policy import PolicyBase
         from repro.core.evaluator import PolicyEvaluator
-        from repro.scale.batch import BatchDecisionEngine
         from tests.gateway.driver import drive, sync_gateway
         from tests.scale.workloads import random_policies, random_requests
         import random
 
         rng = random.Random(3)
-        engine = BatchDecisionEngine(
-            PolicyEvaluator(PolicyBase(random_policies(rng, 10))))
+        engine = PolicyEvaluator(PolicyBase(random_policies(rng, 10)))
         gateway = sync_gateway(engine)
         assert type(gateway.stats) is GatewayStats
         futures = drive(gateway, random_requests(rng, 20))

@@ -391,5 +391,4 @@ class TestGatewayStreaming:
 def _tiny_engine():
     from repro.core.evaluator import PolicyEvaluator
     from repro.core.policy import PolicyBase
-    from repro.scale.batch import BatchDecisionEngine
-    return BatchDecisionEngine(PolicyEvaluator(PolicyBase()))
+    return PolicyEvaluator(PolicyBase())

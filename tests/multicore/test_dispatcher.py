@@ -65,7 +65,7 @@ def decision_bytes(decision) -> bytes:
 def reference_decisions(policies, requests):
     """What a plain single-process compiled router answers."""
     router = EpochalShardRouter.from_policies(
-        list(policies), shard_count=4, compile_policies=True)
+        list(policies), shard_count=4)
     out = []
     for subject, action, path, payload in requests:
         shard = router.shard_for_path(path)
@@ -75,13 +75,6 @@ def reference_decisions(policies, requests):
 
 
 class TestLifecycle:
-    def test_requires_compiled_router(self):
-        router = EpochalShardRouter.from_policies(
-            random_policies(random.Random(0), 10), shard_count=4,
-            compile_policies=False)
-        with pytest.raises(ConfigurationError):
-            make_gateway(router)
-
     def test_submit_before_start_is_a_configuration_error(self):
         async def scenario():
             gateway = make_gateway(random_policies(random.Random(0), 10))
@@ -114,8 +107,7 @@ class TestSeedHandshake:
         async def scenario():
             policies = random_policies(random.Random(4), 12)
             impostor = EpochalShardRouter.from_policies(
-                random_policies(random.Random(5), 12), shard_count=4,
-                compile_policies=True)
+                random_policies(random.Random(5), 12), shard_count=4)
             gateway = make_gateway(policies, worker_router=impostor)
             with pytest.raises(SeedMismatch):
                 await gateway.start()
@@ -129,7 +121,7 @@ class TestSeedHandshake:
         async def scenario():
             rebuilt = EpochalShardRouter.from_policies(
                 [grant(has_role("doctor"), Action.READ, "hospital/**")],
-                shard_count=4, compile_policies=True)
+                shard_count=4)
             gateway = make_gateway(
                 [grant(has_role("doctor"), Action.READ, "hospital/**")],
                 shard_count=4, worker_router=rebuilt)

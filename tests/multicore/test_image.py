@@ -10,7 +10,6 @@ from repro.multicore.image import (
     PolicyDelta,
     PolicyImage,
     router_digests,
-    shard_digest,
 )
 
 
@@ -23,7 +22,7 @@ def policies():
 def compiled_router(policy_list=None, shard_count=4):
     return EpochalShardRouter.from_policies(
         policy_list if policy_list is not None else policies(),
-        shard_count=shard_count, compile_policies=True)
+        shard_count=shard_count)
 
 
 class TestDigests:
@@ -40,12 +39,6 @@ class TestDigests:
         extra = policies() + [grant(anyone(), Action.READ, "lab/**")]
         assert (router_digests(compiled_router())
                 != router_digests(compiled_router(extra)))
-
-    def test_uncompiled_router_is_a_configuration_error(self):
-        router = EpochalShardRouter.from_policies(
-            policies(), shard_count=4, compile_policies=False)
-        with pytest.raises(ConfigurationError):
-            shard_digest(router.engine(0))
 
     def test_subset_restricts_to_requested_shards(self):
         digests = router_digests(compiled_router(), shards=(1, 3))

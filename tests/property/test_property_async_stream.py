@@ -32,8 +32,7 @@ schedules = st.lists(st.integers(min_value=0, max_value=3),
 def _engine():
     from repro.core.evaluator import PolicyEvaluator
     from repro.core.policy import PolicyBase
-    from repro.scale.batch import BatchDecisionEngine
-    return BatchDecisionEngine(PolicyEvaluator(PolicyBase()))
+    return PolicyEvaluator(PolicyBase())
 
 
 def make_db() -> SnapshotXmlDatabase:

@@ -1,16 +1,23 @@
-"""Property-based test: the compiled policy engine is byte-identical to
-the serial evaluator and the batch engine under random grant/revoke
-interleavings, with recompilation happening between batches."""
+"""Property-based tests: the compiled path is byte-identical to the
+interpreter's serial loop — the epochal engine under random grant/revoke
+interleavings (a new table compiled at every published epoch), and the
+sharded router over random policies, conflict resolutions, defaults,
+payloads and shard counts."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.audit import AuditLog
-from repro.core.evaluator import PolicyEvaluator
+from repro.core.evaluator import (
+    ConflictResolution,
+    DefaultDecision,
+    PolicyEvaluator,
+)
 from repro.core.policy import PolicyBase
-from repro.scale.batch import BatchDecisionEngine
-from repro.compile import CompiledPolicyEngine, verify_compiled
+from repro.compile import verify_compiled
+from repro.gateway.engine import EpochalShardRouter
+from repro.snap.policy import EpochalPolicyEngine
 
 from tests.scale.workloads import random_policies, random_requests
 
@@ -25,43 +32,72 @@ def interleaving(draw):
     return seed, steps
 
 
+def audit_rows(log: AuditLog) -> list[tuple]:
+    return [(r.subject, r.action, r.resource, r.granted, r.detail)
+            for r in log]
+
+
 class TestCompiledEngineEquivalence:
     @given(interleaving())
     @settings(max_examples=40, deadline=None)
-    def test_three_engines_agree_under_mutation(self, case):
+    def test_engines_agree_under_mutation(self, case):
         seed, steps = case
         rng = random.Random(seed)
         base = PolicyBase()
-        serial = PolicyEvaluator(base, cache_decisions=False)
-        batch = BatchDecisionEngine(
-            PolicyEvaluator(base, cache_decisions=False))
-        compiled_audit = AuditLog()
-        compiled = CompiledPolicyEngine(base=base, audit=compiled_audit)
+        serial_audit, compiled_audit = AuditLog(), AuditLog()
+        serial = PolicyEvaluator(base, audit=serial_audit)
+        compiled = EpochalPolicyEngine(audit=compiled_audit)
         live = []
         for step in steps:
             if step == "add":
-                live.append(base.add(random_policies(rng, 1)[0]))
+                policy = base.add(random_policies(rng, 1)[0])
+                compiled.add_policy(policy)
+                live.append(policy)
             elif step == "remove" and live:
-                base.remove(live.pop(rng.randrange(len(live))))
+                policy = live.pop(rng.randrange(len(live)))
+                base.remove(policy)
+                compiled.remove_policy(policy)
             elif step == "batch":
                 requests = random_requests(rng, rng.randrange(1, 12))
                 serial_decisions = [serial.decide(*r) for r in requests]
-                assert batch.decide_batch(requests) == serial_decisions
                 assert compiled.decide_batch(requests) == \
                     serial_decisions
-        # The audit trail of the compiled engine replays the request
-        # stream with the serial evaluator's verdicts and reasons.
-        rows = [(r.granted, r.detail) for r in compiled_audit]
-        assert len(rows) == compiled.stats.decisions
+        # The compiled engine's audit trail replays the request stream
+        # with the serial evaluator's verdicts and reasons.
+        assert audit_rows(compiled_audit) == audit_rows(serial_audit)
 
     @given(st.integers(0, 1 << 30))
     @settings(max_examples=40, deadline=None)
     def test_recompiled_artifact_always_self_verifies(self, seed):
         rng = random.Random(seed)
-        base = PolicyBase(random_policies(rng, rng.randrange(1, 10)))
-        engine = CompiledPolicyEngine(base=base)
+        engine = EpochalPolicyEngine(
+            random_policies(rng, rng.randrange(1, 10)))
         for _ in range(3):
-            verification = verify_compiled(engine.current(), base)
+            verification = verify_compiled(engine.current().table,
+                                           engine.base)
             assert verification.verdict == "proved"
             assert verification.unexplained == 0
-            base.add(random_policies(rng, 1)[0])
+            engine.add_policy(random_policies(rng, 1)[0])
+
+
+class TestRouterEquivalence:
+    @given(st.integers(0, 1 << 30), st.integers(0, 40),
+           st.sampled_from(list(ConflictResolution)),
+           st.sampled_from(list(DefaultDecision)),
+           st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_router_equals_interpreter(self, seed, policy_count,
+                                       resolution, default, shard_count):
+        rng = random.Random(seed)
+        policies = random_policies(rng, policy_count)
+        # random_requests attaches a severity payload to ~20% of them.
+        requests = random_requests(rng, 60)
+        serial_audit, router_audit = AuditLog(), AuditLog()
+        interpreter = PolicyEvaluator(PolicyBase(policies), resolution,
+                                      default, audit=serial_audit)
+        router = EpochalShardRouter.from_policies(
+            policies, shard_count=shard_count, resolution=resolution,
+            default=default, audit=router_audit)
+        assert router.decide_batch(requests) == \
+            [interpreter.decide(*r) for r in requests]
+        assert audit_rows(router_audit) == audit_rows(serial_audit)

@@ -98,9 +98,8 @@ def make_db(tree, capacity) -> SnapshotXmlDatabase:
 def make_gateway(db, faults=None) -> AsyncRequestGateway:
     from repro.core.evaluator import PolicyEvaluator
     from repro.core.policy import PolicyBase
-    from repro.scale.batch import BatchDecisionEngine
     return AsyncRequestGateway(
-        BatchDecisionEngine(PolicyEvaluator(PolicyBase())), store=db,
+        PolicyEvaluator(PolicyBase()), store=db,
         faults=faults, auto_dispatch=False,
         default_tenant=TenantConfig(rate=1e9, burst=1e9))
 

@@ -1,9 +1,12 @@
 """Batch-equivalence property: decide_batch == the serial decide loop.
 
-The contract covers the full Decision (granted, determining policy,
-applicable set, reason), the audit trail, and the decision cache —
-across every conflict-resolution strategy, both defaults, payload
-conditions, and many random workloads.
+Both implementations of the Authorizer contract — the interpreter
+(:class:`PolicyEvaluator`) and the compiled router
+(:class:`EpochalShardRouter`) — must answer a batch exactly as the
+interpreter's one-at-a-time loop does: the full Decision (granted,
+determining policy, applicable set, reason) and the audit trail, across
+every conflict-resolution strategy, both defaults, payload conditions,
+and many random workloads.
 """
 
 import random
@@ -18,14 +21,18 @@ from repro.core.evaluator import (
 )
 from repro.core.policy import Action, PolicyBase, grant
 from repro.datagen.population import generate_population
-from repro.scale.batch import BatchDecisionEngine
+from repro.gateway.engine import EpochalShardRouter
 
 from tests.scale.workloads import random_policies, random_requests
 
 
-def build_base(seed: int, policy_count: int = 40) -> PolicyBase:
-    rng = random.Random(seed)
-    return PolicyBase(random_policies(rng, policy_count))
+def build_policies(seed: int, policy_count: int = 40):
+    return random_policies(random.Random(seed), policy_count)
+
+
+def audit_rows(log: AuditLog) -> list[tuple]:
+    return [(r.subject, r.action, r.resource, r.granted, r.detail)
+            for r in log]
 
 
 class TestBatchEquivalence:
@@ -33,108 +40,73 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("default", list(DefaultDecision))
     def test_batch_equals_sequential(self, resolution, default):
         for seed in range(6):
-            base = build_base(seed)
+            policies = build_policies(seed)
             requests = random_requests(random.Random(1000 + seed), 120)
-            serial = PolicyEvaluator(base, resolution, default)
-            batch = BatchDecisionEngine(
-                PolicyEvaluator(base, resolution, default))
+            serial = PolicyEvaluator(PolicyBase(policies), resolution,
+                                     default)
             expected = [serial.decide(*r) for r in requests]
-            actual = batch.decide_batch(requests)
-            assert actual == expected, f"seed {seed} diverged"
+            interpreter = PolicyEvaluator(PolicyBase(policies),
+                                          resolution, default)
+            router = EpochalShardRouter.from_policies(
+                policies, resolution=resolution, default=default)
+            assert interpreter.decide_batch(requests) == expected, \
+                f"seed {seed} diverged (interpreter)"
+            assert router.decide_batch(requests) == expected, \
+                f"seed {seed} diverged (router)"
 
     def test_many_seeds_default_config(self):
         for seed in range(25):
-            base = build_base(seed, policy_count=25)
+            policies = build_policies(seed, policy_count=25)
             requests = random_requests(random.Random(seed), 80)
-            serial = PolicyEvaluator(base)
-            batch = BatchDecisionEngine(PolicyEvaluator(base))
-            assert batch.decide_batch(requests) == \
+            serial = PolicyEvaluator(PolicyBase(policies))
+            router = EpochalShardRouter.from_policies(policies)
+            assert router.decide_batch(requests) == \
                 [serial.decide(*r) for r in requests], f"seed {seed}"
 
     def test_triples_without_payload_accepted(self):
-        base = build_base(3)
+        policies = build_policies(3)
         requests = [r[:3] for r in
                     random_requests(random.Random(3), 40)]
-        serial = PolicyEvaluator(base)
-        batch = BatchDecisionEngine(PolicyEvaluator(base))
-        assert batch.decide_batch(requests) == \
-            [serial.decide(*r) for r in requests]
+        serial = PolicyEvaluator(PolicyBase(policies))
+        expected = [serial.decide(*r) for r in requests]
+        assert serial.decide_batch(requests) == expected
+        assert EpochalShardRouter.from_policies(policies).decide_batch(
+            requests) == expected
 
     def test_empty_batch(self):
-        engine = BatchDecisionEngine(PolicyEvaluator(build_base(0)))
-        assert engine.decide_batch([]) == []
+        policies = build_policies(0)
+        assert PolicyEvaluator(PolicyBase(policies)).decide_batch([]) == []
+        assert EpochalShardRouter.from_policies(policies).decide_batch(
+            []) == []
 
 
 class TestBatchSideEffects:
     def test_audit_records_match_serial_order(self):
-        base = build_base(7)
+        policies = build_policies(7)
         requests = random_requests(random.Random(7), 60)
-        serial_log, batch_log = AuditLog(), AuditLog()
-        serial = PolicyEvaluator(base, audit=serial_log)
-        batch = BatchDecisionEngine(PolicyEvaluator(base,
-                                                    audit=batch_log))
+        serial_log, batch_log, router_log = (AuditLog(), AuditLog(),
+                                             AuditLog())
+        serial = PolicyEvaluator(PolicyBase(policies), audit=serial_log)
         for request in requests:
             serial.decide(*request)
-        batch.decide_batch(requests)
-        serial_records = [(r.subject, r.action, r.resource, r.granted)
-                          for r in serial_log]
-        batch_records = [(r.subject, r.action, r.resource, r.granted)
-                         for r in batch_log]
-        assert batch_records == serial_records
-
-    def test_batch_fills_the_shared_decision_cache(self):
-        base = build_base(11)
-        evaluator = PolicyEvaluator(base)
-        engine = BatchDecisionEngine(evaluator)
-        requests = [r[:3] for r in
-                    random_requests(random.Random(11), 50)]
-        batched = engine.decide_batch(requests)
-        # The serial path must now hit the cache the batch populated.
-        before = evaluator.cache_stats["hits"]
-        serial = [evaluator.decide(*r) for r in requests]
-        assert serial == batched
-        assert evaluator.cache_stats["hits"] >= before + len(requests)
-
-    def test_batch_consumes_warm_cache_entries(self):
-        base = build_base(13)
-        evaluator = PolicyEvaluator(base)
-        engine = BatchDecisionEngine(evaluator)
-        requests = [r[:3] for r in
-                    random_requests(random.Random(13), 30)]
-        warm = [evaluator.decide(*r) for r in requests]
-        assert engine.decide_batch(requests) == warm
-        assert engine.stats.cache_hits == len(requests)
+        PolicyEvaluator(PolicyBase(policies),
+                        audit=batch_log).decide_batch(requests)
+        EpochalShardRouter.from_policies(
+            policies, audit=router_log).decide_batch(requests)
+        assert audit_rows(batch_log) == audit_rows(serial_log)
+        assert audit_rows(router_log) == audit_rows(serial_log)
 
     def test_policy_mutation_between_batches_invalidates(self):
         directory = generate_population(4, seed=0)
         subject = directory.get("user00000")
         base = PolicyBase()
-        engine = BatchDecisionEngine(PolicyEvaluator(base))
-        triple = (subject, Action.READ, "hospital/records/r1/chart")
-        assert not engine.decide_batch([triple])[0].granted
-        base.add(grant(None, Action.READ, "hospital/**"))
-        assert engine.decide_batch([triple])[0].granted
-
-    def test_payload_decisions_not_cached(self):
-        base = build_base(17)
         evaluator = PolicyEvaluator(base)
-        engine = BatchDecisionEngine(evaluator)
-        requests = [r for r in random_requests(random.Random(17), 60)
-                    if r[3] is not None]
-        assert requests, "workload should include payload requests"
-        engine.decide_batch(requests)
-        engine.decide_batch(requests)
-        assert engine.stats.cache_hits == 0
-
-    def test_amortization_counters(self):
-        base = build_base(19)
-        engine = BatchDecisionEngine(PolicyEvaluator(base))
-        directory = generate_population(10, seed=19)
-        subjects = [directory.get(f"user{i:05d}") for i in range(10)]
-        # 10 subjects x 1 path: one group, resource checks once, and
-        # subject qualification once per (policy, subject) pair.
-        requests = [(s, Action.READ, "hospital/records/r5/chart")
-                    for s in subjects]
-        engine.decide_batch(requests + requests)
-        assert engine.stats.groups == 1
-        assert engine.stats.subject_reuses > 0
+        router = EpochalShardRouter()
+        triple = (subject, Action.READ, "hospital/records/r1/chart")
+        assert not evaluator.decide_batch([triple])[0].granted
+        assert not router.decide_batch([triple])[0].granted
+        policy = grant(None, Action.READ, "hospital/**")
+        base.add(policy)
+        router.add(policy)
+        assert evaluator.decide_batch([triple])[0].granted
+        assert router.decide_batch([triple])[0].granted

@@ -1,10 +1,10 @@
 """Determinism of sharded results: ordering must not depend on shard
 count, insertion order, or dict/set iteration order.
 
-Every scatter-gather merge in :mod:`repro.scale` sorts by a canonical
-key before returning, so a sharded store answers byte-for-byte like its
-monolithic counterpart no matter how the content was spread or in what
-order it arrived.
+Every scatter-gather merge in :mod:`repro.scale` (and the sharded policy
+router) sorts by a canonical key before returning, so a sharded store
+answers byte-for-byte like its monolithic counterpart no matter how the
+content was spread or in what order it arrived.
 """
 
 import random
@@ -13,9 +13,9 @@ import pytest
 
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
+from repro.gateway.engine import EpochalShardRouter
 from repro.relational.authorization import Privilege
 from repro.relational.table import Column, ColumnType, TableSchema
-from repro.scale.engine import ShardedPolicyEngine
 from repro.scale.registry import ShardedUddiRegistry
 from repro.scale.relational import ShardedDatabase
 from repro.scale.xmlstore import ShardedCollection
@@ -34,8 +34,8 @@ class TestEngineInsertionOrder:
         policies = random_policies(rng, 40)
         shuffled = list(policies)
         random.Random(32).shuffle(shuffled)
-        ordered = ShardedPolicyEngine(shard_count=shard_count)
-        scrambled = ShardedPolicyEngine(shard_count=shard_count)
+        ordered = EpochalShardRouter(shard_count=shard_count)
+        scrambled = EpochalShardRouter(shard_count=shard_count)
         for policy in policies:
             ordered.add(policy)
         for policy in shuffled:
@@ -51,7 +51,7 @@ class TestEngineInsertionOrder:
         requests = random_requests(random.Random(35), 60)
         expected = [mono.decide(*r) for r in requests]
         for shard_count in SHARD_COUNTS:
-            engine = ShardedPolicyEngine(shard_count=shard_count)
+            engine = EpochalShardRouter(shard_count=shard_count)
             for policy in policies:
                 engine.add(policy)
             assert engine.decide_batch(requests) == expected
@@ -59,7 +59,7 @@ class TestEngineInsertionOrder:
     def test_policies_listing_is_sorted_and_deduped(self):
         rng = random.Random(36)
         policies = random_policies(rng, 30)
-        engine = ShardedPolicyEngine(shard_count=4)
+        engine = EpochalShardRouter(shard_count=4)
         for policy in reversed(policies):
             engine.add(policy)
         listed = list(engine.policies())

@@ -1,6 +1,7 @@
-"""The gateway over the scale-layer engines — interpreter-backed
-:class:`ShardedPolicyEngine` / :class:`BatchDecisionEngine`: admission
-control, batching, ordering, lifecycle.
+"""The gateway over both Authorizer implementations — the sharded
+compiled :class:`EpochalShardRouter` and the interpreter
+:class:`PolicyEvaluator`: admission control, batching, ordering,
+lifecycle.
 """
 
 import asyncio
@@ -11,8 +12,7 @@ import pytest
 from repro.core.errors import AdmissionRejected, ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
-from repro.scale.batch import BatchDecisionEngine
-from repro.scale.engine import ShardedPolicyEngine
+from repro.gateway.engine import EpochalShardRouter
 from repro.scale.gateway import Request
 
 from tests.gateway.driver import drive, sync_gateway
@@ -22,10 +22,8 @@ from tests.scale.workloads import random_policies, random_requests
 def build_engine(seed=5, shards=4):
     rng = random.Random(seed)
     policies = random_policies(rng, 30)
-    engine = ShardedPolicyEngine(shard_count=shards)
-    for policy in policies:
-        engine.add(policy)
-    return policies, engine
+    return policies, EpochalShardRouter.from_policies(policies,
+                                                      shard_count=shards)
 
 
 def hard_limit(limit):
@@ -72,12 +70,12 @@ class TestSynchronousPipeline:
         assert [f.result() for f in futures] == \
             [mono.decide(*r) for r in requests]
 
-    def test_monolithic_batch_engine_works_too(self):
+    def test_interpreter_works_too(self):
         policies, _ = build_engine(seed=8)
         mono = PolicyEvaluator(PolicyBase(policies))
-        batch = BatchDecisionEngine(PolicyEvaluator(PolicyBase(policies)))
+        interpreter = PolicyEvaluator(PolicyBase(policies))
         requests = random_requests(random.Random(8), 30)
-        futures = drive(sync_gateway(batch), requests)
+        futures = drive(sync_gateway(interpreter), requests)
         assert [f.result() for f in futures] == \
             [mono.decide(*r) for r in requests]
 

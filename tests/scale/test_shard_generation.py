@@ -1,21 +1,24 @@
 """Shard-aware cache generation stamps.
 
 The regression this file pins down: with one global generation counter,
-a policy write anywhere stales every warm decision.  With
+a grant anywhere stales every warm cache entry.  With
 :class:`ShardedGeneration`, a write to shard A bumps only shard A's
-stamp — shard B's warm cache entries keep hitting.
+stamp — shard B's warm entries keep hitting.  The compiled policy path
+keeps the same property by construction: a write republishes (and
+recompiles) only the shards it lands on, so every other shard's warm
+decision table keeps answering.
 """
 
 import pytest
 
-from repro.core.evaluator import PolicyEvaluator
-from repro.core.policy import Action, PolicyBase, grant
+from repro.core.policy import Action, grant
 from repro.datagen.population import generate_population
+from repro.gateway.engine import EpochalShardRouter
 from repro.perf.cache import ShardedGeneration
 from repro.relational.authorization import Privilege
 from repro.relational.table import Column, ColumnType, TableSchema
-from repro.scale.engine import ShardedPolicyEngine
 from repro.scale.relational import ShardedDatabase
+from repro.snap.policy import EpochalPolicyEngine
 
 
 class TestShardedGenerationApi:
@@ -45,66 +48,71 @@ class TestShardedGenerationApi:
         assert fired == [1, 1, 2]
 
 
-def distinct_shard_heads(engine: ShardedPolicyEngine,
+def distinct_shard_heads(router: EpochalShardRouter,
                          count: int) -> list[tuple[int, str]]:
     """(shard, head) pairs landing on *count* different shards."""
     chosen: dict[int, str] = {}
     i = 0
     while len(chosen) < count:
         head = f"zone{i}"
-        shard = engine.shard_for_path(f"{head}/x")
+        shard = router.shard_for_path(f"{head}/x")
         if shard not in chosen:
             chosen[shard] = head
         i += 1
     return list(chosen.items())
 
 
+def table_of(engine: EpochalPolicyEngine):
+    return engine.current().table
+
+
 class TestWarmCacheSurvivesOtherShardWrites:
     def test_engine_write_stales_only_its_own_shard(self):
-        engine = ShardedPolicyEngine(shard_count=4)
+        router = EpochalShardRouter(shard_count=4)
         (shard_a, head_a), (shard_b, head_b) = \
-            distinct_shard_heads(engine, 2)
-        engine.add(grant(None, Action.READ, f"{head_a}/**"))
-        engine.add(grant(None, Action.READ, f"{head_b}/**"))
+            distinct_shard_heads(router, 2)
+        router.add(grant(None, Action.READ, f"{head_a}/**"))
+        router.add(grant(None, Action.READ, f"{head_b}/**"))
         subject = generate_population(2, seed=0).get("user00000")
         path_a, path_b = f"{head_a}/records/r1", f"{head_b}/records/r1"
-        warm_a = engine.decide(subject, Action.READ, path_a)
-        warm_b = engine.decide(subject, Action.READ, path_b)
+        warm_a = router.decide(subject, Action.READ, path_a)
+        warm_b = router.decide(subject, Action.READ, path_b)
 
-        stamps = engine.generations.stamps()
-        engine.add(grant(None, Action.WRITE, f"{head_a}/private/**"))
-        after = engine.generations.stamps()
-        assert after[shard_a] != stamps[shard_a]
-        assert after[shard_b] == stamps[shard_b]
+        table_a = table_of(router.engine(shard_a))
+        table_b = table_of(router.engine(shard_b))
+        filled_b = table_b.stats().cells_filled
+        router.add(grant(None, Action.WRITE, f"{head_a}/private/**"))
+        assert table_of(router.engine(shard_a)) is not table_a
+        assert table_of(router.engine(shard_b)) is table_b
 
-        # Shard B's warm entry survives the shard-A write ...
-        hits_b = engine.evaluator(shard_b).cache_stats["hits"]
-        assert engine.decide(subject, Action.READ, path_b) == warm_b
-        assert engine.evaluator(shard_b).cache_stats["hits"] == hits_b + 1
-        # ... while shard A's own entry was (correctly) staled.
-        hits_a = engine.evaluator(shard_a).cache_stats["hits"]
-        assert engine.decide(subject, Action.READ, path_a) == warm_a
-        assert engine.evaluator(shard_a).cache_stats["hits"] == hits_a
+        # Shard B's warm cell survives the shard-A write ...
+        assert router.decide(subject, Action.READ, path_b) == warm_b
+        assert table_b.stats().cells_filled == filled_b
+        # ... while shard A (correctly) answers from a fresh table.
+        fresh_a = table_of(router.engine(shard_a))
+        assert fresh_a.stats().cells_filled == 0
+        assert router.decide(subject, Action.READ, path_a) == warm_a
+        assert fresh_a.stats().cells_filled == 1
 
     def test_monolithic_contrast_global_stamp_stales_everything(self):
         subject = generate_population(2, seed=0).get("user00000")
-        base = PolicyBase([grant(None, Action.READ, "zone0/**"),
-                           grant(None, Action.READ, "zone1/**")])
-        evaluator = PolicyEvaluator(base)
-        warm = evaluator.decide(subject, Action.READ, "zone1/records/r1")
-        hits = evaluator.cache_stats["hits"]
-        # A write about zone0 — unrelated to the warm zone1 entry.
-        base.add(grant(None, Action.WRITE, "zone0/private/**"))
-        assert evaluator.decide(subject, Action.READ,
-                                "zone1/records/r1") == warm
-        assert evaluator.cache_stats["hits"] == hits  # staled: a miss
+        engine = EpochalPolicyEngine([grant(None, Action.READ, "zone0/**"),
+                                      grant(None, Action.READ, "zone1/**")])
+        warm = engine.decide(subject, Action.READ, "zone1/records/r1")
+        # A write about zone0 — unrelated to the warm zone1 cell.
+        engine.add_policy(grant(None, Action.WRITE, "zone0/private/**"))
+        fresh = table_of(engine)
+        assert fresh.stats().cells_filled == 0
+        assert engine.decide(subject, Action.READ,
+                             "zone1/records/r1") == warm
+        assert fresh.stats().cells_filled == 1  # staled: refilled
 
     def test_broadcast_write_stales_every_shard(self):
-        engine = ShardedPolicyEngine(shard_count=4)
-        stamps = engine.generations.stamps()
-        engine.add(grant(None, Action.READ, "**"))
-        after = engine.generations.stamps()
-        assert all(after[i] != stamps[i] for i in range(4))
+        router = EpochalShardRouter(shard_count=4)
+        tables = [table_of(router.engine(i)) for i in range(4)]
+        router.add(grant(None, Action.READ, "**"))
+        assert all(table_of(router.engine(i)) is not tables[i]
+                   for i in range(4))
 
 
 class TestShardedDatabaseStamps:

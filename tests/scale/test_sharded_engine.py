@@ -1,4 +1,4 @@
-"""Sharding-equivalence property: sharded engine == monolithic evaluator.
+"""Sharding-equivalence property: sharded router == monolithic evaluator.
 
 Routing literal-head policies to the ring owner of their head and
 broadcasting glob-head policies to every shard must leave each request's
@@ -16,16 +16,16 @@ from repro.core.evaluator import (
     PolicyEvaluator,
 )
 from repro.core.policy import PolicyBase, grant
-from repro.scale.engine import ShardedPolicyEngine, is_broadcast
+from repro.gateway.engine import EpochalShardRouter, is_broadcast
 
 from tests.scale.workloads import random_policies, random_requests
 
 
 def build_sharded(policies, shard_count, **kwargs):
-    engine = ShardedPolicyEngine(shard_count=shard_count, **kwargs)
+    router = EpochalShardRouter(shard_count=shard_count, **kwargs)
     for policy in policies:
-        engine.add(policy)
-    return engine
+        router.add(policy)
+    return router
 
 
 class TestShardingEquivalence:
@@ -35,7 +35,8 @@ class TestShardingEquivalence:
             rng = random.Random(seed)
             policies = random_policies(rng, 40)
             mono = PolicyEvaluator(PolicyBase(policies))
-            sharded = build_sharded(policies, shard_count)
+            sharded = EpochalShardRouter.from_policies(
+                policies, shard_count=shard_count)
             for request in random_requests(random.Random(seed), 80):
                 assert sharded.decide(*request) == mono.decide(*request)
 
@@ -45,8 +46,8 @@ class TestShardingEquivalence:
         policies = random_policies(rng, 50)
         mono = PolicyEvaluator(PolicyBase(policies), resolution,
                                DefaultDecision.OPEN)
-        sharded = build_sharded(policies, 4, resolution=resolution,
-                                default=DefaultDecision.OPEN)
+        sharded = EpochalShardRouter.from_policies(
+            policies, resolution=resolution, default=DefaultDecision.OPEN)
         for request in random_requests(random.Random(43), 60):
             assert sharded.decide(*request) == mono.decide(*request)
 
@@ -55,7 +56,7 @@ class TestShardingEquivalence:
             rng = random.Random(seed)
             policies = random_policies(rng, 35)
             mono = PolicyEvaluator(PolicyBase(policies))
-            sharded = build_sharded(policies, 4)
+            sharded = EpochalShardRouter.from_policies(policies)
             requests = random_requests(random.Random(seed + 500), 100)
             assert sharded.decide_batch(requests) == \
                 [mono.decide(*r) for r in requests], f"seed {seed}"
@@ -63,7 +64,7 @@ class TestShardingEquivalence:
     def test_batch_results_align_with_input_order(self):
         rng = random.Random(9)
         policies = random_policies(rng, 30)
-        sharded = build_sharded(policies, 4)
+        sharded = EpochalShardRouter.from_policies(policies)
         requests = random_requests(random.Random(9), 50)
         decisions = sharded.decide_batch(requests)
         assert len(decisions) == len(requests)
@@ -73,44 +74,43 @@ class TestShardingEquivalence:
 
 class TestPolicyPlacement:
     def test_broadcast_policies_live_on_every_shard(self):
-        engine = ShardedPolicyEngine(shard_count=4)
+        router = EpochalShardRouter(shard_count=4)
         glob_policy = grant(None, resource="**")
         literal_policy = grant(None, resource="hospital/records/**")
         assert is_broadcast(glob_policy)
         assert not is_broadcast(literal_policy)
-        assert engine.shards_for_policy(glob_policy) == (0, 1, 2, 3)
-        assert len(engine.shards_for_policy(literal_policy)) == 1
+        assert router.shards_for_policy(glob_policy) == (0, 1, 2, 3)
+        assert len(router.shards_for_policy(literal_policy)) == 1
 
     def test_policies_deduplicates_broadcast(self):
-        engine = ShardedPolicyEngine(shard_count=4)
-        engine.add(grant(None, resource="**"))
-        engine.add(grant(None, resource="hospital/**"))
-        assert len(engine) == 2
+        router = EpochalShardRouter(shard_count=4)
+        router.add(grant(None, resource="**"))
+        router.add(grant(None, resource="hospital/**"))
+        assert len(router) == 2
 
     def test_remove_routes_like_add(self):
         rng = random.Random(21)
         policies = random_policies(rng, 30)
-        engine = build_sharded(policies, 4)
+        router = build_sharded(policies, 4)
         for policy in policies:
-            engine.remove(policy)
-        assert len(engine) == 0
+            router.remove(policy)
+        assert len(router) == 0
         for shard in range(4):
-            assert len(engine.base(shard)) == 0
+            assert len(router.engine(shard).base) == 0
 
-    def test_per_shard_generations_bump_independently(self):
-        engine = ShardedPolicyEngine(shard_count=4)
-        stamps = engine.generations.stamps()
+    def test_per_shard_epochs_advance_independently(self):
+        router = EpochalShardRouter(shard_count=4)
+        epochs = [router.engine(i).current().epoch for i in range(4)]
         policy = grant(None, resource="hospital/records/**")
-        (shard,) = engine.shards_for_policy(policy)
-        engine.add(policy)
-        after = engine.generations.stamps()
-        assert after[shard] != stamps[shard]
-        assert all(after[i] == stamps[i]
-                   for i in range(4) if i != shard)
+        (shard,) = router.shards_for_policy(policy)
+        router.add(policy)
+        after = [router.engine(i).current().epoch for i in range(4)]
+        assert after[shard] != epochs[shard]
+        assert all(after[i] == epochs[i] for i in range(4) if i != shard)
 
-    def test_broadcast_add_bumps_every_shard(self):
-        engine = ShardedPolicyEngine(shard_count=4)
-        stamps = engine.generations.stamps()
-        engine.add(grant(None, resource="**"))
-        after = engine.generations.stamps()
-        assert all(after[i] != stamps[i] for i in range(4))
+    def test_broadcast_add_advances_every_shard(self):
+        router = EpochalShardRouter(shard_count=4)
+        epochs = [router.engine(i).current().epoch for i in range(4)]
+        router.add(grant(None, resource="**"))
+        after = [router.engine(i).current().epoch for i in range(4)]
+        assert all(after[i] != epochs[i] for i in range(4))

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.credentials import anyone, has_role
 from repro.core.errors import ConfigurationError
-from repro.core.policy import Action, deny, grant
+from repro.core.evaluator import PolicyEvaluator
+from repro.core.policy import Action, PolicyBase, deny, grant
 from repro.core.subjects import Role, Subject
-from repro.scale.batch import BatchDecisionEngine
 from repro.snap.policy import EpochalPolicyEngine
 from repro.snap.xmlstore import SnapshotXmlDatabase
 
@@ -73,7 +73,7 @@ class TestSnapshotReadWritePath:
         db = SnapshotXmlDatabase()
         db.create_collection("c")
         db.insert("c", "d1", "<doc><a>1</a></doc>")
-        engine = BatchDecisionEngine(POLICIES)
+        engine = PolicyEvaluator(PolicyBase(POLICIES))
         gateway = sync_gateway(engine, store=db)
 
         before = gateway.read(lambda s: s.serialize("c", "d1"))
@@ -98,7 +98,8 @@ class TestSnapshotReadWritePath:
         db = SnapshotXmlDatabase()
         db.create_collection("c")
         db.insert("c", "d1", "<doc><a>1</a></doc>")
-        gateway = sync_gateway(BatchDecisionEngine(POLICIES), store=db)
+        gateway = sync_gateway(PolicyEvaluator(PolicyBase(POLICIES)),
+                               store=db)
 
         def mutate(store):
             store.set_text("c", "d1", "/doc/a", "2")
@@ -111,7 +112,7 @@ class TestSnapshotReadWritePath:
             lambda s: s.serialize("c", "d1")) == "<doc><a>2</a></doc>"
 
     def test_unconfigured_gateway_raises_typed_errors(self):
-        gateway = sync_gateway(BatchDecisionEngine(POLICIES))
+        gateway = sync_gateway(PolicyEvaluator(PolicyBase(POLICIES)))
         with pytest.raises(ConfigurationError):
             gateway.read(lambda snapshot: snapshot)
         with pytest.raises(ConfigurationError):

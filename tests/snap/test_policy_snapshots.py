@@ -122,23 +122,25 @@ class TestEngineEquivalence:
             NURSE, Action.READ, "hospital/records/ssn").granted
 
     def test_per_epoch_decision_cache_is_pure(self):
-        """A snapshot's generation never changes, so repeat decisions hit
-        the evaluator cache; a write produces a *new* evaluator rather
-        than invalidating the old one."""
+        """A snapshot never changes, so a repeat decision is answered by
+        the cell its table already filled; a write publishes a *new*
+        table rather than invalidating the old one."""
         engine = EpochalPolicyEngine(POLICIES)
-        snapshot = engine.current()
-        engine.decide(DOCTOR, Action.READ, "hospital/lobby")
-        engine.decide(DOCTOR, Action.READ, "hospital/lobby")
-        stats = snapshot.evaluator.cache_stats
-        assert stats["hits"] >= 1
+        table = engine.current().table
+        first = engine.decide(DOCTOR, Action.READ, "hospital/lobby")
+        filled = table.stats().cells_filled
+        assert engine.decide(DOCTOR, Action.READ, "hospital/lobby") == first
+        assert table.stats().cells_filled == filled
         engine.add_policy(grant(anyone(), Action.WRITE, "x"))
-        assert engine.current().evaluator is not snapshot.evaluator
+        assert engine.current().table is not table
+        assert table.decide(DOCTOR, Action.READ, "hospital/lobby") == first
+        assert table.stats().cells_filled == filled
 
     def test_reader_pinning_old_epoch_decides_against_old_policies(self):
         engine = EpochalPolicyEngine(POLICIES[:1])  # read-all only
         with engine.epochs.reading() as pinned:
             engine.add_policy(deny(anyone(), Action.READ, "hospital/x"))
-            assert pinned.evaluator.decide(
+            assert pinned.table.decide(
                 VISITOR, Action.READ, "hospital/x").granted
             assert not engine.decide(
                 VISITOR, Action.READ, "hospital/x").granted

@@ -5,7 +5,6 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
-from repro.scale.batch import BatchDecisionEngine
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.wal.durable import DurableXmlStore
 from repro.wal.vfs import MemVfs
@@ -14,7 +13,7 @@ from tests.gateway.driver import sync_gateway
 
 
 def engine():
-    return BatchDecisionEngine(PolicyEvaluator(PolicyBase()))
+    return PolicyEvaluator(PolicyBase())
 
 
 def durable_store(vfs, **kwargs):
