@@ -30,7 +30,6 @@ from repro.gateway.admission import (
 )
 from repro.gateway.core import AsyncRequestGateway
 from repro.gateway.engine import EpochalShardRouter
-from repro.gateway.resilience import call_with_deadline, retry_async
 from repro.gateway.stats import GatewayStats, LatencyHistogram
 from repro.gateway.streaming import (
     DEFAULT_CHUNK_SIZE,
@@ -54,9 +53,7 @@ __all__ = [
     "Request",
     "TenantConfig",
     "TokenBucket",
-    "call_with_deadline",
     "collect",
-    "retry_async",
     "serialize_pieces",
     "stream_element",
 ]

@@ -32,7 +32,7 @@ chaos battery drive admission on a manual clock with zero flakiness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -100,8 +100,7 @@ class TokenBucket:
         self._tokens = float(burst)
         self._refilled_at = clock()
 
-    def _refill(self) -> None:
-        now = self._clock()
+    def _refill(self, now: float) -> None:
         elapsed = now - self._refilled_at
         if elapsed > 0:
             self._tokens = min(self.burst,
@@ -109,13 +108,14 @@ class TokenBucket:
             self._refilled_at = now
 
     def tokens(self) -> float:
-        self._refill()
+        self._refill(self._clock())
         return self._tokens
 
-    def try_take(self, amount: float = 1.0) -> float | None:
+    def try_take(self, amount: float = 1.0,
+                 now: float | None = None) -> float | None:
         """Consume *amount* tokens; return ``None`` on success or the
         seconds until the bucket could satisfy the request."""
-        self._refill()
+        self._refill(self._clock() if now is None else now)
         if self._tokens >= amount:
             self._tokens -= amount
             return None
@@ -161,7 +161,9 @@ class DeficitRoundRobin:
         return len(self._queues.get(tenant, ()))
 
     def take(self, budget: int) -> list:
-        """Dequeue up to *budget* items fairly across tenants."""
+        """Dequeue up to *budget* items fairly across tenants: one
+        slice per tenant visit, so a deep backlog is shifted once per
+        visit, not once per item."""
         taken: list = []
         if self._pending == 0 or budget <= 0 or not self._ring:
             return taken
@@ -177,13 +179,11 @@ class DeficitRoundRobin:
                 idle_visits += 1
                 continue
             idle_visits = 0
-            self._deficits[tenant] += self._quanta[tenant]
-            while (queue and self._deficits[tenant] > 0
-                    and len(taken) < budget):
-                taken.append(queue.pop(0))
-                self._deficits[tenant] -= 1
-            if not queue:
-                self._deficits[tenant] = 0
+            deficit = self._deficits[tenant] + self._quanta[tenant]
+            count = min(len(queue), deficit, budget - len(taken))
+            taken += queue[:count]
+            del queue[:count]
+            self._deficits[tenant] = deficit - count if queue else 0
         self._pending -= len(taken)
         return taken
 
@@ -233,9 +233,6 @@ class AdmissionController:
             raise ConfigurationError(
                 f"unknown tenant {tenant!r}; register it first") from None
 
-    def tenants(self) -> Iterable[str]:
-        return self._configs.keys()
-
     # -- the admission decision -------------------------------------------
 
     def required_priority(self, depth: int) -> float:
@@ -258,15 +255,18 @@ class AdmissionController:
         span = max(self.queue_limit - floor, 1)
         return (self._max_priority + 1) * (depth - floor) / span
 
-    def admit(self, tenant: str, depth: int,
-              drain_rate: float = 0.0, amount: float = 1.0) -> None:
+    def admit(self, tenant: str, depth: int, amount: float = 1.0, *,
+              now: float | None = None,
+              drain_rate: Callable[[float], float] | None = None) -> None:
         """Admit *amount* requests for *tenant* given *depth* pending,
-        or raise the typed refusal.  ``drain_rate`` (requests/s served
-        recently) scales the watermark Retry-After hint; ``amount``
-        is what one decision admits as a unit (batch admission): it
-        must fit under the hard queue bound whole and charges that
-        many bucket tokens at once."""
-        config = self.config(tenant)
+        or raise the typed refusal.  ``amount`` is what one decision
+        admits as a unit (batch admission): it must fit under the hard
+        queue bound whole and charges that many bucket tokens at once.
+        ``drain_rate(now)`` (requests/s served recently) is called only
+        to scale a watermark refusal's Retry-After hint."""
+        config = self._configs.get(tenant) or self.config(tenant)
+        if now is None:
+            now = self.clock()
         if depth + amount > self.queue_limit:
             raise AdmissionRejected(
                 f"admission queue full ({depth} pending + {amount:g} "
@@ -275,17 +275,18 @@ class AdmissionController:
             self._shedding = False
         elif not self._shedding and depth >= self.high_watermark:
             self._shedding = True
-        required = self.required_priority(depth)
-        if config.priority < required:
-            excess = depth - self.low_watermark
-            retry_after = (excess / drain_rate if drain_rate > 0
-                           else 0.05)
-            raise Overloaded(
-                f"queue depth {depth} sheds priority "
-                f"{config.priority} (< {required:.2f}) for tenant "
-                f"{tenant!r}", retry_after=min(retry_after, 5.0),
-                reason="watermark")
-        wait = self._buckets[tenant].try_take(amount)
+        if depth > self.low_watermark:     # else nothing is shed
+            required = self.required_priority(depth)
+            if config.priority < required:
+                rate = drain_rate(now) if drain_rate is not None else 0.0
+                excess = depth - self.low_watermark
+                retry_after = excess / rate if rate > 0 else 0.05
+                raise Overloaded(
+                    f"queue depth {depth} sheds priority "
+                    f"{config.priority} (< {required:.2f}) for tenant "
+                    f"{tenant!r}", retry_after=min(retry_after, 5.0),
+                    reason="watermark")
+        wait = self._buckets[tenant].try_take(amount, now)
         if wait is not None:
             raise Overloaded(
                 f"tenant {tenant!r} exceeded its admission rate "
@@ -295,6 +296,3 @@ class AdmissionController:
     @property
     def shedding(self) -> bool:
         return self._shedding
-
-    def bucket(self, tenant: str) -> TokenBucket:
-        return self._buckets[tenant]

@@ -1,7 +1,7 @@
 """The one serving pipeline: admission → tick batches → streaming.
 
 :class:`AsyncRequestGateway` is the only implementation of the tenant
-registry, admission, the deficit-round-robin dispatch loop, queue-wait
+registry, admission, the deficit-round-robin per-batch tick, queue-wait
 accounting, the fault → typed-error mapping, streaming, the snapshot
 read/write path and the replica path.  The process tier
 (:class:`~repro.multicore.dispatcher.MulticoreGateway`) subclasses it
@@ -13,16 +13,17 @@ and overrides only what a process boundary changes.  Its contracts:
   queue-depth watermark shed this priority tier; carries Retry-After)
   below the hard limit, :class:`~repro.core.errors.AdmissionRejected`
   at it.  Nothing ever waits for queue space;
-* **authorization is batched per tick** — a dispatcher task wakes when
-  work arrives, yields once so every submitter racing this tick lands
-  in the same batch, dequeues fairly across tenants (deficit round
-  robin) and hands the batch to :meth:`_decide` — the per-*batch*
-  override point — which groups by shard and resolves each group
-  through the engine's ``decide_batch``, against compiled epoch
-  snapshots when the engine is an
-  :class:`~repro.gateway.engine.EpochalShardRouter`.  Groups are
-  separated by ``await asyncio.sleep(0)`` so a large batch never
-  monopolizes the loop;
+* **authorization is batched per tick** — the first submit into an
+  idle gateway schedules one loop callback, the *tick*; every submitter
+  that runs before it lands in its batch.  The tick dequeues one batch
+  fairly across tenants (deficit round robin), accounts it, and hands
+  it to :meth:`_decide` — the per-*batch* override point — which
+  groups by shard and resolves every group inline through the engine's
+  ``decide_batch``, against compiled epoch snapshots when the engine
+  is an :class:`~repro.gateway.engine.EpochalShardRouter`.  If work
+  remains the tick schedules itself again: one loop turn between
+  batches and none inside one, so ``batch_size`` bounds how long a
+  backlog holds the loop;
 * **dissemination streams** — :meth:`stream` pins the store epoch *at
   admission* and serves chunked canonical bytes from interned snapshot
   fragments, interning what it serializes; writers publish freely
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import AsyncIterator, Callable, Iterator, Sequence
+from typing import AsyncIterator, Awaitable, Callable, Iterator, Sequence
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -170,8 +171,9 @@ class AsyncRequestGateway:
         self._known_tenants: set[str] = set()
         self.stats = GatewayStats()
         self._drr = DeficitRoundRobin()
-        self._wake = asyncio.Event()
-        self._dispatcher: asyncio.Task | None = None
+        # A tick is scheduled, running, or has a batch in flight.
+        self._ticking = False
+        self._inflight: asyncio.Task | None = None
         self._closing = False
         self._started_at = clock()
         self._pool = getattr(store, "pool", None)
@@ -182,12 +184,13 @@ class AsyncRequestGateway:
         # calls are synchronous and bounded, so they run inline on the
         # loop like the snapshot read/write path does.
         self.replicas = replicas
+        self._shard_for_path = getattr(engine, "shard_for_path", None)
         # Routers exposing per-shard engines (EpochalShardRouter) let
         # the already-grouped batch skip the router's own re-partition
         # — decide_batch goes straight to the shard's engine.
         self._shard_engine = (
             engine.engine
-            if hasattr(engine, "shard_for_path")
+            if self._shard_for_path is not None
             and callable(getattr(engine, "engine", None)) else None)
 
     # -- tenants -----------------------------------------------------------
@@ -204,29 +207,27 @@ class AsyncRequestGateway:
         self._known_tenants.add(tenant)
         return config
 
-    def _ensure_tenant(self, tenant: str) -> None:
-        if tenant not in self._known_tenants:
-            self.register(tenant)
-
     # -- admission (never blocks) ------------------------------------------
 
-    def _admit(self, tenant: str, amount: float = 1.0) -> None:
+    def _admit(self, tenant: str, amount: float = 1.0) -> float:
         """Charge *tenant* one admission decision worth *amount*
-        requests, or raise the typed refusal."""
+        requests, or raise the typed refusal.  Returns the clock
+        reading admission used: the requests' submit time."""
         if self._closing:
             raise AdmissionRejected("gateway is shutting down")
-        self._ensure_tenant(tenant)
+        if tenant not in self._known_tenants:
+            self.register(tenant)
+        now = self.clock()
         try:
-            self.admission.admit(tenant, self._drr.pending(),
-                                 self._drain_rate(), amount=amount)
+            self.admission.admit(tenant, self._drr.pending(), amount,
+                                 now=now, drain_rate=self._drain_rate)
         except Overloaded:
-            with self.stats._lock:
-                self.stats.shed += 1
+            self.stats.shed += 1
             raise
         except AdmissionRejected:
-            with self.stats._lock:
-                self.stats.rejected += 1
+            self.stats.rejected += 1
             raise
+        return now
 
     def submit_nowait(self, tenant: str, request) -> asyncio.Future:
         """Admit *request* for *tenant* or raise the typed refusal.
@@ -234,15 +235,14 @@ class AsyncRequestGateway:
         Returns a future resolving to the :class:`Decision` (or the
         typed transport error a fault converted its batch into).
         """
-        self._admit(tenant)
-        future = asyncio.get_running_loop().create_future()
-        self._drr.push(tenant, (request, future, self.clock()))
-        with self.stats._lock:
-            self.stats.admitted += 1
-        self._wake.set()
-        if self.auto_dispatch and self._dispatcher is None:
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._dispatch_loop(), name="gateway-dispatcher")
+        now = self._admit(tenant)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._drr.push(tenant, (request, future, now))
+        self.stats.admitted += 1
+        if not self._ticking and self.auto_dispatch:
+            self._ticking = True
+            loop.call_soon(self._tick, loop)
         return future
 
     def submit_batch_nowait(self, tenant: str,
@@ -253,20 +253,17 @@ class AsyncRequestGateway:
         admission over closed-loop batches."""
         if not requests:
             raise ConfigurationError("empty batch")
-        self._admit(tenant, amount=float(len(requests)))
+        now = self._admit(tenant, amount=float(len(requests)))
         loop = asyncio.get_running_loop()
         futures = [loop.create_future() for _ in requests]
-        now = self.clock()
         for request, future in zip(requests, futures):
             self._drr.push(tenant, (request, future, now))
-        with self.stats._lock:
-            self.stats.admitted += len(requests)
+        self.stats.admitted += len(requests)
         # Same wake-up as submit_nowait, repeated here rather than
         # shared so the per-request path pays for no extra call.
-        self._wake.set()
-        if self.auto_dispatch and self._dispatcher is None:
-            self._dispatcher = loop.create_task(
-                self._dispatch_loop(), name="gateway-dispatcher")
+        if not self._ticking and self.auto_dispatch:
+            self._ticking = True
+            loop.call_soon(self._tick, loop)
         return asyncio.gather(*futures)
 
     async def submit(self, tenant: str, request) -> Decision:
@@ -276,61 +273,90 @@ class AsyncRequestGateway:
     def pending(self) -> int:
         return self._drr.pending()
 
-    def _drain_rate(self) -> float:
-        """Requests/s served since construction — the denominator of
-        the watermark Retry-After hint.  Cumulative on purpose: it is
-        deterministic under a manual clock and smooth under a real one.
-        """
-        elapsed = max(self.clock() - self._started_at, 1e-3)
+    def _drain_rate(self, now: float) -> float:
+        """Requests/s served from construction to *now* — the
+        denominator of the watermark Retry-After hint.  Cumulative on
+        purpose: it is deterministic under a manual clock and smooth
+        under a real one."""
+        elapsed = max(now - self._started_at, 1e-3)
         return self.stats.completed / elapsed
 
-    # -- the dispatcher ----------------------------------------------------
+    # -- the tick ----------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self._drr.pending() == 0:
-                if self._closing:
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            # One yield per tick: every submitter already scheduled on
-            # this loop iteration enqueues before we cut the batch.
-            await asyncio.sleep(0)
-            batch = self._drr.take(self.batch_size)
-            if batch:
-                await self._evaluate(batch)
+    def _tick(self, loop: asyncio.AbstractEventLoop) -> None:
+        """One loop callback per batch: cut a DRR batch and decide it,
+        then schedule the next tick while work remains.  A batch whose
+        :meth:`_decide` left a coroutine running is the one batch in
+        flight; the next tick runs when it lands."""
+        # Once closing, close() owns whatever is still queued.
+        batch = [] if self._closing else self._drr.take(self.batch_size)
+        if not batch:
+            self._ticking = False
+            return
+        running = self._run(batch)
+        if running is not None:
+            self._inflight = loop.create_task(running)
+            self._inflight.add_done_callback(self._landed)
+        elif self._drr.pending():
+            loop.call_soon(self._tick, loop)
+        else:
+            self._ticking = False
 
-    def _shard_of(self, request) -> int:
-        shard_for_path = getattr(self.engine, "shard_for_path", None)
-        if shard_for_path is None:
-            return 0
-        return shard_for_path(request.path)
+    def _landed(self, task: asyncio.Task) -> None:
+        self._inflight = None
+        self._tick(task.get_loop())
 
-    async def _evaluate(self, batch: list) -> None:
-        """Account one dequeued batch's queue wait, then decide it."""
-        dequeued_at = self.clock()
-        with self.stats._lock:
-            self.stats.batches += 1
-            queue_wait = self.stats.stage("queue_wait")
-            for _, _, submitted_at in batch:
-                wait = dequeued_at - submitted_at
-                self.stats.queue_wait_s += wait
-                queue_wait.record(wait)
-        await self._decide(batch)
+    def _run(self, batch: list) -> Awaitable | None:
+        """Account one dequeued batch's queue wait, then decide it: the
+        one per-batch step of the tick, :meth:`process_pending` and
+        :meth:`close`.  Returns what :meth:`_decide` left running (a
+        failure fails the batch closed), or ``None``."""
+        now = self.clock()
+        waits = [now - submitted_at for _, _, submitted_at in batch]
+        stats = self.stats
+        stats.batches += 1
+        stats.queue_wait_s += sum(waits)
+        stats.stage("queue_wait").record_many(waits)
+        try:
+            running = self._decide(batch)
+        except Exception as error:
+            self._fail_unresolved(batch, error)
+            return None
+        return None if running is None else self._settle(batch, running)
 
-    async def _decide(self, batch: list) -> None:
+    async def _settle(self, batch: list, running: Awaitable) -> None:
+        try:
+            await running
+        except Exception as error:
+            self._fail_unresolved(batch, error)
+
+    def _fail_unresolved(self, batch: list, error: Exception) -> None:
+        """A :meth:`_decide` that raised: every future it left pending
+        fails closed with its error."""
+        unresolved = [future for _, future, _ in batch if not future.done()]
+        self.stats.failed += len(unresolved)
+        for future in unresolved:
+            future.set_exception(error)
+
+    def _decide(self, batch: list) -> Awaitable | None:
         """Resolve every future of one dequeued batch: group by shard,
-        decide each group.  The override point of the process tier —
-        per batch, so a subclass costs the per-request paths nothing."""
+        decide each group inline, return ``None``.  The override point
+        of the process tier, which returns the coroutine that resolves
+        them instead — per batch, so a subclass costs the per-request
+        paths nothing."""
+        shard_for_path = self._shard_for_path
         groups: dict[int, list] = {}
-        for request, future, submitted_at in batch:
-            groups.setdefault(self._shard_of(request), []).append(
-                (request, future, submitted_at))
+        if shard_for_path is None:
+            groups[0] = batch
+        else:
+            for entry in batch:
+                groups.setdefault(shard_for_path(entry[0].path),
+                                  []).append(entry)
 
+        stats = self.stats
         for shard in sorted(groups):
             group = groups[shard]
-            error = self._fault_for(f"{self.fault_site}:shard{shard}")
+            error = self._fault_for("shard", shard)
             if error is None:
                 started = self.clock()
                 decide_batch = (
@@ -344,34 +370,32 @@ class AsyncRequestGateway:
                     error = exc
                 else:
                     finished = self.clock()
-                    with self.stats._lock:
-                        self.stats.evaluate_s += finished - started
-                        self.stats.completed += len(group)
-                        self.stats.stage("evaluate").record(
-                            finished - started)
-                        for _, _, submitted_at in group:
-                            self.stats.latency.record(
-                                finished - submitted_at)
+                    stats.evaluate_s += finished - started
+                    stats.completed += len(group)
+                    stats.stage("evaluate").record(finished - started)
+                    stats.latency.record_many(
+                        [finished - submitted_at
+                         for _, _, submitted_at in group])
                     for (_, future, _), decision in zip(group, decisions):
                         if not future.done():
                             future.set_result(decision)
             if error is not None:
-                with self.stats._lock:
-                    self.stats.failed += len(group)
+                stats.failed += len(group)
                 for _, future, _ in group:
                     if not future.done():
                         future.set_exception(error)
-            # Hand the loop back between shard groups: submitters and
-            # stream consumers interleave with a long batch.
-            await asyncio.sleep(0)
+        return None
 
-    def _fault_for(self, site: str) -> Exception | None:
-        """Step the injector at *site*; worst event wins.  DELAY has
-        already charged the fault clock inside ``step``; DUPLICATE is
-        harmless for read-only work.  CRASH is the only kind that maps
-        to :class:`ReplicaUnavailable`."""
+    def _fault_for(self, where: str,
+                   index: int | str = "") -> Exception | None:
+        """Step the injector at ``<fault_site>:<where><index>`` (named
+        only when there is one); worst event wins.  DELAY has already
+        charged the fault clock inside ``step``; DUPLICATE is harmless
+        for read-only work.  CRASH is the only kind that maps to
+        :class:`ReplicaUnavailable`."""
         if self.faults is None:
             return None
+        site = f"{self.fault_site}:{where}{index}"
         events = self.faults.step(site)
         for kind in _FAULT_ORDER:
             if any(event.kind is kind for event in events):
@@ -387,9 +411,9 @@ class AsyncRequestGateway:
         processed = 0
         while self._drr.pending():
             batch = self._drr.take(self.batch_size)
-            if not batch:
-                break
-            await self._evaluate(batch)
+            running = self._run(batch)
+            if running is not None:
+                await running
             processed += len(batch)
         return processed
 
@@ -437,7 +461,7 @@ class AsyncRequestGateway:
             yield ""  # where _Stream parks it: the finally is now armed
             for chunk in chunked(serialize_pieces(root, self._pool),
                                  chunk_size):
-                error = self._fault_for(f"{self.fault_site}:stream")
+                error = self._fault_for("stream")
                 if error is not None:
                     # Fail closed: a typed error, never garbled bytes.
                     raise error
@@ -529,12 +553,11 @@ class AsyncRequestGateway:
     # -- lifecycle ---------------------------------------------------------
 
     async def close(self, drain: bool = True) -> None:
-        """Stop admitting; by default finish what was admitted."""
+        """Stop admitting; by default finish what was admitted.  A batch
+        already in flight lands first."""
         self._closing = True
-        self._wake.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
+        if self._inflight is not None:
+            await self._inflight
         if drain:
             await self.process_pending()
         else:

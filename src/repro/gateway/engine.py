@@ -26,6 +26,7 @@ battery re-asserts it end to end.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.audit import AuditLog
@@ -37,7 +38,6 @@ from repro.core.evaluator import (
 from repro.core.objects import ResourcePath
 from repro.core.policy import Action, Policy
 from repro.core.subjects import Subject
-from repro.perf.cache import MISS, LRUCache
 from repro.scale.router import ConsistentHashRouter
 from repro.snap.policy import EpochalPolicyEngine
 
@@ -56,6 +56,12 @@ def is_broadcast(policy: Policy) -> bool:
     return any(ch in head for ch in _GLOB_CHARS)
 
 
+def _place(ring: ConsistentHashRouter, path: ResourcePath | str) -> int:
+    """The shard owning *path*'s head on *ring*."""
+    parsed = ResourcePath(path)
+    return ring.shard_for(parsed.segments[0] if parsed.segments else "")
+
+
 class EpochalShardRouter:
     """N compiled epochal policy engines behind one gateway surface."""
 
@@ -72,20 +78,13 @@ class EpochalShardRouter:
             for _ in range(shard_count))
         # Placement depends only on the ring, which is fixed at
         # construction — path->shard answers never go stale, so a
-        # plain LRU memo elides the sha256 ring walk on hot paths.
-        self._shard_memo = LRUCache(maxsize=65536)
+        # lock-free C memo elides the path parse and the sha256 ring
+        # walk on hot paths.  It holds the ring, not this router, so a
+        # dropped router is freed at once rather than by the collector.
+        self.shard_for_path = lru_cache(maxsize=65536)(
+            partial(_place, self.router))
 
     # -- routing ----------------------------------------------------------
-
-    def shard_for_path(self, path: ResourcePath | str) -> int:
-        text = str(path)
-        shard = self._shard_memo.get(text)
-        if shard is MISS:
-            parsed = ResourcePath(path)
-            head = parsed.segments[0] if parsed.segments else ""
-            shard = self.router.shard_for(head)
-            self._shard_memo.put(text, shard)
-        return shard
 
     def shards_for_policy(self, policy: Policy) -> tuple[int, ...]:
         if is_broadcast(policy):

@@ -16,8 +16,13 @@ resolve into distinct buckets rather than collapsing into one.
 Recording is O(log buckets) with no allocation; percentile reads walk
 the cumulative counts and report the bucket's upper bound — a
 deliberate overestimate, so a reported p99 is a bound the real p99
-respects.  That makes it safe to share between worker threads under the
-stats lock and cheap enough to charge on *every* request.
+respects.  A batch (or shard group) records its samples in one
+:meth:`LatencyHistogram.record_many` call.
+
+Admission and tick counters are written only on the event-loop thread,
+so they take no lock; ``GatewayStats._lock`` guards what ``read``,
+``write``, the replica path and streams may write from another thread,
+and :meth:`GatewayStats.snapshot`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Sequence
 
 #: Smallest resolvable latency (seconds): one microsecond.
 _FLOOR_S = 1e-6
@@ -64,12 +70,20 @@ class LatencyHistogram:
         self._sum = 0.0
 
     def record(self, seconds: float) -> None:
-        if seconds < 0.0:
-            seconds = 0.0
-        index = min(bisect_left(_BOUNDS, seconds), _BUCKETS - 1)
-        self._counts[index] += 1
-        self._count += 1
-        self._sum += seconds
+        self.record_many((seconds,))
+
+    def record_many(self, samples: Sequence[float]) -> None:
+        """``for s in samples: record(s)`` in one call: the same counts,
+        and the same sum, added in the same order."""
+        counts, total = self._counts, self._sum
+        for seconds in samples:
+            if seconds < 0.0:
+                seconds = 0.0
+            # Searching all but the last bound saturates into the last.
+            counts[bisect_left(_BOUNDS, seconds, 0, _BUCKETS - 1)] += 1
+            total += seconds
+        self._count += len(samples)
+        self._sum = total
 
     @property
     def count(self) -> int:
@@ -110,7 +124,8 @@ class LatencyHistogram:
 @dataclass
 class GatewayStats:
     """Per-stage counters + latency percentiles; ``snapshot()`` is what
-    the benches record.  Shared by every serving front end."""
+    the benches record.  Shared by every serving front end; see the
+    module docstring for which writes take ``_lock``."""
 
     admitted: int = 0
     rejected: int = 0
@@ -134,14 +149,11 @@ class GatewayStats:
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
 
-    def record_latency(self, seconds: float) -> None:
-        with self._lock:
-            self.latency.record(seconds)
-
     def stage(self, name: str) -> LatencyHistogram:
         """Histogram for a named pipeline stage, created on first use.
-        Not locked — callers already inside ``with stats._lock`` blocks
-        use this directly; external callers use :meth:`record_stage`."""
+        Not locked — the loop thread and callers already inside ``with
+        stats._lock`` use this directly; other threads use
+        :meth:`record_stage`."""
         histogram = self.stages.get(name)
         if histogram is None:
             histogram = self.stages[name] = LatencyHistogram()

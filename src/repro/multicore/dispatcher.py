@@ -3,7 +3,7 @@
 :class:`MulticoreGateway` is the process tier of the one serving
 pipeline: a subclass of
 :class:`~repro.gateway.core.AsyncRequestGateway` that inherits the
-tenant registry, admission, the DRR dispatch loop, queue-wait
+tenant registry, admission, the DRR per-batch tick, queue-wait
 accounting, the fault → typed-error mapping, dispatcher-local
 streaming, ``read``/``write`` and ``close``, and overrides only what a
 process boundary changes — how one dequeued batch is decided, remote
@@ -355,19 +355,21 @@ class MulticoreGateway(AsyncRequestGateway):
 
     # -- admission ---------------------------------------------------------
 
-    def _admit(self, tenant: str, amount: float = 1.0) -> None:
+    def _admit(self, tenant: str, amount: float = 1.0) -> float:
         if not self._started:
             raise ConfigurationError(
                 "gateway not started; call await gateway.start() first")
-        super()._admit(tenant, amount)
+        return super()._admit(tenant, amount)
 
     # -- deciding one batch across the process boundary --------------------
 
     async def _decide(self, batch: list) -> None:
-        """Group one dequeued batch by owning worker; one frame each."""
+        """Group one dequeued batch by owning worker; one frame each.
+        A coroutine: the tick runs it as the one batch in flight."""
         groups: dict[int, list] = {}
+        shard_for_path = self._shard_for_path
         for request, future, submitted_at in batch:
-            shard = self.router.shard_for_path(request.path)
+            shard = shard_for_path(request.path)
             groups.setdefault(self.worker_for_shard(shard), []).append(
                 (shard, request, future, submitted_at))
 
@@ -416,21 +418,19 @@ class MulticoreGateway(AsyncRequestGateway):
                     acked.update(new_subjects)
                     eval_s = reply[4]
                     finished = self.clock()
-                    with self.stats._lock:
-                        self.stats.evaluate_s += eval_s
-                        self.stats.completed += len(group)
-                        self.stats.stage("evaluate").record(eval_s)
-                        self.stats.stage("ipc").record(
-                            max(wall - eval_s, 0.0))
-                        for _, _, _, submitted_at in group:
-                            self.stats.latency.record(
-                                finished - submitted_at)
+                    stats = self.stats
+                    stats.evaluate_s += eval_s
+                    stats.completed += len(group)
+                    stats.stage("evaluate").record(eval_s)
+                    stats.stage("ipc").record(max(wall - eval_s, 0.0))
+                    stats.latency.record_many(
+                        [finished - submitted_at
+                         for _, _, _, submitted_at in group])
                     for (_, _, future, _), wire in zip(group, reply[3]):
                         if not future.done():
                             future.set_result(decision_from_wire(wire))
         if error is not None:
-            with self.stats._lock:
-                self.stats.failed += len(group)
+            self.stats.failed += len(group)
             for _, _, future, _ in group:
                 if not future.done():
                     future.set_exception(error)
@@ -442,7 +442,7 @@ class MulticoreGateway(AsyncRequestGateway):
             # Keep the retirement's own type: a diverged worker keeps
             # answering WorkerDiverged, a killed one ReplicaUnavailable.
             return retired
-        error = self._fault_for(f"{self.fault_site}:worker{worker_id}")
+        error = self._fault_for("worker", worker_id)
         if isinstance(error, ReplicaUnavailable):
             # CRASH.  A crashed worker stays crashed: typed degradation
             # for everything it owned, byte-identical service from

@@ -1,6 +1,7 @@
 """Unit tests for the admission layer: clocks, buckets, DRR, watermarks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -121,6 +122,70 @@ class TestDeficitRoundRobin:
         assert drr.pending() == 0
 
 
+class PerItemDRR(DeficitRoundRobin):
+    """The reference: ``take`` dequeues one item per ``pop(0)``."""
+
+    def take(self, budget: int) -> list:
+        taken: list = []
+        if self._pending == 0 or budget <= 0 or not self._ring:
+            return taken
+        ring = self._ring
+        idle_visits = 0
+        while len(taken) < budget and idle_visits < len(ring):
+            tenant = ring[self._cursor % len(ring)]
+            self._cursor = (self._cursor + 1) % len(ring)
+            queue = self._queues[tenant]
+            if not queue:
+                self._deficits[tenant] = 0
+                idle_visits += 1
+                continue
+            idle_visits = 0
+            self._deficits[tenant] += self._quanta[tenant]
+            while (queue and self._deficits[tenant] > 0
+                    and len(taken) < budget):
+                taken.append(queue.pop(0))
+                self._deficits[tenant] -= 1
+            if not queue:
+                self._deficits[tenant] = 0
+        self._pending -= len(taken)
+        return taken
+
+
+#: Interleaved DRR operations over four tenants: (re)register with a
+#: quantum, push a burst, or take a budget.
+drr_ops = st.lists(st.one_of(
+    st.tuples(st.just("register"), st.integers(0, 3),
+              st.integers(1, 9)),
+    st.tuples(st.just("push"), st.integers(0, 3), st.integers(1, 12)),
+    st.tuples(st.just("take"), st.integers(0, 24), st.just(0)),
+), max_size=40)
+
+
+class TestSliceTakeMatchesPerItemReference:
+    @settings(max_examples=300, deadline=None)
+    @given(drr_ops)
+    def test_same_items_and_deficits(self, ops):
+        fast, reference = DeficitRoundRobin(), PerItemDRR()
+        serial = 0
+        for op, a, b in ops:
+            if op == "register":
+                for drr in (fast, reference):
+                    drr.register(f"t{a}", quantum=b)
+            elif op == "push":
+                if f"t{a}" not in fast._queues:
+                    continue
+                for _ in range(b):
+                    serial += 1
+                    fast.push(f"t{a}", serial)
+                    reference.push(f"t{a}", serial)
+            else:
+                assert fast.take(a) == reference.take(a)
+            assert fast._deficits == reference._deficits
+            assert fast._cursor == reference._cursor
+            assert fast.pending() == reference.pending()
+        assert fast.drain_all() == reference.drain_all()
+
+
 def controller(limit=100, **kwargs) -> AdmissionController:
     return AdmissionController(ManualClock(), queue_limit=limit, **kwargs)
 
@@ -200,10 +265,26 @@ class TestAdmissionController:
         ctl.register("low", TenantConfig(priority=0))
         ctl.register("high", TenantConfig(priority=9))
         with pytest.raises(Overloaded) as fast:
-            ctl.admit("low", depth=80, drain_rate=1000.0)
+            ctl.admit("low", depth=80, drain_rate=lambda now: 1000.0)
         with pytest.raises(Overloaded) as slow:
-            ctl.admit("low", depth=80, drain_rate=10.0)
+            ctl.admit("low", depth=80, drain_rate=lambda now: 10.0)
         assert slow.value.retry_after > fast.value.retry_after
+
+    def test_drain_rate_is_read_only_for_a_watermark_refusal(self):
+        ctl = controller(limit=100, high_watermark=75, low_watermark=50)
+        ctl.register("low", TenantConfig(priority=0, rate=1e9, burst=1e9))
+        calls = []
+
+        def drain_rate(now):
+            calls.append(now)
+            return 100.0
+
+        ctl.admit("low", depth=10, now=2.0, drain_rate=drain_rate)
+        assert calls == []
+        with pytest.raises(Overloaded) as refused:
+            ctl.admit("low", depth=80, now=3.0, drain_rate=drain_rate)
+        assert calls == [3.0]
+        assert refused.value.retry_after == pytest.approx(30 / 100.0)
 
     def test_invalid_watermark_ordering_rejected(self):
         with pytest.raises(ConfigurationError):

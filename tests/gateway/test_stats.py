@@ -1,8 +1,26 @@
 """Shared gateway telemetry: histogram math + the gateway records it."""
 
-import pytest
+from bisect import bisect_left
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.gateway.stats import _BOUNDS, _BUCKETS
 from repro.gateway.stats import GatewayStats, LatencyHistogram
+
+#: Latencies across the whole range: negative (clamped), sub-floor,
+#: sub-millisecond, seconds and past the last bucket.
+latencies = st.lists(st.one_of(
+    st.floats(-1.0, 0.0), st.floats(0.0, 1e-6), st.floats(1e-6, 1e-3),
+    st.floats(1e-3, 10.0), st.floats(1e4, 1e12)), max_size=80)
+
+
+def record_one(histogram: LatencyHistogram, seconds: float) -> None:
+    """The reference: one sample, clamped, bisected over every bound."""
+    seconds = max(seconds, 0.0)
+    histogram._counts[min(bisect_left(_BOUNDS, seconds), _BUCKETS - 1)] += 1
+    histogram._count += 1
+    histogram._sum += seconds
 
 
 class TestLatencyHistogram:
@@ -53,6 +71,20 @@ class TestLatencyHistogram:
         assert a.count == 3
         assert a.mean() == pytest.approx(0.003)
 
+    @settings(max_examples=200, deadline=None)
+    @given(latencies, latencies)
+    def test_record_many_is_record_per_sample(self, earlier, samples):
+        reference, many = LatencyHistogram(), LatencyHistogram()
+        for seconds in earlier + samples:
+            record_one(reference, seconds)
+        for seconds in earlier:
+            many.record(seconds)
+        many.record_many(samples)
+        assert many._counts == reference._counts
+        assert many.count == reference.count
+        assert many._sum == reference._sum    # same additions, same order
+        assert many.snapshot() == reference.snapshot()
+
     def test_snapshot_keys(self):
         histogram = LatencyHistogram()
         histogram.record(0.002)
@@ -65,7 +97,7 @@ class TestLatencyHistogram:
 class TestGatewayStats:
     def test_snapshot_carries_latency_percentiles(self):
         stats = GatewayStats()
-        stats.record_latency(0.002)
+        stats.latency.record(0.002)
         snap = stats.snapshot()
         for key in ("latency_count", "latency_p50_s", "latency_p99_s",
                     "latency_p999_s", "streams", "stream_chunks",
