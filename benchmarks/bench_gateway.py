@@ -21,14 +21,19 @@ Three sections, each asserting its oracle before reporting a number:
 ``--quick`` shrinks workloads for the CI perf-smoke job (which gates
 on the oracles plus a relaxed speedup floor); full runs establish the
 numbers EXPERIMENTS.md records.  Writes ``BENCH_gateway.json``.
+
+``authorization_workload`` / ``response_bytes`` / ``timed`` live here
+and ``bench_multicore.py`` imports them.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import pathlib
 import platform
+import random
 import sys
 import time
 
@@ -36,17 +41,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from bench_scale import (  # noqa: E402
-    authorization_workload,
-    response_bytes,
-    timed,
-)
 from repro.bench.output import (  # noqa: E402
     default_output,
     write_bench_json,
 )
 from repro.core.errors import Overloaded  # noqa: E402
-from repro.core.evaluator import PolicyEvaluator  # noqa: E402
+from repro.core.evaluator import Decision, PolicyEvaluator  # noqa: E402
+from repro.core.policy import Action  # noqa: E402
+from repro.datagen.population import generate_population  # noqa: E402
+from repro.datagen.workload import (  # noqa: E402
+    subject_qualification_policies)
 from repro.gateway import (  # noqa: E402
     AsyncRequestGateway,
     EpochalShardRouter,
@@ -58,6 +62,47 @@ from repro.snap.intern import InternPool  # noqa: E402
 from repro.snap.xmlstore import SnapshotXmlDatabase  # noqa: E402
 
 DEFAULT_OUTPUT = default_output("gateway")
+
+
+def timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
+def serialize_decision(decision: Decision) -> dict:
+    """The canonical wire form the byte-identity oracle compares."""
+    return {
+        "granted": decision.granted,
+        "determining": decision.determining.policy_id
+        if decision.determining is not None else None,
+        "applicable": [p.policy_id for p in decision.applicable],
+        "reason": decision.reason,
+    }
+
+
+def response_bytes(decisions: list[Decision]) -> bytes:
+    return json.dumps([serialize_decision(d) for d in decisions],
+                      sort_keys=True).encode()
+
+
+def authorization_workload(quick: bool):
+    """Distinct (subject, action, path) triples over a shared base."""
+    policy_count = 120 if quick else 400
+    subject_count = 60 if quick else 200
+    path_count = 10 if quick else 20
+    base = subject_qualification_policies(
+        policy_count, basis="role", user_count=subject_count, seed=7)
+    directory = generate_population(subject_count, seed=7)
+    subjects = [directory.get(f"user{i:05d}")
+                for i in range(subject_count)]
+    rng = random.Random(7)
+    paths = [f"hospital/records/r{rng.randrange(1, 500)}/name"
+             for _ in range(path_count)]
+    triples = [(subject, Action.READ, path)
+               for subject in subjects for path in paths]
+    rng.shuffle(triples)
+    return base, triples
 
 #: Full runs must beat the serial evaluator, measured in the same run,
 #: by this factor.

@@ -61,7 +61,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from bench_scale import response_bytes, timed  # noqa: E402
+from bench_gateway import response_bytes, timed  # noqa: E402
 from repro.bench.output import (  # noqa: E402
     default_output,
     write_bench_json,

@@ -36,10 +36,10 @@ error-severity finding):
   contains ``compiled`` is loaded inside a function that nowhere
   mentions a freshness token (``generation``, ``fresh``, ``stale``,
   ``recompile``, ``invalidate``).  A compiled decision table is a pure
-  function of its source *at one generation*
-  (:class:`repro.perf.cache.DerivedArtifact`); reading it without an
-  ``ensure_fresh()``/``is_stale()``-style check serves decisions from
-  a policy base that may no longer exist.  Producer code is exempt by
+  function of its source *at one generation* (it records that
+  generation as ``source_generation``); reading it without comparing
+  that stamp against the source serves decisions from a policy base
+  that may no longer exist.  Producer code is exempt by
   name: functions containing ``compile`` or ``fresh`` in their own
   name are the compiler/freshness machinery itself;
 * ``LINT-BLOCKINGAWAIT`` (warning) — a blocking call inside an
@@ -676,9 +676,10 @@ class _Linter(ast.NodeVisitor):
                 f"compiled artifact {node.attr!r} is read without "
                 f"consulting its generation stamp anywhere in "
                 f"{self._function_stack[-1]!r}",
-                fix_hint="call the owning engine's ensure_fresh() (or "
-                         "compare DerivedArtifact.source_generation "
-                         "against the source) before reading")
+                fix_hint="compare the artifact's source_generation "
+                         "against the source's generation (or read "
+                         "it from the epoch snapshot that carries "
+                         "it) before reading")
         self.generic_visit(node)
 
     def visit_Expr(self, node: ast.Expr) -> None:

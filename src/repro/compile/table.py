@@ -23,8 +23,8 @@ payload is resolved per request (its applicable list filtered through
 ``condition(None)`` once at fill time, which equals the interpreter's
 answer as long as conditions are pure functions of the payload.
 
-The artifact is a :class:`~repro.perf.cache.DerivedArtifact`: it
-carries the source generation it was compiled from, and a digest over
+The artifact carries the source generation it was compiled from
+(``source_generation``, a plain attribute), and a digest over
 the policy descriptors, resolution settings and the eagerly explored
 automaton shape — two compilations of identical bases at the same
 generation produce identical digests.
@@ -46,7 +46,6 @@ from repro.core.objects import ResourcePath
 from repro.core.policy import Action, Policy, PolicyBase
 from repro.core.subjects import Subject
 from repro.crypto.hashing import sha256_hex
-from repro.perf.cache import DerivedArtifact
 
 from repro.compile.pathdfa import MergedPathDfa
 from repro.compile.profiles import CredentialProfileIndex, ProfileClass
@@ -66,7 +65,7 @@ class CompileStats:
     source_generation: int
 
 
-class CompiledPolicy(DerivedArtifact):
+class CompiledPolicy:
     """Immutable decision table compiled from one policy-base snapshot.
 
     "Immutable" applies to the decision semantics: cells and transitions
@@ -81,7 +80,7 @@ class CompiledPolicy(DerivedArtifact):
                  default: DefaultDecision,
                  source_generation: int,
                  probes: Sequence[Subject]) -> None:
-        super().__init__(source_generation)
+        self.source_generation = source_generation
         self.policies = tuple(policies)
         self.dfa = dfa
         self.profiles = profiles

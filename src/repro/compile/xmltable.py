@@ -47,7 +47,6 @@ from repro.analysis.xmlpolicy import DtdGraph
 from repro.core.errors import ConfigurationError
 from repro.core.subjects import Subject
 from repro.crypto.hashing import sha256_hex
-from repro.perf.cache import DerivedArtifact
 from repro.xmldb.dtd import Schema
 from repro.xmldb.model import Document, Element
 from repro.xmldb.xpath import XPath
@@ -265,14 +264,14 @@ class XmlCompileStats:
     doc_id: str
 
 
-class CompiledLabelTable(DerivedArtifact):
+class CompiledLabelTable:
     """Per-profile label automata compiled from one XML policy base."""
 
     def __init__(self, policies: Sequence[XmlPolicy], graph: DtdGraph,
                  doc_id: str, source_generation: int,
                  probes: Sequence[Subject],
                  max_states: int = 50_000) -> None:
-        super().__init__(source_generation)
+        self.source_generation = source_generation
         self.policies = tuple(
             sorted(policies, key=lambda p: p.policy_id))
         self.graph = graph

@@ -249,7 +249,7 @@ class EpochRetired(SnapshotError):
 
 # ---------------------------------------------------------------------------
 # Durability branch (repro.wal): group-commit write-ahead logging,
-# checkpointing, and crash recovery under the sharded stores.
+# checkpointing, and crash recovery under the stores.
 # ---------------------------------------------------------------------------
 
 

@@ -10,8 +10,7 @@ Two cache shapes cover every hot path in the library:
 
 * :class:`GenerationalCache` — a bounded LRU whose entries are stamped
   with the *generation* of the state they were computed from.  Mutable
-  authorities (a :class:`~repro.core.policy.PolicyBase`, an
-  :class:`~repro.relational.authorization.AuthorizationManager`, an XML
+  authorities (a :class:`~repro.core.policy.PolicyBase`, an XML
   document) carry a monotonically increasing generation counter bumped
   by every mutation; a lookup supplies the current generation and any
   entry with a different stamp is a miss.  Invalidation therefore costs
@@ -130,75 +129,6 @@ class Generation:
 
     def add_hook(self, hook: Callable[[], None]) -> None:
         self._hooks.append(hook)
-
-
-class ShardedGeneration:
-    """One :class:`Generation` per shard instead of one global counter.
-
-    With a single global counter, *any* write invalidates *every* warm
-    cache entry: a grant touching shard A's tables stales decisions
-    about shard B's, even though nothing shard B serves could have
-    changed.  Sharded stores (:mod:`repro.scale`) therefore stamp cache
-    entries with the generation of the shard that owns the key; a write
-    bumps only its own shard's counter, and every other shard's warm
-    entries keep hitting.
-
-    ``stamps()`` returns the tuple of all per-shard values for the rare
-    cross-shard results (scatter-gather aggregates) that genuinely
-    depend on every shard's state.
-    """
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise ValueError("shard count must be >= 1")
-        self._generations = tuple(Generation()
-                                  for _ in range(shard_count))
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._generations)
-
-    def generation(self, shard: int) -> Generation:
-        """The underlying counter of one shard (for hook registration)."""
-        return self._generations[shard]
-
-    def stamp(self, shard: int) -> int:
-        """The current generation of *shard* — the per-shard cache stamp."""
-        return self._generations[shard].value
-
-    def stamps(self) -> tuple[int, ...]:
-        """All shard generations at once — the cross-shard cache stamp."""
-        return tuple(g.value for g in self._generations)
-
-    def bump(self, shard: int) -> int:
-        """Record a mutation in *shard*; other shards are untouched."""
-        return self._generations[shard].bump()
-
-    def add_hook(self, shard: int, hook: Callable[[], None]) -> None:
-        """Call *hook* after every mutation of *shard* (only)."""
-        self._generations[shard].add_hook(hook)
-
-
-class DerivedArtifact:
-    """Base for artifacts compiled from a generation-stamped source.
-
-    A derived artifact (a compiled decision table, a path index, a
-    serialized snapshot) is a *pure function of its source at one
-    generation*.  Subclasses record the source generation at build time;
-    consumers compare it against the source's current counter before
-    every read — ``is_stale`` is the one-integer freshness check the
-    ``LINT-STALECOMPILE`` lint rule expects compiled-artifact call sites
-    to perform.  The class deliberately knows nothing about how to
-    rebuild: recompilation policy belongs to the engine owning the
-    artifact, staleness detection belongs here.
-    """
-
-    def __init__(self, source_generation: int) -> None:
-        self.source_generation = source_generation
-
-    def is_stale(self, current_generation: int) -> bool:
-        """True when the source has mutated since this was derived."""
-        return current_generation != self.source_generation
 
 
 @dataclass

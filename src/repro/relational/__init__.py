@@ -21,7 +21,6 @@ from repro.relational.locks import (
     AcquireResult,
     LockManager,
     LockMode,
-    StripedLockManager,
 )
 from repro.relational.query import ResultSet, aggregate, join, select
 from repro.relational.recovery import (
@@ -45,8 +44,7 @@ __all__ = [
     "Column", "ColumnType", "Database", "Grant", "ImmediateLockAuction",
     "Item", "ItemState", "LockManager", "LockMode", "LogKind",
     "LogRecord", "LoggedDatabase", "OpenBidAuction", "Privilege",
-    "ResultSet", "StripedLockManager", "Table", "TableSchema",
-    "Transaction",
+    "ResultSet", "Table", "TableSchema", "Transaction",
     "TransactionManager", "WriteAheadLog", "aggregate", "join",
     "recover", "schema", "select",
 ]

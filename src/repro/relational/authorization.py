@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.core.errors import AccessDenied, ConfigurationError
-from repro.perf.cache import MISS, Generation, GenerationalCache
 
 RowPredicate = Callable[[Mapping[str, object]], bool]
 
@@ -61,24 +60,9 @@ class AuthorizationManager:
     def __init__(self) -> None:
         self._grants: list[Grant] = []
         self._owners: dict[str, str] = {}
-        self._sequence = itertools.count(1)
-        # Bumped on every mutation of the grant graph or ownership map;
-        # privilege/restriction lookups are memoized against it.
-        self._generation = Generation()
-        self._check_cache = GenerationalCache(maxsize=4096)
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter; changes on any grant/revoke/ownership change."""
-        return self._generation.value
-
-    def add_invalidation_hook(self, hook: Callable[[], None]) -> None:
-        """Call *hook* after every mutation of the authorization state."""
-        self._generation.add_hook(hook)
-
-    def cache_stats(self) -> dict[str, int | float]:
-        """Hit/miss counters of the privilege-check cache."""
-        return self._check_cache.stats.snapshot()
+        # A plain int, not itertools.count: the manager pickles with
+        # its database (durable checkpoints).
+        self._sequence = 0
 
     # -- ownership -----------------------------------------------------------
 
@@ -86,7 +70,6 @@ class AuthorizationManager:
         if table in self._owners:
             raise ConfigurationError(f"table {table!r} already has an owner")
         self._owners[table] = owner
-        self._generation.bump()
 
     def owner_of(self, table: str) -> str:
         try:
@@ -109,12 +92,8 @@ class AuthorizationManager:
         if not self._can_grant(grantor, table, privilege):
             raise AccessDenied(grantor, f"grant:{privilege.value}", table,
                                reason="grantor lacks grant authority")
-        edge = Grant(next(_grant_ids), grantor, grantee, table, privilege,
-                     with_grant_option, next(self._sequence),
-                     row_filter, tuple(column_mask))
-        self._grants.append(edge)
-        self._generation.bump()
-        return edge
+        return self.import_grant(grantor, grantee, table, privilege,
+                                 with_grant_option, row_filter, column_mask)
 
     def import_grant(self, grantor: str, grantee: str, table: str,
                      privilege: Privilege,
@@ -129,11 +108,11 @@ class AuthorizationManager:
         static analyzer's REL-DANGLING rule exists — run
         :func:`repro.analysis.analyze_grants` after a bulk load.
         """
+        self._sequence += 1
         edge = Grant(next(_grant_ids), grantor, grantee, table, privilege,
-                     with_grant_option, next(self._sequence),
+                     with_grant_option, self._sequence,
                      row_filter, tuple(column_mask))
         self._grants.append(edge)
-        self._generation.bump()
         return edge
 
     def _can_grant(self, user: str, table: str,
@@ -154,17 +133,9 @@ class AuthorizationManager:
 
     def has_privilege(self, user: str, table: str,
                       privilege: Privilege) -> bool:
-        key = ("priv", user, table, privilege)
-        stamp = self._generation.value
-        cached = self._check_cache.get(key, stamp)
-        if cached is not MISS:
-            return cached
         if self._owners.get(table) == user:
-            held = True
-        else:
-            held = bool(self.grants_for(user, table, privilege))
-        self._check_cache.put(key, stamp, held)
-        return held
+            return True
+        return bool(self.grants_for(user, table, privilege))
 
     def enforce(self, user: str, table: str,
                 privilege: Privilege) -> None:
@@ -182,15 +153,8 @@ class AuthorizationManager:
         """
         if self._owners.get(table) == user:
             return None, ()
-        key = ("restr", user, table, privilege)
-        stamp = self._generation.value
-        cached = self._check_cache.get(key, stamp)
-        if cached is not MISS:
-            return cached
         grants = self.grants_for(user, table, privilege)
         if not grants:
-            # Denials are not cached: raising from a cache hit would
-            # yield a less informative traceback for no measurable win.
             raise AccessDenied(user, privilege.value, table,
                                reason="no applicable grant")
         if any(g.row_filter is None for g in grants):
@@ -203,9 +167,7 @@ class AuthorizationManager:
 
         masks = [set(g.column_mask) for g in grants]
         column_mask = tuple(sorted(set.intersection(*masks))) if masks else ()
-        result = (row_filter, column_mask)
-        self._check_cache.put(key, stamp, result)
-        return result
+        return row_filter, column_mask
 
     # -- revocation ----------------------------------------------------------------
 
@@ -234,7 +196,6 @@ class AuthorizationManager:
                 removed.append(edge)
                 changed = True
         self._grants = remaining
-        self._generation.bump()
         return removed
 
     def _supported(self, edge: Grant, pool: list[Grant]) -> bool:

@@ -17,11 +17,9 @@ classical choices.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.errors import TransactionError
-from repro.crypto.hashing import sha256_int
 
 
 class LockMode(enum.Enum):
@@ -112,34 +110,6 @@ class LockManager:
             state.waiters.append((txn, mode))
         return AcquireResult.WOULD_WAIT
 
-    def cancel_wait(self, txn: str, resource: str) -> None:
-        """Withdraw txn's queued request on *resource* (the caller is
-        aborting instead of waiting).  Its wait set is recomputed from
-        any requests still queued elsewhere."""
-        state = self._state(resource)
-        state.waiters = [(t, m) for t, m in state.waiters if t != txn]
-        blockers: set[str] = set()
-        for other in self._locks.values():
-            for waiter, mode in other.waiters:
-                if waiter != txn:
-                    continue
-                blockers.update(
-                    holder for holder, held in other.holders.items()
-                    if holder != txn and not mode.compatible_with(held))
-        if blockers:
-            self._waiting_for[txn] = blockers
-        else:
-            self._waiting_for.pop(txn, None)
-
-    def waiting_for(self, txn: str) -> set[str]:
-        """The transactions *txn* is currently queued behind (a copy)."""
-        return set(self._waiting_for.get(txn, ()))
-
-    def wait_graph(self) -> dict[str, set[str]]:
-        """The whole wait-for graph (copies; for cross-stripe detection)."""
-        return {txn: set(blockers)
-                for txn, blockers in self._waiting_for.items()}
-
     def release_all(self, txn: str) -> list[str]:
         """Release every lock txn holds (strict 2PL: at commit/abort).
 
@@ -179,108 +149,3 @@ class LockManager:
             raise TransactionError(
                 f"{txn!r} would block on {resource!r}")
 
-
-class StripedLockManager:
-    """Hash-striped S/X locks: one :class:`LockManager` per stripe.
-
-    The single-manager design serializes every acquire/release behind
-    one structure — fine for one store, a bottleneck once requests fan
-    out across shards.  Here resources are hash-partitioned over
-    *stripes* independent managers, each guarded by its own mutex, so
-    transactions touching disjoint stripes never contend.
-
-    Deadlock detection runs at two levels: each stripe's manager
-    detects cycles among its own resources exactly as before, and a
-    request that would wait is additionally checked against the
-    *merged* wait-for graph of every stripe (stripe mutexes taken in
-    index order, so two concurrent cross-stripe checks cannot
-    deadlock on the mutexes themselves).  A cross-stripe cycle
-    withdraws the queued request and answers DEADLOCK, preserving the
-    "requester dies" policy of the single-stripe manager.
-    """
-
-    def __init__(self, stripes: int = 8) -> None:
-        if stripes < 1:
-            raise TransactionError("stripe count must be >= 1")
-        self._managers = tuple(LockManager() for _ in range(stripes))
-        self._mutexes = tuple(threading.Lock() for _ in range(stripes))
-        self._cross_deadlocks = 0
-
-    @property
-    def stripe_count(self) -> int:
-        return len(self._managers)
-
-    def stripe_of(self, resource: str) -> int:
-        """Deterministic stripe index for *resource* (SHA-256 based, so
-        identical across processes regardless of PYTHONHASHSEED)."""
-        return sha256_int(f"stripe:{resource}") % len(self._managers)
-
-    @property
-    def deadlocks_detected(self) -> int:
-        """Intra-stripe detections plus cross-stripe ones."""
-        return (self._cross_deadlocks
-                + sum(m.deadlocks_detected for m in self._managers))
-
-    def holders(self, resource: str) -> dict[str, LockMode]:
-        index = self.stripe_of(resource)
-        with self._mutexes[index]:
-            return self._managers[index].holders(resource)
-
-    def _merged_wait_graph(self) -> dict[str, set[str]]:
-        merged: dict[str, set[str]] = {}
-        for index, manager in enumerate(self._managers):
-            with self._mutexes[index]:
-                for txn, blockers in manager.wait_graph().items():
-                    merged.setdefault(txn, set()).update(blockers)
-        return merged
-
-    @staticmethod
-    def _closes_cycle(txn: str, graph: dict[str, set[str]]) -> bool:
-        stack = list(graph.get(txn, ()))
-        seen: set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current == txn:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(graph.get(current, ()))
-        return False
-
-    def acquire(self, txn: str, resource: str,
-                mode: LockMode) -> AcquireResult:
-        """Same contract as :meth:`LockManager.acquire`, with deadlock
-        detection spanning every stripe."""
-        index = self.stripe_of(resource)
-        with self._mutexes[index]:
-            result = self._managers[index].acquire(txn, resource, mode)
-        if result is not AcquireResult.WOULD_WAIT:
-            return result
-        # The stripe saw no local cycle; check the merged graph for one
-        # closed through other stripes' waits.
-        if self._closes_cycle(txn, self._merged_wait_graph()):
-            with self._mutexes[index]:
-                self._managers[index].cancel_wait(txn, resource)
-            self._cross_deadlocks += 1
-            return AcquireResult.DEADLOCK
-        return AcquireResult.WOULD_WAIT
-
-    def release_all(self, txn: str) -> list[str]:
-        """Release txn's locks in every stripe; woken transactions are
-        reported in stripe order (deterministic)."""
-        woken: list[str] = []
-        for index, manager in enumerate(self._managers):
-            with self._mutexes[index]:
-                woken.extend(manager.release_all(txn))
-        return woken
-
-    def acquire_or_raise(self, txn: str, resource: str,
-                         mode: LockMode) -> None:
-        result = self.acquire(txn, resource, mode)
-        if result is AcquireResult.DEADLOCK:
-            raise TransactionError(
-                f"deadlock: {txn!r} aborted on {resource!r}")
-        if result is AcquireResult.WOULD_WAIT:
-            raise TransactionError(
-                f"{txn!r} would block on {resource!r}")

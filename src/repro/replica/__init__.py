@@ -1,9 +1,9 @@
 """repro.replica: replica groups with Merkle anti-entropy (A11).
 
-The sharded stores of :mod:`repro.scale` grow into replica groups:
-each shard has a primary applying writes and shipping versioned deltas
-to read replicas, every replica publishes its state through
-:mod:`repro.snap` epoch snapshots (reads stay lock-free), divergence
+Keys are placed on shards over :mod:`repro.scale`'s consistent-hash
+ring, and each shard is a replica group: a primary applying writes
+and shipping versioned deltas to read replicas, every replica
+publishes its state through :mod:`repro.snap` epoch snapshots (reads stay lock-free), divergence
 is found and repaired through incremental :mod:`repro.merkle` trees
 (O(log n) per discrepancy, never a full resync), and read-your-writes
 sessions generalize the UDDI watermark from :mod:`repro.faults`.

@@ -1,9 +1,9 @@
 """Consistent-hash routing of keys to shards.
 
-The ROADMAP's "millions of subjects accessing millions of databases"
-cannot be served by one monolithic store; every sharded wrapper in
-:mod:`repro.scale` routes its keys (table names, document ids, business
-keys, resource-path heads) through this ring.
+The sharded policy router
+(:class:`~repro.gateway.engine.EpochalShardRouter`) routes resource-path
+heads through this ring, and the replica router routes its keys the
+same way.
 
 Why a *ring* rather than ``hash(key) % n``: consistent hashing moves
 only ``~1/n`` of the keys when a shard is added or removed, which is

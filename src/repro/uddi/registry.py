@@ -51,8 +51,8 @@ class BusinessOverview:
 
 
 def business_part(key: str, owner: str, entity: BusinessEntity) -> str:
-    """Canonical digest part for one business (shared with the sharded
-    registry so shard digests merge byte-identically)."""
+    """Canonical digest part for one business (shared with the snapshot
+    registry so the two digests are byte-identical)."""
     return f"biz:{key}:{owner}:{sha256_hex(repr(entity))}"
 
 
@@ -113,20 +113,10 @@ class UddiRegistry:
                 f"business {business_key!r} belongs to {owner!r}")
         del self._businesses[business_key]
         del self._owners[business_key]
-        self.purge_assertions(business_key)
-
-    def purge_assertions(self, business_key: str) -> int:
-        """Drop every assertion naming *business_key* on either side.
-
-        Public (rather than folded into delete_business) because in a
-        sharded registry the assertions referencing a deleted business
-        may live on *other* shards than the business itself.
-        """
-        kept = [a for a in self._assertions
-                if business_key not in (a.from_key, a.to_key)]
-        removed = len(self._assertions) - len(kept)
-        self._assertions = kept
-        return removed
+        # Every assertion naming the business goes with it, whoever
+        # filed it.
+        self._assertions = [a for a in self._assertions
+                            if business_key not in (a.from_key, a.to_key)]
 
     def save_tmodel(self, tmodel: TModel, publisher: str,
                     idempotency_key: str | None = None) -> TModel:
@@ -268,9 +258,9 @@ class UddiRegistry:
 
         Each entry is ``(sort_key, part)``; sort keys order businesses
         before tModels before assertions, then by key (or assertion
-        repr).  A sharded registry concatenates every shard's parts,
-        sorts by the same keys and combines — producing a digest
-        byte-identical to one monolithic registry holding the union.
+        repr).  :class:`~repro.snap.uddi.UddiSnapshot` produces the same
+        list, so a snapshot and a live registry holding equal state
+        digest byte-identically.
         """
         parts: list[tuple[tuple, str]] = []
         for key in sorted(self._businesses):

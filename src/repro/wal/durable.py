@@ -58,9 +58,9 @@ from functools import lru_cache
 from repro.core.errors import ReproError, WalCorrupt, WalError
 from repro.core.policy import PolicyBase
 from repro.crypto.hashing import combine, sha256_hex, sha256_int
-from repro.scale.registry import ShardedUddiRegistry
-from repro.scale.relational import ShardedDatabase
+from repro.relational.database import Database
 from repro.snap.xmlstore import SnapshotXmlDatabase
+from repro.uddi.registry import UddiRegistry
 from repro.wal.checkpoint import CheckpointStore
 from repro.wal.log import ShardedWal
 from repro.wal.pipeline import CommitPipeline
@@ -120,11 +120,11 @@ class RecoveryReport:
 
 
 class DurableStore:
-    """Common WAL/checkpoint machinery; subclasses own op dispatch."""
+    """Common WAL/checkpoint machinery; subclasses own op dispatch.
 
-    #: Subclasses without a picklable full-state snapshot (the
-    #: relational store's lock striping) run WAL-only.
-    SUPPORTS_CHECKPOINT = True
+    Each op names a WAL shard by its routing key (:meth:`_shard_for`);
+    the inner store itself is one plain, unsharded store.
+    """
 
     def __init__(self, inner, vfs, *, shards: int = 4,
                  durability: str = "fsync",
@@ -257,7 +257,8 @@ class DurableStore:
     # -- checkpointing -----------------------------------------------------
 
     def _checkpoint_payload(self) -> bytes:
-        raise NotImplementedError
+        """The whole inner store, pickled (UDDI, relational)."""
+        return pickle.dumps(self.inner, protocol=5)
 
     def state_digest(self) -> str:
         raise NotImplementedError
@@ -265,10 +266,6 @@ class DurableStore:
     def checkpoint(self) -> bool:
         """Write an incremental checkpoint and truncate the covered log
         prefix; returns False when skipped (digest unchanged)."""
-        if not self.SUPPORTS_CHECKPOINT:
-            raise WalError(
-                f"{type(self).__name__} has no picklable full-state "
-                f"snapshot; it runs WAL-only")
         with self._mutex:
             if self._depth:
                 raise WalError(
@@ -300,7 +297,8 @@ class DurableStore:
 
     @classmethod
     def _restore_inner(cls, payload: bytes, **inner_kwargs):
-        raise NotImplementedError
+        """Inverse of :meth:`_checkpoint_payload`."""
+        return pickle.loads(payload)
 
     def _replay(self, ops) -> None:
         """Re-apply one recovered transaction."""
@@ -315,8 +313,7 @@ class DurableStore:
         the merged log suffix, applied strictly in LSN order."""
         inner_kwargs = inner_kwargs or {}
         report = RecoveryReport()
-        checkpoint = (CheckpointStore(vfs).latest()
-                      if cls.SUPPORTS_CHECKPOINT else None)
+        checkpoint = CheckpointStore(vfs).latest()
         if checkpoint is not None:
             lsn, digest, payload = checkpoint
             inner = cls._restore_inner(payload, **inner_kwargs)
@@ -480,107 +477,94 @@ class DurableXmlStore(DurableStore):
 
 
 class DurableUddiRegistry(DurableStore):
-    """WAL + whole-registry pickle checkpoints under the sharded UDDI
-    registry.  WAL shards follow the registry's own consistent-hash
-    routing, so a shard's log holds exactly its registry shard's home
-    writes (cross-shard purges replay in LSN order)."""
+    """WAL + whole-registry pickle checkpoints under a
+    :class:`~repro.uddi.registry.UddiRegistry`.  Records route by
+    business key (tModels by tModel key, assertions by fromKey)."""
 
     def save_business(self, entity, publisher: str,
                       idempotency_key: str | None = None):
         return self._durable_op(
-            self.inner.shard_index(entity.business_key)
-            % self.wal.shard_count,
-            "save_business", entity, publisher, idempotency_key)
+            self._shard_for(entity.business_key), "save_business",
+            entity, publisher, idempotency_key)
 
     def delete_business(self, business_key: str, publisher: str) -> None:
-        return self._durable_op(
-            self.inner.shard_index(business_key) % self.wal.shard_count,
-            "delete_business", business_key, publisher)
+        return self._durable_op(self._shard_for(business_key),
+                                "delete_business", business_key, publisher)
 
     def save_tmodel(self, tmodel, publisher: str,
                     idempotency_key: str | None = None):
         return self._durable_op(
-            self.inner.shard_index(tmodel.tmodel_key)
-            % self.wal.shard_count,
-            "save_tmodel", tmodel, publisher, idempotency_key)
+            self._shard_for(tmodel.tmodel_key), "save_tmodel", tmodel,
+            publisher, idempotency_key)
 
     def add_assertion(self, assertion, publisher: str,
                       idempotency_key: str | None = None) -> None:
         return self._durable_op(
-            self.inner.shard_index(assertion.from_key)
-            % self.wal.shard_count,
-            "add_assertion", assertion, publisher, idempotency_key)
+            self._shard_for(assertion.from_key), "add_assertion",
+            assertion, publisher, idempotency_key)
 
     def state_digest(self) -> str:
         return self.inner.state_digest()
 
-    def _checkpoint_payload(self) -> bytes:
-        return pickle.dumps(self.inner, protocol=5)
-
     @classmethod
     def _fresh_inner(cls, **inner_kwargs):
-        return ShardedUddiRegistry(**inner_kwargs)
-
-    @classmethod
-    def _restore_inner(cls, payload: bytes, **inner_kwargs):
-        return pickle.loads(payload)
+        return UddiRegistry(**inner_kwargs)
 
 
 # -- relational store ------------------------------------------------------
 
 
 class DurableRelationalStore(DurableStore):
-    """WAL-only durability under ShardedDatabase (its striped lock
-    manager is not picklable, so there is no full-state checkpoint;
-    recovery replays the log from LSN 0).  Predicates and row filters
-    logged through here must be module-level functions."""
-
-    SUPPORTS_CHECKPOINT = False
-
-    def _table_shard(self, table: str) -> int:
-        return self.inner.shard_index(table) % self.wal.shard_count
+    """WAL + whole-database pickle checkpoints under a
+    :class:`~repro.relational.database.Database`; records route by
+    table name.  GRANT/REVOKE apply to the database's one grant graph
+    (``inner.authorization``).  Predicates and row filters logged
+    through here must be module-level functions."""
 
     def create_table(self, table_schema, owner: str):
-        return self._durable_op(self._table_shard(table_schema.name),
+        return self._durable_op(self._shard_for(table_schema.name),
                                 "create_table", table_schema, owner)
 
     def grant(self, grantor: str, grantee: str, table: str, privilege,
               with_grant_option: bool = False, row_filter=None,
               column_mask=()):
         return self._durable_op(
-            self._table_shard(table), "grant", grantor, grantee, table,
+            self._shard_for(table), "grant", grantor, grantee, table,
             privilege, with_grant_option, row_filter, tuple(column_mask))
 
     def revoke(self, revoker: str, grantee: str, table: str, privilege):
-        return self._durable_op(self._table_shard(table), "revoke",
+        return self._durable_op(self._shard_for(table), "revoke",
                                 revoker, grantee, table, privilege)
 
     def insert(self, user: str, table_name: str, **values):
         # Values travel as one positional dict: re-splatting them into
         # _durable_op's signature would make a column named "op" or
         # "shard" a TypeError instead of data.
-        return self._durable_op(self._table_shard(table_name), "insert",
+        return self._durable_op(self._shard_for(table_name), "insert",
                                 user, table_name, dict(values))
 
     def update(self, user: str, table_name: str, where, changes):
-        return self._durable_op(self._table_shard(table_name), "update",
+        return self._durable_op(self._shard_for(table_name), "update",
                                 user, table_name, where, dict(changes))
 
     def delete(self, user: str, table_name: str, where):
-        return self._durable_op(self._table_shard(table_name), "delete",
+        return self._durable_op(self._shard_for(table_name), "delete",
                                 user, table_name, where)
 
     def set_metadata(self, table: str, key: str, value) -> None:
-        return self._durable_op(self._table_shard(table),
+        return self._durable_op(self._shard_for(table),
                                 "set_metadata", table, key, value)
 
     def _apply(self, op: str, args: tuple, kwargs: dict):
         if op == "insert":
             user, table_name, values = args
             return self.inner.insert(user, table_name, **values)
+        if op in ("grant", "revoke"):
+            return getattr(self.inner.authorization, op)(*args, **kwargs)
         return super()._apply(op, args, kwargs)
 
     def state_digest(self) -> str:
+        grants = self.inner.authorization.all_grants()
         parts = []
         for name in self.inner.table_names():
             table = self.inner.table(name)
@@ -588,17 +572,16 @@ class DurableRelationalStore(DurableStore):
                           for row in table.rows_as_dicts())
             parts.append(sha256_hex(
                 f"table:{name}:" + "|".join(rows)))
-            auth = self.inner.authorization_for(name)
-            grants = sorted(
+            edges = sorted(
                 f"{g.grantor}>{g.grantee}:{g.table}:{g.privilege.value}"
                 f":{g.with_grant_option}"
-                for g in auth.all_grants() if g.table == name)
-            parts.append(sha256_hex(f"grants:{name}:" + "|".join(grants)))
+                for g in grants if g.table == name)
+            parts.append(sha256_hex(f"grants:{name}:" + "|".join(edges)))
         return combine(*parts) if parts else sha256_hex("empty-reldb")
 
     @classmethod
     def _fresh_inner(cls, **inner_kwargs):
-        return ShardedDatabase(**inner_kwargs)
+        return Database(**inner_kwargs)
 
 
 # -- policy store ----------------------------------------------------------

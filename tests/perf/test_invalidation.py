@@ -1,10 +1,13 @@
-"""Property test: caches never serve a decision the current state would
-not recompute.
+"""Property test: no answer differs from a from-scratch recomputation.
 
-For random interleavings of grants/revokes and document edits, every
-cached answer — relational privilege checks, Author-X label maps — must
-equal a from-scratch recomputation with caching disabled.  This is the
-correctness contract of the generation-stamp protocol.
+For random interleavings of grants/revokes and document edits:
+
+* relational privilege checks (System R, uncached) equal a brute-force
+  walk of the grant list, and repeated restriction lookups agree — the
+  reference oracle for the grant graph;
+* cached Author-X label maps equal the uncached and per-policy
+  labellings — the correctness contract of the generation-stamp
+  protocol.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -73,7 +76,7 @@ class TestRelationalCacheInvariant:
                                                 Privilege.SELECT)
                 except AccessDenied:
                     continue
-                # A second (cached) call returns the same restriction.
+                # A second call returns the same restriction.
                 assert manager.restriction(
                     grantee, "t", Privilege.SELECT) == first
 

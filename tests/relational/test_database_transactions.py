@@ -1,5 +1,7 @@
 """Tests for the secure database facade and transactions."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import AccessDenied, QueryError, TransactionError
@@ -61,6 +63,23 @@ class TestDatabase:
         database = build()
         with pytest.raises(QueryError):
             database.create_table(schema("emp", a="int"), "dba")
+
+    def test_populated_database_pickles(self):
+        # Durable checkpoints pickle the whole database.
+        database = build()
+        database.authorization.grant("dba", "ann", "emp", Privilege.SELECT,
+                                     with_grant_option=True)
+        database.authorization.grant("ann", "bo", "emp", Privilege.SELECT)
+        database.set_metadata("emp", "privacy", "constrained")
+        copy = pickle.loads(pickle.dumps(database))
+        assert copy.select("bo", "emp").rows == \
+            database.select("bo", "emp").rows
+        assert copy.get_metadata("emp", "privacy") == "constrained"
+        # The copy's grant graph is its own and still cascades.
+        copy.authorization.revoke("dba", "ann", "emp", Privilege.SELECT)
+        with pytest.raises(AccessDenied):
+            copy.select("bo", "emp")
+        assert len(database.select("bo", "emp").rows) == 2
 
 
 class TestTransactions:

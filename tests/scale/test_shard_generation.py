@@ -1,51 +1,16 @@
-"""Shard-aware cache generation stamps.
+"""Shard-aware staleness of the compiled policy tables.
 
 The regression this file pins down: with one global generation counter,
-a grant anywhere stales every warm cache entry.  With
-:class:`ShardedGeneration`, a write to shard A bumps only shard A's
-stamp — shard B's warm entries keep hitting.  The compiled policy path
-keeps the same property by construction: a write republishes (and
+a policy write anywhere stales every warm decision cell.  The sharded
+policy router avoids that by construction: a write republishes (and
 recompiles) only the shards it lands on, so every other shard's warm
 decision table keeps answering.
 """
 
-import pytest
-
 from repro.core.policy import Action, grant
 from repro.datagen.population import generate_population
 from repro.gateway.engine import EpochalShardRouter
-from repro.perf.cache import ShardedGeneration
-from repro.relational.authorization import Privilege
-from repro.relational.table import Column, ColumnType, TableSchema
-from repro.scale.relational import ShardedDatabase
 from repro.snap.policy import EpochalPolicyEngine
-
-
-class TestShardedGenerationApi:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ShardedGeneration(0)
-
-    def test_bump_is_per_shard(self):
-        generations = ShardedGeneration(4)
-        assert generations.shard_count == 4
-        before = generations.stamps()
-        generations.bump(2)
-        after = generations.stamps()
-        assert after[2] != before[2]
-        assert all(after[i] == before[i] for i in (0, 1, 3))
-        assert generations.stamp(2) == after[2]
-
-    def test_hooks_fire_only_for_their_shard(self):
-        generations = ShardedGeneration(3)
-        fired: list[int] = []
-        for shard in range(3):
-            generations.add_hook(shard,
-                                 lambda shard=shard: fired.append(shard))
-        generations.bump(1)
-        generations.bump(1)
-        generations.bump(2)
-        assert fired == [1, 1, 2]
 
 
 def distinct_shard_heads(router: EpochalShardRouter,
@@ -114,32 +79,3 @@ class TestWarmCacheSurvivesOtherShardWrites:
         assert all(table_of(router.engine(i)) is not tables[i]
                    for i in range(4))
 
-
-class TestShardedDatabaseStamps:
-    def test_grant_bumps_only_owning_shard(self):
-        db = ShardedDatabase(shard_count=4)
-        for t in range(8):
-            db.create_table(
-                TableSchema(f"t{t}", (Column("id", ColumnType.INT),)),
-                owner="dba")
-        before = db.generation_stamps()
-        db.grant("dba", "reader", "t3", Privilege.SELECT)
-        after = db.generation_stamps()
-        shard = db.shard_index("t3")
-        assert after[shard] != before[shard]
-        assert all(after[i] == before[i]
-                   for i in range(len(before)) if i != shard)
-
-    def test_revoke_bumps_like_grant(self):
-        db = ShardedDatabase(shard_count=4)
-        db.create_table(
-            TableSchema("t0", (Column("id", ColumnType.INT),)),
-            owner="dba")
-        db.grant("dba", "reader", "t0", Privilege.SELECT)
-        before = db.generation_stamps()
-        db.revoke("dba", "reader", "t0", Privilege.SELECT)
-        after = db.generation_stamps()
-        shard = db.shard_index("t0")
-        assert after[shard] != before[shard]
-        assert all(after[i] == before[i]
-                   for i in range(len(before)) if i != shard)

@@ -183,3 +183,18 @@ class TestAssertions:
         with pytest.raises(RegistryError):
             registry.add_assertion(PublisherAssertion(
                 a.business_key, b.business_key, "partner"), "pb")
+
+    def test_delete_drops_assertions_on_both_sides(self):
+        # Both directions go, including the one the other owner filed.
+        registry = UddiRegistry()
+        a, b, c = acme(), make_business("Globex"), make_business("Initech")
+        for entity, owner in ((a, "pa"), (b, "pb"), (c, "pc")):
+            registry.save_business(entity, owner)
+        registry.add_assertion(PublisherAssertion(
+            a.business_key, b.business_key, "partner"), "pa")
+        registry.add_assertion(PublisherAssertion(
+            b.business_key, a.business_key, "partner"), "pb")
+        kept = PublisherAssertion(b.business_key, c.business_key, "peer")
+        registry.add_assertion(kept, "pb")
+        registry.delete_business(a.business_key, "pa")
+        assert registry.assertions() == [kept]

@@ -1,20 +1,23 @@
 """Durable wrappers: log-then-ack, checkpoints, recovery digests."""
 
+from typing import Callable, NamedTuple
+
 import pytest
 
 from repro.core.credentials import anyone
 from repro.core.errors import (
     DurabilityLagExceeded,
+    ReproError,
     WalCorrupt,
     WalError,
 )
 from repro.core.policy import Action, PolicyBase, grant
 from repro.relational.authorization import Privilege
+from repro.relational.database import Database
 from repro.relational.table import Column, ColumnType, TableSchema
-from repro.scale.registry import ShardedUddiRegistry
-from repro.scale.relational import ShardedDatabase
 from repro.snap.xmlstore import SnapshotXmlDatabase
-from repro.uddi.model import BusinessEntity
+from repro.uddi.model import BusinessEntity, PublisherAssertion
+from repro.uddi.registry import UddiRegistry
 from repro.wal.durable import (
     DurablePolicyStore,
     DurableRelationalStore,
@@ -37,6 +40,149 @@ def seed_xml(store):
                   "<order id=\"1\"><total>12</total></order>")
 
 
+def seed_uddi(registry):
+    for key, owner in (("biz-a", "alice"), ("biz-b", "bob"),
+                       ("biz-c", "alice")):
+        registry.save_business(
+            BusinessEntity(business_key=key, name=key.upper()), owner)
+    registry.add_assertion(PublisherAssertion("biz-a", "biz-b", "peer"),
+                           "alice")
+
+
+PATIENTS = TableSchema("patients", (
+    Column("id", ColumnType.INT),
+    Column("name", ColumnType.TEXT)), primary_key="id")
+
+
+def seed_relational(db):
+    db.create_table(PATIENTS, "root")
+    db.insert("root", "patients", id=1, name="Ada")
+    db.insert("root", "patients", id=2, name="Grace")
+    db.grant("root", "bob", "patients", Privilege.SELECT)
+
+
+def seed_policies(store):
+    store.add(grant(anyone(), Action.READ, "/a"))
+    dropped = store.add(grant(anyone(), Action.READ, "/b"))
+    store.add(grant(anyone(), Action.WRITE, "/c"))
+    store.remove(dropped)
+
+
+class Kind(NamedTuple):
+    cls: type
+    inner: Callable
+    seed: Callable      # four transactions
+    more: Callable      # (store, n): one more, distinct per n
+    rejected: Callable  # an op the inner store refuses
+
+
+KINDS = {
+    "xml": Kind(
+        DurableXmlStore, SnapshotXmlDatabase, seed_xml,
+        lambda s, n: s.insert("orders", f"n{n}", f"<order id=\"{n}\"/>"),
+        lambda s: s.insert("nowhere", "d1", "<x/>")),
+    "uddi": Kind(
+        DurableUddiRegistry, UddiRegistry, seed_uddi,
+        lambda s, n: s.save_business(
+            BusinessEntity(business_key=f"biz-n{n}", name=f"N{n}"),
+            "carol"),
+        lambda s: s.delete_business("biz-a", "bob")),
+    "relational": Kind(
+        DurableRelationalStore, Database, seed_relational,
+        lambda s, n: s.insert("root", "patients", id=10 + n,
+                              name=f"p{n}"),
+        lambda s: s.insert("bob", "patients", id=99, name="Eve")),
+    "policy": Kind(
+        DurablePolicyStore, PolicyBase, seed_policies,
+        lambda s, n: s.add(grant(anyone(), Action.READ, f"/n{n}")),
+        lambda s: s.remove(grant(anyone(), Action.READ, "/never-added"))),
+}
+
+
+def seeded(kind, vfs, **kwargs):
+    spec = KINDS[kind]
+    store = spec.cls(spec.inner(), vfs, shards=2, auto_flush=False,
+                     **kwargs)
+    spec.seed(store)
+    return spec, store
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+class TestEveryKind:
+    def test_checkpoint_then_recover_is_the_live_state(self, kind):
+        vfs = MemVfs()
+        spec, store = seeded(kind, vfs)
+        assert store.checkpoint() is True
+        digest = store.state_digest()
+        store.close()
+        recovered, report = spec.cls.recover(vfs, shards=2,
+                                             auto_flush=False)
+        assert recovered.state_digest() == digest
+        assert report.checkpoint_digest == digest
+        assert report.records_replayed == 0
+
+    def test_checkpoint_bounds_replay(self, kind):
+        vfs = MemVfs()
+        spec, store = seeded(kind, vfs)
+        assert store.checkpoint() is True
+        spec.more(store, 0)
+        digest = store.state_digest()
+        store.close()
+        recovered, report = spec.cls.recover(vfs, shards=2,
+                                             auto_flush=False)
+        assert recovered.state_digest() == digest
+        assert report.checkpoint_lsn == 4
+        assert report.records_replayed == 1  # just the op after it
+
+    def test_restart_checkpoint_restart_cycle_stays_recoverable(self, kind):
+        # Pre-recovery segments must register as sealed on reopen:
+        # otherwise a checkpoint deletes only newly-sealed higher
+        # -index segments around them, punching an index gap the next
+        # recovery reads as a missing segment — an ordinary restart +
+        # checkpoint + restart cycle would brick the store.
+        vfs = MemVfs()
+        spec, store = seeded(kind, vfs, segment_bytes=192)
+        store.close()
+        first, _ = spec.cls.recover(vfs, shards=2, auto_flush=False,
+                                    segment_bytes=192)
+        inherited = [n for n in vfs.listdir() if n.endswith(".wal")]
+        for n in range(8):
+            spec.more(first, n)
+        assert first.checkpoint() is True
+        digest = first.state_digest()
+        first.close()
+        # The checkpoint reclaimed the pre-recovery chain prefix...
+        assert not any(vfs.exists(name) for name in inherited)
+        # ...and what remains is a recoverable contiguous chain.
+        second, _ = spec.cls.recover(vfs, shards=2, auto_flush=False,
+                                     segment_bytes=192)
+        assert second.state_digest() == digest
+
+    def test_unchanged_digest_skips_the_checkpoint(self, kind):
+        _, store = seeded(kind, MemVfs())
+        assert store.checkpoint() is True
+        assert store.checkpoint() is False
+
+    def test_rejected_op_is_never_logged(self, kind):
+        spec, store = seeded(kind, MemVfs())
+        before = (store.state_digest(), store.wal.last_appended)
+        with pytest.raises(ReproError):
+            spec.rejected(store)
+        assert (store.state_digest(), store.wal.last_appended) == before
+
+    def test_corrupt_log_recovers_typed(self, kind):
+        vfs = MemVfs()
+        spec, store = seeded(kind, vfs)
+        store.close()
+        # A bad first frame with valid frames after it is corruption,
+        # not a torn tail.
+        largest = max((n for n in vfs.listdir() if n.endswith(".wal")),
+                      key=vfs.durable_size)
+        vfs.corrupt_byte(largest, 30)
+        with pytest.raises(WalCorrupt):
+            spec.cls.recover(vfs, shards=2, auto_flush=False)
+
+
 class TestXmlStore:
     def test_recovery_is_byte_identical(self):
         vfs = MemVfs()
@@ -49,35 +195,6 @@ class TestXmlStore:
         assert recovered.state_digest() == digest
         assert report.records_replayed == 4
         assert "total>12" in recovered.current().serialize("orders", "o1")
-
-    def test_checkpoint_bounds_replay(self):
-        vfs = MemVfs()
-        store = xml_store(vfs)
-        seed_xml(store)
-        assert store.checkpoint() is True
-        store.delete("orders", "o2")
-        digest = store.state_digest()
-        store.close()
-        recovered, report = DurableXmlStore.recover(
-            vfs, shards=2, auto_flush=False)
-        assert recovered.state_digest() == digest
-        assert report.checkpoint_lsn == 4
-        assert report.records_replayed == 1  # just the delete
-
-    def test_unchanged_digest_skips_the_checkpoint(self):
-        store = xml_store(MemVfs())
-        seed_xml(store)
-        assert store.checkpoint() is True
-        assert store.checkpoint() is False
-
-    def test_rejected_op_is_never_logged(self):
-        vfs = MemVfs()
-        store = xml_store(vfs)
-        seed_xml(store)
-        before = store.wal.last_appended
-        with pytest.raises(Exception):
-            store.insert("nowhere", "d1", "<x/>")
-        assert store.wal.last_appended == before
 
     def test_group_settles_in_one_sync_per_shard(self):
         store = xml_store(MemVfs())
@@ -98,42 +215,6 @@ class TestXmlStore:
         store.wal_sync()
         store.insert("c", "fits", "<x/>")
 
-    def test_corrupt_log_recovers_typed(self):
-        vfs = MemVfs()
-        store = xml_store(vfs)
-        seed_xml(store)
-        store.close()
-        segments = [n for n in vfs.listdir() if n.endswith(".wal")
-                    and vfs.durable_size(n) > 40]
-        vfs.corrupt_byte(segments[0], 30)
-        with pytest.raises(WalCorrupt):
-            DurableXmlStore.recover(vfs, shards=2, auto_flush=False)
-
-    def test_restart_checkpoint_restart_cycle_stays_recoverable(self):
-        # Pre-recovery segments must register as sealed on reopen:
-        # otherwise a checkpoint deletes only newly-sealed higher
-        # -index segments around them, punching an index gap the next
-        # recovery reads as a missing segment — an ordinary restart +
-        # checkpoint + restart cycle would brick the store.
-        vfs = MemVfs()
-        store = xml_store(vfs, segment_bytes=192)
-        seed_xml(store)
-        store.close()
-        first, _ = DurableXmlStore.recover(
-            vfs, shards=2, auto_flush=False, segment_bytes=192)
-        inherited = [n for n in vfs.listdir() if n.endswith(".wal")]
-        for n in range(8):
-            first.insert("orders", f"n{n}", f"<order id=\"{n}\"/>")
-        assert first.checkpoint() is True
-        digest = first.state_digest()
-        first.close()
-        # The checkpoint reclaimed the pre-recovery chain prefix...
-        assert not any(vfs.exists(name) for name in inherited)
-        # ...and what remains is a recoverable contiguous chain.
-        second, _ = DurableXmlStore.recover(
-            vfs, shards=2, auto_flush=False, segment_bytes=192)
-        assert second.state_digest() == digest
-
     def test_writer_block_is_one_durable_group(self):
         vfs = MemVfs()
         store = xml_store(vfs)
@@ -151,9 +232,8 @@ class TestXmlStore:
 class TestUddiRegistry:
     def test_cross_shard_delete_replays_in_order(self):
         vfs = MemVfs()
-        registry = DurableUddiRegistry(
-            ShardedUddiRegistry(shard_count=4), vfs, shards=2,
-            auto_flush=False)
+        registry = DurableUddiRegistry(UddiRegistry(), vfs, shards=2,
+                                       auto_flush=False)
         registry.save_business(
             BusinessEntity(business_key="biz-001", name="Acme"), "alice")
         registry.save_business(
@@ -163,38 +243,33 @@ class TestUddiRegistry:
         digest = registry.state_digest()
         registry.close()
         recovered, report = DurableUddiRegistry.recover(
-            vfs, shards=2, auto_flush=False,
-            inner_kwargs={"shard_count": 4})
+            vfs, shards=2, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 3
 
 
 class TestRelationalStore:
-    def test_wal_only_replay_rebuilds_rows_and_grants(self):
+    def test_replay_rebuilds_rows_and_grants(self):
         vfs = MemVfs()
-        db = DurableRelationalStore(
-            ShardedDatabase(), vfs, shards=2, auto_flush=False)
-        schema = TableSchema("patients", (
-            Column("id", ColumnType.INT),
-            Column("name", ColumnType.TEXT)), primary_key="id")
-        db.create_table(schema, "root")
-        db.insert("root", "patients", id=1, name="Ada")
-        db.insert("root", "patients", id=2, name="Grace")
+        db = DurableRelationalStore(Database(), vfs, shards=2,
+                                    auto_flush=False)
+        seed_relational(db)
         digest = db.state_digest()
         db.close()
         recovered, report = DurableRelationalStore.recover(
             vfs, shards=2, auto_flush=False)
         assert recovered.state_digest() == digest
-        assert report.checkpoint_lsn == 0  # WAL-only: no checkpoint
-        assert report.records_replayed == 3
+        assert report.checkpoint_lsn == 0
+        assert report.records_replayed == 4
+        assert len(recovered.select("bob", "patients").rows) == 2
 
     def test_columns_named_like_wrapper_params_are_data(self):
         # Column values travel as a positional dict: a column named
         # "op" or "shard" must insert and replay as data, not collide
         # with _durable_op's own parameters.
         vfs = MemVfs()
-        db = DurableRelationalStore(
-            ShardedDatabase(), vfs, shards=2, auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs, shards=2,
+                                    auto_flush=False)
         schema = TableSchema("audit", (
             Column("id", ColumnType.INT),
             Column("op", ColumnType.TEXT),
@@ -208,15 +283,25 @@ class TestRelationalStore:
         assert recovered.state_digest() == digest
         assert report.records_replayed == 2
 
-    def test_checkpoint_is_refused_typed(self):
-        db = DurableRelationalStore(
-            ShardedDatabase(), MemVfs(), shards=2, auto_flush=False)
-        with pytest.raises(WalError):
-            db.checkpoint()
+    def test_metadata_survives_checkpoint_and_replay(self):
+        # Metadata is outside state_digest(): check it directly.
+        vfs = MemVfs()
+        db = DurableRelationalStore(Database(), vfs, shards=2,
+                                    auto_flush=False)
+        seed_relational(db)
+        db.set_metadata("patients", "privacy", "hipaa")
+        assert db.checkpoint() is True
+        db.set_metadata("patients", "owner", "ward-7")
+        db.close()
+        recovered, report = DurableRelationalStore.recover(
+            vfs, shards=2, auto_flush=False)
+        assert report.records_replayed == 1
+        assert recovered.get_metadata("patients", "privacy") == "hipaa"
+        assert recovered.get_metadata("patients", "owner") == "ward-7"
 
     def test_unpicklable_args_are_refused_before_apply(self):
-        db = DurableRelationalStore(
-            ShardedDatabase(), MemVfs(), shards=2, auto_flush=False)
+        db = DurableRelationalStore(Database(), MemVfs(), shards=2,
+                                    auto_flush=False)
         schema = TableSchema("t", (Column("id", ColumnType.INT),),
                              primary_key="id")
         db.create_table(schema, "root")

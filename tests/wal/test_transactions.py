@@ -15,11 +15,11 @@ import pytest
 
 from repro.core.errors import QueryError, WalCorrupt, WalError
 from repro.relational.authorization import Privilege
+from repro.relational.database import Database
 from repro.relational.table import Column, ColumnType, TableSchema
-from repro.scale.registry import ShardedUddiRegistry
-from repro.scale.relational import ShardedDatabase
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.model import BusinessEntity
+from repro.uddi.registry import UddiRegistry
 from repro.wal.durable import (
     DurableRelationalStore,
     DurableUddiRegistry,
@@ -64,8 +64,8 @@ def xml_transaction():
 
 def uddi_transaction():
     vfs = UnsyncedVfs()
-    registry = DurableUddiRegistry(ShardedUddiRegistry(shard_count=4),
-                                   vfs, shards=1, auto_flush=False)
+    registry = DurableUddiRegistry(UddiRegistry(), vfs, shards=1,
+                                   auto_flush=False)
     registry.save_business(
         BusinessEntity(business_key="biz-000", name="Base"), "alice")
     before = registry.state_digest()
@@ -108,8 +108,7 @@ class TestCrashAtomicity:
             vfs, _, _ = uddi_transaction()
             vfs.crash(keep_partial={tail: keep})
             recovered, report = DurableUddiRegistry.recover(
-                vfs, shards=1, auto_flush=False,
-                inner_kwargs={"shard_count": 4})
+                vfs, shards=1, auto_flush=False)
             whole = keep == pending
             assert recovered.state_digest() == (after if whole
                                                 else before)
@@ -153,7 +152,7 @@ class TestOneRecordPerTransaction:
 
     def test_unpicklable_argument_is_refused_mid_block_before_apply(self):
         vfs = MemVfs()
-        db = DurableRelationalStore(ShardedDatabase(), vfs, shards=2,
+        db = DurableRelationalStore(Database(), vfs, shards=2,
                                     auto_flush=False)
         schema = TableSchema("t", (Column("id", ColumnType.INT),),
                              primary_key="id")
