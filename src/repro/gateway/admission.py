@@ -31,6 +31,7 @@ chaos battery drive admission on a manual clock with zero flakiness.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,12 +126,15 @@ class TokenBucket:
 class DeficitRoundRobin:
     """Deficit-round-robin over named queues.
 
-    ``take(budget)`` drains up to *budget* items: the active-tenant
-    ring is visited in registration order; each visit tops the
-    tenant's deficit up by its quantum and dequeues while deficit and
-    backlog last.  Deficits reset when a queue empties, so a tenant
-    cannot bank credit while idle — the standard DRR no-starvation
-    argument applies per round.
+    ``take(budget)`` drains up to *budget* items: the tenant ring is
+    visited in registration order; each visit tops the tenant's deficit
+    up by its quantum and dequeues while deficit and backlog last.
+    Deficits reset when a queue empties, so a tenant cannot bank credit
+    while idle — the standard DRR no-starvation argument applies per
+    round.  Only backlogged slots are visited (an ascending index kept
+    by ``push`` and ``take``): an idle tenant's visit would only reset
+    a deficit that is already 0, so skipping it changes nothing but
+    the cost, which is O(backlogged tenants), not O(registered ones).
     """
 
     def __init__(self) -> None:
@@ -138,19 +142,26 @@ class DeficitRoundRobin:
         self._quanta: dict[str, int] = {}
         self._deficits: dict[str, int] = {}
         self._ring: list[str] = []
+        self._slots: dict[str, int] = {}
+        # Ring slots whose queue is non-empty, ascending.
+        self._backlogged: list[int] = []
         self._cursor = 0
         self._pending = 0
 
     def register(self, tenant: str, quantum: int) -> None:
         if tenant not in self._queues:
             self._queues[tenant] = []
+            self._slots[tenant] = len(self._ring)
             self._ring.append(tenant)
         self._quanta[tenant] = quantum
         self._deficits.setdefault(tenant, 0)
 
     def push(self, tenant: str, item: object) -> int:
         """Enqueue for *tenant* (must be registered); returns depth."""
-        self._queues[tenant].append(item)
+        queue = self._queues[tenant]
+        if not queue:
+            insort(self._backlogged, self._slots[tenant])
+        queue.append(item)
         self._pending += 1
         return self._pending
 
@@ -165,25 +176,30 @@ class DeficitRoundRobin:
         slice per tenant visit, so a deep backlog is shifted once per
         visit, not once per item."""
         taken: list = []
-        if self._pending == 0 or budget <= 0 or not self._ring:
+        backlogged = self._backlogged
+        if not backlogged or budget <= 0:
             return taken
         ring = self._ring
-        # One full lap with no progress means every backlog is empty.
-        idle_visits = 0
-        while len(taken) < budget and idle_visits < len(ring):
-            tenant = ring[self._cursor % len(ring)]
-            self._cursor = (self._cursor + 1) % len(ring)
+        slot = self._cursor
+        while backlogged and len(taken) < budget:
+            # The next backlogged slot at or after the cursor, cyclic.
+            at = bisect_left(backlogged, slot)
+            if at == len(backlogged):
+                at = 0
+            slot = backlogged[at]
+            tenant = ring[slot]
             queue = self._queues[tenant]
-            if not queue:
-                self._deficits[tenant] = 0
-                idle_visits += 1
-                continue
-            idle_visits = 0
             deficit = self._deficits[tenant] + self._quanta[tenant]
             count = min(len(queue), deficit, budget - len(taken))
             taken += queue[:count]
             del queue[:count]
-            self._deficits[tenant] = deficit - count if queue else 0
+            if queue:
+                self._deficits[tenant] = deficit - count
+            else:
+                self._deficits[tenant] = 0
+                del backlogged[at]
+            slot += 1
+        self._cursor = slot % len(ring)
         self._pending -= len(taken)
         return taken
 

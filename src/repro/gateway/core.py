@@ -97,7 +97,8 @@ _FAULT_ORDER = (FaultKind.CRASH, FaultKind.CORRUPT, FaultKind.STALE_READ,
 class _Stream:
     """The async face of one admitted stream: its chunk generator,
     *primed* to its first yield, so that closing or dropping the stream
-    — started or not — runs the ``finally`` that releases the pin."""
+    — started or not — runs the ``finally`` that releases the pin.
+    ``__anext__`` never awaits: a chunk costs no loop turn."""
 
     def __init__(self, chunks: Iterator[str]) -> None:
         next(chunks)
@@ -354,9 +355,11 @@ class AsyncRequestGateway:
                                   []).append(entry)
 
         stats = self.stats
-        for shard in sorted(groups):
+        faults = self.faults
+        for shard in sorted(groups) if len(groups) > 1 else groups:
             group = groups[shard]
-            error = self._fault_for("shard", shard)
+            error = (None if faults is None
+                     else self._fault_for("shard", shard))
             if error is None:
                 started = self.clock()
                 decide_batch = (
@@ -457,14 +460,16 @@ class AsyncRequestGateway:
     def _stream_chunks(self, snapshot, root,
                        chunk_size: int) -> Iterator[str]:
         admitted_at, sent, completed = self.clock(), 0, False
+        faulty = self.faults is not None
         try:
             yield ""  # where _Stream parks it: the finally is now armed
             for chunk in chunked(serialize_pieces(root, self._pool),
                                  chunk_size):
-                error = self._fault_for("stream")
-                if error is not None:
-                    # Fail closed: a typed error, never garbled bytes.
-                    raise error
+                if faulty:
+                    error = self._fault_for("stream")
+                    if error is not None:
+                        # Fail closed: a typed error, never garbled bytes.
+                        raise error
                 sent += 1
                 yield chunk
             completed = True

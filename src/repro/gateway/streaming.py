@@ -8,13 +8,16 @@ walk of frozen trees, :func:`repro.snap.intern.serialize_pieces`, cut
 into chunks: it emits interned fragments where the pool has them,
 serializes where it does not, and interns what it serialized.  The
 first stream of a document pays for the later ones: a repeat stream is
-one pool probe and one join per chunk, and after a transaction only
-the copied spine is serialized again.
+one pool probe, one join per rope level and one slice per chunk, and
+after a transaction only the copied spine is serialized again.
 
 Chunk boundaries do not depend on what the pool holds: every chunk but
-the last is exactly ``chunk_size`` characters, cold or warm.  Each
-chunk is a suspension point, so writers can publish epochs between
-chunks while the reader's pinned epoch keeps its snapshot alive.
+the last is exactly ``chunk_size`` characters, cold or warm.  A chunk
+is *not* a suspension point: producing one never awaits, so ``async
+for`` over a stream runs to its end without a loop turn.  Writers
+publish between chunks only when the consumer awaits something else
+in between, and the reader's pinned epoch keeps its snapshot alive
+across whatever they publish.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ async def stream_element(node: FrozenElement, pool=None,
     """Serialize *node* as an async stream of *chunk_size* chunks.
 
     ``"".join([chunk async for chunk in stream_element(n, pool)])`` is
-    byte-identical to ``pool.serialize(n)``; every yield suspends, so
-    the event loop interleaves other work between chunks.
+    byte-identical to ``pool.serialize(n)``.  No yield suspends: the
+    event loop runs other work between chunks only if the consumer
+    awaits something that does.
     """
     for chunk in chunked(serialize_pieces(node, pool), chunk_size):
         yield chunk

@@ -23,9 +23,8 @@ than silently corrupting the refcounts.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.core.errors import EpochRetired, SnapshotError
 
@@ -62,7 +61,6 @@ class EpochManager:
         self._refs: dict[int, int] = {}
         # epoch -> snapshot, for snapshots superseded but still pinned.
         self._retired: dict[int, object] = {}
-        self._reclaimed: list[int] = []
         # durability key (checkpoint LSN or digest) -> epoch held by a
         # retain_until pin that has not been released yet.
         self._durable_pins: dict[object, int] = {}
@@ -92,7 +90,6 @@ class EpochManager:
     def _reclaim_locked(self, snapshot) -> None:
         self._refs.pop(snapshot.epoch, None)
         self._retired.pop(snapshot.epoch, None)
-        self._reclaimed.append(snapshot.epoch)
         self.stats.reclaimed += 1
         close = getattr(snapshot, "close", None)
         if close is not None:
@@ -182,13 +179,10 @@ class EpochManager:
         with self._mutex:
             return dict(self._durable_pins)
 
-    @contextmanager
-    def reading(self) -> Iterator[object]:
-        snapshot = self.acquire()
-        try:
-            yield snapshot
-        finally:
-            self.release(snapshot)
+    def reading(self) -> "_Pin":
+        """``with manager.reading() as snapshot:`` — :meth:`acquire` on
+        entry, :meth:`release` on exit, raising or not."""
+        return _Pin(self)
 
     # -- introspection ---------------------------------------------------
 
@@ -200,11 +194,29 @@ class EpochManager:
         with self._mutex:
             return sorted(self._retired)
 
-    def reclaimed_epochs(self) -> list[int]:
-        """Epochs fully reclaimed, in reclamation order."""
+    def is_reclaimed(self, epoch: int) -> bool:
+        """Whether *epoch* was published and has been reclaimed since:
+        every published epoch is current, retired-and-pinned or gone."""
         with self._mutex:
-            return list(self._reclaimed)
+            return epoch < self._next_epoch and epoch not in self._refs
 
     def pins(self, epoch: int) -> int:
         with self._mutex:
             return self._refs.get(epoch, 0)
+
+
+class _Pin:
+    """The context manager :meth:`EpochManager.reading` returns: a pin
+    through the manager's own (possibly overridden) acquire/release."""
+
+    __slots__ = ("_manager", "_snapshot")
+
+    def __init__(self, manager: EpochManager) -> None:
+        self._manager = manager
+
+    def __enter__(self):
+        self._snapshot = self._manager.acquire()
+        return self._snapshot
+
+    def __exit__(self, *exc_info) -> None:
+        self._manager.release(self._snapshot)

@@ -18,8 +18,9 @@ an entry):
   of its own markup (tags, text, leaf children) and references to its
   children's fragments.  No byte is held twice and no entry owns more
   than a chunk of characters (unless one text run is longer); leaves
-  are neither probed nor interned.  A warm read is one probe, and a
-  point edit re-serializes only the spine it copied;
+  are neither probed nor interned.  A warm read is one probe and one
+  join per rope level, and a point edit re-serializes only the spine
+  it copied;
 * **merkle** — Merkle subtree hashes, composed with the same
   :func:`repro.merkle.xml_merkle.node_hash` recurrence as the live
   hashers, so snapshot root hashes are interchangeable with theirs;
@@ -70,17 +71,16 @@ def _leaf(node: FrozenElement) -> str | None:
     return f"{_open_tag(node)}>{text}</{node.tag}>"
 
 
-def _strings(rope: tuple) -> Iterator[str]:
-    """The strings of *rope*, in document order."""
-    stack = [iter(rope)]
-    while stack:
-        for piece in stack[-1]:
-            if isinstance(piece, tuple):
-                stack.append(iter(piece))
-                break
-            yield piece
-        else:
-            stack.pop()
+def _flat(rope: tuple) -> str:
+    """The bytes of *rope*: one join per rope level, recursing only
+    into nested ropes (never deeper than the frozen tree itself).  A
+    level of strings — every level of a document whose children fit
+    in a chunk — is joined straight from the tuple."""
+    try:
+        return "".join(rope)        # a level of strings: the common case
+    except TypeError:               # the level holds nested ropes
+        return "".join([_flat(piece) if isinstance(piece, tuple)
+                         else piece for piece in rope])
 
 
 def serialize_pieces(node: FrozenElement,
@@ -88,7 +88,8 @@ def serialize_pieces(node: FrozenElement,
     """The canonical serialization of *node* (byte-identical to
     :func:`repro.xmldb.serializer.serialize_element`) as pieces in
     document order, interning into *pool* on the way up (``None``: into
-    a private cache that dies with the walk).
+    a private cache that dies with the walk).  A pool hit is one piece,
+    a rope's flattened by one join per rope level.
 
     An element's fragment enters the pool only after its close tag has
     been produced, so an abandoned walk leaves the pool consistent.
@@ -115,7 +116,7 @@ def serialize_pieces(node: FrozenElement,
                         break
                     if isinstance(piece, tuple):
                         pieces.append(piece)
-                        yield from _strings(piece)
+                        yield _flat(piece)
                         continue
             pieces.append(piece)
             yield piece

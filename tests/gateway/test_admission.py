@@ -186,6 +186,33 @@ class TestSliceTakeMatchesPerItemReference:
         assert fast.drain_all() == reference.drain_all()
 
 
+class CountingQueues(dict):
+    """A ``_queues`` that counts the queues ``take`` looks up."""
+
+    reads = 0
+
+    def __getitem__(self, tenant):
+        self.reads += 1
+        return super().__getitem__(tenant)
+
+
+class TestTakeVisitsOnlyBackloggedTenants:
+    def test_one_backlog_among_a_thousand_tenants_is_one_lookup(self):
+        drr = DeficitRoundRobin()
+        for index in range(1000):
+            drr.register(f"t{index}", quantum=1)
+        drr._queues = CountingQueues(drr._queues)
+        drr.push("t0", "first")
+        assert drr.take(1) == ["first"]     # the cursor is now past t0
+        drr.push("t0", "second")
+        drr._queues.reads = 0
+        assert drr.take(8) == ["second"]
+        # A per-slot ring walk looks up every queue twice here: up to
+        # t0, then one idle lap to notice that nothing is left.
+        assert drr._queues.reads == 1
+        assert drr._cursor == 1
+
+
 def controller(limit=100, **kwargs) -> AdmissionController:
     return AdmissionController(ManualClock(), queue_limit=limit, **kwargs)
 

@@ -51,6 +51,13 @@ def count_serialized(monkeypatch) -> list[str]:
     return opened
 
 
+def held_strings(value) -> list[str]:
+    """The strings a pool entry holds, by reference: a rope's leaves."""
+    if isinstance(value, str):
+        return [value]
+    return [string for piece in value for string in held_strings(piece)]
+
+
 def fragment_counts(pool: InternPool) -> tuple[int, int]:
     stats = pool.stats()["fragments"]
     return stats["hits"], stats["misses"]
@@ -168,7 +175,7 @@ class TestInternReuse:
         assert "".join(warm) == BIG_XML
         assert fragment_counts(pool) == (1, 121)    # one probe, a hit
         assert opened == []                         # no node visited
-        assert len(warm) == 62      # open tag, 60 records, close tag
+        assert warm == [BIG_XML]    # the rope, flattened in one piece
 
     def test_pool_holds_maximal_strings_under_ropes(self):
         frozen = freeze_document(parse(BIG_XML, "d"))
@@ -214,6 +221,7 @@ class TestInternReuse:
         assert max(len(value) for value in entries.values()
                    if isinstance(value, str)) <= DEFAULT_CHUNK_SIZE
         assert pool.serialize(frozen.root) == xml       # from the ropes
+        assert list(serialize_pieces(frozen.root, pool)) == [xml]
 
     def test_one_long_text_run_is_the_documented_exception(self):
         xml = f"<doc><a><b>{'x' * 10_000}</b></a><c>y</c></doc>"
@@ -223,7 +231,7 @@ class TestInternReuse:
         assert pool.serialize(frozen.root) == xml
         held = {id(piece): len(piece)
                 for value in pool._fragments._entries.values()
-                for piece in intern._strings((value,))}
+                for piece in held_strings(value)}
         assert max(held.values()) == len(f"<b>{'x' * 10_000}</b>")
         assert sum(held.values()) == len(xml)       # each byte once
 
@@ -252,8 +260,7 @@ class TestInternReuse:
             next(walk)
         walk.close()
         for node, value in pool._fragments._entries.items():
-            assert "".join(intern._strings((value,))) == \
-                serialize_element(node)
+            assert "".join(held_strings(value)) == serialize_element(node)
         assert pool.serialize(frozen.root) == BIG_XML
 
 
@@ -377,6 +384,27 @@ class TestGatewayStreaming:
 
         expected = -(-len(BIG_XML) // 512)
         assert asyncio.run(scenario()) == [expected, 2 * expected]
+
+    def test_a_stream_runs_to_its_end_without_a_loop_turn(self):
+        db = SnapshotXmlDatabase()
+        db.create_collection("c")
+        db.insert("c", "d", BIG_XML)
+
+        async def scenario():
+            gateway = AsyncRequestGateway(_tiny_engine(), store=db,
+                                          auto_dispatch=False)
+            probe = []
+            asyncio.get_running_loop().call_soon(probe.append, "ran")
+            seen = []
+            async for chunk in gateway.stream_document(
+                    "t", "c", "d", chunk_size=-(-len(BIG_XML) // 4)):
+                seen.append((chunk, list(probe)))
+            return seen
+
+        seen = asyncio.run(scenario())
+        assert "".join(chunk for chunk, _ in seen) == BIG_XML
+        # No chunk suspended: the probe had not run at the last one.
+        assert [probed for _, probed in seen] == [[]] * 4
 
     def test_stream_without_store_is_a_configuration_error(self):
         async def scenario():

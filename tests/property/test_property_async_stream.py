@@ -69,7 +69,7 @@ class TestPinnedEpochSurvivesWriters:
                         "c", "d", "/doc/rec/v", f"edit {n}"))
                 boundary += 1
                 # The pinned epoch must be alive at every boundary.
-                assert pinned_epoch not in db.epochs.reclaimed_epochs()
+                assert not db.epochs.is_reclaimed(pinned_epoch)
                 assert db.epochs.pins(pinned_epoch) == 1
             return "".join(chunks), pinned_epoch, edits
 
@@ -79,7 +79,7 @@ class TestPinnedEpochSurvivesWriters:
         # the epoch — the old snapshot is reclaimable and reclaimed.
         assert db.epochs.pins(pinned_epoch) == 0
         if edits:
-            assert pinned_epoch in db.epochs.reclaimed_epochs()
+            assert db.epochs.is_reclaimed(pinned_epoch)
             current = InternPool().serialize_document(
                 db.current().document("c", "d"))
             assert current != expected
@@ -110,7 +110,7 @@ class TestPinnedEpochSurvivesWriters:
 
         pinned_epoch = asyncio.run(scenario())
         assert db.epochs.pins(pinned_epoch) == 0
-        assert pinned_epoch in db.epochs.reclaimed_epochs()
+        assert db.epochs.is_reclaimed(pinned_epoch)
 
     @settings(max_examples=20, deadline=None)
     @given(streams=st.integers(min_value=2, max_value=5))

@@ -113,10 +113,10 @@ class TestSnapshotEquivalence:
                              if s.epoch != current})
         # Every pinned, superseded epoch is retired — not reclaimed.
         assert db.epochs.retired_epochs() == superseded
-        reclaimed = set(db.epochs.reclaimed_epochs())
-        assert not reclaimed.intersection(superseded)
+        assert not any(db.epochs.is_reclaimed(epoch)
+                       for epoch in superseded)
         for snapshot in pinned:
             db.epochs.release(snapshot)
         # All pins dropped: everything superseded is now reclaimed.
         assert db.epochs.retired_epochs() == []
-        assert set(superseded).issubset(set(db.epochs.reclaimed_epochs()))
+        assert all(db.epochs.is_reclaimed(epoch) for epoch in superseded)

@@ -14,13 +14,16 @@ from repro.snap.xmlstore import SnapshotXmlDatabase
 
 
 class FakeSnapshot:
-    def __init__(self, label):
+    def __init__(self, label, closes=None):
         self.label = label
         self.epoch = None
         self.closed = 0
+        self.closes = closes        # shared log of close() order
 
     def close(self):
         self.closed += 1
+        if self.closes is not None:
+            self.closes.append(self.label)
 
 
 class TestPublication:
@@ -47,7 +50,9 @@ class TestPublication:
         manager = EpochManager()
         old = manager.publish(FakeSnapshot("a"))
         manager.publish(FakeSnapshot("b"))
-        assert manager.reclaimed_epochs() == [old.epoch]
+        assert manager.is_reclaimed(old.epoch)
+        assert not manager.is_reclaimed(old.epoch + 1)     # current
+        assert not manager.is_reclaimed(old.epoch + 2)     # unpublished
         assert manager.retired_epochs() == []
         assert old.closed == 1
 
@@ -58,22 +63,23 @@ class TestPinning:
         uncounted writer publications later — until its last reader
         releases, and is reclaimed at exactly that moment."""
         manager = EpochManager()
-        manager.publish(FakeSnapshot("a"))
+        closes: list[str] = []
+        manager.publish(FakeSnapshot("a", closes))
         pinned = manager.acquire()
         for label in "bcdefg":  # a burst of 6 writer publications
-            manager.publish(FakeSnapshot(label))
+            manager.publish(FakeSnapshot(label, closes))
         assert manager.retired_epochs() == [pinned.epoch]
-        assert pinned.epoch not in manager.reclaimed_epochs()
+        assert not manager.is_reclaimed(pinned.epoch)
         assert pinned.closed == 0
         assert manager.pins(pinned.epoch) == 1
 
         manager.release(pinned)
-        assert pinned.epoch in manager.reclaimed_epochs()
+        assert manager.is_reclaimed(pinned.epoch)
         assert manager.retired_epochs() == []
         assert pinned.closed == 1
         # Intermediate epochs b..f were never pinned: reclaimed at
         # publication time, before a's release.
-        assert manager.reclaimed_epochs().index(pinned.epoch) == 5
+        assert closes == ["b", "c", "d", "e", "f", "a"]
 
     def test_multiple_pins_require_all_releases(self):
         manager = EpochManager()
@@ -93,7 +99,7 @@ class TestPinning:
         manager.publish(FakeSnapshot("a"))
         pinned = manager.acquire()
         manager.release(pinned)
-        assert manager.reclaimed_epochs() == []
+        assert not manager.is_reclaimed(pinned.epoch)
         assert manager.current() is pinned
 
     def test_double_release_raises(self):
@@ -114,6 +120,35 @@ class TestPinning:
         assert manager.stats.snapshot()["acquires"] == 1
         assert manager.stats.snapshot()["releases"] == 1
 
+    def test_reading_releases_when_the_block_raises(self):
+        manager = EpochManager()
+        snap = manager.publish(FakeSnapshot("a"))
+        with pytest.raises(KeyError):
+            with manager.reading() as pinned:
+                assert manager.pins(snap.epoch) == 1
+                raise KeyError("reader failed")
+        assert manager.pins(snap.epoch) == 0
+        with pytest.raises(EpochRetired):      # already released
+            manager.release(pinned)
+
+    def test_reading_goes_through_overridden_acquire_and_release(self):
+        calls = []
+
+        class Traced(EpochManager):
+            def acquire(self):
+                calls.append("acquire")
+                return super().acquire()
+
+            def release(self, snapshot):
+                calls.append("release")
+                super().release(snapshot)
+
+        manager = Traced()
+        manager.publish(FakeSnapshot("a"))
+        with manager.reading():
+            assert calls == ["acquire"]
+        assert calls == ["acquire", "release"]
+
     def test_close_runs_exactly_once(self):
         manager = EpochManager()
         old = manager.publish(FakeSnapshot("a"))
@@ -122,6 +157,24 @@ class TestPinning:
         manager.release(pinned)
         manager.publish(FakeSnapshot("c"))
         assert old.closed == 1
+
+
+class TestBoundedState:
+    def test_ten_thousand_publishes_keep_only_live_epochs(self):
+        manager = EpochManager()
+        manager.publish(FakeSnapshot("first"))
+        pinned = manager.acquire()
+        for n in range(10_000):
+            manager.publish(FakeSnapshot(n))
+        # The current epoch and the one pinned reader: nothing else.
+        sizes = {name: len(value) for name, value in vars(manager).items()
+                 if isinstance(value, (dict, list, set))}
+        assert max(sizes.values()) <= 2, sizes
+        assert manager.stats.reclaimed == 9_999
+        assert manager.is_reclaimed(5_000)
+        manager.release(pinned)
+        assert manager.is_reclaimed(pinned.epoch)
+        assert manager.stats.reclaimed == 10_000
 
 
 class TestFreezeDuringWrite:
