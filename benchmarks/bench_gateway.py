@@ -21,9 +21,6 @@ Three sections, each asserting its oracle before reporting a number:
 ``--quick`` shrinks workloads for the CI perf-smoke job (which gates
 on the oracles plus a relaxed speedup floor); full runs establish the
 numbers EXPERIMENTS.md records.  Writes ``BENCH_gateway.json``.
-
-``authorization_workload`` / ``response_bytes`` / ``timed`` live here
-and ``bench_multicore.py`` imports them.
 """
 
 from __future__ import annotations

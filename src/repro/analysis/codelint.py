@@ -59,17 +59,6 @@ error-severity finding):
   policies.  Route replica reads through a
   :class:`repro.replica.router.ReplicaSession` (read-your-writes
   floors) or check the served watermark explicitly;
-* ``LINT-FORKSTATE`` (warning) — module-level mutable runtime state in
-  a module that forks or spawns worker processes: a lock, queue, pipe,
-  socket, or cache bound at import time is silently duplicated into
-  every child at ``fork()`` — a lock can arrive *held*, a queue's
-  internal pipe is shared by processes that believe they own it, and a
-  cache diverges per process while every reader believes it is global
-  (exactly the hazard the multicore dispatcher avoids by keeping all
-  channel state per-instance and re-initializing the child's event
-  loop in ``worker_process_main``).  Re-initializing the binding
-  inside a function (a post-fork hook) is the accepted discipline and
-  suppresses the finding;
 * ``LINT-HOTCOPY`` (warning) — whole-structure copying
   (``copy.deepcopy``/``deep_copy()``/``clone()``) inside a loop, or
   anywhere in a hot-path module (``perf``/``scale``/``snap``): a deep
@@ -155,13 +144,6 @@ REGISTRY.register(
     "watermark/session check can silently serve deleted registrations "
     "or stale policy state")
 REGISTRY.register(
-    "LINT-FORKSTATE", Severity.WARNING, "lint",
-    "module-level mutable state in a forking module",
-    "a lock/queue/socket/cache bound at import time is duplicated "
-    "into every forked child — locks arrive possibly held, channels "
-    "are shared by accident, caches diverge silently; re-initialize "
-    "the state per process after fork/spawn")
-REGISTRY.register(
     "LINT-UNFSYNCED", Severity.ERROR, "lint",
     "durability-adjacent write without an fsync",
     "a write that is flushed but never fsynced sits in the page cache; "
@@ -195,22 +177,6 @@ _REPLICA_MARKER = "replica"
 #: Identifier substrings that count as guarding replica staleness.
 _REPLICA_GUARD_TOKENS = ("watermark", "session", "caught_up", "stale",
                          "fresh")
-#: Constructors whose instances carry per-process runtime state (OS
-#: handles, waiter lists, internal pipes) that fork duplicates into an
-#: inconsistent copy.  Matched against the callee's terminal name, so
-#: ``threading.Lock()`` and ``mp_context.Queue()`` both count.
-_FORK_STATE_CTORS = {
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
-    "Event", "Barrier", "Queue", "SimpleQueue", "JoinableQueue",
-    "LifoQueue", "PriorityQueue", "Pipe", "socket", "socketpair",
-}
-#: Target-name substring marking a module-level mutable binding as a
-#: cross-request cache (which silently diverges per forked process).
-_FORK_CACHE_MARKER = "cache"
-#: Tokens (identifiers *or* string literals — ``get_context("fork")``
-#: names the start method as a string) marking a module as one that
-#: creates worker processes.
-_FORK_TOKENS = ("fork", "spawn")
 #: Directory names whose modules are durability-critical: every file
 #: opened for writing there must reach the platter before it counts.
 _DURABLE_PATH_PARTS = {"wal"}
@@ -327,56 +293,6 @@ def _open_write_mode(node: ast.Call) -> str | None:
     return mode.value if any(ch in mode.value for ch in "wax+") else None
 
 
-def _callee_name(node: ast.Call) -> str:
-    func = node.func
-    return func.id if isinstance(func, ast.Name) else (
-        func.attr if isinstance(func, ast.Attribute) else "")
-
-
-def _module_mentions_fork(tree: ast.Module) -> bool:
-    """Does the module name fork/spawn anywhere?
-
-    String constants count: ``get_context("fork")`` names the start
-    method as a literal, and a module docstring describing its forking
-    discipline marks the module just as surely.
-    """
-    for child in ast.walk(tree):
-        if isinstance(child, ast.Name):
-            text = child.id
-        elif isinstance(child, ast.Attribute):
-            text = child.attr
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)):
-            text = child.name
-        elif (isinstance(child, ast.Constant)
-                and isinstance(child.value, str)):
-            text = child.value
-        else:
-            continue
-        lowered = text.lower()
-        if any(token in lowered for token in _FORK_TOKENS):
-            return True
-    return False
-
-
-def _reinitialized_names(tree: ast.Module) -> set[str]:
-    """Names assigned anywhere inside a function body.
-
-    A module-level binding that some function re-assigns has a
-    post-fork re-init path — the discipline LINT-FORKSTATE asks for —
-    so it is exempt.
-    """
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for child in ast.walk(node):
-            if (isinstance(child, ast.Name)
-                    and isinstance(child.ctx, ast.Store)):
-                names.add(child.id)
-    return names
-
-
 class _Linter(ast.NodeVisitor):
     def __init__(self, path: str) -> None:
         self.path = path
@@ -414,41 +330,6 @@ class _Linter(ast.NodeVisitor):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_checker_name(node.name):
                     self._local_checkers[node.name] = _function_facts(node)
-
-    def scan_fork_state(self, tree: ast.Module) -> None:
-        """LINT-FORKSTATE over the module's top-level bindings."""
-        if not _module_mentions_fork(tree):
-            return
-        reinitialized = _reinitialized_names(tree)
-        for node in tree.body:
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
-            for target in targets:
-                if (not isinstance(target, ast.Name)
-                        or target.id in reinitialized):
-                    continue
-                if (isinstance(value, ast.Call)
-                        and _callee_name(value) in _FORK_STATE_CTORS):
-                    what = f"{_callee_name(value)}()"
-                elif (_FORK_CACHE_MARKER in target.id.lower()
-                        and _is_mutable_default(value)):
-                    what = "a mutable cache"
-                else:
-                    continue
-                self._emit(
-                    "LINT-FORKSTATE", node,
-                    f"module-level {target.id!r} binds {what} in a "
-                    f"module that forks/spawns processes; every child "
-                    f"inherits a duplicated, possibly inconsistent "
-                    f"copy",
-                    fix_hint="create the state per process (in the "
-                             "worker entry point, after fork) or "
-                             "re-initialize the binding in a "
-                             "post-fork hook")
 
     # -- rules ----------------------------------------------------------------
 
@@ -726,7 +607,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
             f"file does not parse: {exc.msg}")]
     linter = _Linter(path)
     linter.collect_checkers(tree)
-    linter.scan_fork_state(tree)
     linter.visit(tree)
     allowed = _allowed_rules(source)
     if not allowed:

@@ -206,16 +206,6 @@ def mirror_lookup(replica_pool, key):
     return replica_pool.get(key)
 
 
-import threading
-
-DISPATCH_LOCK = threading.Lock()
-DECISION_CACHE = {}
-
-
-def spawn_worker_processes(launch, count):
-    return [launch(index) for index in range(count)]
-
-
 def write_checkpoint(path, payload):
     with open(path, "wb") as handle:
         handle.write(payload)
@@ -248,7 +238,7 @@ EXPECTED_RULE_IDS = frozenset({
     "LINT-MUTDEF", "LINT-BAREEXC", "LINT-SWALLOW", "LINT-HASH",
     "LINT-CHECKRET", "LINT-XPATHLOOP", "LINT-HOTCOPY",
     "LINT-STALECOMPILE", "LINT-BLOCKINGAWAIT",
-    "LINT-REPLICAREAD", "LINT-FORKSTATE", "LINT-UNFSYNCED",
+    "LINT-REPLICAREAD", "LINT-UNFSYNCED",
 })
 
 

@@ -105,8 +105,9 @@ class CredentialExpression:
     Expressions built from the factories below carry a *recipe* — the
     factory name plus its arguments — which makes them picklable even
     though the predicate itself is a closure: pickling ships the recipe
-    and unpickling re-runs the factory.  The multicore serving tier
-    relies on this to ship policy deltas across process boundaries.
+    and unpickling re-runs the factory.  The write-ahead log relies on
+    this: :class:`~repro.wal.durable.DurablePolicyStore` pickles every
+    policy into its log records and checkpoints.
     Hand-rolled expressions (a raw predicate with no recipe) still work
     everywhere in-process but refuse to pickle, with a typed error.
     """
@@ -155,7 +156,7 @@ class CredentialExpression:
                 f"CredentialExpression({self.description}) has no recipe: "
                 "only expressions built from the repro.core.credentials "
                 "factories (anyone, has_role, attribute_at_least, ...) and "
-                "their &/|/~ combinations can cross process boundaries")
+                "their &/|/~ combinations can be logged")
         return (_from_recipe, (self.recipe,))
 
     def __repr__(self) -> str:

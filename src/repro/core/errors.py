@@ -147,24 +147,17 @@ class ReplicaDiverged(TransportError):
     of view — the gap is a transport condition, not corruption."""
 
 
-class WorkerDiverged(TransportError):
-    """A multicore shard worker refused a non-contiguous policy delta
-    (version ≠ watermark + 1) and took itself out of service: serving
-    from a policy set with a hole would be *stale authorization*, so
-    the worker fails every subsequent evaluation typed instead.  The
-    dispatcher's remedy is a reseed, mirroring how a
-    :class:`ReplicaDiverged` replica waits for anti-entropy repair."""
-
-
 class CircuitOpen(TransportError):
     """A circuit breaker is open; the call was not attempted."""
 
 
 class AdmissionRejected(TransportError):
-    """A request gateway's bounded admission queue is full; the request
-    was refused *before* entering the system (load shedding).  Retryable
-    by construction: nothing was evaluated, so backing off and
-    resubmitting cannot double-apply anything."""
+    """A request gateway's bounded admission queue is full, or a batch
+    is bigger than its tenant's burst; the request was refused *before*
+    entering the system (load shedding).  Retryable by construction:
+    nothing was evaluated, so backing off and resubmitting cannot
+    double-apply anything — though a batch over the burst must be split
+    first."""
 
 
 class Overloaded(TransportError):
@@ -221,13 +214,6 @@ class TamperedPackageError(IntegrityError):
 class IncompletePackageError(CompletenessError):
     """A disseminated package is missing blocks the manifest promises
     for keys the subscriber holds."""
-
-
-class SeedMismatch(IntegrityError):
-    """A multicore worker's recompiled policy digest disagreed with the
-    dispatcher's seed image at handshake time.  The worker never enters
-    service: evaluating against an unverified table would silently
-    bypass the trust boundary, so seeding fails closed instead."""
 
 
 # ---------------------------------------------------------------------------

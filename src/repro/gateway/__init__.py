@@ -6,8 +6,8 @@ queue-depth watermarks), per-tick batched authorization against
 compiled epoch snapshots, and chunked dissemination streams built from
 interned snapshot fragments.
 :class:`~repro.gateway.core.AsyncRequestGateway` is the only
-implementation; the process tier (:mod:`repro.multicore`) subclasses
-it, and both record into :class:`~repro.gateway.stats.GatewayStats`.
+implementation, and it records into
+:class:`~repro.gateway.stats.GatewayStats`.
 
 Equivalence contracts, re-asserted by the gateway bench oracles and
 the chaos batteries:

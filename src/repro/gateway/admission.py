@@ -277,7 +277,8 @@ class AdmissionController:
         """Admit *amount* requests for *tenant* given *depth* pending,
         or raise the typed refusal.  ``amount`` is what one decision
         admits as a unit (batch admission): it must fit under the hard
-        queue bound whole and charges that many bucket tokens at once.
+        queue bound and the tenant's burst whole, and charges that many
+        bucket tokens at once.
         ``drain_rate(now)`` (requests/s served recently) is called only
         to scale a watermark refusal's Retry-After hint."""
         config = self._configs.get(tenant) or self.config(tenant)
@@ -287,6 +288,12 @@ class AdmissionController:
             raise AdmissionRejected(
                 f"admission queue full ({depth} pending + {amount:g} "
                 f"> limit {self.queue_limit})")
+        if amount > config.burst:
+            # The bucket never holds more than burst tokens, so a
+            # Retry-After hint here would be a promise never kept.
+            raise AdmissionRejected(
+                f"batch of {amount:g} exceeds tenant {tenant!r}'s burst "
+                f"{config.burst:g}")
         if self._shedding and depth <= self.low_watermark:
             self._shedding = False
         elif not self._shedding and depth >= self.high_watermark:

@@ -3,24 +3,23 @@
 :class:`AsyncRequestGateway` is the only implementation of the tenant
 registry, admission, the deficit-round-robin per-batch tick, queue-wait
 accounting, the fault → typed-error mapping, streaming, the snapshot
-read/write path and the replica path.  The process tier
-(:class:`~repro.multicore.dispatcher.MulticoreGateway`) subclasses it
-and overrides only what a process boundary changes.  Its contracts:
+read/write path and the replica path.  Its contracts:
 
 * **admission is non-blocking** — :meth:`submit_nowait` either enqueues
   and returns an :class:`asyncio.Future`, or raises a typed refusal:
   :class:`~repro.core.errors.Overloaded` (token bucket empty or a
   queue-depth watermark shed this priority tier; carries Retry-After)
   below the hard limit, :class:`~repro.core.errors.AdmissionRejected`
-  at it.  Nothing ever waits for queue space;
+  at it or for a batch bigger than the tenant's burst.  Nothing ever
+  waits for queue space;
 * **authorization is batched per tick** — the first submit into an
   idle gateway schedules one loop callback, the *tick*; every submitter
   that runs before it lands in its batch.  The tick dequeues one batch
   fairly across tenants (deficit round robin), accounts it, and hands
-  it to :meth:`_decide` — the per-*batch* override point — which
-  groups by shard and resolves every group inline through the engine's
-  ``decide_batch``, against compiled epoch snapshots when the engine
-  is an :class:`~repro.gateway.engine.EpochalShardRouter`.  If work
+  it to :meth:`_decide`, which groups by shard and resolves every
+  group inline through the engine's ``decide_batch``, against compiled
+  epoch snapshots when the engine is an
+  :class:`~repro.gateway.engine.EpochalShardRouter`.  If work
   remains the tick schedules itself again: one loop turn between
   batches and none inside one, so ``batch_size`` bounds how long a
   backlog holds the loop;
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import AsyncIterator, Awaitable, Callable, Iterator, Sequence
+from typing import AsyncIterator, Callable, Iterator, Sequence
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -74,8 +73,8 @@ from repro.gateway.streaming import (
     serialize_pieces,
 )
 
-#: FaultKind → the typed TransportError the shard-group, worker frame
-#: or stream fails with.
+#: FaultKind → the typed TransportError the shard-group or stream fails
+#: with.
 _FAULT_ERRORS = {
     FaultKind.CRASH: lambda site: ReplicaUnavailable(
         f"shard behind {site} is down"),
@@ -172,9 +171,8 @@ class AsyncRequestGateway:
         self._known_tenants: set[str] = set()
         self.stats = GatewayStats()
         self._drr = DeficitRoundRobin()
-        # A tick is scheduled, running, or has a batch in flight.
+        # A tick is scheduled or running.
         self._ticking = False
-        self._inflight: asyncio.Task | None = None
         self._closing = False
         self._started_at = clock()
         self._pool = getattr(store, "pool", None)
@@ -286,32 +284,23 @@ class AsyncRequestGateway:
 
     def _tick(self, loop: asyncio.AbstractEventLoop) -> None:
         """One loop callback per batch: cut a DRR batch and decide it,
-        then schedule the next tick while work remains.  A batch whose
-        :meth:`_decide` left a coroutine running is the one batch in
-        flight; the next tick runs when it lands."""
+        then schedule the next tick while work remains."""
         # Once closing, close() owns whatever is still queued.
         batch = [] if self._closing else self._drr.take(self.batch_size)
         if not batch:
             self._ticking = False
             return
-        running = self._run(batch)
-        if running is not None:
-            self._inflight = loop.create_task(running)
-            self._inflight.add_done_callback(self._landed)
-        elif self._drr.pending():
+        self._run(batch)
+        if self._drr.pending():
             loop.call_soon(self._tick, loop)
         else:
             self._ticking = False
 
-    def _landed(self, task: asyncio.Task) -> None:
-        self._inflight = None
-        self._tick(task.get_loop())
-
-    def _run(self, batch: list) -> Awaitable | None:
+    def _run(self, batch: list) -> None:
         """Account one dequeued batch's queue wait, then decide it: the
         one per-batch step of the tick, :meth:`process_pending` and
-        :meth:`close`.  Returns what :meth:`_decide` left running (a
-        failure fails the batch closed), or ``None``."""
+        :meth:`close`.  A :meth:`_decide` that raises fails the batch
+        closed."""
         now = self.clock()
         waits = [now - submitted_at for _, _, submitted_at in batch]
         stats = self.stats
@@ -319,15 +308,7 @@ class AsyncRequestGateway:
         stats.queue_wait_s += sum(waits)
         stats.stage("queue_wait").record_many(waits)
         try:
-            running = self._decide(batch)
-        except Exception as error:
-            self._fail_unresolved(batch, error)
-            return None
-        return None if running is None else self._settle(batch, running)
-
-    async def _settle(self, batch: list, running: Awaitable) -> None:
-        try:
-            await running
+            self._decide(batch)
         except Exception as error:
             self._fail_unresolved(batch, error)
 
@@ -339,12 +320,9 @@ class AsyncRequestGateway:
         for future in unresolved:
             future.set_exception(error)
 
-    def _decide(self, batch: list) -> Awaitable | None:
-        """Resolve every future of one dequeued batch: group by shard,
-        decide each group inline, return ``None``.  The override point
-        of the process tier, which returns the coroutine that resolves
-        them instead — per batch, so a subclass costs the per-request
-        paths nothing."""
+    def _decide(self, batch: list) -> None:
+        """Resolve every future of one dequeued batch: group by shard
+        and decide each group inline."""
         shard_for_path = self._shard_for_path
         groups: dict[int, list] = {}
         if shard_for_path is None:
@@ -387,7 +365,6 @@ class AsyncRequestGateway:
                 for _, future, _ in group:
                     if not future.done():
                         future.set_exception(error)
-        return None
 
     def _fault_for(self, where: str,
                    index: int | str = "") -> Exception | None:
@@ -414,9 +391,7 @@ class AsyncRequestGateway:
         processed = 0
         while self._drr.pending():
             batch = self._drr.take(self.batch_size)
-            running = self._run(batch)
-            if running is not None:
-                await running
+            self._run(batch)
             processed += len(batch)
         return processed
 
@@ -558,11 +533,8 @@ class AsyncRequestGateway:
     # -- lifecycle ---------------------------------------------------------
 
     async def close(self, drain: bool = True) -> None:
-        """Stop admitting; by default finish what was admitted.  A batch
-        already in flight lands first."""
+        """Stop admitting; by default finish what was admitted."""
         self._closing = True
-        if self._inflight is not None:
-            await self._inflight
         if drain:
             await self.process_pending()
         else:

@@ -1,12 +1,9 @@
-"""Shared gateway telemetry: stage counters + latency percentiles.
+"""Gateway telemetry: stage counters + latency percentiles.
 
-Both tiers of the serving pipeline — the asyncio
-:class:`~repro.gateway.core.AsyncRequestGateway` and its multi-process
-subclass :class:`~repro.multicore.dispatcher.MulticoreGateway` — record
-into the same :class:`GatewayStats`, so BENCH_gateway and
-BENCH_multicore report the same shape: per-stage counters plus
-:class:`LatencyHistogram` percentiles (p50/p99/p999), not just
-throughput.
+:class:`~repro.gateway.core.AsyncRequestGateway` records into one
+:class:`GatewayStats`, so BENCH_gateway and the end-to-end benchmark
+report per-stage counters plus :class:`LatencyHistogram` percentiles
+(p50/p99/p999), not just throughput.
 
 The histogram is two-tier log-linear: each power-of-two octave from the
 1µs floor is split into 16 linear sub-buckets, so relative error is
@@ -105,12 +102,6 @@ class LatencyHistogram:
                 return _BOUNDS[index]
         return _BOUNDS[-1]
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        for index in range(_BUCKETS):
-            self._counts[index] += other._counts[index]
-        self._count += other._count
-        self._sum += other._sum
-
     def snapshot(self) -> dict[str, float | int]:
         return {
             "count": self._count,
@@ -124,8 +115,8 @@ class LatencyHistogram:
 @dataclass
 class GatewayStats:
     """Per-stage counters + latency percentiles; ``snapshot()`` is what
-    the benches record.  Shared by every serving front end; see the
-    module docstring for which writes take ``_lock``."""
+    the benches record.  See the module docstring for which writes
+    take ``_lock``."""
 
     admitted: int = 0
     rejected: int = 0
@@ -151,17 +142,12 @@ class GatewayStats:
 
     def stage(self, name: str) -> LatencyHistogram:
         """Histogram for a named pipeline stage, created on first use.
-        Not locked — the loop thread and callers already inside ``with
-        stats._lock`` use this directly; other threads use
-        :meth:`record_stage`."""
+        Not locked: the loop thread and callers already inside ``with
+        stats._lock`` use it."""
         histogram = self.stages.get(name)
         if histogram is None:
             histogram = self.stages[name] = LatencyHistogram()
         return histogram
-
-    def record_stage(self, name: str, seconds: float) -> None:
-        with self._lock:
-            self.stage(name).record(seconds)
 
     def snapshot(self) -> dict[str, int | float]:
         with self._lock:

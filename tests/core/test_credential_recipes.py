@@ -1,11 +1,12 @@
-"""Credential-expression recipes: policies that survive the wire.
+"""Credential-expression recipes: policies that survive pickling.
 
-Policy deltas cross the dispatcher→worker boundary by pickling, but a
-credential expression is a closure — unpicklable as such.  Every
-factory therefore records its *recipe* (factory name + arguments) and
-``__reduce__`` rebuilds the expression from it on the far side; an
-expression constructed outside the factories refuses to pickle with a
-typed error instead of failing deep inside a frame write.
+A durable policy store pickles every policy into its write-ahead log
+records and checkpoints, but a credential expression is a closure —
+unpicklable as such.  Every factory therefore records its *recipe*
+(factory name + arguments) and ``__reduce__`` rebuilds the expression
+from it on recovery; an expression constructed outside the factories
+refuses to pickle with a typed error instead of failing deep inside a
+log write.
 """
 
 import pickle

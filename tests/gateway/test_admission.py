@@ -1,13 +1,19 @@
 """Unit tests for the admission layer: clocks, buckets, DRR, watermarks."""
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.credentials import anyone
 from repro.core.errors import (
     AdmissionRejected,
     ConfigurationError,
     Overloaded,
 )
+from repro.core.policy import Action, grant
+from repro.core.subjects import Subject
+from repro.gateway import AsyncRequestGateway, EpochalShardRouter
 from repro.gateway.admission import (
     AdmissionController,
     DeficitRoundRobin,
@@ -15,6 +21,7 @@ from repro.gateway.admission import (
     TenantConfig,
     TokenBucket,
 )
+from repro.scale.gateway import Request
 
 
 class TestManualClock:
@@ -316,3 +323,48 @@ class TestAdmissionController:
     def test_invalid_watermark_ordering_rejected(self):
         with pytest.raises(ConfigurationError):
             controller(limit=100, high_watermark=40, low_watermark=60)
+
+
+class TestBatchLargerThanBurst:
+    def test_is_rejected_for_good_not_shed_with_a_hint(self):
+        """The bucket never holds more than ``burst`` tokens, so a
+        bigger batch can never be admitted: it is refused outright,
+        before any token is taken."""
+        router = EpochalShardRouter.from_policies(
+            [grant(anyone(), Action.READ, "/**")])
+        request = Request(Subject("alice"), Action.READ, "/a")
+
+        async def scenario():
+            gateway = AsyncRequestGateway(
+                router, clock=ManualClock(), auto_dispatch=False,
+                default_tenant=TenantConfig(rate=100.0, burst=10.0))
+            with pytest.raises(AdmissionRejected, match="burst 10"):
+                gateway.submit_batch_nowait("t", [request] * 20)
+            assert gateway.pending() == 0
+            assert gateway.stats.rejected == 1
+            assert gateway.stats.shed == 0
+            # No token was charged: exactly burst still fits, and
+            # then the bucket is empty.
+            admitted = gateway.submit_batch_nowait("t", [request] * 10)
+            assert gateway.pending() == 10
+            with pytest.raises(Overloaded):
+                gateway.submit_nowait("t", request)
+            await gateway.process_pending()
+            return await admitted
+
+        decisions = asyncio.run(scenario())
+        assert [d.granted for d in decisions] == [True] * 10
+
+    @pytest.mark.parametrize("burst, size", [
+        (10.0, 10), (10.0, 11), (1.0, 1), (1.0, 2), (2.5, 2), (2.5, 3)])
+    def test_the_burst_is_the_largest_batch_ever_admitted(self, burst,
+                                                          size):
+        ctl = controller(limit=1000)
+        ctl.register("t", TenantConfig(rate=100.0, burst=burst))
+        if size > burst:
+            # No wait helps: a full bucket still refuses it.
+            for now in (0.0, 1e6):
+                with pytest.raises(AdmissionRejected, match="burst"):
+                    ctl.admit("t", depth=0, amount=float(size), now=now)
+            size = int(burst)   # the refusals took no token
+        ctl.admit("t", depth=0, amount=float(size), now=1e6)

@@ -22,7 +22,6 @@ from repro.gateway import (
     ManualClock,
     TenantConfig,
 )
-from repro.multicore import MulticoreGateway
 from repro.scale.gateway import Request
 from tests.scale.workloads import random_policies, random_requests
 
@@ -128,9 +127,7 @@ class TestAdmissionIntegration:
 
         run(scenario())
 
-    @pytest.mark.parametrize("tier", ["async", "multicore"])
-    def test_batch_admission_respects_the_queue_bound(self, tier):
-        """Both tiers inherit one ``submit_batch_nowait``."""
+    def test_batch_admission_respects_the_queue_bound(self):
         policies, requests = build(4)
         serial = PolicyEvaluator(PolicyBase(policies))
         options = dict(queue_limit=4, high_watermark=4, low_watermark=4,
@@ -138,11 +135,8 @@ class TestAdmissionIntegration:
                        default_tenant=TenantConfig(rate=1e9, burst=1e9))
 
         async def scenario():
-            gateway = (
-                AsyncRequestGateway(
-                    EpochalShardRouter.from_policies(policies), **options)
-                if tier == "async" else
-                MulticoreGateway(policies, workers=0, **options))
+            gateway = AsyncRequestGateway(
+                EpochalShardRouter.from_policies(policies), **options)
             async with gateway:
                 batch = [Request(*r) for r in (requests * 2)[:64]]
                 with pytest.raises(AdmissionRejected):

@@ -3,9 +3,8 @@
 Counted in loop turns and batches, never in time.  A probe chained
 through ``call_soon`` runs once per loop turn, after whatever the
 gateway scheduled before it, so it sees the gateway exactly between
-ticks: a batch is decided inside the turn its tick runs, a backlog gives
-the loop back between consecutive batches, and the process tier keeps
-one batch in flight.
+ticks: a batch is decided inside the turn its tick runs, and a backlog
+gives the loop back between consecutive batches.
 """
 
 import asyncio
@@ -13,10 +12,7 @@ import random
 
 import pytest
 
-from repro.core.evaluator import PolicyEvaluator
-from repro.core.policy import PolicyBase
 from repro.gateway import AsyncRequestGateway, EpochalShardRouter
-from repro.multicore import MulticoreGateway
 from repro.scale.gateway import Request
 from tests.gateway.driver import WIDE_OPEN
 from tests.scale.workloads import random_policies, random_requests
@@ -85,63 +81,13 @@ def test_a_backlog_gives_the_loop_back_between_batches():
     assert asyncio.run(scenario()) == (3, [1, 2, 3])
 
 
-class CountingMulticore(MulticoreGateway):
-    """Counts batches in flight; each batch yields before it decides,
-    so a second tick would have its chance to start one."""
-
-    inflight = peak = 0
-
-    async def _decide(self, batch: list) -> None:
-        self.inflight += 1
-        self.peak = max(self.peak, self.inflight)
-        try:
-            await asyncio.sleep(0)
-            await super()._decide(batch)
-        finally:
-            self.inflight -= 1
-
-
-def test_the_process_tier_keeps_one_batch_in_flight():
-    serial = PolicyEvaluator(PolicyBase(POLICIES))
-
-    async def late_submits(front, futures):
-        for request in REQUESTS[:8]:
-            await asyncio.sleep(0)
-            futures.append(front.submit_nowait("t", request))
-
-    async def scenario():
-        front = CountingMulticore(POLICIES, workers=0, batch_size=8,
-                                  default_tenant=WIDE_OPEN)
-        async with front:
-            futures = [front.submit_nowait("t", request)
-                       for request in REQUESTS]
-            await late_submits(front, futures)
-            decisions = await asyncio.wait_for(
-                asyncio.gather(*futures), timeout=30)
-        return front.peak, front.stats.batches, decisions
-
-    peak, batches, decisions = asyncio.run(scenario())
-    assert peak == 1
-    assert batches >= len(REQUESTS) // 8
-    assert [d.granted for d in decisions] == [
-        serial.decide(*r.triple()).granted
-        for r in REQUESTS + REQUESTS[:8]]
-
-
-@pytest.mark.parametrize("inline", [True, False])
-def test_a_raising_decide_fails_its_batch_closed(inline):
+def test_a_raising_decide_fails_its_batch_closed():
     error = RuntimeError("decide broke")
 
     class Broken(AsyncRequestGateway):
         def _decide(self, batch):
             batch[0][1].set_result("decided")   # one resolved, then a bug
-            if inline:
-                raise error
-
-            async def later():
-                await asyncio.sleep(0)
-                raise error
-            return later()
+            raise error
 
     async def scenario():
         front = Broken(EpochalShardRouter.from_policies(POLICIES),

@@ -16,7 +16,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.mark.parametrize("package", [
-    "repro.scale", "repro.snap", "repro.gateway", "repro.multicore",
+    "repro.scale", "repro.snap", "repro.gateway",
     "repro.wal", "repro.replica", "repro.compile"])
 def test_package_imports_first_in_a_fresh_interpreter(package):
     result = subprocess.run(

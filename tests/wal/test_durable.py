@@ -4,14 +4,21 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from repro.core.credentials import anyone
+from repro.core.credentials import (
+    CredentialType,
+    anyone,
+    attribute_in,
+    has_role,
+)
 from repro.core.errors import (
     DurabilityLagExceeded,
     ReproError,
     WalCorrupt,
     WalError,
 )
+from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import Action, PolicyBase, grant
+from repro.core.subjects import Role, Subject
 from repro.relational.authorization import Privilege
 from repro.relational.database import Database
 from repro.relational.table import Column, ColumnType, TableSchema
@@ -329,3 +336,26 @@ class TestPolicyStore:
             vfs, shards=1, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 0  # checkpoint covers all
+
+    def test_credential_expression_survives_checkpoint_and_recovery(self):
+        vfs = MemVfs()
+        store = DurablePolicyStore(PolicyBase(), vfs, shards=1,
+                                   auto_flush=False)
+        store.add(grant(
+            attribute_in("staff", "ward", {"icu", "er"})
+            & ~has_role("intern"), Action.READ, "/charts/**"))
+        store.checkpoint()
+        store.close()
+        recovered, _ = DurablePolicyStore.recover(
+            vfs, shards=1, auto_flush=False)
+        staff = CredentialType("staff", {"ward"})
+        matching = Subject("nurse", credentials=[staff.issue(ward="icu")])
+        intern = Subject("intern", roles={Role("intern")},
+                         credentials=[staff.issue(ward="icu")])
+        live = PolicyEvaluator(store.inner)
+        after = PolicyEvaluator(recovered.inner)
+        for subject, granted in ((matching, True), (intern, False)):
+            decision = after.decide(subject, Action.READ, "/charts/7")
+            assert decision.granted is granted
+            assert decision.granted == live.decide(
+                subject, Action.READ, "/charts/7").granted
