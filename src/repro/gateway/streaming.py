@@ -8,7 +8,7 @@ walk of frozen trees, :func:`repro.snap.intern.serialize_pieces`, cut
 into chunks: it emits interned fragments where the pool has them,
 serializes where it does not, and interns what it serialized.  The
 first stream of a document pays for the later ones: a repeat stream is
-one pool probe, one join per rope level and one slice per chunk, and
+one pool probe, one join and one slice per chunk, and
 after a transaction only the copied spine is serialized again.
 
 Chunk boundaries do not depend on what the pool holds: every chunk but

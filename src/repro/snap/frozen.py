@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.errors import SnapshotError
 from repro.xmldb.model import Document, Element
+from repro.xmldb.parser import parse_tree
 
 
 #: Shared by every attribute-less node (a plain dict, so nodes stay
@@ -114,19 +115,46 @@ class FrozenDocument:
                 f"{self.size()} elements)")
 
 
-# -- freezing and thawing ----------------------------------------------
+# -- parsing, freezing and thawing ---------------------------------------
+
+
+def parse_frozen(text: str, name: str = "") -> FrozenDocument:
+    """Parse *text* straight into frozen form: the same tokens, checks
+    and offsets as :func:`repro.xmldb.parser.parse`, with no mutable
+    DOM built on the way."""
+    return FrozenDocument(parse_tree(text, FrozenElement), name)
+
+
+def _rebuild(node, element: Callable):
+    """Copy the tree under *node* into ``element(tag, attributes,
+    children)`` nodes, bottom-up with an explicit stack so depth is
+    bounded by memory, not the recursion limit."""
+    stack: list[tuple] = [(node, iter(node.children), [])]
+    while True:
+        current, pending, built = stack[-1]
+        for child in pending:
+            if isinstance(child, str):
+                built.append(child)
+            else:
+                stack.append((child, iter(child.children), []))
+                break
+        else:
+            stack.pop()
+            copy = element(current.tag, dict(current.attributes),
+                           tuple(built))
+            if not stack:
+                return copy
+            stack[-1][2].append(copy)
 
 
 def freeze_element(node: Element) -> FrozenElement:
     """One structural copy of a mutable tree into frozen form.
 
-    Paid once at store ingestion; every subsequent edit is a spine copy
-    and every ``freeze()`` of the store is O(1).
+    Paid once per :class:`~repro.xmldb.model.Document` handed to the
+    store (text goes through :func:`parse_frozen`); every subsequent
+    edit is a spine copy and every ``freeze()`` of the store is O(1).
     """
-    frozen_children = tuple(
-        child if isinstance(child, str) else freeze_element(child)
-        for child in node.children)
-    return FrozenElement(node.tag, dict(node.attributes), frozen_children)
+    return _rebuild(node, FrozenElement)
 
 
 def freeze_document(document: Document) -> FrozenDocument:
@@ -137,11 +165,7 @@ def thaw_element(node: FrozenElement) -> Element:
     """Materialize a mutable :class:`Element` tree (parent pointers,
     node paths) from a frozen one.  The result is structure-equal and
     serializes byte-identically."""
-    thawed = Element(node.tag, dict(node.attributes))
-    for child in node.children:
-        thawed.append(child if isinstance(child, str)
-                      else thaw_element(child))
-    return thawed
+    return _rebuild(node, Element)
 
 
 def thaw_document(document: FrozenDocument) -> Document:

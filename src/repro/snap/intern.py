@@ -19,8 +19,7 @@ an entry):
   children's fragments.  No byte is held twice and no entry owns more
   than a chunk of characters (unless one text run is longer); leaves
   are neither probed nor interned.  A warm read is one probe and one
-  join per rope level, and a point edit re-serializes only the spine
-  it copied;
+  join, and a point edit re-serializes only the spine it copied;
 * **merkle** — Merkle subtree hashes, composed with the same
   :func:`repro.merkle.xml_merkle.node_hash` recurrence as the live
   hashers, so snapshot root hashes are interchangeable with theirs;
@@ -72,15 +71,25 @@ def _leaf(node: FrozenElement) -> str | None:
 
 
 def _flat(rope: tuple) -> str:
-    """The bytes of *rope*: one join per rope level, recursing only
-    into nested ropes (never deeper than the frozen tree itself).  A
-    level of strings — every level of a document whose children fit
-    in a chunk — is joined straight from the tuple."""
+    """The bytes of *rope*.  A level of strings — every level of a
+    document whose children fit in a chunk — is joined straight from
+    the tuple; nested ropes are walked with an explicit stack, so depth
+    is bounded by memory, not the recursion limit, and joined once."""
     try:
         return "".join(rope)        # a level of strings: the common case
     except TypeError:               # the level holds nested ropes
-        return "".join([_flat(piece) if isinstance(piece, tuple)
-                         else piece for piece in rope])
+        pass
+    pieces: list[str] = []
+    stack = [iter(rope)]
+    while stack:
+        for piece in stack[-1]:
+            if isinstance(piece, tuple):
+                stack.append(iter(piece))
+                break
+            pieces.append(piece)
+        else:
+            stack.pop()
+    return "".join(pieces)
 
 
 def serialize_pieces(node: FrozenElement,
@@ -89,7 +98,7 @@ def serialize_pieces(node: FrozenElement,
     :func:`repro.xmldb.serializer.serialize_element`) as pieces in
     document order, interning into *pool* on the way up (``None``: into
     a private cache that dies with the walk).  A pool hit is one piece,
-    a rope's flattened by one join per rope level.
+    a rope's flattened by one join.
 
     An element's fragment enters the pool only after its close tag has
     been produced, so an abandoned walk leaves the pool consistent.

@@ -43,6 +43,7 @@ from repro.snap.frozen import (
     FrozenElement,
     freeze_document,
     freeze_element,
+    parse_frozen,
     resolve,
     with_appended_child,
     with_attribute,
@@ -52,7 +53,6 @@ from repro.snap.frozen import (
 )
 from repro.snap.intern import InternPool
 from repro.xmldb.model import Document, Element
-from repro.xmldb.parser import parse
 from repro.xmldb.xpath import XPath, evaluate
 
 #: collection name -> doc_id -> FrozenDocument (treat as read-only).
@@ -255,9 +255,8 @@ class SnapshotXmlDatabase:
 
     def insert(self, collection: str, doc_id: str,
                document: Document | str) -> FrozenDocument:
-        if isinstance(document, str):
-            document = parse(document, name=doc_id)
-        frozen = freeze_document(document)
+        frozen = (parse_frozen(document, doc_id)
+                  if isinstance(document, str) else freeze_document(document))
         with self._lock:
             documents = self._documents_of(collection)
             if doc_id in documents:
@@ -277,9 +276,8 @@ class SnapshotXmlDatabase:
 
     def replace(self, collection: str, doc_id: str,
                 document: Document | str) -> FrozenDocument:
-        if isinstance(document, str):
-            document = parse(document, name=doc_id)
-        frozen = freeze_document(document)
+        frozen = (parse_frozen(document, doc_id)
+                  if isinstance(document, str) else freeze_document(document))
         with self._lock:
             self._document(collection, doc_id)  # must exist
             self._own(collection)[doc_id] = frozen

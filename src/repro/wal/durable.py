@@ -59,13 +59,13 @@ from repro.core.errors import ReproError, WalCorrupt, WalError
 from repro.core.policy import PolicyBase
 from repro.crypto.hashing import combine, sha256_hex, sha256_int
 from repro.relational.database import Database
+from repro.snap.frozen import parse_frozen
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.registry import UddiRegistry
 from repro.wal.checkpoint import CheckpointStore
 from repro.wal.log import ShardedWal
 from repro.wal.pipeline import CommitPipeline
 from repro.wal.replay import recover as replay_recover
-from repro.xmldb.parser import parse_element
 from repro.xmldb.serializer import serialize, serialize_element
 
 DURABILITY_MODES = ("fsync", "enqueue")
@@ -428,7 +428,7 @@ class DurableXmlStore(DurableStore):
 
     def _apply(self, op: str, args: tuple, kwargs: dict):
         if op == "append_child" and isinstance(args[3], str):
-            args = (*args[:3], parse_element(args[3]))
+            args = (*args[:3], parse_frozen(args[3]).root)
         return getattr(self.inner, op)(*args, **kwargs)
 
     def state_digest(self) -> str:

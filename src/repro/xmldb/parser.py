@@ -2,165 +2,149 @@
 
 Supported subset (documented per DESIGN.md §6): elements, attributes with
 single- or double-quoted values, text content, self-closing tags,
-comments, XML declarations and the five predefined entities.  Not
-supported: namespaces-as-semantics (colons are allowed in names but not
-interpreted), CDATA, processing instructions, DTD internal subsets.
+comments, XML declarations, the five predefined entities and numeric
+character references.  Not supported: namespaces-as-semantics (colons
+are allowed in names but not interpreted), CDATA, processing
+instructions, DTD internal subsets.
 
-The parser is a hand-written recursive-descent scanner — no external
-dependencies and precise error offsets for :class:`ParseError`.
+The parser is one compiled tokenizer and one loop.  ``_TOKEN`` matches a
+text run, a comment, a close tag, an open tag with its attribute list,
+or a lone ``<`` (malformed markup); :func:`parse_tree` keeps an explicit
+stack of open elements and builds each node at its close tag, so depth
+is bounded by memory, not the recursion limit.  The node constructor is
+a parameter: :func:`parse` builds mutable
+:class:`~repro.xmldb.model.Element` trees and
+:func:`repro.snap.frozen.parse_frozen` builds frozen ones from the same
+tokens.  Every malformed input raises :class:`ParseError` with a
+character offset.
 """
 
 from __future__ import annotations
+
+import re
+from typing import Callable
 
 from repro.core.errors import ParseError
 from repro.xmldb.model import Document, Element
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
-
-class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if not self.eof() else ""
-
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise ParseError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def starts_with(self, literal: str) -> bool:
-        return self.text.startswith(literal, self.pos)
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.peek().isspace():
-            self.pos += 1
-
-    def read_name(self) -> str:
-        start = self.pos
-        while not self.eof():
-            ch = self.peek()
-            if ch.isalnum() or ch in "_-.:":
-                self.pos += 1
-            else:
-                break
-        if self.pos == start:
-            raise ParseError("expected a name", start)
-        return self.text[start:self.pos]
-
-    def read_until(self, stop: str) -> str:
-        end = self.text.find(stop, self.pos)
-        if end < 0:
-            raise ParseError(f"unterminated, expected {stop!r}", self.pos)
-        chunk = self.text[self.pos:end]
-        self.pos = end + len(stop)
-        return chunk
+# ``[\w.:-]`` is exactly ``isalnum() or in "_-.:"`` and ``\s`` exactly
+# ``isspace()`` for str patterns.  The lookahead keeps a tag from giving
+# characters back to an attribute (``<ab="1">`` is malformed).
+_NAME = r"[\w.:-]+(?![\w.:-])"
+_VALUE = r"""(?:"[^"]*"|'[^']*')"""
+_ATTRIBUTE = re.compile(rf"""({_NAME})\s*=\s*(?:"([^"]*)"|'([^']*)')""")
+_TOKEN = re.compile(rf"""
+    ([^<]+)                                        # 1: text run
+  | <!--.*?-->                                     # comment
+  | </({_NAME})\s*>                                # 2: close tag
+  | <({_NAME})((?:\s*{_NAME}\s*=\s*{_VALUE})*)\s*   # 3: tag, 4: attributes
+      (/)?>                                        # 5: self-closing
+  | (<)                                            # 6: malformed
+""", re.S | re.X)
+_PROLOG = re.compile(r"\s*(?:<\?.*?\?>\s*)?(?:<!--.*?-->\s*)*", re.S)
+_TRAILER = re.compile(r"\s*(?:<!--.*?-->\s*)*", re.S)
+_REFERENCE = re.compile(
+    r"&(?:#[xX]([0-9a-fA-F]+)|#([0-9]+)|(lt|gt|amp|quot|apos));|&")
 
 
 def _decode_entities(text: str, offset: int) -> str:
     if "&" not in text:
         return text
-    out: list[str] = []
-    index = 0
-    while index < len(text):
-        ch = text[index]
-        if ch != "&":
-            out.append(ch)
-            index += 1
-            continue
-        end = text.find(";", index)
-        if end < 0:
-            raise ParseError("unterminated entity reference", offset + index)
-        name = text[index + 1:end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
-        else:
-            raise ParseError(f"unknown entity &{name};", offset + index)
-        index = end + 1
-    return "".join(out)
+
+    def replace(match: re.Match) -> str:
+        hex_digits, digits, name = match.groups()
+        if name is not None:
+            return _ENTITIES[name]
+        if hex_digits is None and digits is None:
+            raise ParseError("malformed or unknown entity reference",
+                             offset + match.start())
+        try:
+            return chr(int(digits) if hex_digits is None
+                       else int(hex_digits, 16))
+        except (ValueError, OverflowError):
+            raise ParseError("character reference out of range",
+                             offset + match.start()) from None
+
+    return _REFERENCE.sub(replace, text)
 
 
-def _parse_attributes(scanner: _Scanner) -> dict[str, str]:
+def _attributes(text: str, offset: int) -> dict[str, str]:
+    """The attribute list of an open tag *_TOKEN* already validated."""
     attributes: dict[str, str] = {}
-    while True:
-        scanner.skip_whitespace()
-        ch = scanner.peek()
-        if ch in (">", "/", "?", ""):
-            return attributes
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise ParseError("attribute value must be quoted", scanner.pos)
-        scanner.advance()
-        start = scanner.pos
-        value = scanner.read_until(quote)
+    for match in _ATTRIBUTE.finditer(text):
+        name, double = match.group(1, 2)
         if name in attributes:
-            raise ParseError(f"duplicate attribute {name!r}", start)
-        attributes[name] = _decode_entities(value, start)
+            raise ParseError(f"duplicate attribute {name!r}",
+                             offset + match.start())
+        group = 2 if double is not None else 3
+        attributes[name] = _decode_entities(match.group(group),
+                                            offset + match.start(group))
+    return attributes
 
 
-def _parse_element(scanner: _Scanner) -> Element:
-    scanner.expect("<")
-    tag = scanner.read_name()
-    attributes = _parse_attributes(scanner)
-    scanner.skip_whitespace()
-    node = Element(tag, attributes)
-    if scanner.starts_with("/>"):
-        scanner.advance(2)
-        return node
-    scanner.expect(">")
-    _parse_content(scanner, node)
-    scanner.expect("</")
-    closing = scanner.read_name()
-    if closing != tag:
-        raise ParseError(
-            f"mismatched closing tag </{closing}> for <{tag}>", scanner.pos)
-    scanner.skip_whitespace()
-    scanner.expect(">")
-    return node
+def _malformed(text: str, pos: int) -> ParseError:
+    if text.startswith("<!--", pos):
+        return ParseError("unterminated comment", pos)
+    if text.startswith("</", pos):
+        return ParseError("malformed closing tag", pos)
+    return ParseError("malformed tag", pos)
 
 
-def _parse_content(scanner: _Scanner, parent: Element) -> None:
-    while True:
-        if scanner.eof():
-            raise ParseError(f"unexpected end inside <{parent.tag}>",
-                             scanner.pos)
-        if scanner.starts_with("</"):
-            return
-        if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->")
-            continue
-        if scanner.peek() == "<":
-            parent.append(_parse_element(scanner))
-            continue
-        start = scanner.pos
-        end = scanner.text.find("<", start)
-        if end < 0:
-            raise ParseError(f"unexpected end inside <{parent.tag}>", start)
-        raw = scanner.text[start:end]
-        scanner.pos = end
-        text = _decode_entities(raw, start)
-        if text.strip():
-            # Whitespace-only runs are formatting, not content.
-            parent.append(text.strip())
+def parse_tree(text: str, element: Callable):
+    """Parse *text* into a tree of ``element(tag, attributes, children)``
+    nodes and return the root.  *attributes* is a fresh dict or ``None``;
+    *children* a tuple of nodes and stripped, entity-decoded text runs
+    (whitespace-only runs are formatting and dropped).
+
+    Raises :class:`ParseError` with a character offset on malformed input.
+    """
+    pos = _PROLOG.match(text).end()
+    if not text.startswith("<", pos):
+        raise ParseError("document must start with an element", pos)
+    # Open elements as (tag, attributes, children); the bottom frame
+    # collects the root.
+    top: list = []
+    stack: list[tuple] = [("", None, top)]
+    children = top
+    for match in _TOKEN.finditer(text, pos):
+        kind = match.lastindex
+        if kind == 1:
+            run = _decode_entities(match.group(1), match.start()).strip()
+            if run:
+                children.append(run)
+        elif kind == 2:
+            tag, attributes, body = stack.pop()
+            if match.group(2) != tag:
+                if not stack:       # the bottom frame: no element is open
+                    raise ParseError("document must start with an element",
+                                     match.start())
+                raise ParseError(f"mismatched closing tag "
+                                 f"</{match.group(2)}> for <{tag}>",
+                                 match.start(2))
+            children = stack[-1][2]
+            children.append(element(tag, attributes, tuple(body)))
+        elif kind == 6:
+            raise _malformed(text, match.start())
+        elif kind is not None:      # an open tag; kind 5 closes it too
+            listed = match.group(4)
+            attributes = (_attributes(listed, match.start(4)) if listed
+                          else None)
+            if kind == 5:
+                children.append(element(match.group(3), attributes, ()))
+            else:
+                children = []
+                stack.append((match.group(3), attributes, children))
+        if top:
+            break
+    else:
+        raise ParseError(f"unexpected end inside <{stack[-1][0]}>",
+                         len(text))
+    pos = _TRAILER.match(text, match.end()).end()
+    if pos != len(text):
+        raise ParseError("trailing content after document element", pos)
+    return top[0]
 
 
 def parse(text: str, name: str = "") -> Document:
@@ -169,30 +153,9 @@ def parse(text: str, name: str = "") -> Document:
     Raises :class:`~repro.core.errors.ParseError` with a character offset
     on malformed input.
     """
-    scanner = _Scanner(text)
-    scanner.skip_whitespace()
-    if scanner.starts_with("<?"):
-        scanner.advance(2)
-        scanner.read_until("?>")
-        scanner.skip_whitespace()
-    while scanner.starts_with("<!--"):
-        scanner.advance(4)
-        scanner.read_until("-->")
-        scanner.skip_whitespace()
-    if not scanner.starts_with("<"):
-        raise ParseError("document must start with an element", scanner.pos)
-    root = _parse_element(scanner)
-    scanner.skip_whitespace()
-    while scanner.starts_with("<!--"):
-        scanner.advance(4)
-        scanner.read_until("-->")
-        scanner.skip_whitespace()
-    if not scanner.eof():
-        raise ParseError("trailing content after document element",
-                         scanner.pos)
-    return Document(root, name)
+    return Document(parse_tree(text, Element), name)
 
 
 def parse_element(text: str) -> Element:
     """Parse a single element (fragment) without document bookkeeping."""
-    return parse(text).root
+    return parse_tree(text, Element)

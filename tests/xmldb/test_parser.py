@@ -59,6 +59,21 @@ class TestEntities:
         with pytest.raises(ParseError):
             parse("<a>&nope;</a>")
 
+    @pytest.mark.parametrize("bad, offset", [
+        ("<a>&#xZZ;</a>", 3),
+        ("<a>&#;</a>", 3),
+        ("<a>&#99999999;</a>", 3),
+        ("<a>&#99999999999999999999;</a>", 3),
+        ('<a v="&#x;"/>', 6),
+    ])
+    def test_malformed_numeric_reference_is_a_parse_error(self, bad, offset):
+        with pytest.raises(ParseError) as caught:
+            parse(bad)
+        assert caught.value.position == offset
+
+    def test_nul_reference_still_parses(self):
+        assert parse_element("<a>&#0;</a>").text == "\x00"
+
 
 class TestErrors:
     @pytest.mark.parametrize("bad", [
@@ -72,6 +87,9 @@ class TestErrors:
         "<a/><b/>",
         "<a>trailing</a>junk",
         "<a><b></a></b>",
+        '<ax="1"/>',
+        "<a><!-- open</a>",
+        "<!DOCTYPE a><a/>",
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ParseError):

@@ -9,12 +9,15 @@ ancestor (O(n·d) on deep chains).
 import sys
 import time
 
-from repro.snap.frozen import freeze_element
+from repro.snap.frozen import freeze_element, parse_frozen
+from repro.snap.intern import serialize_pieces
+from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.xmldb.model import Element
 from repro.xmldb.parser import parse
 from repro.xmldb.serializer import (
     escape_attribute,
     escape_text,
+    serialize,
     serialize_element,
 )
 
@@ -42,6 +45,15 @@ def chain(depth: int) -> Element:
         node = child
     node.append("leaf")
     return root
+
+
+def chain_text(depth: int) -> str:
+    """``serialize_element(chain(depth))`` without building the tree
+    (appending under a deep chain walks to its root each time)."""
+    opening = "".join(f'<n{index} i="{index}">' if index else "<n0>"
+                      for index in range(depth))
+    closing = "".join(f"</n{index}>" for index in reversed(range(depth)))
+    return f"{opening}leaf{closing}"
 
 
 def bushy(width: int) -> Element:
@@ -103,8 +115,26 @@ class TestScaling:
         assert large < small * 8, (small, large)
 
     def test_deep_roundtrip_through_the_parser(self):
-        # Modest depth: the parser is still recursive; the serializer
-        # itself is exercised far deeper above.
+        # Modest depth, built through chain(); the parser's own depth
+        # test follows.
         node = chain(300)
         assert serialize_element(
             parse(serialize_element(node)).root) == serialize_element(node)
+
+    def test_chain_text_is_the_canonical_chain(self):
+        assert chain_text(40) == serialize_element(chain(40))
+
+    def test_parser_and_store_take_any_depth(self):
+        text = chain_text(5000)
+        assert serialize(parse(text)) == text
+        assert serialize(parse_frozen(text)) == text
+        store = SnapshotXmlDatabase()
+        store.create_collection("c")
+        store.insert("c", "deep", text)
+        snapshot = store.freeze()
+        assert serialize(snapshot.document("c", "deep")) == text
+        assert serialize(snapshot.thawed("c", "deep")) == text
+        root = snapshot.document("c", "deep").root
+        for _ in range(2):          # cold, then a warm pool hit
+            assert snapshot.serialize("c", "deep") == text
+            assert "".join(serialize_pieces(root, store.pool)) == text
