@@ -3,7 +3,7 @@
 
 Four sections, each asserting its oracle before reporting a number:
 
-* ``group_commit`` — concurrent writers through one shard's
+* ``group_commit`` — concurrent writers through one log's
   :class:`CommitPipeline` (one buffered write + one fsync per batch,
   real files) versus the naive baseline fsyncing every record.
   Oracle: the log scans back byte-identical and LSN-ordered.  Gate:
@@ -46,9 +46,7 @@ from repro.bench.output import (  # noqa: E402
 )
 from repro.wal import (  # noqa: E402
     CommitPipeline,
-    LsnAllocator,
     OsVfs,
-    ShardedWal,
     WriteAheadLog,
     recover,
 )
@@ -93,8 +91,7 @@ def bench_group_commit(quick: bool) -> tuple[dict, bool]:
     total = writers * per_writer
 
     with tempfile.TemporaryDirectory() as tmp:
-        log = WriteAheadLog(OsVfs(pathlib.Path(tmp) / "naive"), 0,
-                            LsnAllocator())
+        log = WriteAheadLog(OsVfs(pathlib.Path(tmp) / "naive"))
 
         def naive():
             for _ in range(naive_records):
@@ -107,8 +104,7 @@ def bench_group_commit(quick: bool) -> tuple[dict, bool]:
 
         def grouped_attempt(attempt: int) -> tuple[float, dict, bool]:
             vfs = OsVfs(pathlib.Path(tmp) / f"grouped-{attempt}")
-            pipeline = CommitPipeline(
-                WriteAheadLog(vfs, 0, LsnAllocator()), max_batch=512)
+            pipeline = CommitPipeline(WriteAheadLog(vfs), max_batch=512)
 
             def writer():
                 tickets = []
@@ -132,7 +128,7 @@ def bench_group_commit(quick: bool) -> tuple[dict, bool]:
             pipeline.close()
             pipeline.log.close()
             # Oracle: everything scans back, LSN-ordered, byte-identical.
-            scan = recover(vfs, 1)
+            scan = recover(vfs)
             lsns = [lsn for lsn, _ in scan.records]
             stats = pipeline.stats_snapshot()
             attempt_ok = (len(scan.records) == total
@@ -167,31 +163,27 @@ def bench_group_commit(quick: bool) -> tuple[dict, bool]:
 def bench_recovery_scaling(quick: bool) -> tuple[dict, bool]:
     """Replay cost: the full log, and after a checkpoint."""
     records = 10_000 if quick else 100_000
-    shards = 4
 
     with tempfile.TemporaryDirectory() as tmp:
         vfs = OsVfs(tmp)
-        wal = ShardedWal(vfs, shards, segment_bytes=256 * 1024)
-        pipelines = [CommitPipeline(log, max_batch=512,
-                                    max_lag=1 << 20)
-                     for log in wal.logs]
+        wal = WriteAheadLog(vfs, segment_bytes=256 * 1024)
+        pipeline = CommitPipeline(wal, max_batch=512, max_lag=1 << 20)
         for n in range(records):
-            pipelines[n % shards].submit(PAYLOAD)
+            pipeline.submit(PAYLOAD)
             if n % 512 == 511:
-                pipelines[n % shards].flush()
-        for pipeline in pipelines:
-            while pipeline.flush():
-                pass
+                pipeline.flush()
+        while pipeline.flush():
+            pass
         wal.close()
 
-        full, full_s = _timed(lambda: recover(vfs, shards))
+        full, full_s = _timed(lambda: recover(vfs))
 
         # Incremental checkpoint at 90%: truncate the sealed prefix the
         # checkpoint covers, replay only the suffix.
         checkpoint_lsn = full.records[int(records * 0.9)][0]
         removed = wal.truncate_until(checkpoint_lsn)
         suffix, suffix_s = _timed(
-            lambda: recover(vfs, shards, from_lsn=checkpoint_lsn))
+            lambda: recover(vfs, from_lsn=checkpoint_lsn))
 
     record_cut = len(full.records) / max(1, len(suffix.records))
     byte_cut = full.bytes_scanned / max(1, suffix.bytes_scanned)
@@ -249,9 +241,8 @@ def bench_batch_linger_ablation(quick: bool) -> tuple[dict, bool]:
             for max_batch in batch_sizes:
                 vfs = OsVfs(
                     pathlib.Path(tmp) / f"w{writers}-b{max_batch}")
-                pipeline = CommitPipeline(
-                    WriteAheadLog(vfs, 0, LsnAllocator()),
-                    max_batch=max_batch)
+                pipeline = CommitPipeline(WriteAheadLog(vfs),
+                                          max_batch=max_batch)
 
                 def writer():
                     for _ in range(per_writer):

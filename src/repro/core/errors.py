@@ -248,25 +248,24 @@ class WalCorrupt(WalError, IntegrityError):
     """The log or a checkpoint failed an integrity check that cannot be
     explained as a torn tail: a frame CRC mismatch *followed by* valid
     frames, a segment missing from the middle of the sequence, LSNs
-    running backwards, or a checkpoint whose checksum does not cover
-    its payload.  Recovery fails closed — silently skipping committed
-    records would be silent data loss, the one outcome a durability
-    layer exists to prevent.  (A torn *tail* — a partial frame at the
-    very end of the last segment with nothing valid after it — is the
-    expected artifact of a crash between write and fsync, and is
-    truncated at the last valid frame instead of raising.)
+    running backwards, a segment of a log other than the store's one
+    log, or a checkpoint whose checksum does not cover its payload.
+    Recovery fails closed — silently skipping committed records would
+    be silent data loss, the one outcome a durability layer exists to
+    prevent.  (A torn *tail* — a partial frame at the very end of the
+    last segment with nothing valid after it — is the expected artifact
+    of a crash between write and fsync, and is truncated at the last
+    valid frame instead of raising.)
 
     Attributes
     ----------
-    shard, segment, offset:
-        Where the damage was found (``segment``/``offset`` are ``None``
-        for structural problems such as a missing segment).
+    segment, offset:
+        Where the damage was found (``None`` when it is not tied to a
+        file, such as a record that does not decode as ops).
     """
 
-    def __init__(self, message: str, *, shard: int | None = None,
-                 segment: str | None = None,
+    def __init__(self, message: str, *, segment: str | None = None,
                  offset: int | None = None) -> None:
-        self.shard = shard
         self.segment = segment
         self.offset = offset
         where = ""

@@ -7,8 +7,9 @@
   (:class:`~repro.gateway.core.AsyncRequestGateway`) carries; it lives
   here because its callers import it from here.
 
-The stores themselves are not sharded: the WAL shards their I/O
-(:class:`~repro.wal.log.ShardedWal`) and the router above shards policy.
+The stores are not sharded, and neither are their logs (one
+:class:`~repro.wal.log.WriteAheadLog` per durable store); the router
+above shards policy.
 """
 
 from repro.scale.gateway import Request

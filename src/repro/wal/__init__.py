@@ -9,16 +9,17 @@ Layering, bottom up:
   battery crashes (:class:`MemVfs`).
 * :mod:`repro.wal.format` — segment/frame layout and the scanner that
   separates torn tails from corruption.
-* :mod:`repro.wal.log` — per-shard segment chains over one global LSN
-  space, rotation, checkpoint-driven truncation.
+* :mod:`repro.wal.log` — one segment chain per store and its LSN
+  counter, rotation, checkpoint-driven truncation, and an open that
+  refuses a directory nobody recovered.
 * :mod:`repro.wal.pipeline` — leader/follower group commit: one
   buffered write + one fsync per batch on the first committer's own
-  thread, traffic-conditional linger, ``wal:{shard}`` fault sites.
+  thread, traffic-conditional linger, the ``wal`` fault site.
 * :mod:`repro.wal.checkpoint` — atomic, digest-keyed checkpoint files.
-* :mod:`repro.wal.replay` — shard scans merged into one LSN-ordered
-  history.
+* :mod:`repro.wal.replay` — the chain scanned back in LSN order.
 * :mod:`repro.wal.durable` — the wrappers stores and gateways use: a
-  transaction (``group()`` block or stand-alone op) is one record.
+  transaction (``group()`` block or stand-alone op) is one record, one
+  log and one pipeline per store.
 """
 
 from repro.wal.checkpoint import CheckpointStore
@@ -30,9 +31,9 @@ from repro.wal.durable import (
     DurableXmlStore,
     RecoveryReport,
 )
-from repro.wal.log import LsnAllocator, ShardedWal, WriteAheadLog
+from repro.wal.log import WriteAheadLog
 from repro.wal.pipeline import CommitPipeline, CommitTicket
-from repro.wal.replay import RecoveryResult, recover, scan_shard
+from repro.wal.replay import RecoveryResult, recover
 from repro.wal.vfs import MemVfs, OsVfs
 
 __all__ = [
@@ -44,13 +45,10 @@ __all__ = [
     "DurableStore",
     "DurableUddiRegistry",
     "DurableXmlStore",
-    "LsnAllocator",
     "MemVfs",
     "OsVfs",
     "RecoveryReport",
     "RecoveryResult",
-    "ShardedWal",
     "WriteAheadLog",
     "recover",
-    "scan_shard",
 ]

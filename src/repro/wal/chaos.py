@@ -24,8 +24,8 @@ Each seed overlays one of three adversarial scenarios (``seed % 3``):
    power fails between ``write()`` and ``fsync()``, keeping a seed-chosen
    byte prefix of the pending tail (possibly slicing a frame, possibly
    a freshly-rotated segment's header);
-1. **corrupt frame** — a ``wal:{shard}`` CORRUPT fault rots one byte of
-   an *interior* synced batch.  Later batches always follow, so the
+1. **corrupt frame** — a ``wal`` CORRUPT fault rots one byte of an
+   *interior* synced batch.  Later batches always follow, so the
    bounded forward resync proves the damage sits in front of live data
    and recovery must fail typed — a corrupt *final* batch would be
    indistinguishable from a torn tail, which is exactly why the overlay
@@ -50,10 +50,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.wal.durable import DurableXmlStore, encode_ops
-from repro.wal.format import encode_frame, segment_name
+from repro.wal.format import encode_frame
+from repro.wal.pipeline import SITE
 from repro.wal.replay import recover as scan_logs
 
-SHARDS = 2
 #: Small segments so checkpoint truncation and mid-run rotation both
 #: actually happen inside a 9-group workload.
 SEGMENT_BYTES = 512
@@ -63,9 +63,9 @@ SCENARIOS = ("torn-tail", "corrupt-frame", "device-fault")
 
 
 def chaos_groups() -> list[list[tuple[str, tuple]]]:
-    """The deterministic workload: 9 groups, every one touching the
-    ``alpha`` collection so its WAL shard flushes exactly once per
-    settled group (which is what lets overlays name batch indices)."""
+    """The deterministic workload: 9 groups.  A settled group is one
+    record and one batch sync, which is what lets overlays name batch
+    indices."""
     groups: list[list[tuple[str, tuple]]] = [[
         ("create_collection", ("alpha",)),
         ("create_collection", ("beta",)),
@@ -96,26 +96,24 @@ def chaos_groups() -> list[list[tuple[str, tuple]]]:
     return groups
 
 
-def scenario_plan(seed: int, home_site: str,
-                  sites: list[str]) -> tuple[FaultPlan, str]:
+def scenario_plan(seed: int) -> tuple[FaultPlan, str]:
     """Seeded DELAY noise plus the scenario overlay for *seed*."""
     plan = FaultPlan()
     rng = random.Random(seed * 7919 + 13)
-    for site in sites:
-        for op_index in range(GROUPS + 2):
-            if rng.random() < 0.15:
-                plan.add(site, op_index,
-                         FaultEvent(FaultKind.DELAY,
-                                    magnitude=1 + rng.randrange(3)))
+    for op_index in range(GROUPS + 2):
+        if rng.random() < 0.15:
+            plan.add(SITE, op_index,
+                     FaultEvent(FaultKind.DELAY,
+                                magnitude=1 + rng.randrange(3)))
     scenario = SCENARIOS[seed % 3]
     if scenario == "corrupt-frame":
         # Interior batch only: groups 3-5 of 9, so at least three later
-        # batches land on the home shard and resync sees live data past
-        # the damage (a corrupt FINAL batch would read as a torn tail).
-        plan.add(home_site, 3 + (seed // 3) % 3, FaultKind.CORRUPT)
+        # batches follow and resync sees live data past the damage (a
+        # corrupt FINAL batch would read as a torn tail).
+        plan.add(SITE, 3 + (seed // 3) % 3, FaultKind.CORRUPT)
     elif scenario == "device-fault":
         kind = FaultKind.CRASH if (seed // 12) % 2 else FaultKind.DROP
-        plan.add(home_site, 4 + (seed // 3) % 4, FaultEvent(kind))
+        plan.add(SITE, 4 + (seed // 3) % 4, FaultEvent(kind))
     return plan, scenario
 
 
@@ -168,23 +166,17 @@ def run_chaos(seed: int) -> ChaosResult:
 
     vfs = MemVfs()
     store = DurableXmlStore(
-        SnapshotXmlDatabase(), vfs, shards=SHARDS, durability="fsync",
-        auto_flush=False, segment_bytes=SEGMENT_BYTES, max_batch=64)
-    home_shard = store._shard_for("alpha")
-    home_site = f"wal:{home_shard}"
-    sites = [f"wal:{shard}" for shard in range(SHARDS)]
-    plan, scenario = scenario_plan(seed, home_site, sites)
-    clock = FaultClock()
-    injector = FaultInjector(plan, clock, seed=seed)
-    for pipeline in store.pipelines:
-        pipeline.injector = injector
+        SnapshotXmlDatabase(), vfs, durability="fsync", auto_flush=False,
+        segment_bytes=SEGMENT_BYTES, max_batch=64)
+    plan, scenario = scenario_plan(seed)
+    store.pipeline.injector = FaultInjector(plan, FaultClock(), seed=seed)
 
     rng = random.Random(seed * 104729 + 7)
     lsn_ops: dict[int, list[tuple[str, tuple]]] = {}
     acked: set[int] = set()
     trace: list[tuple] = []
     for group_index, ops in enumerate(chaos_groups()):
-        before = store.wal.allocator.last
+        before = store.wal.last_lsn
         failure = None
         try:
             with store.group():
@@ -193,7 +185,7 @@ def run_chaos(seed: int) -> ChaosResult:
         except WalError as exc:
             failure = exc
         # One group, one record, one LSN (none if it was refused).
-        lsn = store.wal.allocator.last
+        lsn = store.wal.last_lsn
         if lsn > before:
             lsn_ops[lsn] = ops
         if failure is not None:
@@ -210,19 +202,19 @@ def run_chaos(seed: int) -> ChaosResult:
     if scenario == "torn-tail":
         # Apply + append WITHOUT sync: the crash lands between write()
         # and fsync(), keeping a seed-chosen prefix of the pending tail.
-        log = store.wal.logs[home_shard]
+        log = store.wal
         for extra in range(1 + seed % 2):
             ops = [("insert", ("alpha", f"x{extra}{part}",
                                f'<item><v>extra-{seed}-{extra}</v></item>'))
                    for part in "ab"]
             for op, args in ops:
                 store._apply(op, args, {})
-            lsn = store.wal.allocator.allocate()
+            lsn = log.allocate()
             payload = encode_ops([(op, args, {}) for op, args in ops])
             log.append_encoded(
                 encode_frame(lsn, payload, log._alg_id), lsn, 1)
             lsn_ops[lsn] = ops
-        tail = segment_name(home_shard, log._index)
+        tail = log.tail_name
         pending = vfs.size(tail) - vfs.durable_size(tail)
         keep_partial[tail] = rng.randrange(pending + 1)
         trace.append(("torn", keep_partial[tail], pending))
@@ -230,10 +222,9 @@ def run_chaos(seed: int) -> ChaosResult:
     vfs.crash(keep_partial=keep_partial)
 
     try:
-        scan = scan_logs(vfs, SHARDS, apply_truncation=False)
+        scan = scan_logs(vfs, apply_truncation=False)
         recovered, report = DurableXmlStore.recover(
-            vfs, shards=SHARDS, auto_flush=False,
-            segment_bytes=SEGMENT_BYTES)
+            vfs, auto_flush=False, segment_bytes=SEGMENT_BYTES)
     except WalCorrupt as exc:
         return ChaosResult(
             seed=seed, scenario=scenario, outcome="typed",

@@ -105,6 +105,10 @@ class CheckpointStore:
                  if (lsn := parse_checkpoint_name(name)) is not None]
         return sorted(found)
 
+    def latest_lsn(self) -> int:
+        """The newest checkpoint's LSN, by file name (0 when none)."""
+        return max((lsn for lsn, _ in self._names()), default=0)
+
     def latest_digest(self) -> str | None:
         names = self._names()
         if not names:

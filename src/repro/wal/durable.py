@@ -39,8 +39,10 @@ dataclasses, strings.  A lambda row-filter is rejected with a typed
 store never diverges from its log.
 
 Recovery (``<class>.recover(vfs, ...)``) loads the newest checkpoint,
-replays the merged log suffix in LSN order, one transaction at a time,
-and returns the rebuilt store plus a :class:`RecoveryReport`.
+replays the log suffix in LSN order, one transaction at a time, and
+returns the rebuilt store plus a :class:`RecoveryReport`.  A store
+opened any other way over records or a checkpoint above its
+``start_lsn`` raises a :class:`WalError` naming ``recover()``.
 Replaying an op that fails, or a payload that is not a sequence of op
 triples, is :class:`~repro.core.errors.WalCorrupt`: only *successful*
 ops are ever logged, so a replay failure means the log and checkpoint
@@ -53,17 +55,16 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.core.errors import ReproError, WalCorrupt, WalError
 from repro.core.policy import PolicyBase
-from repro.crypto.hashing import combine, sha256_hex, sha256_int
+from repro.crypto.hashing import combine, sha256_hex
 from repro.relational.database import Database
 from repro.snap.frozen import parse_frozen
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.registry import UddiRegistry
 from repro.wal.checkpoint import CheckpointStore
-from repro.wal.log import ShardedWal
+from repro.wal.log import WriteAheadLog
 from repro.wal.pipeline import CommitPipeline
 from repro.wal.replay import recover as replay_recover
 from repro.xmldb.serializer import serialize, serialize_element
@@ -101,11 +102,6 @@ def decode_ops(lsn: int, payload: bytes) -> tuple:
     return ops
 
 
-@lru_cache(maxsize=4096)
-def _hash_shard(key: str, shards: int) -> int:
-    return sha256_int(f"walshard:{key}") % shards
-
-
 @dataclass
 class RecoveryReport:
     """What a recovery run did — the bench and chaos oracles read it."""
@@ -122,12 +118,11 @@ class RecoveryReport:
 class DurableStore:
     """Common WAL/checkpoint machinery; subclasses own op dispatch.
 
-    Each op names a WAL shard by its routing key (:meth:`_shard_for`);
-    the inner store itself is one plain, unsharded store.
+    One plain inner store, one :class:`WriteAheadLog`, one
+    :class:`CommitPipeline`.
     """
 
-    def __init__(self, inner, vfs, *, shards: int = 4,
-                 durability: str = "fsync",
+    def __init__(self, inner, vfs, *, durability: str = "fsync",
                  max_batch: int = 256, max_lag: int = 4096,
                  segment_bytes: int = 4 * 1024 * 1024,
                  auto_flush: bool = True,
@@ -139,24 +134,31 @@ class DurableStore:
         self.inner = inner
         self.vfs = vfs
         self.durability = durability
-        self.wal = ShardedWal(vfs, shards, segment_bytes=segment_bytes,
-                              start_lsn=start_lsn)
+        self.checkpoints = CheckpointStore(vfs)
+        if self.checkpoints.latest_lsn() > start_lsn:
+            raise WalError(f"log directory holds a checkpoint above the "
+                           f"start LSN {start_lsn}; open it with recover()")
+        self.wal = WriteAheadLog(vfs, start_lsn=start_lsn,
+                                 segment_bytes=segment_bytes)
         # A flusher thread only where acks return before anyone waits;
         # under "fsync" the committers flush on their own threads.
-        self.pipelines = tuple(
-            CommitPipeline(log, max_batch=max_batch, max_lag=max_lag,
-                           auto_flush=(auto_flush
-                                       and durability == "enqueue"),
-                           injector=injector, vfs=vfs)
-            for log in self.wal.logs)
-        self.checkpoints = CheckpointStore(vfs)
+        self.pipeline = CommitPipeline(
+            self.wal, max_batch=max_batch, max_lag=max_lag,
+            auto_flush=auto_flush and durability == "enqueue",
+            injector=injector, vfs=vfs)
         # Re-entrant: a group() holds it across its ops, each of which
         # takes it again.  Everything below is guarded by it.
         self._mutex = threading.RLock()
         self._depth = 0
         self._ops: list[tuple[str, tuple, dict]] = []  # open transaction
-        self._shard = 0       # where the open transaction's record goes
         self._pending: list = []  # enqueue-mode tickets, for wal_sync()
+
+    @property
+    def pipelines(self) -> tuple[CommitPipeline]:
+        """The one pipeline, as the tuple the e2e benchmark's
+        ``Workload.wal_counts`` (``benchmarks/e2e/workloads.py``) sums
+        over.  Read-only; new code uses :attr:`pipeline`."""
+        return (self.pipeline,)
 
     # -- delegation --------------------------------------------------------
 
@@ -165,20 +167,16 @@ class DurableStore:
 
     # -- the durable op path ----------------------------------------------
 
-    def _shard_for(self, key: str) -> int:
-        return _hash_shard(key, self.wal.shard_count)
-
     def _apply(self, op: str, args: tuple, kwargs: dict):
         return getattr(self.inner, op)(*args, **kwargs)
 
-    def _durable_op(self, shard: int, op: str, *args, **kwargs):
+    def _durable_op(self, op: str, *args, **kwargs):
         self._begin()
         try:
             if not self._ops:
-                # The record goes to its first op's shard; a sealed or
-                # lagging pipeline refuses before anything applies.
-                self.pipelines[shard].admit()
-                self._shard = shard
+                # A sealed or lagging pipeline refuses before anything
+                # applies.
+                self.pipeline.admit()
             if kwargs or not all(type(arg) in _PLAIN for arg in args):
                 encode_ops([(op, args, kwargs)])  # refuse *before* apply
             result = self._apply(op, args, kwargs)
@@ -199,8 +197,7 @@ class DurableStore:
             self._depth -= 1
             if self._depth == 0 and self._ops:
                 ops, self._ops = self._ops, []
-                ticket = self.pipelines[self._shard].submit(
-                    encode_ops(ops))
+                ticket = self.pipeline.submit(encode_ops(ops))
                 if self.durability == "enqueue":
                     self._pending.append(ticket)
         finally:
@@ -237,17 +234,16 @@ class DurableStore:
 
     @property
     def durability_lag(self) -> int:
-        return sum(pipeline.lag for pipeline in self.pipelines)
+        return self.pipeline.lag
 
     def close(self) -> None:
-        for pipeline in self.pipelines:
-            pipeline.close()
+        self.pipeline.close()
         self.wal.close()
 
     def wal_stats(self) -> dict[str, object]:
         return {
-            "log": self.wal.stats_snapshot(),
-            "pipelines": [p.stats_snapshot() for p in self.pipelines],
+            "log": self.wal.stats.snapshot(),
+            "pipeline": self.pipeline.stats_snapshot(),
             "checkpoints": {"written": self.checkpoints.written,
                             "skipped": self.checkpoints.skipped},
             "durability": self.durability,
@@ -271,10 +267,10 @@ class DurableStore:
                 raise WalError(
                     "checkpoint inside an open transaction: its ops "
                     "are applied but have no LSN yet")
-            # Under the op mutex the allocator's last LSN is exactly
-            # the last *applied* transaction, so the serialized state
+            # Under the op mutex the log's last LSN is exactly the
+            # last *applied* transaction, so the serialized state
             # covers every record at or below it.
-            lsn = self.wal.allocator.last
+            lsn = self.wal.last_lsn
             payload, digest, release = self._capture()
         try:
             written = self.checkpoints.write(lsn, digest, payload)
@@ -306,11 +302,10 @@ class DurableStore:
             self._apply(op, args, kwargs)
 
     @classmethod
-    def recover(cls, vfs, *, shards: int = 4,
-                inner_kwargs: dict | None = None,
+    def recover(cls, vfs, *, inner_kwargs: dict | None = None,
                 **store_kwargs) -> tuple["DurableStore", RecoveryReport]:
         """Rebuild the store from its directory: newest checkpoint plus
-        the merged log suffix, applied strictly in LSN order."""
+        the log suffix, applied strictly in LSN order."""
         inner_kwargs = inner_kwargs or {}
         report = RecoveryReport()
         checkpoint = CheckpointStore(vfs).latest()
@@ -321,15 +316,13 @@ class DurableStore:
             report.checkpoint_digest = digest
         else:
             inner = cls._fresh_inner(**inner_kwargs)
-        scan = replay_recover(vfs, shards,
-                              from_lsn=report.checkpoint_lsn)
+        scan = replay_recover(vfs, from_lsn=report.checkpoint_lsn)
         report.records_replayed = len(scan.records)
         report.last_lsn = max(scan.last_lsn, report.checkpoint_lsn)
         report.segments_scanned = scan.segments
         report.bytes_scanned = scan.bytes_scanned
         report.truncated = scan.truncated
-        store = cls(inner, vfs, shards=shards,
-                    start_lsn=report.last_lsn, **store_kwargs)
+        store = cls(inner, vfs, start_lsn=report.last_lsn, **store_kwargs)
         for lsn, payload in scan.records:
             ops = decode_ops(lsn, payload)
             try:
@@ -361,58 +354,49 @@ class DurableXmlStore(DurableStore):
     """
 
     def create_collection(self, name: str) -> None:
-        return self._durable_op(self._shard_for(name),
-                                "create_collection", name)
+        return self._durable_op("create_collection", name)
 
     def drop_collection(self, name: str) -> None:
-        return self._durable_op(self._shard_for(name),
-                                "drop_collection", name)
+        return self._durable_op("drop_collection", name)
 
     def insert(self, collection: str, doc_id: str, document):
         if not isinstance(document, str):
             document = serialize(document)
-        return self._durable_op(self._shard_for(collection), "insert",
-                                collection, doc_id, document)
+        return self._durable_op("insert", collection, doc_id, document)
 
     def delete(self, collection: str, doc_id: str):
-        return self._durable_op(self._shard_for(collection), "delete",
-                                collection, doc_id)
+        return self._durable_op("delete", collection, doc_id)
 
     def replace(self, collection: str, doc_id: str, document):
         if not isinstance(document, str):
             document = serialize(document)
-        return self._durable_op(self._shard_for(collection), "replace",
-                                collection, doc_id, document)
+        return self._durable_op("replace", collection, doc_id, document)
 
     def set_text(self, collection: str, doc_id: str, path: str,
                  text: str) -> None:
-        return self._durable_op(self._shard_for(collection), "set_text",
-                                collection, doc_id, path, text)
+        return self._durable_op("set_text", collection, doc_id, path,
+                                text)
 
     def set_attribute(self, collection: str, doc_id: str, path: str,
                       name: str, value: str) -> None:
-        return self._durable_op(self._shard_for(collection),
-                                "set_attribute", collection, doc_id,
+        return self._durable_op("set_attribute", collection, doc_id,
                                 path, name, value)
 
     def remove_attribute(self, collection: str, doc_id: str, path: str,
                          name: str) -> None:
-        return self._durable_op(self._shard_for(collection),
-                                "remove_attribute", collection, doc_id,
+        return self._durable_op("remove_attribute", collection, doc_id,
                                 path, name)
 
     def append_child(self, collection: str, doc_id: str,
                      parent_path: str, child) -> None:
         if not isinstance(child, str):
             child = serialize_element(child)
-        return self._durable_op(self._shard_for(collection),
-                                "append_child", collection, doc_id,
+        return self._durable_op("append_child", collection, doc_id,
                                 parent_path, child)
 
     def remove_child(self, collection: str, doc_id: str,
                      path: str) -> None:
-        return self._durable_op(self._shard_for(collection),
-                                "remove_child", collection, doc_id, path)
+        return self._durable_op("remove_child", collection, doc_id, path)
 
     @contextmanager
     def writer(self):
@@ -478,30 +462,25 @@ class DurableXmlStore(DurableStore):
 
 class DurableUddiRegistry(DurableStore):
     """WAL + whole-registry pickle checkpoints under a
-    :class:`~repro.uddi.registry.UddiRegistry`.  Records route by
-    business key (tModels by tModel key, assertions by fromKey)."""
+    :class:`~repro.uddi.registry.UddiRegistry`."""
 
     def save_business(self, entity, publisher: str,
                       idempotency_key: str | None = None):
-        return self._durable_op(
-            self._shard_for(entity.business_key), "save_business",
-            entity, publisher, idempotency_key)
+        return self._durable_op("save_business", entity, publisher,
+                                idempotency_key)
 
     def delete_business(self, business_key: str, publisher: str) -> None:
-        return self._durable_op(self._shard_for(business_key),
-                                "delete_business", business_key, publisher)
+        return self._durable_op("delete_business", business_key, publisher)
 
     def save_tmodel(self, tmodel, publisher: str,
                     idempotency_key: str | None = None):
-        return self._durable_op(
-            self._shard_for(tmodel.tmodel_key), "save_tmodel", tmodel,
-            publisher, idempotency_key)
+        return self._durable_op("save_tmodel", tmodel, publisher,
+                                idempotency_key)
 
     def add_assertion(self, assertion, publisher: str,
                       idempotency_key: str | None = None) -> None:
-        return self._durable_op(
-            self._shard_for(assertion.from_key), "add_assertion",
-            assertion, publisher, idempotency_key)
+        return self._durable_op("add_assertion", assertion, publisher,
+                                idempotency_key)
 
     def state_digest(self) -> str:
         return self.inner.state_digest()
@@ -516,44 +495,40 @@ class DurableUddiRegistry(DurableStore):
 
 class DurableRelationalStore(DurableStore):
     """WAL + whole-database pickle checkpoints under a
-    :class:`~repro.relational.database.Database`; records route by
-    table name.  GRANT/REVOKE apply to the database's one grant graph
-    (``inner.authorization``).  Predicates and row filters logged
-    through here must be module-level functions."""
+    :class:`~repro.relational.database.Database`.  GRANT/REVOKE apply
+    to the database's one grant graph (``inner.authorization``).
+    Predicates and row filters logged through here must be module-level
+    functions."""
 
     def create_table(self, table_schema, owner: str):
-        return self._durable_op(self._shard_for(table_schema.name),
-                                "create_table", table_schema, owner)
+        return self._durable_op("create_table", table_schema, owner)
 
     def grant(self, grantor: str, grantee: str, table: str, privilege,
               with_grant_option: bool = False, row_filter=None,
               column_mask=()):
-        return self._durable_op(
-            self._shard_for(table), "grant", grantor, grantee, table,
-            privilege, with_grant_option, row_filter, tuple(column_mask))
+        return self._durable_op("grant", grantor, grantee, table,
+                                privilege, with_grant_option, row_filter,
+                                tuple(column_mask))
 
     def revoke(self, revoker: str, grantee: str, table: str, privilege):
-        return self._durable_op(self._shard_for(table), "revoke",
-                                revoker, grantee, table, privilege)
+        return self._durable_op("revoke", revoker, grantee, table,
+                                privilege)
 
     def insert(self, user: str, table_name: str, **values):
         # Values travel as one positional dict: re-splatting them into
-        # _durable_op's signature would make a column named "op" or
-        # "shard" a TypeError instead of data.
-        return self._durable_op(self._shard_for(table_name), "insert",
-                                user, table_name, dict(values))
+        # _durable_op's signature would make a column named "op" a
+        # TypeError instead of data.
+        return self._durable_op("insert", user, table_name, dict(values))
 
     def update(self, user: str, table_name: str, where, changes):
-        return self._durable_op(self._shard_for(table_name), "update",
-                                user, table_name, where, dict(changes))
+        return self._durable_op("update", user, table_name, where,
+                                dict(changes))
 
     def delete(self, user: str, table_name: str, where):
-        return self._durable_op(self._shard_for(table_name), "delete",
-                                user, table_name, where)
+        return self._durable_op("delete", user, table_name, where)
 
     def set_metadata(self, table: str, key: str, value) -> None:
-        return self._durable_op(self._shard_for(table),
-                                "set_metadata", table, key, value)
+        return self._durable_op("set_metadata", table, key, value)
 
     def _apply(self, op: str, args: tuple, kwargs: dict):
         if op == "insert":
@@ -597,13 +572,10 @@ class DurablePolicyStore(DurableStore):
     """
 
     def add(self, policy):
-        return self._durable_op(
-            self._shard_for(f"policy:{policy.policy_id}"), "add", policy)
+        return self._durable_op("add", policy)
 
     def remove(self, policy) -> None:
-        self._durable_op(
-            self._shard_for(f"policy:{policy.policy_id}"), "remove_id",
-            policy.policy_id)
+        self._durable_op("remove_id", policy.policy_id)
 
     def _apply(self, op: str, args: tuple, kwargs: dict):
         if op == "remove_id":

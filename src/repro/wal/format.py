@@ -1,14 +1,13 @@
 """On-disk format of the write-ahead log.
 
-Segment file (``seg-SSS-IIIIIIII.wal``, shard ``SSS``, sequence
-``IIIIIIII``)::
+Segment file (``seg-000-IIIIIIII.wal``, sequence ``IIIIIIII``)::
 
     header (24 bytes):
         !4s  magic  b"RWAL"
         !H   format version (1)
         !B   checksum algorithm id (repro.wal.checksum.ALGORITHMS)
         !B   reserved (0)
-        !I   shard index
+        !I   log number (always 0)
         !Q   base LSN (last LSN allocated before this segment opened;
              diagnostic — recovery trusts the frames, not the header)
         !I   checksum over the 20 bytes above
@@ -16,9 +15,14 @@ Segment file (``seg-SSS-IIIIIIII.wal``, shard ``SSS``, sequence
         !I   body length (9 + payload length)
         !I   checksum over body
         body:
-            !Q  LSN (globally allocated; strictly increasing per shard)
+            !Q  LSN (strictly increasing along the chain)
             !B  record type (1 = RECORD)
             payload bytes
+
+A store has one log.  The ``000`` and the log number are kept from a
+layout that split a store over several chains; any other number, in a
+name or a header, is :class:`~repro.core.errors.WalCorrupt`, so such a
+directory fails closed rather than recover without a chain.
 
 The frame layer is payload-agnostic.  The durable stores
 (:mod:`repro.wal.durable`) put **one transaction per record**: the
@@ -73,31 +77,38 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 RESYNC_WINDOW = 64 * 1024
 
 
-def segment_name(shard: int, index: int) -> str:
-    return f"seg-{shard:03d}-{index:08d}.wal"
+def segment_name(index: int) -> str:
+    return f"seg-000-{index:08d}.wal"
 
 
-def parse_segment_name(name: str) -> tuple[int, int] | None:
-    """(shard, index) for a segment file name, else None."""
+def parse_segment_name(name: str) -> int | None:
+    """The sequence index of a segment file name, else None; a
+    segment of any log but 0 is :class:`WalCorrupt`."""
     if not (name.startswith("seg-") and name.endswith(".wal")):
         return None
     parts = name[4:-4].split("-")
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         return None
-    return int(parts[0]), int(parts[1])
+    if int(parts[0]) != 0:
+        raise WalCorrupt(f"segment of log {int(parts[0])}; a store has "
+                         f"only log 0", segment=name)
+    return int(parts[1])
 
 
-def encode_segment_header(shard: int, base_lsn: int,
-                          algorithm: str) -> bytes:
+def list_segments(vfs) -> list[tuple[int, str]]:
+    """Every segment in *vfs*, as ``(index, name)`` in chain order."""
+    return sorted((index, name) for name in vfs.listdir()
+                  if (index := parse_segment_name(name)) is not None)
+
+
+def encode_segment_header(base_lsn: int, algorithm: str) -> bytes:
     alg_id = algorithm_id(algorithm)
-    head = _HEADER.pack(MAGIC, FORMAT_VERSION, alg_id, 0, shard,
-                        base_lsn)
+    head = _HEADER.pack(MAGIC, FORMAT_VERSION, alg_id, 0, 0, base_lsn)
     return head + _HEADER_CRC.pack(checksum_fn(alg_id)(head))
 
 
 @dataclass(frozen=True)
 class SegmentHeader:
-    shard: int
     base_lsn: int
     algorithm_id: int
 
@@ -107,7 +118,7 @@ def decode_segment_header(data: bytes | memoryview,
     if len(data) < HEADER_SIZE:
         raise WalCorrupt("segment shorter than its header",
                          segment=name, offset=0)
-    magic, version, alg_id, _, shard, base_lsn = _HEADER.unpack_from(
+    magic, version, alg_id, _, log, base_lsn = _HEADER.unpack_from(
         data, 0)
     if magic != MAGIC:
         raise WalCorrupt(f"bad segment magic {bytes(magic)!r}",
@@ -119,8 +130,11 @@ def decode_segment_header(data: bytes | memoryview,
     (stored,) = _HEADER_CRC.unpack_from(data, _HEADER.size)
     if fn(bytes(data[:_HEADER.size])) != stored:
         raise WalCorrupt("segment header failed its checksum",
-                         segment=name, offset=0, shard=shard)
-    return SegmentHeader(shard, base_lsn, alg_id)
+                         segment=name, offset=0)
+    if log != 0:
+        raise WalCorrupt(f"segment header names log {log}; a store has "
+                         f"only log 0", segment=name, offset=0)
+    return SegmentHeader(base_lsn, alg_id)
 
 
 def encode_frame(lsn: int, payload: bytes, algorithm_id_: int,
@@ -184,21 +198,16 @@ def _resyncs(view: memoryview, start: int, end: int, fn,
     return False
 
 
-def scan_segment(data: bytes | memoryview, name: str = "?",
-                 expect_shard: int | None = None) -> ScanResult:
+def scan_segment(data: bytes | memoryview, name: str = "?") -> ScanResult:
     """Verify and decode every frame of one segment.
 
     Raises :class:`WalCorrupt` for damage that cannot be a torn tail;
     reports a torn tail through :attr:`ScanResult.torn` and leaves the
-    truncation decision to the caller (only the *last* segment of a
-    shard may lawfully be torn).
+    truncation decision to the caller (only the *last* segment of the
+    chain may lawfully be torn).
     """
     view = memoryview(data)
     header = decode_segment_header(view, name)
-    if expect_shard is not None and header.shard != expect_shard:
-        raise WalCorrupt(
-            f"segment belongs to shard {header.shard}, expected "
-            f"{expect_shard}", segment=name, shard=header.shard)
     fn = checksum_fn(header.algorithm_id)
     end = len(view)
     frames: list[Frame] = []
@@ -211,12 +220,12 @@ def scan_segment(data: bytes | memoryview, name: str = "?",
                 raise WalCorrupt(
                     "invalid frame followed by recoverable frames — "
                     "damage to possibly-acknowledged data",
-                    segment=name, offset=offset, shard=header.shard)
+                    segment=name, offset=offset)
             return ScanResult(tuple(frames), offset, True, end)
         if frame.lsn <= last_lsn:
             raise WalCorrupt(
                 f"LSN {frame.lsn} not above predecessor {last_lsn}",
-                segment=name, offset=offset, shard=header.shard)
+                segment=name, offset=offset)
         frames.append(frame)
         last_lsn = frame.lsn
         offset += _FRAME_HEAD.size + _BODY_HEAD.size + len(frame.payload)

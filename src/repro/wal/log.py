@@ -1,54 +1,40 @@
-"""Segmented append-only logs with globally ordered LSNs.
+"""A segmented append-only log: one chain per durable store.
 
-One :class:`WriteAheadLog` owns one shard's segment chain.  LSNs come
-from a single :class:`LsnAllocator` shared by every shard of a store,
-so records on *different* shards still carry a total order: recovery
-scans shard logs independently and then merges by LSN, replaying the
-exact serialization the writers produced.  Within one shard the append
-lock makes file order equal LSN order, which is what lets the segment
-scanner treat a non-increasing LSN as corruption.
+One :class:`WriteAheadLog` owns a store's segment chain and its LSN
+counter.  Appends go through the store's
+:class:`~repro.wal.pipeline.CommitPipeline` (or are caller-serialized),
+so file order is LSN order, which is what lets the segment scanner
+treat a non-increasing LSN as corruption and lets recovery replay the
+chain as it reads it.
 
 Segments rotate at a byte threshold; a sealed segment is synced before
-the next one opens, so only the *last* segment of a shard can ever
-carry a torn tail.  :meth:`WriteAheadLog.truncate_until` deletes the
-prefix of sealed segments a checkpoint has made redundant — bounded
-recovery work is the whole point of checkpointing.
+the next one opens, so only the *last* segment can ever carry a torn
+tail.  :meth:`WriteAheadLog.truncate_until` deletes the prefix of
+sealed segments a checkpoint has made redundant — bounded recovery
+work is the whole point of checkpointing.
+
+Opening a log scans the chain on disk.  Records above ``start_lsn``
+or a torn tail mean nobody recovered it: appending would put new LSNs
+behind old ones (or a segment behind a torn one) and brick the next
+recovery, so the open refuses instead, naming ``recover()``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.errors import WalCorrupt, WalError
+from repro.core.errors import WalError
 from repro.wal.checksum import DEFAULT_ALGORITHM, algorithm_id
 from repro.wal.format import (
     HEADER_SIZE,
     RECORD,
     encode_frame,
     encode_segment_header,
-    parse_segment_name,
+    list_segments,
     scan_segment,
     segment_name,
 )
-
-
-class LsnAllocator:
-    """A monotone global sequence; LSN 0 means "nothing"."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._mutex = threading.Lock()
-        self._last = start
-
-    def allocate(self) -> int:
-        with self._mutex:
-            self._last += 1
-            return self._last
-
-    @property
-    def last(self) -> int:
-        with self._mutex:
-            return self._last
 
 
 @dataclass
@@ -71,21 +57,20 @@ class _Sealed:
 
 
 class WriteAheadLog:
-    """One shard's segment chain (appends are caller-serialized or go
-    through the shard's :class:`~repro.wal.pipeline.CommitPipeline`,
-    which owns the batching lock)."""
+    """A store's segment chain (appends are caller-serialized or go
+    through the store's :class:`~repro.wal.pipeline.CommitPipeline`,
+    which owns the batching lock and allocates LSNs under it)."""
 
-    def __init__(self, vfs, shard: int, allocator: LsnAllocator, *,
+    def __init__(self, vfs, *, start_lsn: int = 0,
                  segment_bytes: int = 4 * 1024 * 1024,
                  algorithm: str = DEFAULT_ALGORITHM) -> None:
         self.vfs = vfs
-        self.shard = shard
-        self.allocator = allocator
         self.segment_bytes = segment_bytes
         self.algorithm = algorithm
         self._alg_id = algorithm_id(algorithm)
         self._mutex = threading.Lock()
         self._sealed: list[_Sealed] = []
+        self._last_lsn = start_lsn  # last LSN allocated; 0 is "nothing"
         self._last_appended = 0
         self._last_synced = 0
         self.stats = LogStats()
@@ -97,40 +82,52 @@ class WriteAheadLog:
         # true prefix of the chain.  Skipping them would leave the old
         # files behind forever and, worse, delete only newly-sealed
         # higher-index segments around them, punching an index gap the
-        # next recovery reads as a missing segment.
-        existing = sorted(
-            (parsed[1], name) for name in vfs.listdir()
-            if (parsed := parse_segment_name(name)) is not None
-            and parsed[0] == shard)
+        # next recovery reads as a missing segment.  Damage raises
+        # WalCorrupt here; only recovery may rule on what it means.
+        existing = list_segments(vfs)
         self._index = (existing[-1][0] + 1) if existing else 0
         last_lsn = 0
         for index, name in existing:
-            if vfs.size(name) >= HEADER_SIZE:
-                try:
-                    with vfs.open_map(name) as mapped:
-                        result = scan_segment(mapped.view, name,
-                                              expect_shard=shard)
-                except WalCorrupt:
-                    # Un-recovered damage: stop registering here so no
-                    # segment at or past it is ever deleted — recovery
-                    # is the layer that rules on what the damage means.
-                    break
-                if result.frames:
-                    last_lsn = result.frames[-1].lsn
-            # A header-only (or empty) segment carries its
-            # predecessor's LSN: it holds no records, so it may go
-            # whenever the segment before it goes.
+            if vfs.size(name) < HEADER_SIZE:
+                raise self._unrecovered(f"{name} is torn mid-header")
+            with vfs.open_map(name) as mapped:
+                result = scan_segment(mapped.view, name)
+            if result.torn:
+                raise self._unrecovered(f"{name} has a torn tail")
+            if result.frames:
+                last_lsn = result.frames[-1].lsn
+            # A header-only segment carries its predecessor's LSN: it
+            # holds no records, so it may go whenever the segment
+            # before it goes.
             self._sealed.append(_Sealed(index, name, last_lsn))
+        if last_lsn > start_lsn:
+            raise self._unrecovered(
+                f"it holds records up to LSN {last_lsn}, above the "
+                f"start LSN {start_lsn}")
         self._segment = None
         self._segment_size = 0
 
+    @staticmethod
+    def _unrecovered(why: str) -> WalError:
+        return WalError(f"log directory was not recovered ({why}); open "
+                        f"it with recover()")
+
     # -- appending ---------------------------------------------------------
 
+    def allocate(self) -> int:
+        """The next LSN.  Callers serialize: the pipeline calls it under
+        its queue mutex, so queue order, LSN order and file order agree."""
+        self._last_lsn += 1
+        return self._last_lsn
+
+    @property
+    def last_lsn(self) -> int:
+        """The last LSN allocated (appended or still queued)."""
+        return self._last_lsn
+
     def _open_segment(self) -> None:
-        header = encode_segment_header(self.shard, self.allocator.last,
-                                       self.algorithm)
-        self._segment = self.vfs.create(segment_name(self.shard,
-                                                     self._index))
+        header = encode_segment_header(self._last_lsn, self.algorithm)
+        self._segment = self.vfs.create(segment_name(self._index))
         self._segment.write(header)
         self._segment_size = len(header)
         self.stats.segments_opened += 1
@@ -138,8 +135,7 @@ class WriteAheadLog:
     def _seal_segment(self) -> None:
         self._segment.sync()
         self._segment.close()
-        self._sealed.append(_Sealed(self._index,
-                                    segment_name(self.shard, self._index),
+        self._sealed.append(_Sealed(self._index, segment_name(self._index),
                                     self._last_appended))
         self._index += 1
         self._segment = None
@@ -148,17 +144,16 @@ class WriteAheadLog:
                rectype: int = RECORD) -> int:
         """Append one framed record (no sync); returns its LSN.
 
-        Callers may pass a pre-allocated *lsn* (the commit pipeline
-        allocates under its own mutex to keep queue order equal to LSN
-        order); it must be above every LSN this shard has seen.
+        Callers may pass an *lsn* of their own; it must be above every
+        LSN this log has appended.
         """
         with self._mutex:
             if lsn is None:
-                lsn = self.allocator.allocate()
+                lsn = self.allocate()
             elif lsn <= self._last_appended:
                 raise WalError(
-                    f"shard {self.shard} append of LSN {lsn} at or "
-                    f"below last appended {self._last_appended}")
+                    f"append of LSN {lsn} at or below last appended "
+                    f"{self._last_appended}")
             frame = encode_frame(lsn, payload, self._alg_id, rectype)
             self._append_bytes(frame)
             self._last_appended = lsn
@@ -172,8 +167,8 @@ class WriteAheadLog:
         with self._mutex:
             if last_lsn <= self._last_appended:
                 raise WalError(
-                    f"shard {self.shard} batch ending at LSN {last_lsn} "
-                    f"at or below last appended {self._last_appended}")
+                    f"batch ending at LSN {last_lsn} at or below last "
+                    f"appended {self._last_appended}")
             self._append_bytes(batch)
             self._last_appended = last_lsn
             self.stats.appended_records += records
@@ -188,6 +183,11 @@ class WriteAheadLog:
         self._segment.write(data)
         self._segment_size += len(data)
         self.stats.appended_bytes += len(data)
+
+    @property
+    def tail_name(self) -> str:
+        """The segment the next append lands in (or just landed in)."""
+        return segment_name(self._index)
 
     # -- durability --------------------------------------------------------
 
@@ -216,7 +216,7 @@ class WriteAheadLog:
         checkpoint at *lsn*; returns how many segments were removed.
 
         Only a strict prefix ever goes: recovery requires contiguous
-        segment indices per shard, and a hole in the middle must stay
+        segment indices, and a hole in the middle must stay
         distinguishable from this lawful trimming.
         """
         removed = 0
@@ -235,47 +235,3 @@ class WriteAheadLog:
                 self._segment.close()
                 self._segment = None
                 self._last_synced = self._last_appended
-
-
-class ShardedWal:
-    """N shard logs over one vfs directory, one LSN space."""
-
-    def __init__(self, vfs, shards: int = 4, *,
-                 segment_bytes: int = 4 * 1024 * 1024,
-                 algorithm: str = DEFAULT_ALGORITHM,
-                 start_lsn: int = 0) -> None:
-        if shards < 1:
-            raise WalError("a sharded wal needs at least one shard")
-        self.vfs = vfs
-        self.shard_count = shards
-        self.allocator = LsnAllocator(start_lsn)
-        self.logs = tuple(
-            WriteAheadLog(vfs, shard, self.allocator,
-                          segment_bytes=segment_bytes,
-                          algorithm=algorithm)
-            for shard in range(shards))
-
-    def log(self, shard: int) -> WriteAheadLog:
-        return self.logs[shard]
-
-    def sync_all(self) -> int:
-        """Sync every shard; returns the globally durable LSN floor."""
-        return max(log.sync() for log in self.logs)
-
-    @property
-    def last_appended(self) -> int:
-        return max((log.last_appended for log in self.logs), default=0)
-
-    def truncate_until(self, lsn: int) -> int:
-        return sum(log.truncate_until(lsn) for log in self.logs)
-
-    def close(self) -> None:
-        for log in self.logs:
-            log.close()
-
-    def stats_snapshot(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for log in self.logs:
-            for key, value in log.stats.snapshot().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals

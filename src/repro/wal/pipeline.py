@@ -26,9 +26,9 @@ ack-on-enqueue stores ask for: their acks return before anyone waits,
 so somebody else has to lead.  It runs the same ``_lead``.
 
 LSNs are allocated at submit time, under the queue mutex, so queue
-order, LSN order, and file order all agree per shard.
+order, LSN order, and file order all agree.
 
-Fault site ``wal:{shard}`` (one step per batch sync):
+Fault site ``wal`` (one step per batch sync):
 
 * CRASH / DROP — the device refused the batch.  Every ticket in it
   *and every ticket still queued behind it* fails with a typed
@@ -52,6 +52,9 @@ from repro.core.errors import DurabilityLagExceeded, WalError
 from repro.faults.plan import FaultKind
 from repro.wal.format import encode_frame
 from repro.wal.log import WriteAheadLog
+
+#: The fault site a batch sync steps.
+SITE = "wal"
 
 #: Upper bound on the adaptive linger; the EMA usually keeps it far
 #: lower (a fraction of one measured sync).
@@ -105,7 +108,7 @@ class CommitTicket:
 
 
 class CommitPipeline:
-    """One shard's group-commit queue; committers flush it themselves.
+    """A log's group-commit queue; committers flush it themselves.
 
     ``auto_flush=True`` adds a daemon flusher thread for ack-on-enqueue
     callers that never wait; with ``auto_flush=False`` the queue drains
@@ -126,7 +129,6 @@ class CommitPipeline:
         self.injector = injector
         self.vfs = vfs
         self.stats = PipelineStats()
-        self._site = f"wal:{log.shard}"
         self._mutex = threading.Lock()
         self._idle = threading.Condition(self._mutex)
         self._queue: list[tuple[CommitTicket, bytes]] = []
@@ -143,7 +145,7 @@ class CommitPipeline:
         if auto_flush:
             self._flusher = threading.Thread(
                 target=self._flush_loop,
-                name=f"wal-flusher-{log.shard}", daemon=True)
+                name="wal-flusher", daemon=True)
             self._flusher.start()
 
     # -- writer side -------------------------------------------------------
@@ -151,8 +153,8 @@ class CommitPipeline:
     def _refuse(self) -> None:
         if self._sealed is not None:
             raise WalError(
-                f"commit pipeline for shard {self.log.shard} is "
-                f"sealed after a write fault: {self._sealed}")
+                f"commit pipeline is sealed after a write fault: "
+                f"{self._sealed}")
         if self._closed:
             raise WalError("commit pipeline is closed")
         if len(self._queue) >= self.max_lag:
@@ -177,7 +179,7 @@ class CommitPipeline:
         """
         with self._mutex:
             self._refuse()
-            lsn = self.log.allocator.allocate()
+            lsn = self.log.allocate()
             ticket = CommitTicket(lsn, self)
             self._queue.append(
                 (ticket, encode_frame(lsn, payload, self.log._alg_id)))
@@ -234,8 +236,7 @@ class CommitPipeline:
         batch: list[tuple[CommitTicket, bytes]] = []
         # Until the batch is known durable, whatever stops this leader
         # (an interrupt included) seals the log.
-        error: WalError | None = WalError(
-            f"wal flush on shard {self.log.shard} was interrupted")
+        error: WalError | None = WalError("wal flush was interrupted")
         try:
             if self._shared and len(self._queue) < self.max_batch:
                 # The last batch had company, so company is likely on
@@ -256,8 +257,7 @@ class CommitPipeline:
             error = exc
             raise
         except Exception as exc:
-            error = WalError(f"wal flush failed on shard "
-                             f"{self.log.shard}: {exc}")
+            error = WalError(f"wal flush failed: {exc}")
             raise error from exc
         finally:
             if error is None:
@@ -288,13 +288,12 @@ class CommitPipeline:
         fault comes back as the error to seal with; a real one raises."""
         corrupt_after = False
         if self.injector is not None:
-            for event in self.injector.step(self._site):
+            for event in self.injector.step(SITE):
                 self.stats.faults_injected += 1
                 if event.kind in (FaultKind.CRASH, FaultKind.DROP):
                     return WalError(
-                        f"wal device fault ({event.kind.value}) on "
-                        f"shard {self.log.shard}: batch of "
-                        f"{len(batch)} records not durable")
+                        f"wal device fault ({event.kind.value}): batch "
+                        f"of {len(batch)} records not durable")
                 if event.kind is FaultKind.CORRUPT:
                     corrupt_after = True
                 # DELAY is charged by injector.step via the fault clock
@@ -318,21 +317,13 @@ class CommitPipeline:
     def _corrupt_tail(self, batch_bytes: int) -> None:
         """CORRUPT overlay: rot one byte of the just-synced batch in
         the durable image (MemVfs only — the power-loss model)."""
-        from repro.wal.format import segment_name
-        name = segment_name(self.log.shard, self.log._index)
-        if not self.vfs.exists(name):  # batch sealed into previous file
-            names = [n for n in self.vfs.listdir()
-                     if n.startswith(f"seg-{self.log.shard:03d}-")]
-            if not names:
-                return
-            name = names[-1]
-        size = self.vfs.durable_size(name)
-        damaged = self.injector.corrupt_bytes(b"\x00" * batch_bytes,
-                                              self._site)
+        # A batch is one write and a segment rotates before it, never
+        # inside it: the whole batch ends the tail segment.
+        name = self.log.tail_name
+        damaged = self.injector.corrupt_bytes(b"\x00" * batch_bytes, SITE)
         offset = next(i for i, b in enumerate(damaged) if b != 0)
-        # Clamp into this file in case the batch spanned a rotation.
         self.vfs.corrupt_byte(
-            name, max(0, min(size - 1, size - batch_bytes + offset)))
+            name, self.vfs.durable_size(name) - batch_bytes + offset)
 
     def _linger(self) -> float:
         return min(MAX_LINGER_SECONDS,

@@ -1,5 +1,6 @@
 """Durable wrappers: log-then-ack, checkpoints, recovery digests."""
 
+import struct
 from typing import Callable, NamedTuple
 
 import pytest
@@ -25,18 +26,20 @@ from repro.relational.table import Column, ColumnType, TableSchema
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.model import BusinessEntity, PublisherAssertion
 from repro.uddi.registry import UddiRegistry
+from repro.wal.checksum import checksum_fn
 from repro.wal.durable import (
     DurablePolicyStore,
     DurableRelationalStore,
     DurableUddiRegistry,
     DurableXmlStore,
 )
+from repro.wal.format import HEADER_SIZE, segment_name
 from repro.wal.vfs import MemVfs
 
 
 def xml_store(vfs, **kwargs):
     kwargs.setdefault("auto_flush", False)
-    return DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=2, **kwargs)
+    return DurableXmlStore(SnapshotXmlDatabase(), vfs, **kwargs)
 
 
 def seed_xml(store):
@@ -108,8 +111,7 @@ KINDS = {
 
 def seeded(kind, vfs, **kwargs):
     spec = KINDS[kind]
-    store = spec.cls(spec.inner(), vfs, shards=2, auto_flush=False,
-                     **kwargs)
+    store = spec.cls(spec.inner(), vfs, auto_flush=False, **kwargs)
     spec.seed(store)
     return spec, store
 
@@ -122,8 +124,7 @@ class TestEveryKind:
         assert store.checkpoint() is True
         digest = store.state_digest()
         store.close()
-        recovered, report = spec.cls.recover(vfs, shards=2,
-                                             auto_flush=False)
+        recovered, report = spec.cls.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.checkpoint_digest == digest
         assert report.records_replayed == 0
@@ -135,8 +136,7 @@ class TestEveryKind:
         spec.more(store, 0)
         digest = store.state_digest()
         store.close()
-        recovered, report = spec.cls.recover(vfs, shards=2,
-                                             auto_flush=False)
+        recovered, report = spec.cls.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.checkpoint_lsn == 4
         assert report.records_replayed == 1  # just the op after it
@@ -150,8 +150,7 @@ class TestEveryKind:
         vfs = MemVfs()
         spec, store = seeded(kind, vfs, segment_bytes=192)
         store.close()
-        first, _ = spec.cls.recover(vfs, shards=2, auto_flush=False,
-                                    segment_bytes=192)
+        first, _ = spec.cls.recover(vfs, auto_flush=False, segment_bytes=192)
         inherited = [n for n in vfs.listdir() if n.endswith(".wal")]
         for n in range(8):
             spec.more(first, n)
@@ -161,8 +160,7 @@ class TestEveryKind:
         # The checkpoint reclaimed the pre-recovery chain prefix...
         assert not any(vfs.exists(name) for name in inherited)
         # ...and what remains is a recoverable contiguous chain.
-        second, _ = spec.cls.recover(vfs, shards=2, auto_flush=False,
-                                     segment_bytes=192)
+        second, _ = spec.cls.recover(vfs, auto_flush=False, segment_bytes=192)
         assert second.state_digest() == digest
 
     def test_unchanged_digest_skips_the_checkpoint(self, kind):
@@ -177,6 +175,24 @@ class TestEveryKind:
             spec.rejected(store)
         assert (store.state_digest(), store.wal.last_appended) == before
 
+    def test_reopen_without_recover_is_refused(self, kind):
+        # A second store acknowledged writes from LSN 1 again: behind the
+        # log's records or below a checkpoint's, lost to recovery.
+        vfs = MemVfs()
+        spec, store = seeded(kind, vfs)
+        digest = store.state_digest()
+        store.close()
+        with pytest.raises(WalError, match=r"recover\(\)"):
+            spec.cls(spec.inner(), vfs, auto_flush=False)
+        recovered, _ = spec.cls.recover(vfs, auto_flush=False)
+        assert recovered.checkpoint() is True  # truncates the whole log
+        recovered.close()
+        assert not any(name.endswith(".wal") for name in vfs.listdir())
+        with pytest.raises(WalError, match=r"recover\(\)"):
+            spec.cls(spec.inner(), vfs, auto_flush=False)
+        again, _ = spec.cls.recover(vfs, auto_flush=False)
+        assert again.state_digest() == digest
+
     def test_corrupt_log_recovers_typed(self, kind):
         vfs = MemVfs()
         spec, store = seeded(kind, vfs)
@@ -187,7 +203,7 @@ class TestEveryKind:
                       key=vfs.durable_size)
         vfs.corrupt_byte(largest, 30)
         with pytest.raises(WalCorrupt):
-            spec.cls.recover(vfs, shards=2, auto_flush=False)
+            spec.cls.recover(vfs, auto_flush=False)
 
 
 class TestXmlStore:
@@ -197,25 +213,23 @@ class TestXmlStore:
         seed_xml(store)
         digest = store.state_digest()
         store.close()
-        recovered, report = DurableXmlStore.recover(
-            vfs, shards=2, auto_flush=False)
+        recovered, report = DurableXmlStore.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 4
         assert "total>12" in recovered.current().serialize("orders", "o1")
 
-    def test_group_settles_in_one_sync_per_shard(self):
+    def test_group_settles_in_one_sync(self):
         store = xml_store(MemVfs())
         with store.group():
             seed_xml(store)
         stats = store.wal_stats()
         assert stats["lag"] == 0
-        assert stats["log"]["syncs"] <= 2  # at most one per shard
+        assert stats["log"]["syncs"] == 1
 
     def test_enqueue_mode_bounds_the_lag_typed(self):
         store = xml_store(MemVfs(), durability="enqueue", max_lag=3)
         store.create_collection("c")
-        shard = store._shard_for("c")
-        for n in range(3 - store.pipelines[shard].lag):
+        for n in range(3 - store.pipeline.lag):
             store.insert("c", f"d{n}", "<x/>")
         with pytest.raises(DurabilityLagExceeded):
             store.insert("c", "overflow", "<x/>")
@@ -231,16 +245,14 @@ class TestXmlStore:
         assert store.durability_lag == 0
         digest = store.state_digest()
         store.close()
-        recovered, _ = DurableXmlStore.recover(
-            vfs, shards=2, auto_flush=False)
+        recovered, _ = DurableXmlStore.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
 
 
 class TestUddiRegistry:
     def test_cross_shard_delete_replays_in_order(self):
         vfs = MemVfs()
-        registry = DurableUddiRegistry(UddiRegistry(), vfs, shards=2,
-                                       auto_flush=False)
+        registry = DurableUddiRegistry(UddiRegistry(), vfs, auto_flush=False)
         registry.save_business(
             BusinessEntity(business_key="biz-001", name="Acme"), "alice")
         registry.save_business(
@@ -249,8 +261,7 @@ class TestUddiRegistry:
         registry.delete_business("biz-001", "alice")
         digest = registry.state_digest()
         registry.close()
-        recovered, report = DurableUddiRegistry.recover(
-            vfs, shards=2, auto_flush=False)
+        recovered, report = DurableUddiRegistry.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 3
 
@@ -258,13 +269,12 @@ class TestUddiRegistry:
 class TestRelationalStore:
     def test_replay_rebuilds_rows_and_grants(self):
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, shards=2,
-                                    auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
         seed_relational(db)
         digest = db.state_digest()
         db.close()
         recovered, report = DurableRelationalStore.recover(
-            vfs, shards=2, auto_flush=False)
+            vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.checkpoint_lsn == 0
         assert report.records_replayed == 4
@@ -275,8 +285,7 @@ class TestRelationalStore:
         # "op" or "shard" must insert and replay as data, not collide
         # with _durable_op's own parameters.
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, shards=2,
-                                    auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
         schema = TableSchema("audit", (
             Column("id", ColumnType.INT),
             Column("op", ColumnType.TEXT),
@@ -286,29 +295,27 @@ class TestRelationalStore:
         digest = db.state_digest()
         db.close()
         recovered, report = DurableRelationalStore.recover(
-            vfs, shards=2, auto_flush=False)
+            vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 2
 
     def test_metadata_survives_checkpoint_and_replay(self):
         # Metadata is outside state_digest(): check it directly.
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, shards=2,
-                                    auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
         seed_relational(db)
         db.set_metadata("patients", "privacy", "hipaa")
         assert db.checkpoint() is True
         db.set_metadata("patients", "owner", "ward-7")
         db.close()
         recovered, report = DurableRelationalStore.recover(
-            vfs, shards=2, auto_flush=False)
+            vfs, auto_flush=False)
         assert report.records_replayed == 1
         assert recovered.get_metadata("patients", "privacy") == "hipaa"
         assert recovered.get_metadata("patients", "owner") == "ward-7"
 
     def test_unpicklable_args_are_refused_before_apply(self):
-        db = DurableRelationalStore(Database(), MemVfs(), shards=2,
-                                    auto_flush=False)
+        db = DurableRelationalStore(Database(), MemVfs(), auto_flush=False)
         schema = TableSchema("t", (Column("id", ColumnType.INT),),
                              primary_key="id")
         db.create_table(schema, "root")
@@ -324,30 +331,26 @@ class TestRelationalStore:
 class TestPolicyStore:
     def test_remove_by_id_survives_pickle_round_trip(self):
         vfs = MemVfs()
-        store = DurablePolicyStore(PolicyBase(), vfs, shards=1,
-                                   auto_flush=False)
+        store = DurablePolicyStore(PolicyBase(), vfs, auto_flush=False)
         store.add(grant(anyone(), Action.READ, "/a"))
         dropped = store.add(grant(anyone(), Action.READ, "/b"))
         store.remove(dropped)
         digest = store.state_digest()
         store.checkpoint()
         store.close()
-        recovered, report = DurablePolicyStore.recover(
-            vfs, shards=1, auto_flush=False)
+        recovered, report = DurablePolicyStore.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 0  # checkpoint covers all
 
     def test_credential_expression_survives_checkpoint_and_recovery(self):
         vfs = MemVfs()
-        store = DurablePolicyStore(PolicyBase(), vfs, shards=1,
-                                   auto_flush=False)
+        store = DurablePolicyStore(PolicyBase(), vfs, auto_flush=False)
         store.add(grant(
             attribute_in("staff", "ward", {"icu", "er"})
             & ~has_role("intern"), Action.READ, "/charts/**"))
         store.checkpoint()
         store.close()
-        recovered, _ = DurablePolicyStore.recover(
-            vfs, shards=1, auto_flush=False)
+        recovered, _ = DurablePolicyStore.recover(vfs, auto_flush=False)
         staff = CredentialType("staff", {"ward"})
         matching = Subject("nurse", credentials=[staff.issue(ward="icu")])
         intern = Subject("intern", roles={Role("intern")},
@@ -359,3 +362,33 @@ class TestPolicyStore:
             assert decision.granted is granted
             assert decision.granted == live.decide(
                 subject, Action.READ, "/charts/7").granted
+
+
+def _rename(vfs, name):
+    vfs.rename(name, name.replace("seg-000-", "seg-001-"))
+
+
+def _repack_header(vfs, name):
+    # As the sharded layout wrote shard 1: log field 1, valid checksum.
+    data = vfs.read_bytes(name)
+    head = data[:8] + struct.pack("!IQ", 1, 0)
+    vfs.delete(name)
+    handle = vfs.create(name)
+    handle.write(head + struct.pack("!I", checksum_fn(data[6])(head))
+                 + data[HEADER_SIZE:])
+    handle.close()
+
+
+@pytest.mark.parametrize("damage", [_rename, _repack_header],
+                         ids=["name", "header"])
+def test_a_sharded_layout_directory_fails_closed(damage):
+    # Written when stores split records over logs: never half-recover.
+    vfs = MemVfs()
+    store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
+    store.create_collection("c")
+    store.close()
+    damage(vfs, segment_name(0))
+    with pytest.raises(WalCorrupt, match="log 1"):
+        DurableXmlStore.recover(vfs)
+    with pytest.raises(WalCorrupt, match="log 1"):
+        DurableXmlStore(SnapshotXmlDatabase(), vfs)

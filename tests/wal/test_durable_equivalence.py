@@ -37,8 +37,7 @@ def recover(store):
     must have the live digest."""
     live = store.state_digest()
     store.close()
-    recovered, _ = type(store).recover(store.vfs, shards=2,
-                                       auto_flush=False)
+    recovered, _ = type(store).recover(store.vfs, auto_flush=False)
     assert recovered.state_digest() == live
     return recovered
 
@@ -57,8 +56,7 @@ def schema(name: str) -> TableSchema:
 
 def build_databases(table_order, rows=15):
     plain = Database("plain")
-    durable = DurableRelationalStore(Database(), MemVfs(), shards=2,
-                                     auto_flush=False)
+    durable = DurableRelationalStore(Database(), MemVfs(), auto_flush=False)
     for name in table_order:
         for db in (plain, durable):
             db.create_table(schema(name), owner="dba")
@@ -147,7 +145,7 @@ def record(i: int) -> str:
 
 def build_collections(order):
     plain = Collection("c")
-    durable = DurableXmlStore(SnapshotXmlDatabase(), MemVfs(), shards=2,
+    durable = DurableXmlStore(SnapshotXmlDatabase(), MemVfs(),
                               auto_flush=False)
     durable.create_collection("c")
     for i in order:
@@ -218,8 +216,7 @@ def entity(i: int) -> BusinessEntity:
 
 def build_registries(order=range(20)):
     plain = UddiRegistry("plain")
-    durable = DurableUddiRegistry(UddiRegistry(), MemVfs(), shards=2,
-                                  auto_flush=False)
+    durable = DurableUddiRegistry(UddiRegistry(), MemVfs(), auto_flush=False)
     for i in order:
         for registry in (plain, durable):
             registry.save_business(entity(i), publisher=f"pub{i % 3}")

@@ -1,9 +1,11 @@
 """Frame/segment encoding and the torn-vs-corrupt scanner verdicts."""
 
+import struct
+
 import pytest
 
 from repro.core.errors import WalCorrupt
-from repro.wal.checksum import ALGORITHMS, algorithm_id
+from repro.wal.checksum import ALGORITHMS, algorithm_id, checksum_fn
 from repro.wal.format import (
     HEADER_SIZE,
     decode_segment_header,
@@ -17,13 +19,13 @@ from repro.wal.format import (
 ALG = algorithm_id("crc32")
 
 
-def segment(frames, shard=0, base_lsn=0):
-    return encode_segment_header(shard, base_lsn, "crc32") + b"".join(frames)
+def segment(frames, base_lsn=0):
+    return encode_segment_header(base_lsn, "crc32") + b"".join(frames)
 
 
 class TestNames:
     def test_round_trip(self):
-        assert parse_segment_name(segment_name(3, 17)) == (3, 17)
+        assert parse_segment_name(segment_name(17)) == 17
 
     @pytest.mark.parametrize("name", [
         "seg-003.wal", "ckpt-0.rckp", "seg-a-b.wal", "seg-1-2.log"])
@@ -33,12 +35,11 @@ class TestNames:
 
 class TestHeader:
     def test_round_trip(self):
-        header = decode_segment_header(
-            encode_segment_header(5, 99, "crc32"))
-        assert (header.shard, header.base_lsn) == (5, 99)
+        header = decode_segment_header(encode_segment_header(99, "crc32"))
+        assert header.base_lsn == 99
 
     def test_flipped_byte_is_refused(self):
-        data = bytearray(encode_segment_header(5, 99, "crc32"))
+        data = bytearray(encode_segment_header(99, "crc32"))
         data[9] ^= 0xFF
         with pytest.raises(WalCorrupt):
             decode_segment_header(bytes(data))
@@ -62,7 +63,7 @@ class TestScan:
         "algorithm", sorted(name for name, _ in ALGORITHMS.values()))
     def test_every_checksum_algorithm_round_trips(self, algorithm):
         alg = algorithm_id(algorithm)
-        data = (encode_segment_header(0, 0, algorithm)
+        data = (encode_segment_header(0, algorithm)
                 + encode_frame(1, b"payload", alg))
         result = scan_segment(data)
         assert result.frames[0].payload == b"payload"
@@ -106,6 +107,6 @@ class TestScan:
         assert "not above predecessor" in str(excinfo.value)
 
     def test_wrong_shard_is_refused(self):
-        data = segment([encode_frame(1, b"x", ALG)], shard=2)
-        with pytest.raises(WalCorrupt):
-            scan_segment(data, expect_shard=1)
+        head = struct.pack("!4sHBBIQ", b"RWAL", 1, ALG, 0, 1, 0)
+        with pytest.raises(WalCorrupt, match="log 1"):
+            scan_segment(head + struct.pack("!I", checksum_fn(ALG)(head)))

@@ -18,7 +18,7 @@ def engine():
 
 def durable_store(vfs, **kwargs):
     kwargs.setdefault("auto_flush", False)
-    return DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=2, **kwargs)
+    return DurableXmlStore(SnapshotXmlDatabase(), vfs, **kwargs)
 
 
 class TestGatewayDurability:
@@ -35,8 +35,7 @@ class TestGatewayDurability:
         assert store.durability_lag == 0
         digest = store.state_digest()
         store.close()
-        recovered, _ = DurableXmlStore.recover(vfs, shards=2,
-                                               auto_flush=False)
+        recovered, _ = DurableXmlStore.recover(vfs, auto_flush=False)
         assert recovered.state_digest() == digest
 
     def test_enqueue_write_acks_before_the_fsync(self):

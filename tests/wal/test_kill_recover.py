@@ -30,14 +30,11 @@ pytestmark = [
         reason="platform has no fork start method"),
 ]
 
-SHARDS = 2
-
-
 def _writer_process(root: str, acked_path: str) -> None:
     """Insert forever with ack-on-fsync; record each ack durably."""
     store = DurableXmlStore(
-        SnapshotXmlDatabase(), OsVfs(root), shards=SHARDS,
-        durability="fsync", segment_bytes=8 * 1024)
+        SnapshotXmlDatabase(), OsVfs(root), durability="fsync",
+        segment_bytes=8 * 1024)
     store.create_collection("kills")
     with open(acked_path, "ab") as acked:
         for n in range(1_000_000):
@@ -82,10 +79,9 @@ def test_sigkill_mid_commit_recovers_byte_identical(tmp_path, grace):
     assert acked, "writer never acknowledged anything"
 
     vfs = OsVfs(root)
-    scan = scan_logs(vfs, SHARDS, apply_truncation=False)
+    scan = scan_logs(vfs, apply_truncation=False)
     recovered, report = DurableXmlStore.recover(
-        vfs, shards=SHARDS, auto_flush=False,
-        segment_bytes=8 * 1024)
+        vfs, auto_flush=False, segment_bytes=8 * 1024)
     # (b) self-consistent: recovered state is the reference replay of
     # exactly the records the scan decoded, byte for byte.
     assert recovered.state_digest() == _reference_digest(scan.records)
@@ -104,6 +100,6 @@ def test_sigkill_mid_commit_recovers_byte_identical(tmp_path, grace):
     digest = recovered.state_digest()
     recovered.close()
     second, _ = DurableXmlStore.recover(
-        vfs, shards=SHARDS, auto_flush=False, segment_bytes=8 * 1024)
+        vfs, auto_flush=False, segment_bytes=8 * 1024)
     assert second.state_digest() == digest
     second.close()

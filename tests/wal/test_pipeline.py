@@ -10,9 +10,11 @@ from repro.core.errors import DurabilityLagExceeded, WalError
 from repro.faults.clock import FaultClock
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.wal.log import LsnAllocator, ShardedWal, WriteAheadLog
+from repro.snap.xmlstore import SnapshotXmlDatabase
+from repro.wal.durable import DurableXmlStore
+from repro.wal.log import WriteAheadLog
 from repro.wal.pipeline import CommitPipeline
-from repro.wal.replay import scan_shard
+from repro.wal.replay import recover
 from repro.wal.vfs import MemVfs
 
 
@@ -35,7 +37,7 @@ class SlowSyncVfs(MemVfs):
 
 def make_log(vfs=None, **kwargs):
     vfs = vfs if vfs is not None else MemVfs()
-    return vfs, WriteAheadLog(vfs, 0, LsnAllocator(), **kwargs)
+    return vfs, WriteAheadLog(vfs, **kwargs)
 
 
 class TestWriteAheadLog:
@@ -44,7 +46,7 @@ class TestWriteAheadLog:
         for n in range(5):
             log.append(f"op-{n}".encode())
         log.sync()
-        scan = scan_shard(vfs, 0)
+        scan = recover(vfs)
         assert [payload for _, payload in scan.records] == [
             b"op-0", b"op-1", b"op-2", b"op-3", b"op-4"]
 
@@ -69,7 +71,7 @@ class TestWriteAheadLog:
         vfs, log = make_log()
         log.append(b"x")
         log.close()
-        _, second = make_log(vfs)
+        _, second = make_log(vfs, start_lsn=log.last_lsn)
         second.append(b"y")
         second.close()
         assert len(vfs.listdir()) == 2
@@ -80,7 +82,7 @@ class TestWriteAheadLog:
         log.sync()
         removed = log.truncate_until(lsns[3])
         assert removed >= 1
-        scan = scan_shard(vfs, 0)
+        scan = recover(vfs)
         survivors = [lsn for lsn, _ in scan.records]
         # Everything past the checkpoint LSN must survive the trim.
         assert [lsn for lsn in lsns if lsn > lsns[3]] == [
@@ -105,7 +107,7 @@ class TestGroupCommit:
         pipeline = CommitPipeline(log, auto_flush=False)
         tickets = [pipeline.submit(f"op-{n}".encode()) for n in range(10)]
         pipeline.flush()
-        scan = scan_shard(vfs, 0)
+        scan = recover(vfs)
         assert [lsn for lsn, _ in scan.records] == [
             ticket.lsn for ticket in tickets]
 
@@ -144,7 +146,7 @@ class TestGroupCommit:
         assert stats["records_flushed"] == 400
         assert stats["mean_batch"] >= 6
         assert stats["syncs"] <= 80
-        lsns = [lsn for lsn, _ in scan_shard(vfs, 0).records]
+        lsns = [lsn for lsn, _ in recover(vfs).records]
         assert len(lsns) == 400 and lsns == sorted(lsns)
 
     def test_committers_racing_for_the_lead_lose_nothing(self):
@@ -174,7 +176,7 @@ class TestGroupCommit:
         assert pipeline.lag == 0
         stats = pipeline.stats_snapshot()
         assert stats["records_flushed"] == 800 and not stats["sealed"]
-        assert [lsn for lsn, _ in scan_shard(vfs, 0).records] == sorted(
+        assert [lsn for lsn, _ in recover(vfs).records] == sorted(
             lsns) == list(range(1, 801))
 
     def test_a_solo_writer_never_waits_for_company(self):
@@ -206,7 +208,7 @@ class TestGroupCommit:
 
     def test_device_fault_fails_every_ticket_and_seals(self):
         plan = FaultPlan()
-        plan.add("wal:0", 0, FaultKind.CRASH)
+        plan.add("wal", 0, FaultKind.CRASH)
         injector = FaultInjector(plan, FaultClock())
         _, log = make_log()
         pipeline = CommitPipeline(log, auto_flush=False,
@@ -254,7 +256,7 @@ class TestGroupCommit:
         assert errors == []
         for ticket in tickets:
             ticket.wait(timeout=5)
-        assert [lsn for lsn, _ in scan_shard(vfs, 0).records] == [
+        assert [lsn for lsn, _ in recover(vfs).records] == [
             ticket.lsn for ticket in tickets]
 
     def test_failed_flush_resolves_its_taken_batch_typed(self):
@@ -279,7 +281,7 @@ class TestGroupCommit:
         # LSNs 3-4 durable behind the lost 1-2 — a log with a hole
         # under applied state.
         plan = FaultPlan()
-        plan.add("wal:0", 0, FaultKind.CRASH)
+        plan.add("wal", 0, FaultKind.CRASH)
         vfs, log = make_log()
         pipeline = CommitPipeline(
             log, auto_flush=False, max_batch=2,
@@ -292,18 +294,31 @@ class TestGroupCommit:
             assert "device fault" in str(excinfo.value)
         assert pipeline.lag == 0
         assert pipeline.flush() == 0
-        assert scan_shard(vfs, 0).records == []
+        assert recover(vfs).records == []
 
 
-class TestShardedWal:
-    def test_shards_share_one_lsn_space(self):
-        wal = ShardedWal(MemVfs(), 3)
-        lsns = [wal.logs[n % 3].append(b"x") for n in range(9)]
-        assert lsns == sorted(lsns)
-        assert len(set(lsns)) == 9
+class TestStoreBatching:
+    def test_writers_on_eight_collections_share_the_sync(self):
+        # One log: writers on eight collections share a batch.  Split
+        # over four logs by collection, mean batch was ~2.0 (610 syncs).
+        vfs = SlowSyncVfs()
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
+        with store.group():
+            for n in range(8):
+                store.create_collection(f"c{n}")
 
-    def test_sync_all_reports_durable_floor(self):
-        wal = ShardedWal(MemVfs(), 2)
-        wal.logs[0].append(b"x")
-        last = wal.logs[1].append(b"y")
-        assert wal.sync_all() == last
+        def writer(name):
+            for n in range(150):
+                store.insert(name, f"d{n}", "<doc/>")
+
+        threads = [threading.Thread(target=writer, args=(f"c{n}",))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        live = store.state_digest()
+        store.close()
+        assert store.pipeline.stats.records_flushed == 1 + 8 * 150
+        assert store.pipeline.stats_snapshot()["mean_batch"] >= 4
+        assert DurableXmlStore.recover(vfs)[0].state_digest() == live

@@ -37,8 +37,7 @@ def test_recovered_store_decides_like_the_live_one(mode, seed):
     policies = loggable_policies(seed)
     half = len(policies) // 2
     vfs = MemVfs()
-    store = DurablePolicyStore(PolicyBase(), vfs, shards=2,
-                               auto_flush=False)
+    store = DurablePolicyStore(PolicyBase(), vfs, auto_flush=False)
     for policy in policies[:half]:
         store.add(policy)
     if mode == "checkpoint_then_log":
@@ -52,8 +51,7 @@ def test_recovered_store_decides_like_the_live_one(mode, seed):
     digest = store.state_digest()
     store.close()
 
-    recovered, report = DurablePolicyStore.recover(
-        vfs, shards=2, auto_flush=False)
+    recovered, report = DurablePolicyStore.recover(vfs, auto_flush=False)
     assert recovered.state_digest() == digest
     assert (report.records_replayed == 0) == (mode == "checkpoint_only")
 

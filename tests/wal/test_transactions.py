@@ -26,7 +26,7 @@ from repro.wal.durable import (
     DurableXmlStore,
     decode_ops,
 )
-from repro.wal.log import LsnAllocator, WriteAheadLog
+from repro.wal.log import WriteAheadLog
 from repro.wal.replay import recover as scan_logs
 from repro.wal.vfs import MemVfs
 
@@ -51,8 +51,7 @@ AFTER = "<doc><a>1</a><b>1</b><c>1</c><d>1</d></doc>"
 
 def xml_transaction():
     vfs = UnsyncedVfs()
-    store = DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=1,
-                            auto_flush=False)
+    store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
     store.create_collection("c")
     store.insert("c", "d", BEFORE)
     vfs.hold = True
@@ -64,8 +63,7 @@ def xml_transaction():
 
 def uddi_transaction():
     vfs = UnsyncedVfs()
-    registry = DurableUddiRegistry(UddiRegistry(), vfs, shards=1,
-                                   auto_flush=False)
+    registry = DurableUddiRegistry(UddiRegistry(), vfs, auto_flush=False)
     registry.save_business(
         BusinessEntity(business_key="biz-000", name="Base"), "alice")
     before = registry.state_digest()
@@ -91,8 +89,7 @@ class TestCrashAtomicity:
         for keep in range(pending + 1):
             vfs = xml_transaction()
             vfs.crash(keep_partial={tail: keep})
-            recovered, report = DurableXmlStore.recover(
-                vfs, shards=1, auto_flush=False)
+            recovered, report = DurableXmlStore.recover(vfs, auto_flush=False)
             document = recovered.current().serialize("c", "d")
             whole = keep == pending
             assert document == (AFTER if whole else BEFORE), (
@@ -108,7 +105,7 @@ class TestCrashAtomicity:
             vfs, _, _ = uddi_transaction()
             vfs.crash(keep_partial={tail: keep})
             recovered, report = DurableUddiRegistry.recover(
-                vfs, shards=1, auto_flush=False)
+                vfs, auto_flush=False)
             whole = keep == pending
             assert recovered.state_digest() == (after if whole
                                                 else before)
@@ -118,15 +115,14 @@ class TestCrashAtomicity:
 class TestOneRecordPerTransaction:
     def test_a_block_is_one_frame_one_lsn(self):
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=2,
-                                auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
         store.create_collection("c")
         with store.writer():
             store.insert("c", "d", BEFORE)
             with store.group():  # nested: joins the outer transaction
                 store.set_text("c", "d", "/doc/a", "1")
             store.set_text("c", "d", "/doc/b", "1")
-        records = scan_logs(vfs, 2, apply_truncation=False).records
+        records = scan_logs(vfs, apply_truncation=False).records
         assert [lsn for lsn, _ in records] == [1, 2]
         assert [op for op, _, _ in decode_ops(*records[1])] == [
             "insert", "set_text", "set_text"]
@@ -134,8 +130,7 @@ class TestOneRecordPerTransaction:
 
     def test_a_block_that_raises_logs_exactly_what_it_applied(self):
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=2,
-                                auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
         store.create_collection("c")
         with pytest.raises(QueryError):
             with store.writer():
@@ -144,16 +139,14 @@ class TestOneRecordPerTransaction:
         assert store.durability_lag == 0
         live = store.state_digest()
         store.close()
-        recovered, report = DurableXmlStore.recover(
-            vfs, shards=2, auto_flush=False)
+        recovered, report = DurableXmlStore.recover(vfs, auto_flush=False)
         assert report.records_replayed == 2
         assert recovered.state_digest() == live
         assert recovered.current().serialize("c", "d") == BEFORE
 
     def test_unpicklable_argument_is_refused_mid_block_before_apply(self):
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, shards=2,
-                                    auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
         schema = TableSchema("t", (Column("id", ColumnType.INT),),
                              primary_key="id")
         with pytest.raises(WalError) as excinfo:
@@ -166,13 +159,13 @@ class TestOneRecordPerTransaction:
         assert db.state_digest() == applied
         db.close()
         recovered, report = DurableRelationalStore.recover(
-            vfs, shards=2, auto_flush=False)
+            vfs, auto_flush=False)
         assert report.records_replayed == 1
         assert recovered.state_digest() == applied
 
     def test_checkpoint_inside_a_transaction_is_refused_typed(self):
         store = DurableXmlStore(SnapshotXmlDatabase(), MemVfs(),
-                                shards=1, auto_flush=False)
+                                auto_flush=False)
         with store.group():
             store.create_collection("c")
             with pytest.raises(WalError):
@@ -191,11 +184,11 @@ class TestOneRecordPerTransaction:
         # it used to replay; now it must be refused typed, not with the
         # ValueError of unpacking an op name.
         vfs = MemVfs()
-        log = WriteAheadLog(vfs, 0, LsnAllocator())
+        log = WriteAheadLog(vfs)
         log.append(payload)
         log.close()
         with pytest.raises(WalCorrupt) as excinfo:
-            DurableXmlStore.recover(vfs, shards=1, auto_flush=False)
+            DurableXmlStore.recover(vfs, auto_flush=False)
         assert "op triples" in str(excinfo.value)
 
 
@@ -205,8 +198,7 @@ class TestLockOrder:
         # want the op mutex per edit, while a plain op held the op
         # mutex and wanted the inner lock.
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=1,
-                                auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
         store.create_collection("c")
         store.insert("c", "d", "<doc><a>0</a><b>0</b></doc>")
         inside, racing = threading.Event(), threading.Event()
@@ -235,7 +227,7 @@ class TestLockOrder:
                 == "<doc><a>A</a><b>B</b></doc>")
         texts = {decode_ops(lsn, payload)[0][1][-1]: lsn
                  for lsn, payload in scan_logs(
-                     vfs, 1, apply_truncation=False).records[2:]}
+                     vfs, apply_truncation=False).records[2:]}
         assert texts["A"] < texts["B"]
 
     def test_concurrent_writer_blocks_stay_whole_and_recoverable(self):
@@ -243,7 +235,7 @@ class TestLockOrder:
         # document: blocks never interleave (each record is one block,
         # its three texts equal), and the log replays to the live state.
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, shards=2)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
         store.create_collection("c")
         store.insert("c", "d", "<doc><a>0</a><b>0</b><c>0</c></doc>")
         interval = sys.getswitchinterval()
@@ -267,11 +259,11 @@ class TestLockOrder:
         assert not any(thread.is_alive() for thread in threads)
         live = store.state_digest()
         store.close()
-        records = scan_logs(vfs, 2, apply_truncation=False).records
+        records = scan_logs(vfs, apply_truncation=False).records
         assert len(records) == 2 + 4 * 40
         for lsn, payload in records[2:]:
             texts = {args[-1] for _, args, _ in decode_ops(lsn, payload)}
             assert len(texts) == 1
-        recovered, _ = DurableXmlStore.recover(vfs, shards=2)
+        recovered, _ = DurableXmlStore.recover(vfs)
         assert recovered.state_digest() == live
         recovered.close()
