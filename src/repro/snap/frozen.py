@@ -14,6 +14,10 @@ for copy-on-write snapshots:
   (:mod:`repro.snap.intern`) reuse serialized bytes and Merkle hashes
   across epochs with a plain identity-keyed lookup.
 
+A point edit pays for its path, not for its siblings: each node's
+**child index** (tag → slots; :func:`_child_index`) finds ``tag[k]``
+in one lookup.
+
 Frozen nodes duck-type the read surface of
 :class:`~repro.xmldb.model.Element` (``tag`` / ``attributes`` /
 ``children`` / ``element_children`` / ``text`` / ``iter`` / ``find`` /
@@ -25,6 +29,7 @@ snapshot equivalence oracles depend on.
 from __future__ import annotations
 
 import re
+import weakref
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -39,15 +44,20 @@ _NO_ATTRIBUTES: dict[str, str] = {}
 
 
 class FrozenElement:
-    """One immutable XML element; treat ``attributes`` as read-only."""
+    """One immutable XML element; treat ``attributes`` as read-only.
+    ``_index`` is derived state (:func:`_child_index`), never pickled."""
 
-    __slots__ = ("tag", "attributes", "children")
+    __slots__ = ("tag", "attributes", "children", "_index")
 
     def __init__(self, tag: str, attributes: dict[str, str] | None = None,
                  children: tuple = ()) -> None:
         self.tag = tag
         self.attributes: dict[str, str] = attributes or _NO_ATTRIBUTES
         self.children: tuple = children
+        self._index: _ChildIndex | None = None
+
+    def __reduce__(self):
+        return FrozenElement, (self.tag, self.attributes, self.children)
 
     # -- Element-compatible read surface --------------------------------
 
@@ -189,8 +199,43 @@ def _parse_path(path: str) -> tuple[tuple[str, int], ...]:
         match = _SEGMENT.match(raw)
         if match is None:
             raise SnapshotError(f"bad node path segment {raw!r} in {path!r}")
-        segments.append((match.group(1), int(match.group(2) or 1)))
+        position = int(match.group(2) or 1)
+        if position < 1:
+            raise SnapshotError(f"positions are 1-based: {raw!r} in {path!r}")
+        segments.append((match.group(1), position))
     return tuple(segments)
+
+
+class _ChildIndex(dict):
+    """``tag -> [slot, ...]``: where each tag's elements sit in a
+    node's ``children``, in document order.  Read-only once built."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: child shape (the tag of each child slot, ``None`` for text) -> its
+#: index.  Every node of one shape shares one index, and a shape lives
+#: only while some node holds its index, so the table needs no bound.
+_SHAPES: "weakref.WeakValueDictionary[tuple, _ChildIndex]" = (
+    weakref.WeakValueDictionary())
+
+
+def _child_index(node: FrozenElement) -> _ChildIndex:
+    """Fill *node*'s child index (``None`` until a path is resolved
+    through it; a spine copy whose changed slot keeps its tag inherits
+    it).  A reader thread may fill it too: racing fills store equal
+    values, so either is right."""
+    shape = tuple([None if isinstance(child, str) else child.tag
+                   for child in node.children])
+    index = _SHAPES.get(shape)
+    if index is None:
+        index = _ChildIndex()
+        for slot, tag in enumerate(shape):
+            if tag is not None:
+                index.setdefault(tag, []).append(slot)
+        index = _SHAPES.setdefault(shape, index)
+    node._index = index
+    return index
 
 
 def resolve_spine(root: FrozenElement, path: str
@@ -201,39 +246,42 @@ def resolve_spine(root: FrozenElement, path: str
     each entry names the position (in ``parent.children``) of the next
     node on the path.  The addressed node itself is
     ``spine[-1][0].children[spine[-1][1]]`` — or *root* when the path
-    has exactly one segment.
+    has exactly one segment.  Each step is one child-index lookup: no
+    sibling is visited once the node's index exists.
     """
     segments = _parse_path(path)
-    head_tag, head_index = segments[0]
-    if root.tag != head_tag or head_index != 1:
+    head_tag, head_position = segments[0]
+    if root.tag != head_tag or head_position != 1:
         raise SnapshotError(
             f"path {path!r} does not start at root <{root.tag}>")
     spine: list[tuple[FrozenElement, int]] = []
     node = root
-    for tag, index in segments[1:]:
-        seen = 0
-        for slot, child in enumerate(node.children):
-            if isinstance(child, str) or child.tag != tag:
-                continue
-            seen += 1
-            if seen == index:
-                spine.append((node, slot))
-                node = child
-                break
-        else:
+    for tag, position in segments[1:]:
+        index = node._index
+        if index is None:
+            index = _child_index(node)
+        try:
+            slot = index[tag][position - 1]
+        except (KeyError, IndexError):
             raise SnapshotError(
-                f"no element {tag}[{index}] under <{node.tag}> "
-                f"for path {path!r}")
+                f"no element {tag}[{position}] under <{node.tag}> "
+                f"for path {path!r}") from None
+        spine.append((node, slot))
+        node = node.children[slot]
     return spine
+
+
+def _target(root: FrozenElement,
+            spine: list[tuple[FrozenElement, int]]) -> FrozenElement:
+    if not spine:
+        return root
+    parent, slot = spine[-1]
+    return parent.children[slot]
 
 
 def resolve(root: FrozenElement, path: str) -> FrozenElement:
     """The frozen node addressed by a position-qualified *path*."""
-    spine = resolve_spine(root, path)
-    if not spine:
-        return root
-    parent, slot = spine[-1]
-    return parent.children[slot]  # type: ignore[return-value]
+    return _target(root, resolve_spine(root, path))
 
 
 def replace_spine(root: FrozenElement,
@@ -243,7 +291,8 @@ def replace_spine(root: FrozenElement,
 
     ``replacement=None`` deletes the addressed node.  Every node not on
     the spine is shared by reference with the previous version — the
-    copy-on-write step.
+    copy-on-write step.  A copy whose changed slot keeps its tag keeps
+    its child shape, so it inherits the original's child index.
     """
     if not spine:
         if replacement is None:
@@ -251,12 +300,18 @@ def replace_spine(root: FrozenElement,
         return replacement
     new_child: FrozenElement | None = replacement
     for parent, slot in reversed(spine):
+        children = list(parent.children)
         if new_child is None:
-            children = parent.children[:slot] + parent.children[slot + 1:]
-        else:
-            children = (parent.children[:slot] + (new_child,)
-                        + parent.children[slot + 1:])
-        new_child = FrozenElement(parent.tag, parent.attributes, children)
+            del children[slot]
+            new_child = FrozenElement(parent.tag, parent.attributes,
+                                      tuple(children))
+            continue
+        same_shape = new_child.tag == children[slot].tag
+        children[slot] = new_child
+        new_child = FrozenElement(parent.tag, parent.attributes,
+                                  tuple(children))
+        if same_shape:
+            new_child._index = parent._index
     return new_child
 
 
@@ -266,8 +321,8 @@ def replace_spine(root: FrozenElement,
 def with_text(root: FrozenElement, path: str, text: str) -> FrozenElement:
     """New root where the node at *path* has its text replaced."""
     spine = resolve_spine(root, path)
-    node = root if not spine else spine[-1][0].children[spine[-1][1]]
-    children = tuple(c for c in node.children if not isinstance(c, str))
+    node = _target(root, spine)
+    children = tuple([c for c in node.children if not isinstance(c, str)])
     if text:
         children = (text,) + children
     return replace_spine(root, spine,
@@ -277,7 +332,7 @@ def with_text(root: FrozenElement, path: str, text: str) -> FrozenElement:
 def with_attribute(root: FrozenElement, path: str,
                    name: str, value: str) -> FrozenElement:
     spine = resolve_spine(root, path)
-    node = root if not spine else spine[-1][0].children[spine[-1][1]]
+    node = _target(root, spine)
     attributes = dict(node.attributes)
     attributes[name] = value
     return replace_spine(root, spine,
@@ -287,7 +342,7 @@ def with_attribute(root: FrozenElement, path: str,
 def without_attribute(root: FrozenElement, path: str,
                       name: str) -> FrozenElement:
     spine = resolve_spine(root, path)
-    node = root if not spine else spine[-1][0].children[spine[-1][1]]
+    node = _target(root, spine)
     if name not in node.attributes:
         return root
     attributes = dict(node.attributes)
@@ -299,7 +354,7 @@ def without_attribute(root: FrozenElement, path: str,
 def with_appended_child(root: FrozenElement, path: str,
                         child: FrozenElement) -> FrozenElement:
     spine = resolve_spine(root, path)
-    node = root if not spine else spine[-1][0].children[spine[-1][1]]
+    node = _target(root, spine)
     return replace_spine(
         root, spine,
         FrozenElement(node.tag, node.attributes, node.children + (child,)))

@@ -18,8 +18,10 @@ an entry):
   of its own markup (tags, text, leaf children) and references to its
   children's fragments.  No byte is held twice and no entry owns more
   than a chunk of characters (unless one text run is longer); leaves
-  are neither probed nor interned.  A warm read is one probe and one
-  join, and a point edit re-serializes only the spine it copied;
+  are neither probed nor interned.  The walk hands its output on in
+  coalesced runs of about a chunk, not a piece per tag.  A warm read
+  is one probe and one join, and a point edit re-serializes only the
+  spine it copied;
 * **merkle** — Merkle subtree hashes, composed with the same
   :func:`repro.merkle.xml_merkle.node_hash` recurrence as the live
   hashers, so snapshot root hashes are interchangeable with theirs;
@@ -53,6 +55,8 @@ DEFAULT_CHUNK_SIZE = 4096
 
 def _open_tag(node: FrozenElement) -> str:
     """``<tag a="1" b="2"`` — canonical, closing bracket left open."""
+    if not node.attributes:
+        return "<" + node.tag
     attrs = "".join(
         f' {name}="{escape_attribute(value)}"'
         for name, value in sorted(node.attributes.items()))
@@ -61,12 +65,15 @@ def _open_tag(node: FrozenElement) -> str:
 
 def _leaf(node: FrozenElement) -> str | None:
     """Canonical bytes of an element with no element child, or None."""
-    for child in node.children:
+    children = node.children
+    for child in children:
         if not isinstance(child, str):
             return None
-    if not node.children:
-        return f"{_open_tag(node)}/>"
-    text = escape_text("".join(node.children))
+    if not children:
+        return _open_tag(node) + "/>"
+    text = "".join(children)
+    if "&" in text or "<" in text or ">" in text:
+        text = escape_text(text)
     return f"{_open_tag(node)}>{text}</{node.tag}>"
 
 
@@ -95,20 +102,26 @@ def _flat(rope: tuple) -> str:
 def serialize_pieces(node: FrozenElement,
                      pool: "InternPool | None" = None) -> Iterator[str]:
     """The canonical serialization of *node* (byte-identical to
-    :func:`repro.xmldb.serializer.serialize_element`) as pieces in
-    document order, interning into *pool* on the way up (``None``: into
-    a private cache that dies with the walk).  A pool hit is one piece,
-    a rope's flattened by one join.
+    :func:`repro.xmldb.serializer.serialize_element`) as coalesced runs
+    in document order, interning into *pool* on the way up (``None``:
+    into a private cache that dies with the walk).
 
-    An element's fragment enters the pool only after its close tag has
-    been produced, so an abandoned walk leaves the pool consistent.
+    Output is buffered and handed on at the first close tag after a
+    run reaches :data:`DEFAULT_CHUNK_SIZE` characters, and once at the
+    end, so a warm document (one pool hit) is one piece.  An element's
+    fragment enters the pool only after its close tag has been
+    produced, so an abandoned walk leaves the pool consistent.
     """
     fragments = LRUCache(1) if pool is None else pool._fragments
     # A frame per open element: it, its children to come, the pieces
-    # of its fragment so far, the (child, str) pairs serialized here —
-    # maximal, so interned, once it outgrows a chunk or is the caller.
+    # of its fragment so far, where its bytes start in the output, the
+    # (child, str) pairs serialized here — maximal, so interned, once
+    # it outgrows a chunk or is the caller.  Every rope is longer than
+    # a chunk, so "fits in a chunk" is just the element's length.
     frames: list[tuple] = []
-    owner, pending, pieces, fresh = None, iter((node,)), [], []
+    owner, pending, pieces, start, fresh = None, iter((node,)), [], 0, []
+    out: list[str] = []
+    written = flushed = 0
     while True:
         for child in pending:
             if isinstance(child, str):
@@ -118,37 +131,49 @@ def serialize_pieces(node: FrozenElement,
                 if piece is None:
                     piece = fragments.get(child)
                     if piece is MISS:
-                        frames.append((owner, pending, pieces, fresh))
-                        owner, pending, fresh = child, iter(child.children), []
-                        pieces = [f"{_open_tag(child)}>"]
-                        yield pieces[0]
+                        frames.append((owner, pending, pieces, start, fresh))
+                        piece = _open_tag(child) + ">"
+                        owner, pending, pieces, start, fresh = (
+                            child, iter(child.children), [piece], written,
+                            [])
+                        out.append(piece)
+                        written += len(piece)
                         break
                     if isinstance(piece, tuple):
                         pieces.append(piece)
-                        yield _flat(piece)
+                        piece = _flat(piece)
+                        out.append(piece)
+                        written += len(piece)
                         continue
             pieces.append(piece)
-            yield piece
+            out.append(piece)
+            written += len(piece)
         else:
             if owner is None:
                 break
             piece = f"</{owner.tag}>"
             pieces.append(piece)
-            yield piece
-            small = (all(isinstance(piece, str) for piece in pieces)
-                     and sum(map(len, pieces)) <= DEFAULT_CHUNK_SIZE)
+            out.append(piece)
+            written += len(piece)
+            small = written - start <= DEFAULT_CHUNK_SIZE
             fragment = "".join(pieces) if small else tuple(pieces)
             if not small:
                 for entry in fresh:
                     fragments.put(*entry)
                 fragments.put(owner, fragment)
             child = owner
-            owner, pending, pieces, fresh = frames.pop()
+            owner, pending, pieces, start, fresh = frames.pop()
             pieces.append(fragment)
             if small:
                 fresh.append((child, fragment))
+            if written - flushed >= DEFAULT_CHUNK_SIZE:
+                yield "".join(out)
+                out = []
+                flushed = written
     for entry in fresh:
         fragments.put(*entry)
+    if out:
+        yield "".join(out)
 
 
 class InternPool:

@@ -288,32 +288,27 @@ class SnapshotXmlDatabase:
 
     def set_text(self, collection: str, doc_id: str, path: str,
                  text: str) -> None:
-        self._edit_root(collection, doc_id,
-                        lambda root: with_text(root, path, text))
+        self._edit_root(collection, doc_id, with_text, path, text)
 
     def set_attribute(self, collection: str, doc_id: str, path: str,
                       name: str, value: str) -> None:
-        self._edit_root(collection, doc_id,
-                        lambda root: with_attribute(root, path, name,
-                                                    value))
+        self._edit_root(collection, doc_id, with_attribute, path, name,
+                        value)
 
     def remove_attribute(self, collection: str, doc_id: str, path: str,
                          name: str) -> None:
-        self._edit_root(collection, doc_id,
-                        lambda root: without_attribute(root, path, name))
+        self._edit_root(collection, doc_id, without_attribute, path, name)
 
     def append_child(self, collection: str, doc_id: str, parent_path: str,
                      child: Element | FrozenElement) -> None:
         if isinstance(child, Element):
             child = freeze_element(child)
-        self._edit_root(
-            collection, doc_id,
-            lambda root: with_appended_child(root, parent_path, child))
+        self._edit_root(collection, doc_id, with_appended_child,
+                        parent_path, child)
 
     def remove_child(self, collection: str, doc_id: str,
                      path: str) -> None:
-        self._edit_root(collection, doc_id,
-                        lambda root: without_child(root, path))
+        self._edit_root(collection, doc_id, without_child, path)
 
     # -- internals -------------------------------------------------------
 
@@ -332,10 +327,12 @@ class SnapshotXmlDatabase:
                 f"no document {doc_id!r} in collection {collection!r}"
             ) from None
 
-    def _edit_root(self, collection: str, doc_id: str, edit) -> None:
+    def _edit_root(self, collection: str, doc_id: str, edit,
+                   *args) -> None:
+        """Replace the document's root with ``edit(root, *args)``."""
         with self._lock:
             frozen = self._document(collection, doc_id)
-            new_root = edit(frozen.root)
+            new_root = edit(frozen.root, *args)
             self._own(collection)[doc_id] = FrozenDocument(new_root,
                                                            frozen.name)
             self._commit()

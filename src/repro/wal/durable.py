@@ -177,7 +177,7 @@ class DurableStore:
                 # A sealed or lagging pipeline refuses before anything
                 # applies.
                 self.pipeline.admit()
-            if kwargs or not all(type(arg) in _PLAIN for arg in args):
+            if kwargs or not _PLAIN.issuperset(map(type, args)):
                 encode_ops([(op, args, kwargs)])  # refuse *before* apply
             result = self._apply(op, args, kwargs)
             self._ops.append((op, args, kwargs))

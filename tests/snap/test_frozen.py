@@ -75,6 +75,16 @@ class TestPathResolution:
         with pytest.raises(SnapshotError):
             resolve(root, "")
 
+    def test_position_zero_is_refused_not_read_as_the_last_sibling(self):
+        root = frozen_root()
+        for path in ("/hospital/record[0]", "/hospital/record[00]",
+                     "/hospital[0]"):
+            with pytest.raises(SnapshotError, match="1-based"):
+                resolve(root, path)
+        with pytest.raises(SnapshotError):
+            with_text(root, "/hospital/record[0]/name", "x")
+        assert resolve(root, "/hospital/record[2]/name").text == "Cy"
+
 
 class TestCopyOnWrite:
     def test_with_text_shares_everything_off_the_spine(self):
