@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Hot-path benchmarks for the ``repro.perf`` layer (ablation A5).
+"""Hot-path benchmarks: XML labelling, Merkle, dissemination (A5).
 
 Measures the three optimized paths against their unoptimized
 counterparts and writes a machine-readable ``BENCH_perf.json``:

@@ -31,17 +31,6 @@ error-severity finding):
   a constant expression should be compiled once before the loop (the
   process-wide compile cache softens the blow, but every iteration
   still pays a lookup for a value that never changes);
-* ``LINT-STALECOMPILE`` (warning) — a compiled/derived artifact read
-  without consulting its generation stamp: an attribute whose name
-  contains ``compiled`` is loaded inside a function that nowhere
-  mentions a freshness token (``generation``, ``fresh``, ``stale``,
-  ``recompile``, ``invalidate``).  A compiled decision table is a pure
-  function of its source *at one generation* (it records that
-  generation as ``source_generation``); reading it without comparing
-  that stamp against the source serves decisions from a policy base
-  that may no longer exist.  Producer code is exempt by
-  name: functions containing ``compile`` or ``fresh`` in their own
-  name are the compiler/freshness machinery itself;
 * ``LINT-BLOCKINGAWAIT`` (warning) — a blocking call inside an
   ``async def``: ``time.sleep()``, a lock's un-awaited ``.acquire()``,
   or synchronous file I/O via ``open()``.  A coroutine that blocks
@@ -61,7 +50,7 @@ error-severity finding):
   floors) or check the served watermark explicitly;
 * ``LINT-HOTCOPY`` (warning) — whole-structure copying
   (``copy.deepcopy``/``deep_copy()``/``clone()``) inside a loop, or
-  anywhere in a hot-path module (``perf``/``scale``/``snap``): a deep
+  anywhere in a hot-path module (``scale``/``snap``): a deep
   copy is O(size of the structure) per call, exactly the cost the
   copy-on-write snapshot layer (:mod:`repro.snap.frozen`) exists to
   avoid — share the untouched subtrees and copy only the mutated
@@ -126,12 +115,6 @@ REGISTRY.register(
     "deep copies cost O(structure size) per call; on hot paths use "
     "copy-on-write sharing (repro.snap.frozen) instead of cloning")
 REGISTRY.register(
-    "LINT-STALECOMPILE", Severity.WARNING, "lint",
-    "compiled artifact read without a freshness check",
-    "a derived artifact is only valid at the source generation it was "
-    "compiled from; reading it without consulting the generation stamp "
-    "serves decisions from a policy base that may no longer exist")
-REGISTRY.register(
     "LINT-BLOCKINGAWAIT", Severity.WARNING, "lint",
     "blocking call inside an async function",
     "a coroutine that blocks (time.sleep, bare lock .acquire(), "
@@ -159,15 +142,9 @@ _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict",
 _CHECK_PREFIXES = ("verify_", "check_")
 _XPATH_CALLS = {"compile_xpath", "evaluate", "select_elements"}
 _HOTCOPY_CALLS = {"deepcopy", "deep_copy", "clone"}
-#: Identifier substring marking a derived-artifact read (case-sensitive
-#: on purpose: ``CompiledPolicy``, the class, is not a read).
-_COMPILED_MARKER = "compiled"
-#: Identifier substrings that count as consulting a generation stamp.
-_FRESHNESS_TOKENS = ("generation", "fresh", "stale", "recompile",
-                     "invalidate")
 #: Directory names whose modules are hot paths: a deep copy there is
 #: suspect even outside a loop (the module exists to serve reads fast).
-_HOT_PATH_PARTS = {"perf", "scale", "snap"}
+_HOT_PATH_PARTS = {"scale", "snap"}
 #: Read verbs that, called on a replica-named receiver, count as a
 #: replica read.
 _REPLICA_READ_CALLS = {"get", "read", "inquiry", "serve_read",
@@ -252,11 +229,6 @@ def _mentions_tokens(node: ast.AST, tokens: tuple[str, ...]) -> bool:
     return False
 
 
-def _mentions_freshness(node: ast.AST) -> bool:
-    """Does the subtree name any generation/staleness identifier?"""
-    return _mentions_tokens(node, _FRESHNESS_TOKENS)
-
-
 def _receiver_mentions_replica(receiver: ast.expr) -> bool:
     """Does the call receiver's identifier chain name a replica?
 
@@ -273,11 +245,6 @@ def _receiver_mentions_replica(receiver: ast.expr) -> bool:
         if _REPLICA_MARKER in identifier.lower():
             return True
     return False
-
-
-def _is_compile_machinery(name: str) -> bool:
-    """Producer/freshness routines may of course touch the artifact."""
-    return "compile" in name or "fresh" in name
 
 
 def _open_write_mode(node: ast.Call) -> str | None:
@@ -300,7 +267,6 @@ class _Linter(ast.NodeVisitor):
         self._function_stack: list[str] = []
         self._local_checkers: dict[str, _FunctionFacts] = {}
         self._loop_depth = 0
-        self._fresh_context = False
         self._replica_guard_context = False
         #: True while inside an ``async def`` *body proper* — a nested
         #: sync ``def`` pushes False (its body is not necessarily run
@@ -363,14 +329,8 @@ class _Linter(ast.NodeVisitor):
         # enclosing loop, so its loop depth starts fresh.
         outer_loop_depth = self._loop_depth
         self._loop_depth = 0
-        # Freshness context is inherited: an enclosing function that
-        # consults the generation stamp covers its closures.
-        outer_fresh = self._fresh_context
-        self._fresh_context = (outer_fresh
-                               or _is_compile_machinery(node.name)
-                               or _mentions_freshness(node))
-        # Same inheritance for the replica-staleness guard: a function
-        # that consults a watermark/session covers its closures.
+        # The replica-staleness guard is inherited: a function that
+        # consults a watermark/session covers its closures.
         outer_guard = self._replica_guard_context
         self._replica_guard_context = (
             outer_guard
@@ -378,14 +338,13 @@ class _Linter(ast.NodeVisitor):
         # Fsync context is scoped to the function: a write helper that
         # never names fsync/fdatasync anywhere in its body cannot be
         # making its writes durable (inherited so closures are covered,
-        # like the freshness context).
+        # like the staleness guard).
         outer_fsync = self._fsync_context
         self._fsync_context = (outer_fsync
                                or _mentions_tokens(node, _FSYNC_TOKENS))
         self.generic_visit(node)
         self._fsync_context = outer_fsync
         self._replica_guard_context = outer_guard
-        self._fresh_context = outer_fresh
         self._loop_depth = outer_loop_depth
         self._async_stack.pop()
         self._function_stack.pop()
@@ -545,22 +504,6 @@ class _Linter(ast.NodeVisitor):
                              "before close, or route the write "
                              "through repro.wal.vfs (OsVfs syncs "
                              "data and directory entries)")
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (isinstance(node.ctx, ast.Load)
-                and _COMPILED_MARKER in node.attr
-                and self._function_stack
-                and not self._fresh_context):
-            self._emit(
-                "LINT-STALECOMPILE", node,
-                f"compiled artifact {node.attr!r} is read without "
-                f"consulting its generation stamp anywhere in "
-                f"{self._function_stack[-1]!r}",
-                fix_hint="compare the artifact's source_generation "
-                         "against the source's generation (or read "
-                         "it from the epoch snapshot that carries "
-                         "it) before reading")
         self.generic_visit(node)
 
     def visit_Expr(self, node: ast.Expr) -> None:

@@ -190,11 +190,6 @@ def broadcast_all(documents):
     return packets
 
 
-def route_requests(engine, requests):
-    return [engine.compiled_table.decide(*request)
-            for request in requests]
-
-
 async def serve_forever(queue):
     import time
     while True:
@@ -237,8 +232,7 @@ EXPECTED_RULE_IDS = frozenset({
     "RDF-REIFY", "RDF-CONTAINER",
     "LINT-MUTDEF", "LINT-BAREEXC", "LINT-SWALLOW", "LINT-HASH",
     "LINT-CHECKRET", "LINT-XPATHLOOP", "LINT-HOTCOPY",
-    "LINT-STALECOMPILE", "LINT-BLOCKINGAWAIT",
-    "LINT-REPLICAREAD", "LINT-UNFSYNCED",
+    "LINT-BLOCKINGAWAIT", "LINT-REPLICAREAD", "LINT-UNFSYNCED",
 })
 
 

@@ -24,7 +24,6 @@ from repro.core.credentials import CredentialExpression, anyone
 from repro.core.errors import ConfigurationError
 from repro.core.objects import ResourcePath, ResourcePattern
 from repro.core.subjects import Subject
-from repro.perf.cache import Generation
 
 
 class Sign(enum.Enum):
@@ -181,14 +180,9 @@ class PolicyBase:
         # Bumped on every add/remove; a compiled table records the value
         # it was built from, so verifying it against a drifted base
         # shows the drift.
-        self._generation = Generation()
+        self.generation = 0
         for policy in policies:
             self.add(policy)
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter; changes whenever the policy set changes."""
-        return self._generation.value
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -203,7 +197,7 @@ class PolicyBase:
         if any(ch in head for ch in "*?["):
             head = "*"
         self._by_head[policy.action].setdefault(head, []).append(policy)
-        self._generation.bump()
+        self.generation += 1
         return policy
 
     def remove(self, policy: Policy) -> None:
@@ -216,7 +210,7 @@ class PolicyBase:
         if any(ch in head for ch in "*?["):
             head = "*"
         self._by_head[policy.action][head].remove(policy)
-        self._generation.bump()
+        self.generation += 1
 
     def candidates(self, action: Action,
                    path: ResourcePath | str) -> list[Policy]:

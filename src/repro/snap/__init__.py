@@ -21,8 +21,8 @@ generalizes that shape into a store-agnostic read path:
   is O(1), plus :class:`EpochalPolicyEngine`, which compiles every
   policy epoch it publishes and decides against the pinned epoch's
   table — the compiled implementation of the authorization contract;
-* :mod:`repro.snap.xmlstore` / :mod:`repro.snap.uddi` — snapshot
-  variants of the XML database and UDDI registry;
+* :mod:`repro.snap.xmlstore` — the snapshot variant of the XML
+  database;
 * :mod:`repro.snap.dissemination` — packet packaging over snapshots
   with cross-epoch fragment interning.
 """
@@ -42,7 +42,6 @@ from repro.snap.policy import (
     PolicySnapshot,
     SnapshotPolicyBase,
 )
-from repro.snap.uddi import SnapshotUddiRegistry, UddiSnapshot
 from repro.snap.xmlstore import SnapshotXmlDatabase, XmlSnapshot
 from repro.snap.dissemination import SnapshotDisseminator
 
@@ -56,9 +55,7 @@ __all__ = [
     "PolicySnapshot",
     "SnapshotDisseminator",
     "SnapshotPolicyBase",
-    "SnapshotUddiRegistry",
     "SnapshotXmlDatabase",
-    "UddiSnapshot",
     "XmlSnapshot",
     "freeze_document",
     "freeze_element",

@@ -7,11 +7,12 @@ epoch whose frozen root is unchanged — and it *is* unchanged unless a
 write touched that document), then runs the interned
 :class:`~repro.xmlsec.dissemination.Disseminator` and
 :class:`~repro.xmlsec.views.CachedViewBuilder` over it.  Because both
-stamp their entries with ``(policy generation, document version)`` and
-a thawed snapshot document has constant version and stable identity,
-repeat packaging and repeat view computation degenerate to cache hits
-plus (for packets) fresh encryption — across requests and across
-epochs, with no locks held anywhere on the path.
+key their entries by the document object plus ``(policy generation,
+document version)``, and a thawed snapshot document has constant
+version and stable identity, repeat packaging and repeat view
+computation degenerate to cache hits plus (for packets) fresh
+encryption — across requests and across epochs, with no locks held
+anywhere on the path.
 """
 
 from __future__ import annotations

@@ -98,10 +98,10 @@ class FrozenElement:
 class FrozenDocument:
     """An immutable document: a name plus a frozen root.
 
-    ``version`` is constant (snapshots never mutate), so generation-
-    stamped caches treat any value computed from a frozen document as
-    permanently fresh — the coherence rule of :mod:`repro.perf.cache`
-    degenerates to identity.
+    ``version`` is constant (snapshots never mutate), so a cache key
+    that carries the version — the coherence rule of
+    :mod:`repro.core.cache` — never moves for a frozen document, and a
+    value computed from one is fresh for as long as its key exists.
     """
 
     __slots__ = ("root", "name")

@@ -32,9 +32,9 @@ an entry):
 
 The pool is shared across epochs on purpose — that is where the
 cross-epoch reuse the benchmarks measure comes from.  All three caches
-are plain :class:`~repro.perf.cache.LRUCache` instances (no generation
-stamps needed: frozen state never mutates, so an entry can never go
-stale, only cold).  Fragment hit rates are low by construction: one
+are plain :class:`~repro.core.cache.LRUCache` instances keyed by node
+identity (frozen state never mutates, so an entry can never go stale,
+only cold).  Fragment hit rates are low by construction: one
 hit per warm read against one miss per non-leaf element walked cold.
 """
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.merkle.xml_merkle import content_hash, node_hash
-from repro.perf.cache import LRUCache, MISS
+from repro.core.cache import LRUCache, MISS
 from repro.snap.frozen import FrozenDocument, FrozenElement, thaw_document
 from repro.xmldb.model import Document
 from repro.xmldb.serializer import escape_attribute, escape_text
@@ -238,7 +238,7 @@ class InternPool:
         """A mutable copy of *document*, cached by frozen-root identity.
 
         The same object is returned for every epoch that shares the
-        root, so downstream generation-stamped caches (views,
+        root, so downstream caches keyed by the document (views,
         dissemination payloads) hit across epochs.  Callers must treat
         the result as read-only.
         """

@@ -43,7 +43,6 @@ from repro.core.evaluator import (
 from repro.core.objects import ResourcePath
 from repro.core.policy import Action, Policy
 from repro.core.subjects import Subject
-from repro.perf.cache import Generation
 from repro.snap.epoch import EpochManager
 
 #: action -> head -> tuple of policies (the persistent candidate index).
@@ -57,6 +56,13 @@ def _head_of(policy: Policy) -> str:
     if any(ch in head for ch in "*?["):
         head = "*"
     return head
+
+
+def _without(policies: tuple[Policy, ...],
+             policy: Policy) -> tuple[Policy, ...]:
+    """*policies* minus its first element equal to *policy*."""
+    index = policies.index(policy)
+    return policies[:index] + policies[index + 1:]
 
 
 def _candidates(by_head: HeadIndex, action: Action,
@@ -85,13 +91,9 @@ class PolicySnapshot:
                  by_head: HeadIndex, generation: int) -> None:
         self._policies = policies
         self._by_head = by_head
-        self._generation = generation
+        self.generation = generation
         self.epoch: int | None = None
         self.table: CompiledPolicy | None = None
-
-    @property
-    def generation(self) -> int:
-        return self._generation
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -110,7 +112,7 @@ class PolicySnapshot:
                 if p.applies(subject, action, path, payload)]
 
     def __repr__(self) -> str:
-        return (f"<PolicySnapshot gen={self._generation} "
+        return (f"<PolicySnapshot gen={self.generation} "
                 f"epoch={self.epoch} policies={len(self._policies)}>")
 
 
@@ -127,13 +129,9 @@ class SnapshotPolicyBase:
         self._lock = threading.RLock()
         self._policies: tuple[Policy, ...] = ()
         self._by_head: HeadIndex = {a: {} for a in Action}
-        self._generation = Generation()
+        self.generation = 0
         for policy in policies:
             self.add(policy)
-
-    @property
-    def generation(self) -> int:
-        return self._generation.value
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -150,24 +148,25 @@ class SnapshotPolicyBase:
             by_head[policy.action] = action_map
             self._policies = self._policies + (policy,)
             self._by_head = by_head
-            self._generation.bump()
+            self.generation += 1
         return policy
 
     def remove(self, policy: Policy) -> None:
+        """Drop the first policy equal to *policy*, as
+        :meth:`PolicyBase.remove <repro.core.policy.PolicyBase.remove>`
+        does: membership and removal use the same test."""
         with self._lock:
             if policy not in self._policies:
                 raise ConfigurationError(
                     f"{policy!r} not in policy base")
             head = _head_of(policy)
             action_map = dict(self._by_head[policy.action])
-            action_map[head] = tuple(
-                p for p in action_map.get(head, ()) if p is not policy)
+            action_map[head] = _without(action_map[head], policy)
             by_head = dict(self._by_head)
             by_head[policy.action] = action_map
-            self._policies = tuple(
-                p for p in self._policies if p is not policy)
+            self._policies = _without(self._policies, policy)
             self._by_head = by_head
-            self._generation.bump()
+            self.generation += 1
 
     def candidates(self, action: Action,
                    path: ResourcePath | str) -> list[Policy]:
@@ -183,7 +182,7 @@ class SnapshotPolicyBase:
         """Capture the current state — three reference reads, O(1)."""
         with self._lock:
             return PolicySnapshot(self._policies, self._by_head,
-                                  self._generation.value)
+                                  self.generation)
 
 
 class EpochalPolicyEngine:

@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.core.errors import ConfigurationError, QueryError
-from repro.perf.cache import Generation
 from repro.snap.epoch import EpochManager
 from repro.snap.frozen import (
     FrozenDocument,
@@ -66,16 +65,10 @@ class XmlSnapshot:
     intern pool does its own fine-grained synchronization.
     """
 
-    def __init__(self, collections: StoreState, generation: int,
-                 pool: InternPool) -> None:
+    def __init__(self, collections: StoreState, pool: InternPool) -> None:
         self._collections = collections
-        self._generation = generation
         self._pool = pool
         self.epoch: int | None = None
-
-    @property
-    def generation(self) -> int:
-        return self._generation
 
     # -- navigation ------------------------------------------------------
 
@@ -145,7 +138,7 @@ class XmlSnapshot:
         return self._pool.thawed(self.document(collection, doc_id))
 
     def __repr__(self) -> str:
-        return (f"<XmlSnapshot gen={self._generation} epoch={self.epoch} "
+        return (f"<XmlSnapshot epoch={self.epoch} "
                 f"collections={len(self._collections)}>")
 
 
@@ -169,13 +162,8 @@ class SnapshotXmlDatabase:
         # was copied since the last freeze(): no snapshot holds them
         # yet, so edits may update them in place.
         self._owned: set[str] | None = None
-        self._generation = Generation()
         self._deferred = 0
         self.publish()
-
-    @property
-    def generation(self) -> int:
-        return self._generation.value
 
     # -- publication -----------------------------------------------------
 
@@ -183,8 +171,7 @@ class SnapshotXmlDatabase:
         """Capture the current state — O(1), no tree copying."""
         with self._lock:
             self._owned = None  # the snapshot shares every dict now
-            return XmlSnapshot(self._collections, self._generation.value,
-                               self.pool)
+            return XmlSnapshot(self._collections, self.pool)
 
     def publish(self) -> XmlSnapshot:
         snapshot = self.freeze()
@@ -228,9 +215,8 @@ class SnapshotXmlDatabase:
         return self._collections[collection]
 
     def _commit(self) -> None:
-        """Count one applied mutation (caller holds the lock) and
-        publish unless inside a :meth:`writer` block."""
-        self._generation.bump()
+        """Publish one applied mutation (caller holds the lock) unless
+        inside a :meth:`writer` block."""
         if self._deferred == 0:
             self.publish()
 

@@ -50,22 +50,6 @@ class BusinessOverview:
     service_count: int
 
 
-def business_part(key: str, owner: str, entity: BusinessEntity) -> str:
-    """Canonical digest part for one business (shared with the snapshot
-    registry so the two digests are byte-identical)."""
-    return f"biz:{key}:{owner}:{sha256_hex(repr(entity))}"
-
-
-def tmodel_part(key: str, tmodel: TModel) -> str:
-    """Canonical digest part for one tModel."""
-    return f"tmodel:{key}:{sha256_hex(repr(tmodel))}"
-
-
-def assertion_part(assertion: PublisherAssertion) -> str:
-    """Canonical digest part for one publisher assertion."""
-    return f"assert:{sha256_hex(repr(assertion))}"
-
-
 class UddiRegistry:
     """An in-memory UDDI registry."""
 
@@ -250,28 +234,15 @@ class UddiRegistry:
         Deliberately excludes the operation counters — *how many tries*
         it took is allowed to differ; *what the registry says* is not.
         """
-        parts = [part for _, part in self.state_parts()]
+        parts = [
+            f"biz:{key}:{self._owners.get(key, '')}:"
+            f"{sha256_hex(repr(self._businesses[key]))}"
+            for key in sorted(self._businesses)]
+        parts.extend(f"tmodel:{key}:{sha256_hex(repr(self._tmodels[key]))}"
+                     for key in sorted(self._tmodels))
+        parts.extend(f"assert:{sha256_hex(repr(assertion))}"
+                     for assertion in sorted(self._assertions, key=repr))
         return combine(*parts) if parts else sha256_hex("empty-registry")
-
-    def state_parts(self) -> list[tuple[tuple, str]]:
-        """The digest parts with their canonical sort keys.
-
-        Each entry is ``(sort_key, part)``; sort keys order businesses
-        before tModels before assertions, then by key (or assertion
-        repr).  :class:`~repro.snap.uddi.UddiSnapshot` produces the same
-        list, so a snapshot and a live registry holding equal state
-        digest byte-identically.
-        """
-        parts: list[tuple[tuple, str]] = []
-        for key in sorted(self._businesses):
-            parts.append(((0, key), business_part(
-                key, self._owners.get(key, ""), self._businesses[key])))
-        for key in sorted(self._tmodels):
-            parts.append(((1, key), tmodel_part(key, self._tmodels[key])))
-        for assertion in sorted(self._assertions, key=repr):
-            parts.append(((2, repr(assertion)),
-                          assertion_part(assertion)))
-        return parts
 
     # -- enumeration -----------------------------------------------------------
 

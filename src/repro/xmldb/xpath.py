@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ParseError, QueryError
-from repro.perf.cache import MISS, LRUCache
+from repro.core.cache import MISS, LRUCache
 from repro.xmldb.model import Document, Element
 
 #: Compiled expressions keyed by (stripped) source text.  XPath values

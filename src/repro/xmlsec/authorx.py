@@ -27,15 +27,15 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.core.cache import MISS, LRUCache
 from repro.core.credentials import CredentialExpression
 from repro.core.errors import ConfigurationError, ParseError, QueryError
 from repro.core.subjects import Subject
-from repro.perf.cache import MISS, Generation, GenerationalCache
-from repro.perf.multipath import simultaneous_select, supports_path
 from repro.xmldb.model import Document, Element
 from repro.xmldb.xpath import XPath, compile_xpath, select_elements
+from repro.xmlsec.multipath import simultaneous_select, supports_path
 
 
 class Privilege(enum.Enum):
@@ -115,44 +115,32 @@ class NodeLabel:
 class XmlPolicyBase:
     """The set of XML policies protecting a database.
 
-    Labellings are memoized per (subject, document id, document object),
-    stamped with ``(policy generation, document version)`` so both a
-    policy add/remove and an in-place document edit invalidate exactly
-    the affected entries.  Cached label maps are shared — treat them as
-    read-only.
+    Labellings are memoized under the key ``(subject, document id,
+    document object, policy generation, document version)``, so both a
+    policy add/remove and an in-place document edit make the next
+    lookup miss; superseded entries age out of the bounded cache.
+    Cached label maps are shared — treat them as read-only.
     """
 
     def __init__(self, policies: "list[XmlPolicy] | None" = None) -> None:
         self._policies: list[XmlPolicy] = list(policies or [])
-        self._generation = Generation()
-        self._label_cache = GenerationalCache(maxsize=256)
+        #: Mutation counter; changes on every policy add/remove.
+        self.generation = 0
+        self._label_cache = LRUCache(maxsize=256)
 
     def add(self, policy: XmlPolicy) -> XmlPolicy:
         self._policies.append(policy)
-        self._generation.bump()
+        self.generation += 1
         return policy
 
     def remove(self, policy: XmlPolicy) -> None:
-        """Revoke a policy; cached labellings go stale immediately."""
+        """Revoke a policy; cached labellings stop matching at once."""
         try:
             self._policies.remove(policy)
         except ValueError:
             raise ConfigurationError(
                 f"{policy!r} not in XML policy base") from None
-        self._generation.bump()
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter; changes on every policy add/remove."""
-        return self._generation.value
-
-    def add_invalidation_hook(self, hook: Callable[[], None]) -> None:
-        """Call *hook* after every policy add/remove."""
-        self._generation.add_hook(hook)
-
-    def label_cache_stats(self) -> dict[str, int | float]:
-        """Hit/miss counters of the labelling cache."""
-        return self._label_cache.stats.snapshot()
+        self.generation += 1
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -235,17 +223,16 @@ class XmlPolicyBase:
         survives as :meth:`label_document_per_policy`, the oracle the
         equivalence tests and benchmarks compare against.
         """
-        stamp = (self._generation.value, document.version)
-        key = (subject, doc_id, document)
+        key = (subject, doc_id, document, self.generation, document.version)
         if use_cache:
-            cached = self._label_cache.get(key, stamp)
+            cached = self._label_cache.get(key)
             if cached is not MISS:
                 return cached
         policies = self.policies_for(subject, doc_id)
         targets = self.select_policy_targets(policies, document)
         labels = self._resolve_labels(policies, targets, document)
         if use_cache:
-            self._label_cache.put(key, stamp, labels)
+            self._label_cache.put(key, labels)
         return labels
 
     def label_document_per_policy(self, subject: Subject, doc_id: str,

@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.core.cache import MISS, LRUCache
 from repro.core.errors import (
     IncompletePackageError,
     IntegrityError,
@@ -44,7 +45,6 @@ from repro.core.subjects import Subject
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.keys import KeyDistributor, KeyStore
 from repro.crypto.symmetric import Ciphertext, encrypt as symmetric_encrypt
-from repro.perf.cache import MISS, GenerationalCache
 from repro.faults.clock import FaultClock
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind
@@ -223,9 +223,9 @@ class Disseminator:
 
     With ``intern=True`` the expensive, deterministic half of
     :meth:`package` — labelling, configuration grouping and payload
-    serialization — is cached per ``(doc_id, document)``, stamped with
-    ``(policy generation, document version)`` so any policy or document
-    change invalidates it.  Re-packaging an unchanged document then
+    serialization — is cached under ``(doc_id, document, policy
+    generation, document version)``, so any policy or document change
+    makes the next lookup miss.  Re-packaging an unchanged document then
     only re-encrypts (each packet still gets fresh nonces).  The cache
     is keyed by the document *object* (identity), which is what lets
     the snapshot layer share prep work across epochs: an unchanged
@@ -238,8 +238,8 @@ class Disseminator:
         self.policy_base = policy_base
         self.key_store = KeyStore(secret)
         self._configurations: dict[str, Configuration] = {}
-        self._prep_cache: GenerationalCache | None = (
-            GenerationalCache(maxsize=256) if intern else None)
+        self._prep_cache: LRUCache | None = (
+            LRUCache(maxsize=256) if intern else None)
 
     @property
     def prep_stats(self) -> dict[str, int | float] | None:
@@ -292,11 +292,10 @@ class Disseminator:
         Cached when interning is on (see class docstring); the returned
         structures are treated as read-only by :meth:`package`.
         """
-        cache_key = stamp = None
+        cache_key = (doc_id, document, self.policy_base.generation,
+                     document.version)
         if self._prep_cache is not None:
-            cache_key = (doc_id, document)
-            stamp = (self.policy_base.generation, document.version)
-            prep = self._prep_cache.get(cache_key, stamp)
+            prep = self._prep_cache.get(cache_key)
             if prep is not MISS:
                 return prep
         configurations = self.configurations_of(doc_id, document)
@@ -322,7 +321,7 @@ class Disseminator:
             for key_id in sorted(groups))
         prep = (skeleton, payloads)
         if self._prep_cache is not None:
-            self._prep_cache.put(cache_key, stamp, prep, pins=(document,))
+            self._prep_cache.put(cache_key, prep)
         return prep
 
     # -- key distribution -------------------------------------------------

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.cache import MISS, LRUCache
 from repro.core.subjects import Subject
 from repro.merkle.xml_merkle import make_pruned_marker
-from repro.perf.cache import MISS, GenerationalCache
 from repro.xmldb.model import Document, Element
 from repro.xmlsec.authorx import NodeLabel, XmlPolicyBase
 
@@ -126,20 +126,20 @@ def compute_view(policy_base: XmlPolicyBase, subject: Subject,
 class CachedViewBuilder:
     """Memoized :func:`compute_view` for the read-mostly serving path.
 
-    Entries are keyed by ``(subject, doc_id, document, with_markers)``
-    — subject and document hash by identity and are pinned by the key —
-    and stamped with ``(policy generation, document version)``, so any
-    policy change or document mutation invalidates exactly the affected
-    views.  Against snapshot-thawed documents (constant version, stable
-    identity across epochs) the stamp never moves and repeat views are
-    pure hits, including across epochs.  Returned views must be treated
-    as read-only.
+    Entries are keyed by ``(subject, doc_id, document, with_markers,
+    policy generation, document version)`` — subject and document hash
+    by identity and are pinned by the key — so any policy change or
+    document mutation makes the next lookup miss, and superseded views
+    age out of the bounded cache.  Against snapshot-thawed documents
+    (constant version, stable identity across epochs) the key never
+    moves and repeat views are pure hits, including across epochs.
+    Returned views must be treated as read-only.
     """
 
     def __init__(self, policy_base: XmlPolicyBase,
                  maxsize: int = 256) -> None:
         self.policy_base = policy_base
-        self._cache = GenerationalCache(maxsize=maxsize)
+        self._cache = LRUCache(maxsize=maxsize)
 
     @property
     def cache_stats(self) -> dict[str, int | float]:
@@ -148,14 +148,14 @@ class CachedViewBuilder:
     def view(self, subject: Subject, doc_id: str, document: Document,
              with_markers: bool = False
              ) -> tuple[Document | None, ViewStats]:
-        key = (subject, doc_id, document, with_markers)
-        stamp = (self.policy_base.generation, document.version)
-        cached = self._cache.get(key, stamp)
+        key = (subject, doc_id, document, with_markers,
+               self.policy_base.generation, document.version)
+        cached = self._cache.get(key)
         if cached is not MISS:
             return cached
         result = compute_view(self.policy_base, subject, doc_id,
                               document, with_markers)
-        self._cache.put(key, stamp, result, pins=(subject, document))
+        self._cache.put(key, result)
         return result
 
 

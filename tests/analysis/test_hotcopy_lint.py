@@ -44,7 +44,7 @@ class TestHotCopyRule:
         assert "LINT-HOTCOPY" in rule_ids(
             src, path="src/repro/snap/xmlstore.py")
         assert "LINT-HOTCOPY" in rule_ids(
-            src, path="src/repro/perf/cache.py")
+            src, path="src/repro/snap/intern.py")
 
     def test_ignores_unlooped_copy_outside_hot_modules(self):
         src = (
@@ -59,8 +59,8 @@ class TestHotCopyRule:
             "import copy\n"
             "def f(state):\n"
             "    return copy.deepcopy(state)\n")
-        # A *file* named perf.py outside the hot dirs is not hot.
-        assert "LINT-HOTCOPY" not in rule_ids(src, path="src/repro/perf.py")
+        # A *file* named snap.py outside the hot dirs is not hot.
+        assert "LINT-HOTCOPY" not in rule_ids(src, path="src/repro/snap.py")
 
     def test_copy_routines_may_copy(self):
         src = (

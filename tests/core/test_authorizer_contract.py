@@ -7,13 +7,16 @@ cache-free interpreter (:class:`PolicyEvaluator`) and the compiled path
 Each test here runs once per implementation and pins one clause of the
 contract — explicit verdicts for the section 3.2 conflict-resolution
 strategies and defaults, ``decide_batch`` as the serial loop, audit rows
-in input order, per-request payloads, and writes visible to the next
-decision.
+in input order, per-request payloads, writes visible to the next
+decision, and removal by equality, one copy at a time.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.audit import AuditLog
+from repro.core.errors import ConfigurationError
 from repro.core.credentials import anyone, has_role
 from repro.core.evaluator import (
     Authorizer,
@@ -33,24 +36,25 @@ VISITOR = Subject("guest")
 
 def interpreter(policies, **kwargs):
     base = PolicyBase(policies)
-    return PolicyEvaluator(base, **kwargs), base.add
+    return PolicyEvaluator(base, **kwargs), base.add, base.remove
 
 
 def epochal_engine(policies, **kwargs):
     engine = EpochalPolicyEngine(policies, **kwargs)
-    return engine, engine.add_policy
+    return engine, engine.add_policy, engine.remove_policy
 
 
 def shard_router(policies, **kwargs):
     router = EpochalShardRouter.from_policies(policies, shard_count=3,
                                               **kwargs)
-    return router, router.add
+    return router, router.add, router.remove
 
 
 @pytest.fixture(params=[interpreter, epochal_engine, shard_router],
                 ids=lambda build: build.__name__)
 def build(request):
-    """Builds (authorizer, add_policy) over a policy list."""
+    """Builds (authorizer, add_policy, remove_policy) over a policy
+    list."""
     return request.param
 
 
@@ -91,7 +95,7 @@ EXPECTED_VERDICTS = {
 
 class TestContract:
     def test_declares_both_methods(self, build):
-        authorizer, _ = build([])
+        authorizer, *_ = build([])
         methods = {name for name in vars(Authorizer)
                    if not name.startswith("_")}
         assert methods == {"decide", "decide_batch"}
@@ -101,7 +105,7 @@ class TestContract:
     @pytest.mark.parametrize("resolution", list(ConflictResolution),
                              ids=lambda r: r.value)
     def test_conflict_resolution_verdicts(self, build, resolution):
-        authorizer, _ = build(conflicting_policies(),
+        authorizer, *_ = build(conflicting_policies(),
                               resolution=resolution)
         verdicts = tuple(
             authorizer.decide(DOCTOR, Action.READ, path).granted
@@ -111,7 +115,7 @@ class TestContract:
     @pytest.mark.parametrize("default", list(DefaultDecision),
                              ids=lambda d: d.value)
     def test_default_applies_when_nothing_matches(self, build, default):
-        authorizer, _ = build(conflicting_policies(), default=default)
+        authorizer, *_ = build(conflicting_policies(), default=default)
         decision = authorizer.decide(VISITOR, Action.READ, "elsewhere")
         assert decision.granted is (default is DefaultDecision.OPEN)
         assert decision.determining is None
@@ -120,7 +124,7 @@ class TestContract:
     def test_decide_batch_is_the_serial_loop(self, build):
         requests = mixed_requests()
         policies = conflicting_policies()
-        authorizer, _ = build(policies)
+        authorizer, *_ = build(policies)
         oracle = PolicyEvaluator(PolicyBase(policies))
         serial = [authorizer.decide(*r) for r in requests]
         assert authorizer.decide_batch(requests) == serial
@@ -130,8 +134,8 @@ class TestContract:
         requests = mixed_requests()
         policies = conflicting_policies()
         serial_log, batch_log = AuditLog(), AuditLog()
-        serial, _ = build(policies, audit=serial_log)
-        batched, _ = build(policies, audit=batch_log)
+        serial, *_ = build(policies, audit=serial_log)
+        batched, *_ = build(policies, audit=batch_log)
         for request in requests:
             serial.decide(*request)
         batched.decide_batch(requests)
@@ -141,13 +145,13 @@ class TestContract:
 
     def test_empty_batch_decides_and_audits_nothing(self, build):
         log = AuditLog()
-        authorizer, _ = build(conflicting_policies(), audit=log)
+        authorizer, *_ = build(conflicting_policies(), audit=log)
         assert authorizer.decide_batch([]) == []
         assert len(log) == 0
 
     def test_string_and_resource_path_agree(self, build):
         log = AuditLog()
-        authorizer, _ = build(conflicting_policies(), audit=log)
+        authorizer, *_ = build(conflicting_policies(), audit=log)
         as_text = authorizer.decide(DOCTOR, Action.READ, "h/records/r1")
         as_path = authorizer.decide(DOCTOR, Action.READ,
                                     ResourcePath("h/records/r1"))
@@ -155,7 +159,7 @@ class TestContract:
         assert audit_rows(log)[0] == audit_rows(log)[1]
 
     def test_payload_is_evaluated_per_request(self, build):
-        authorizer, _ = build([
+        authorizer, *_ = build([
             grant(anyone(), Action.READ, "h/**",
                   condition=lambda p: p and p.get("public")),
         ])
@@ -167,7 +171,7 @@ class TestContract:
             [True, False, False, True]
 
     def test_write_is_visible_to_the_next_decision(self, build):
-        authorizer, add_policy = build(
+        authorizer, add_policy, _ = build(
             [grant(anyone(), Action.READ, "h/**")])
         assert authorizer.decide(DOCTOR, Action.READ, "h/secret").granted
         add_policy(deny(has_role("doctor"), Action.READ, "h/secret"))
@@ -175,3 +179,27 @@ class TestContract:
                                      "h/secret").granted
         assert authorizer.decide_batch(
             [(DOCTOR, Action.READ, "h/open")])[0].granted
+
+    def test_removing_an_equal_copy_revokes(self, build):
+        policy = grant(anyone(), Action.READ, "h/**")
+        authorizer, _, remove_policy = build([policy])
+        assert authorizer.decide(DOCTOR, Action.READ, "h/x").granted
+        remove_policy(dataclasses.replace(policy))
+        decision = authorizer.decide(DOCTOR, Action.READ, "h/x")
+        assert not decision.granted
+        assert decision.determining is None
+
+    def test_removing_one_of_two_copies_keeps_the_other(self, build):
+        policy = grant(anyone(), Action.READ, "h/**")
+        authorizer, _, remove_policy = build([policy, policy])
+        remove_policy(policy)
+        assert authorizer.decide(DOCTOR, Action.READ, "h/x").granted
+        remove_policy(policy)
+        assert not authorizer.decide(DOCTOR, Action.READ, "h/x").granted
+
+    def test_removing_an_absent_policy_is_a_typed_error(self, build):
+        authorizer, _, remove_policy = build(
+            [grant(anyone(), Action.READ, "h/**")])
+        with pytest.raises(ConfigurationError):
+            remove_policy(grant(anyone(), Action.READ, "h/**"))
+        assert authorizer.decide(DOCTOR, Action.READ, "h/x").granted

@@ -16,8 +16,9 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.mark.parametrize("package", [
-    "repro.scale", "repro.snap", "repro.gateway",
-    "repro.wal", "repro.replica", "repro.compile"])
+    "repro.core", "repro.scale", "repro.snap", "repro.gateway",
+    "repro.wal", "repro.replica", "repro.compile", "repro.xmldb",
+    "repro.xmlsec"])
 def test_package_imports_first_in_a_fresh_interpreter(package):
     result = subprocess.run(
         [sys.executable, "-c", f"import {package}"],

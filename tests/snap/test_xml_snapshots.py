@@ -130,12 +130,11 @@ class TestStoreSemantics:
         db.delete("c", "d3")
         assert db.current().doc_ids("c") == ["d1", "d2"]
 
-    def test_generation_advances_per_write(self):
+    def test_epoch_advances_per_write(self):
         db = snapshot_db()
-        generation = db.generation
+        epoch = db.current().epoch
         db.set_text("c", "d1", "/hospital/record/diagnosis", "x")
-        assert db.generation == generation + 1
-        assert db.current().generation == db.generation
+        assert db.current().epoch == epoch + 1
 
 
 class TestWriterBlockCopiesOnce:
