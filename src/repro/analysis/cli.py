@@ -137,7 +137,8 @@ def _render_compile_entry(entry: dict) -> str:
     if entry["kind"] == "core":
         shape = (f"{stats['path_classes']} path class(es), "
                  f"{stats['dfa_states']} DFA state(s), "
-                 f"{stats['residual_policies']} residual")
+                 f"{stats['residual_policies']} residual, "
+                 f"{stats['subject_predicates']} subject predicate(s)")
     else:
         shape = (f"{stats['eager_states']} label state(s), "
                  f"{stats['dynamic_policies']} dynamic, "

@@ -9,7 +9,9 @@ credential profile)``:
   path string, one DFA walk for a new one;
 * the *credential profile* comes from
   :class:`~repro.compile.profiles.CredentialProfileIndex` — one dict
-  hop per previously seen subject;
+  hop per previously seen subject; a new subject evaluates each
+  distinct credential predicate of the base once (policies sharing a
+  factory recipe share one call), not every policy's;
 * the *cell* holds the fully resolved
   :class:`~repro.core.evaluator.Decision`, computed on first touch by
   the exact conflict-resolution code of the interpreter
@@ -62,6 +64,7 @@ class CompileStats:
     profiles_seen: int
     cells_filled: int
     residual_policies: int
+    subject_predicates: int
     source_generation: int
 
 
@@ -194,6 +197,7 @@ class CompiledPolicy:
             profiles_seen=len(self.profiles),
             cells_filled=len(self._cells),
             residual_policies=self.conditional_mask.bit_count(),
+            subject_predicates=self.profiles.predicates,
             source_generation=self.source_generation)
 
 
@@ -216,7 +220,8 @@ def compile_policy_base(base: PolicyBase | Iterable[Policy],
     if explore:
         dfa.explore()
     return CompiledPolicy(
-        policies, dfa, CredentialProfileIndex(policies),
+        policies, dfa,
+        CredentialProfileIndex([p.subject_expression for p in policies]),
         resolution, default,
         source_generation=getattr(base, "generation", 0),
         probes=as_probe_list(probes))

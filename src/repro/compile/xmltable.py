@@ -58,6 +58,7 @@ from repro.xmlsec.authorx import (
 )
 
 from repro.compile.pathdfa import PatternNfa
+from repro.compile.profiles import CredentialProfileIndex, ProfileClass
 # Registers COMPILE-DIVERGE, reused for unexplained label divergences.
 import repro.compile.verify  # noqa: F401  (rule registration)
 
@@ -283,7 +284,8 @@ class CompiledLabelTable:
         for index, policy in enumerate(self.policies):
             if target_is_dynamic(policy.target):
                 self.dynamic_mask |= 1 << index
-        self._profile_masks: dict[Subject, int] = {}
+        self.profiles = CredentialProfileIndex(
+            [p.subject_spec for p in self.policies])
         self._walks: dict[int, ProfileLabelWalk] = {}
         self._state_total = 0
 
@@ -297,25 +299,11 @@ class CompiledLabelTable:
 
     # -- profiles -------------------------------------------------------
 
-    def profile(self, subject: Subject) -> int:
-        """Bit *i* set iff ``policies[i].applies_to_subject(subject)``."""
-        mask = self._profile_masks.get(subject)
-        if mask is None:
-            mask = 0
-            for index, policy in enumerate(self.policies):
-                if policy.applies_to_subject(subject):
-                    mask |= 1 << index
-            self._profile_masks[subject] = mask
-        return mask
-
     def profile_classes(self, probes: Sequence[Subject] | None = None
-                        ) -> list[tuple[int, Subject, int]]:
+                        ) -> list[ProfileClass]:
         """Distinct (mask, witness, size) classes of a probe universe."""
-        grouped: dict[int, list[Subject]] = {}
-        for subject in (self.probes if probes is None else probes):
-            grouped.setdefault(self.profile(subject), []).append(subject)
-        return [(mask, members[0], len(members))
-                for mask, members in sorted(grouped.items())]
+        return self.profiles.profile_classes(
+            self.probes if probes is None else probes)
 
     def walk(self, profile_mask: int) -> ProfileLabelWalk:
         walk = self._walks.get(profile_mask)
@@ -328,7 +316,7 @@ class CompiledLabelTable:
 
     def label_chain(self, subject: Subject,
                     tags: Sequence[str]) -> NodeLabel:
-        return self.walk(self.profile(subject)).label_chain(tags)
+        return self.walk(self.profiles.profile(subject)).label_chain(tags)
 
     def label_document(self, subject: Subject,
                        document: Document) -> dict[int, NodeLabel]:
@@ -338,7 +326,7 @@ class CompiledLabelTable:
         interpreter's ``label_document`` — the equivalence the
         verification pass and the property suite assert.
         """
-        walk = self.walk(self.profile(subject))
+        walk = self.walk(self.profiles.profile(subject))
         labels: dict[int, NodeLabel] = {}
 
         def visit(node: Element, state_id: int) -> None:

@@ -115,7 +115,8 @@ def run_chaos(seed: int, replica_count: int = 3, op_count: int = 30,
     plan = scenario_plan(seed, replica_count, rate)
     injector = FaultInjector(plan, clock, seed=seed)
     group = ReplicaGroup(shard="0", replica_count=replica_count,
-                         bucket_count=bucket_count, faults=injector)
+                         bucket_count=bucket_count, faults=injector,
+                         trace=[])
     write_failures = 0
     read_failures = 0
     floor = 0

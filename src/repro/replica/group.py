@@ -338,11 +338,13 @@ class ReplicaGroup:
         self.unacked_writes = 0
         #: Deterministic event log: (event, ...) tuples, compared
         #: verbatim by the chaos battery's same-seed determinism check.
-        self.trace: list[tuple] = trace if trace is not None else []
+        #: ``None`` (the default, and the served path) records nothing.
+        self.trace: list[tuple] | None = trace
         self._read_cursor = 0
 
     def _record(self, *event) -> None:
-        self.trace.append(event)
+        if self.trace is not None:
+            self.trace.append(event)
 
     @property
     def primary(self) -> Replica:

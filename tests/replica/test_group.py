@@ -21,7 +21,7 @@ def _group(plan=None, seed=0, replica_count=3, bucket_count=16):
     if plan is not None:
         faults = FaultInjector(plan, FaultClock(), seed=seed)
     return ReplicaGroup(shard="0", replica_count=replica_count,
-                        bucket_count=bucket_count, faults=faults)
+                        bucket_count=bucket_count, faults=faults, trace=[])
 
 
 class TestFaultFreePath:

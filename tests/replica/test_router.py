@@ -120,3 +120,15 @@ def test_state_digest_is_reproducible():
 def test_shard_count_validated():
     with pytest.raises(ConfigurationError):
         ReplicaRouter(shard_count=0)
+
+
+def test_served_groups_record_no_events():
+    # Only callers that compare traces (the chaos battery) pass a list;
+    # a served router must not grow a tuple per write, ship and read.
+    router = ReplicaRouter(shard_count=4, replica_count=3,
+                           bucket_count=16)
+    session = router.session()
+    for i in range(1_000):
+        router.put(f"key{i % 50}", f"val{i}", session=session)
+    router.get("key0", session=session)
+    assert [group.trace for group in router.groups] == [None] * 4
