@@ -79,17 +79,17 @@ class ReplicaSnapshot:
     """One immutable published epoch of a replica's state.
 
     Shares bucket dicts with the store zero-copy (writes replace
-    buckets, never mutate them), carries the watermark the state
-    corresponds to, and the Merkle root as its digest.
+    buckets, never mutate them) and carries the watermark the state
+    corresponds to.  It carries no digest: publishing hashes nothing,
+    and replicas are compared by their stores' roots.
     """
 
-    __slots__ = ("_buckets", "watermark", "root", "epoch")
+    __slots__ = ("_buckets", "watermark", "epoch")
 
     def __init__(self, buckets: tuple[dict[str, str], ...],
-                 watermark: int, root: str) -> None:
+                 watermark: int) -> None:
         self._buckets = buckets
         self.watermark = watermark
-        self.root = root
         self.epoch = None  # set by EpochManager.publish
 
     def get(self, key: str) -> str | None:
@@ -125,7 +125,7 @@ class Replica:
         except SnapshotError:
             previous = None
         snapshot = ReplicaSnapshot(self.store.buckets_view(),
-                                   self.watermark, self.store.root)
+                                   self.watermark)
         self.epochs.publish(snapshot)
         self._previous = previous
 

@@ -8,8 +8,13 @@ canonical serialization is a Merkle leaf, so:
   state iff their roots are byte-identical (the "prove equality by
   digest, not assertion" discipline the trust-brokerage model asks of
   mutually distrusting copies);
-* a write rehashes one leaf's **root path only**
-  (:meth:`~repro.merkle.tree.MerkleTree.update_leaf`, O(log buckets));
+* a write **hashes nothing**: it marks its bucket dirty, and the
+  next digest read (:attr:`BucketedMerkleStore.root` /
+  :attr:`~BucketedMerkleStore.tree`) settles every dirty bucket in one
+  batched pass (:meth:`~repro.merkle.tree.MerkleTree.update_leaves`),
+  rehashing each changed ancestor once — O(log buckets) for one
+  write, never more than a full rebuild for many.  A digest is paid
+  for when two copies are compared, not on every put;
 * divergence between two replicas localizes to the buckets whose
   leaf hashes differ, which the anti-entropy diff finds by descending
   the tree (:mod:`repro.replica.antientropy`).
@@ -53,9 +58,11 @@ class BucketedMerkleStore:
         self._buckets: list[dict[str, str]] = [
             {} for _ in range(bucket_count)]
         self._tree = MerkleTree([""] * bucket_count)
+        #: Buckets written since the tree last settled.
+        self._dirty: set[int] = set()
         self._size = 0
-        #: Cumulative hash computations spent on incremental updates —
-        #: the O(log n)-per-write evidence the bench reports.
+        #: Cumulative hash computations spent settling dirty buckets
+        #: (a write alone spends none).
         self.hash_ops = 0
 
     # -- key routing -----------------------------------------------------
@@ -81,10 +88,17 @@ class BucketedMerkleStore:
     @property
     def root(self) -> str:
         """The state digest: byte-identical roots ⇔ identical state."""
-        return self._tree.root
+        return self.tree.root
 
     @property
     def tree(self) -> MerkleTree:
+        """The Merkle summary, settled over every write so far (a tree
+        held across later writes is stale until this is read again)."""
+        if self._dirty:
+            self.hash_ops += self._tree.update_leaves(
+                {index: bucket_payload(self._buckets[index])
+                 for index in self._dirty})
+            self._dirty.clear()
         return self._tree
 
     # -- writes (copy-on-write per bucket) -------------------------------
@@ -100,8 +114,7 @@ class BucketedMerkleStore:
         updated = dict(bucket)
         updated[key] = value
         self._buckets[index] = updated
-        self.hash_ops += self._tree.update_leaf(
-            index, bucket_payload(updated))
+        self._dirty.add(index)
         return index
 
     def delete(self, key: str) -> int:
@@ -114,8 +127,7 @@ class BucketedMerkleStore:
         del updated[key]
         self._buckets[index] = updated
         self._size -= 1
-        self.hash_ops += self._tree.update_leaf(
-            index, bucket_payload(updated))
+        self._dirty.add(index)
         return index
 
     def apply(self, ops: Iterable[tuple]) -> None:
@@ -129,16 +141,10 @@ class BucketedMerkleStore:
                 raise ConfigurationError(f"unknown replica op {op[0]!r}")
 
     def load(self, entries: dict[str, str]) -> None:
-        """Bulk-load *entries*, rebuilding the tree once (seeding path)."""
+        """Bulk-load *entries* (seeding path); the next digest read
+        settles them all in one pass."""
         for key, value in entries.items():
-            index = self.bucket_of(key)
-            bucket = dict(self._buckets[index])
-            if key not in bucket:
-                self._size += 1
-            bucket[key] = value
-            self._buckets[index] = bucket
-        self._tree = MerkleTree(
-            [bucket_payload(bucket) for bucket in self._buckets])
+            self.put(key, value)
 
     # -- bucket transfer (anti-entropy repair side) ----------------------
 
@@ -156,8 +162,7 @@ class BucketedMerkleStore:
         old = self._buckets[index]
         self._size += len(entries) - len(old)
         self._buckets[index] = dict(entries)
-        self.hash_ops += self._tree.update_leaf(
-            index, bucket_payload(entries))
+        self._dirty.add(index)
 
     def buckets_view(self) -> tuple[dict[str, str], ...]:
         """The live bucket references, for zero-copy snapshots.

@@ -112,3 +112,18 @@ def test_odd_bucket_counts_diff_correctly():
         assert diff_divergent_buckets(source.tree, target.tree) == [index]
         antientropy_repair(source, target)
         assert target.root == source.root
+
+
+def test_repair_between_never_settled_stores_converges():
+    source = BucketedMerkleStore(32)
+    target = BucketedMerkleStore(32)
+    for i in range(200):
+        source.put(f"key-{i}", f"val-{i}")
+        if i % 3:
+            target.put(f"key-{i}", f"val-{i}")
+    target.put("stray", "x")
+    assert source.hash_ops == target.hash_ops == 0
+    report = antientropy_repair(source, target)
+    assert target.root == source.root
+    assert dict(target.items()) == dict(source.items())
+    assert report.buckets_shipped == len(report.divergent_buckets) > 0

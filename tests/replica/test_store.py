@@ -1,6 +1,9 @@
 """BucketedMerkleStore: canonical digests + incremental summaries."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.merkle.tree import MerkleTree
@@ -55,14 +58,57 @@ def test_load_equals_puts():
 
 
 def test_hash_ops_stay_logarithmic():
-    """One put rehashes a root path, not the whole tree."""
+    """Settling one put rehashes a root path, not the whole tree."""
     store = BucketedMerkleStore(256)
     store.load({f"k{i}": "v" for i in range(1000)})
+    store.root                      # settle the load
     before = store.hash_ops
     store.put("k1", "changed")
+    store.root
     spent = store.hash_ops - before
     # Root path of a 256-leaf tree: 8 internal levels + 1 leaf hash.
-    assert spent <= 10
+    assert 0 < spent <= 10
+
+
+def test_put_spends_no_hashes():
+    store = BucketedMerkleStore(64)
+    store.root
+    for i in range(200):
+        store.put(f"k{i}", f"v{i}")
+        store.delete(f"k{i // 2}")
+    store.replace_bucket(3, {"x": "y"})
+    store.load({"a": "1", "b": "2"})
+    assert store.hash_ops == 0
+
+
+def test_digest_reads_settle_once():
+    store = BucketedMerkleStore(16)
+    store.put("a", "1")
+    store.root
+    settled = store.hash_ops
+    store.root
+    store.tree.node_hash(0, 0)
+    assert store.hash_ops == settled
+
+
+@pytest.mark.parametrize("bucket_count", [1, 7, 64, 100])
+def test_one_settle_costs_at_most_min_of_paths_and_rebuild(bucket_count):
+    """k writes to distinct buckets settle in <= min(k·(depth+1), 2n-1)
+    hashes: each ancestor is rehashed once, however many writes."""
+    depth = MerkleTree([""] * bucket_count).level_count - 1
+    for k in range(1, bucket_count + 1):
+        store = BucketedMerkleStore(bucket_count)
+        store.root
+        touched: set[int] = set()
+        key = 0
+        while len(touched) < k:
+            index = store.bucket_of(f"k{key}")
+            if index not in touched:
+                touched.add(index)
+                store.put(f"k{key}", "v")
+            key += 1
+        store.root
+        assert store.hash_ops <= min(k * (depth + 1), 2 * bucket_count - 1)
 
 
 def test_noop_put_and_delete_leave_root_unchanged():
@@ -140,3 +186,70 @@ class TestAlignedNodeAccess:
             tree.children_of(tree.level_count, 0)
         with pytest.raises(ConfigurationError):
             tree.node_hash(0, 99)
+
+
+def _levels(tree: MerkleTree) -> list[list[str]]:
+    return [[tree.node_hash(level, index)
+             for index in range(tree.level_width(level))]
+            for level in range(tree.level_count)]
+
+
+class TestLazySettleEquivalence:
+    """Whatever writes and reads interleave, a settled tree is the tree
+    a rebuild over the current buckets would give, at every level."""
+
+    KEYS = [f"k{i}" for i in range(24)]
+
+    @given(st.integers(1, 17), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_settled_tree_equals_rebuild(self, bucket_count, data):
+        store = BucketedMerkleStore(bucket_count)
+        model: dict[str, str] = {}
+        for _ in range(data.draw(st.integers(1, 30))):
+            step = data.draw(st.sampled_from(
+                ["put", "delete", "replace_bucket", "load",
+                 "root", "tree", "node_hash"]))
+            if step == "put":
+                key = data.draw(st.sampled_from(self.KEYS))
+                value = data.draw(st.sampled_from(["a", "b", ""]))
+                store.put(key, value)
+                model[key] = value
+            elif step == "delete":
+                key = data.draw(st.sampled_from(self.KEYS))
+                store.delete(key)
+                model.pop(key, None)
+            elif step == "replace_bucket":
+                index = data.draw(st.integers(0, bucket_count - 1))
+                entries = {key: data.draw(st.sampled_from(["c", "d"]))
+                           for key in self.KEYS
+                           if store.bucket_of(key) == index
+                           and data.draw(st.booleans())}
+                store.replace_bucket(index, entries)
+                model = {key: value for key, value in model.items()
+                         if store.bucket_of(key) != index}
+                model.update(entries)
+            elif step == "load":
+                entries = {key: "loaded" for key in data.draw(
+                    st.lists(st.sampled_from(self.KEYS), max_size=6))}
+                store.load(entries)
+                model.update(entries)
+            elif step == "root":
+                store.root
+            elif step == "tree":
+                store.tree
+            else:
+                tree = store.tree
+                level = data.draw(st.integers(0, tree.level_count - 1))
+                tree.node_hash(level, data.draw(
+                    st.integers(0, tree.level_width(level) - 1)))
+            # Settle a copy, so the store itself keeps what is dirty
+            # and the next steps exercise batched settles.
+            settled = copy.deepcopy(store)
+            rebuilt = MerkleTree([bucket_payload(bucket)
+                                  for bucket in store.buckets_view()])
+            assert _levels(settled.tree) == _levels(rebuilt)
+            assert settled.root == rebuilt.root
+            assert dict(store.items()) == model
+            assert len(store) == len(model)
+        assert _levels(store.tree) == _levels(MerkleTree(
+            [bucket_payload(bucket) for bucket in store.buckets_view()]))
