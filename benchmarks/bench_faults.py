@@ -17,7 +17,7 @@ paths and writes a machine-readable ``BENCH_faults.json``:
 Each section reports completion-rate and retry-overhead curves
 (attempts and logical backoff ticks per successful call) as the fault
 rate grows.  Two properties are asserted as oracles and gate the exit
-code, exactly like ``bench_perf_hotpaths.py``:
+code:
 
 1. fail-closed: every completed call is byte-identical to its
    fault-free run (any divergence is an oracle failure);

@@ -1,9 +1,9 @@
 """One place that knows where benchmark JSON reports live.
 
-Every ``benchmarks/bench_*.py`` persists its report to exactly one
-file: ``--output`` when given, else the committed copy under
-``benchmarks/results/BENCH_<name>.json`` (what CI uploads and the docs
-link to).
+``benchmarks/bench_faults.py`` and ``benchmarks/bench_wal.py`` each
+persist their report to exactly one file: ``--output`` when given,
+else the committed copy under ``benchmarks/results/BENCH_<name>.json``
+(what CI uploads and the docs link to).
 """
 
 from __future__ import annotations

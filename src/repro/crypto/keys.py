@@ -62,23 +62,11 @@ class KeyStore:
     def key_ids(self) -> list[str]:
         return sorted(self._keys)
 
-    def reserve_nonce(self, key_id: str) -> int:
-        """Claim the next fresh nonce for *key_id*.
-
-        Lets callers split nonce allocation (stateful, must be serial)
-        from the encryption itself (:func:`repro.crypto.symmetric.encrypt`
-        is pure, so reserved-nonce encryptions may run on worker threads
-        — see ``Disseminator.package(workers=...)``).
-        """
-        self.get(key_id)  # raises KeyManagementError on unknown keys
-        nonce = self._nonce_counters[key_id]
-        self._nonce_counters[key_id] = nonce + 1
-        return nonce
-
     def encrypt(self, key_id: str, plaintext: bytes | str) -> Ciphertext:
         """Encrypt with an automatically fresh nonce."""
         key = self.get(key_id)
-        nonce = self.reserve_nonce(key_id)
+        nonce = self._nonce_counters[key_id]
+        self._nonce_counters[key_id] = nonce + 1
         return encrypt(key, plaintext, nonce)
 
     def decrypt(self, ciphertext: Ciphertext) -> bytes:

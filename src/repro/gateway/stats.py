@@ -1,8 +1,8 @@
 """Gateway telemetry: stage counters + latency percentiles.
 
 :class:`~repro.gateway.core.AsyncRequestGateway` records into one
-:class:`GatewayStats`, so BENCH_gateway and the end-to-end benchmark
-report per-stage counters plus :class:`LatencyHistogram` percentiles
+:class:`GatewayStats`, so the end-to-end benchmark reports per-stage
+counters plus :class:`LatencyHistogram` percentiles
 (p50/p99/p999), not just throughput.
 
 The histogram is two-tier log-linear: each power-of-two octave from the

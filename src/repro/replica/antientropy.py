@@ -5,14 +5,15 @@ Two replicas with equal bucket counts hold Merkle trees of identical
 shape (:meth:`~repro.merkle.tree.MerkleTree.children_of`), so the diff
 walks both trees top-down in lockstep: equal node hashes prune the
 whole subtree, unequal ones descend.  Only the divergent leaf buckets'
-payloads cross the wire — bytes shipped is O(divergent subtrees), the
-property the replica bench gates at ≥10x under full resync.
+payloads cross the wire — bytes shipped is O(divergent subtrees), at
+least 10x under a full resync at 1% divergence
+(``tests/replica/test_antientropy.py``).
 
 Wire accounting models a real exchange: each compared hash costs
 :data:`HASH_WIRE_BYTES` (a raw SHA-256 digest), each descend request
 names a node for :data:`NODE_ID_WIRE_BYTES`, and each shipped bucket
-costs its canonical payload length.  The totals are what
-``BENCH_replica.json`` reports against the full-resync baseline.
+costs its canonical payload length, so a repair's totals compare
+directly with a full resync's.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The replica chaos harness: seeded havoc, one convergence oracle.
 
-Shared by the test battery (``tests/faults/test_replica_chaos.py``)
-and ``benchmarks/bench_replica.py``: run a fixed workload against a
+Driven by the test battery (``tests/faults/test_replica_chaos.py``):
+run a fixed workload against a
 :class:`~repro.replica.group.ReplicaGroup` under a seeded
 :class:`~repro.faults.plan.FaultPlan`, retrying writes through
 failover, then let anti-entropy run and require the group to converge

@@ -22,9 +22,7 @@ generalizes that shape into a store-agnostic read path:
   policy epoch it publishes and decides against the pinned epoch's
   table — the compiled implementation of the authorization contract;
 * :mod:`repro.snap.xmlstore` — the snapshot variant of the XML
-  database;
-* :mod:`repro.snap.dissemination` — packet packaging over snapshots
-  with cross-epoch fragment interning.
+  database.
 """
 
 from repro.snap.epoch import EpochManager, EpochStats
@@ -43,7 +41,6 @@ from repro.snap.policy import (
     SnapshotPolicyBase,
 )
 from repro.snap.xmlstore import SnapshotXmlDatabase, XmlSnapshot
-from repro.snap.dissemination import SnapshotDisseminator
 
 __all__ = [
     "EpochManager",
@@ -53,7 +50,6 @@ __all__ = [
     "FrozenElement",
     "InternPool",
     "PolicySnapshot",
-    "SnapshotDisseminator",
     "SnapshotPolicyBase",
     "SnapshotXmlDatabase",
     "XmlSnapshot",

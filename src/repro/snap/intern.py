@@ -4,11 +4,10 @@ Because frozen subtrees are shared by reference across snapshots, the
 *object identity* of a :class:`~repro.snap.frozen.FrozenElement` is a
 perfect cache key: if two epochs contain the same node object, every
 artifact derived from that subtree — its canonical serialization, its
-Merkle hash, a thawed mutable copy — is identical too.  The
-:class:`InternPool` exploits this with three bounded caches keyed by the
-node objects themselves (which hash by identity; holding them as keys
-also pins them, so a collected node's recycled ``id()`` can never alias
-an entry):
+Merkle hash — is identical too.  The :class:`InternPool` exploits this
+with two bounded caches keyed by the node objects themselves (which
+hash by identity; holding them as keys also pins them, so a collected
+node's recycled ``id()`` can never alias an entry):
 
 * **fragments** — canonical serialized bytes per subtree, filled by
   :func:`serialize_pieces`, the one walk that serializes frozen trees
@@ -24,14 +23,10 @@ an entry):
   spine it copied;
 * **merkle** — Merkle subtree hashes, composed with the same
   :func:`repro.merkle.xml_merkle.node_hash` recurrence as the live
-  hashers, so snapshot root hashes are interchangeable with theirs;
-* **thawed** — mutable :class:`~repro.xmldb.model.Document` copies
-  keyed by frozen root, for consumers that need parent pointers and
-  node paths (view computation, dissemination).  Treat them as
-  read-only.
+  hashers, so snapshot root hashes are interchangeable with theirs.
 
 The pool is shared across epochs on purpose — that is where the
-cross-epoch reuse the benchmarks measure comes from.  All three caches
+cross-epoch reuse of unchanged subtrees comes from.  Both caches
 are plain :class:`~repro.core.cache.LRUCache` instances keyed by node
 identity (frozen state never mutates, so an entry can never go stale,
 only cold).  Fragment hit rates are low by construction: one
@@ -44,8 +39,7 @@ from typing import Iterator
 
 from repro.merkle.xml_merkle import content_hash, node_hash
 from repro.core.cache import LRUCache, MISS
-from repro.snap.frozen import FrozenDocument, FrozenElement, thaw_document
-from repro.xmldb.model import Document
+from repro.snap.frozen import FrozenDocument, FrozenElement
 from repro.xmldb.serializer import escape_attribute, escape_text
 
 #: The interning unit and the default stream chunk (characters): small
@@ -180,11 +174,9 @@ class InternPool:
     """Shared caches of per-subtree artifacts, keyed by node identity."""
 
     def __init__(self, fragment_capacity: int = 200_000,
-                 merkle_capacity: int = 200_000,
-                 thawed_capacity: int = 256) -> None:
+                 merkle_capacity: int = 200_000) -> None:
         self._fragments = LRUCache(maxsize=fragment_capacity)
         self._merkle = LRUCache(maxsize=merkle_capacity)
-        self._thawed = LRUCache(maxsize=thawed_capacity)
 
     # -- canonical serialization ----------------------------------------
 
@@ -232,31 +224,12 @@ class InternPool:
     def merkle_document(self, document: FrozenDocument) -> str:
         return self.merkle(document.root)
 
-    # -- thawed documents ------------------------------------------------
-
-    def thawed(self, document: FrozenDocument) -> Document:
-        """A mutable copy of *document*, cached by frozen-root identity.
-
-        The same object is returned for every epoch that shares the
-        root, so downstream caches keyed by the document (views,
-        dissemination payloads) hit across epochs.  Callers must treat
-        the result as read-only.
-        """
-        cached = self._thawed.get(document.root)
-        if cached is not MISS:
-            return cached
-        thawed = thaw_document(document)
-        self._thawed.put(document.root, thawed)
-        return thawed
-
     # -- introspection ---------------------------------------------------
 
     def stats(self) -> dict[str, dict[str, int | float]]:
         return {"fragments": self._fragments.stats.snapshot(),
-                "merkle": self._merkle.stats.snapshot(),
-                "thawed": self._thawed.stats.snapshot()}
+                "merkle": self._merkle.stats.snapshot()}
 
     def clear(self) -> None:
         self._fragments.clear()
         self._merkle.clear()
-        self._thawed.clear()

@@ -132,11 +132,6 @@ class XmlSnapshot:
                 path: str) -> FrozenElement:
         return resolve(self.document(collection, doc_id).root, path)
 
-    def thawed(self, collection: str, doc_id: str) -> Document:
-        """A read-only mutable-model copy (for consumers needing parent
-        pointers/node paths), cached by frozen-root identity."""
-        return self._pool.thawed(self.document(collection, doc_id))
-
     def __repr__(self) -> str:
         return (f"<XmlSnapshot epoch={self.epoch} "
                 f"collections={len(self._collections)}>")

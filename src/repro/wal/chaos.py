@@ -1,7 +1,7 @@
 """The WAL chaos harness: seeded power loss, one replay oracle.
 
-Shared by the kill-and-recover battery (``tests/faults/test_wal_chaos.py``)
-and ``benchmarks/bench_wal.py``: run a fixed grouped workload against a
+Driven by the kill-and-recover battery (``tests/faults/test_wal_chaos.py``):
+run a fixed grouped workload against a
 :class:`~repro.wal.durable.DurableXmlStore` over the :class:`MemVfs`
 power-loss model, cut the power at a seeded point, recover, and demand
 one of exactly two outcomes:

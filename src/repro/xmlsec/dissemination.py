@@ -28,11 +28,9 @@ disclosure Author-X's connectors make.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.cache import MISS, LRUCache
 from repro.core.errors import (
     IncompletePackageError,
     IntegrityError,
@@ -44,7 +42,7 @@ from repro.core.errors import (
 from repro.core.subjects import Subject
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.keys import KeyDistributor, KeyStore
-from repro.crypto.symmetric import Ciphertext, encrypt as symmetric_encrypt
+from repro.crypto.symmetric import Ciphertext
 from repro.faults.clock import FaultClock
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind
@@ -121,15 +119,14 @@ class Packet:
     owner packaged, sorted by key id.  Subscribers check received
     blocks against it (:func:`open_packet_checked`): a missing block
     for a held key is an *omission*, a digest mismatch is *tampering* —
-    both typed errors, never silently-partial views.  Empty on packets
-    built by older code; checking then falls back to MAC verification
-    alone.
+    both typed errors, never silently-partial views.  A held-key block
+    the manifest does not list is *tampering* too.
     """
 
     doc_id: str
     blocks: tuple[Ciphertext, ...]
     skeleton: dict[str, int]
-    manifest: tuple[tuple[str, str], ...] = ()
+    manifest: tuple[tuple[str, str], ...]
 
     @property
     def configuration_count(self) -> int:
@@ -219,34 +216,13 @@ def subject_can_unlock(policy_base: XmlPolicyBase, subject: Subject,
 
 
 class Disseminator:
-    """Owner-side machinery: label, group, encrypt, distribute keys.
-
-    With ``intern=True`` the expensive, deterministic half of
-    :meth:`package` — labelling, configuration grouping and payload
-    serialization — is cached under ``(doc_id, document, policy
-    generation, document version)``, so any policy or document change
-    makes the next lookup miss.  Re-packaging an unchanged document then
-    only re-encrypts (each packet still gets fresh nonces).  The cache
-    is keyed by the document *object* (identity), which is what lets
-    the snapshot layer share prep work across epochs: an unchanged
-    frozen document thaws to the same cached object every epoch.
-    """
+    """Owner-side machinery: label, group, encrypt, distribute keys."""
 
     def __init__(self, policy_base: XmlPolicyBase,
-                 secret: str = "dissemination",
-                 intern: bool = False) -> None:
+                 secret: str = "dissemination") -> None:
         self.policy_base = policy_base
         self.key_store = KeyStore(secret)
         self._configurations: dict[str, Configuration] = {}
-        self._prep_cache: LRUCache | None = (
-            LRUCache(maxsize=256) if intern else None)
-
-    @property
-    def prep_stats(self) -> dict[str, int | float] | None:
-        """Packaging-prep cache counters (None unless interning)."""
-        if self._prep_cache is None:
-            return None
-        return self._prep_cache.stats.snapshot()
 
     def configurations_of(self, doc_id: str, document: Document
                           ) -> dict[int, Configuration]:
@@ -255,49 +231,12 @@ class Disseminator:
 
     # -- packaging ------------------------------------------------------
 
-    def package(self, doc_id: str, document: Document,
-                workers: int | None = None) -> Packet:
+    def package(self, doc_id: str, document: Document) -> Packet:
         """Encrypt *document* into one block per distinct configuration.
 
         Elements with the empty configuration (no grant at all) go under
         the reserved ``cfg:none`` key, which is never distributed.
-
-        With ``workers`` set, block encryption runs on a thread pool:
-        keys are created and nonces reserved serially (the key store is
-        not thread-safe), then the pure
-        :func:`repro.crypto.symmetric.encrypt` calls run concurrently.
-        Encryption is deterministic given (key, nonce), so the packet is
-        byte-identical to the serial one.
         """
-        skeleton, payloads = self._prepare(doc_id, document)
-        jobs = []
-        for key_id, payload in payloads:
-            key = self.key_store.get_or_create(key_id)
-            jobs.append((key, payload, self.key_store.reserve_nonce(key_id)))
-        if workers is not None and workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(
-                    lambda job: symmetric_encrypt(*job), jobs))
-        else:
-            blocks = [symmetric_encrypt(*job) for job in jobs]
-        manifest = tuple(sorted(
-            (block.key_id, block_digest(block)) for block in blocks))
-        return Packet(doc_id, tuple(blocks), dict(skeleton), manifest)
-
-    def _prepare(self, doc_id: str, document: Document
-                 ) -> tuple[dict[str, int],
-                            tuple[tuple[str, str], ...]]:
-        """The deterministic packaging prep: skeleton + per-key payloads.
-
-        Cached when interning is on (see class docstring); the returned
-        structures are treated as read-only by :meth:`package`.
-        """
-        cache_key = (doc_id, document, self.policy_base.generation,
-                     document.version)
-        if self._prep_cache is not None:
-            prep = self._prep_cache.get(cache_key)
-            if prep is not MISS:
-                return prep
         configurations = self.configurations_of(doc_id, document)
         groups: dict[str, list[Fragment]] = {}
         skeleton: dict[str, int] = {}
@@ -314,15 +253,16 @@ class Disseminator:
             groups.setdefault(key_id, []).append(Fragment(
                 node.node_path(), node.tag,
                 tuple(sorted(node.attributes.items())), node.text))
-        # JSON framing: fragment text may contain any character, so a
-        # bare separator byte would be ambiguous.
-        payloads = tuple(
-            (key_id, json.dumps([f.serialize() for f in groups[key_id]]))
-            for key_id in sorted(groups))
-        prep = (skeleton, payloads)
-        if self._prep_cache is not None:
-            self._prep_cache.put(cache_key, prep)
-        return prep
+        blocks = []
+        for key_id in sorted(groups):
+            self.key_store.get_or_create(key_id)
+            # JSON framing: fragment text may contain any character, so
+            # a bare separator byte would be ambiguous.
+            blocks.append(self.key_store.encrypt(key_id, json.dumps(
+                [f.serialize() for f in groups[key_id]])))
+        manifest = tuple(sorted(
+            (block.key_id, block_digest(block)) for block in blocks))
+        return Packet(doc_id, tuple(blocks), skeleton, manifest)
 
     # -- key distribution -------------------------------------------------
 
@@ -410,8 +350,11 @@ class FaultyChannel:
     errors; block-level faults return a damaged packet — dropped,
     duplicated, shuffled or bit-rotted blocks — which is exactly what
     :func:`open_packet_checked` must catch.  A faithless *publisher*
-    omitting or forging blocks looks identical on the wire, so the same
-    subscriber check covers both accident and malice.
+    omitting, forging or splicing in blocks under the manifest it
+    published looks identical on the wire, so the same subscriber check
+    covers it.  The manifest itself is not authenticated: a publisher
+    that rewrites it along with the blocks is not caught here (that
+    needs an owner-signed manifest).
     """
 
     def __init__(self, faults: FaultInjector, name: str = "channel") -> None:
@@ -460,29 +403,29 @@ def open_packet_checked(packet: Packet, keys: KeyStore) -> Document | None:
     """Fail-closed subscriber opening.
 
     Every block for a key the subscriber holds is checked against the
-    manifest before use: a digest mismatch (or a MAC failure during
-    decryption) raises :class:`TamperedPackageError`; a manifest entry
-    with no matching block raises :class:`IncompletePackageError`.
-    Only a packet that passes completely is rebuilt into a view —
-    corrupted bytes are never rendered, partially-decryptable packets
-    are never silently truncated.
+    manifest before use: a block the manifest does not list, a digest
+    mismatch, an empty manifest (or a MAC failure during decryption)
+    raises :class:`TamperedPackageError`; a manifest entry with no
+    matching block raises :class:`IncompletePackageError`.  Only a
+    packet that passes completely is rebuilt into a view — corrupted
+    or foreign bytes are never rendered, partially-decryptable packets
+    are never silently truncated.  Configuration keys are shared across
+    documents, so the MAC alone cannot tell this document's block from
+    another's; the manifest can.
     """
     expected = {key_id: digest for key_id, digest in packet.manifest}
+    if not expected:
+        raise TamperedPackageError(
+            f"packet {packet.doc_id!r} carries no manifest")
     held_blocks: dict[str, Ciphertext] = {}
     for block in packet.blocks:
         if block.key_id not in keys:
             continue
-        digest = block_digest(block)
-        if expected and block.key_id in expected:
-            if digest != expected[block.key_id]:
-                raise TamperedPackageError(
-                    f"block {block.key_id!r} of {packet.doc_id!r} does "
-                    f"not match the owner's manifest")
-        seen = held_blocks.get(block.key_id)
-        if seen is not None and block_digest(seen) != digest:
+        if block_digest(block) != expected.get(block.key_id):
             raise TamperedPackageError(
-                f"conflicting duplicates of block {block.key_id!r}")
-        held_blocks[block.key_id] = block
+                f"block {block.key_id!r} of {packet.doc_id!r} does "
+                f"not match the owner's manifest")
+        held_blocks[block.key_id] = block  # a listed duplicate is equal
     missing = [key_id for key_id in expected
                if key_id in keys and key_id not in held_blocks]
     if missing:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cache import MISS, LRUCache
 from repro.core.subjects import Subject
 from repro.merkle.xml_merkle import make_pruned_marker
 from repro.xmldb.model import Document, Element
@@ -121,42 +120,6 @@ def compute_view(policy_base: XmlPolicyBase, subject: Subject,
     if is_pruned_marker(root_view):
         return None, stats
     return Document(root_view, name=f"{document.name}@view"), stats
-
-
-class CachedViewBuilder:
-    """Memoized :func:`compute_view` for the read-mostly serving path.
-
-    Entries are keyed by ``(subject, doc_id, document, with_markers,
-    policy generation, document version)`` — subject and document hash
-    by identity and are pinned by the key — so any policy change or
-    document mutation makes the next lookup miss, and superseded views
-    age out of the bounded cache.  Against snapshot-thawed documents
-    (constant version, stable identity across epochs) the key never
-    moves and repeat views are pure hits, including across epochs.
-    Returned views must be treated as read-only.
-    """
-
-    def __init__(self, policy_base: XmlPolicyBase,
-                 maxsize: int = 256) -> None:
-        self.policy_base = policy_base
-        self._cache = LRUCache(maxsize=maxsize)
-
-    @property
-    def cache_stats(self) -> dict[str, int | float]:
-        return self._cache.stats.snapshot()
-
-    def view(self, subject: Subject, doc_id: str, document: Document,
-             with_markers: bool = False
-             ) -> tuple[Document | None, ViewStats]:
-        key = (subject, doc_id, document, with_markers,
-               self.policy_base.generation, document.version)
-        cached = self._cache.get(key)
-        if cached is not MISS:
-            return cached
-        result = compute_view(self.policy_base, subject, doc_id,
-                              document, with_markers)
-        self._cache.put(key, result)
-        return result
 
 
 def visible_element_count(policy_base: XmlPolicyBase, subject: Subject,

@@ -31,7 +31,9 @@ from repro.xmlsec.authorx import XmlPolicyBase, xml_deny, xml_grant
 from repro.xmlsec.dissemination import (
     Disseminator,
     FaultyChannel,
+    Packet,
     ResilientSubscriber,
+    block_digest,
     omit_block,
     open_packet,
     open_packet_checked,
@@ -168,6 +170,62 @@ class TestCheckedOpening:
 
     def test_clean_packet_matches_unchecked_opening(self):
         assert serialize(open_packet_checked(PACKET, STORE)) == ORACLE_VIEW
+
+
+class TestManifestBinding:
+    """A held-key block counts only if this document's manifest lists
+    it.  Configuration keys are shared across documents, so a block
+    the owner packaged for another document passes its MAC."""
+
+    NOTE_TEXT = ("<hospital><record id=\"r1\"><name>Alice</name>"
+                 "</record><note>secret-B</note></hospital>")
+
+    def spliced(self):
+        base = XmlPolicyBase([
+            xml_grant(has_role("doctor"), "/hospital"),
+            xml_deny(anyone(), "//ssn"),
+            xml_grant(has_role("nurse"), "//record/name"),
+            xml_grant(has_role("doctor"), "//note"),
+        ])
+        disseminator = Disseminator(base)
+        packet_a = disseminator.package("a", parse(DOC_TEXT, name="a"))
+        packet_b = disseminator.package(
+            "b", parse(self.NOTE_TEXT, name="b"))
+        store = KeyStore("rx-dr")
+        for key in disseminator.distributor(
+                {"dr": DOCTOR}).grant("dr").keys:
+            store.import_key(key)
+        listed = {key_id for key_id, _ in packet_a.manifest}
+        foreign = [block for block in packet_b.blocks
+                   if block.key_id in store and block.key_id not in listed]
+        assert len(foreign) == 1  # the <note>'s configuration
+        return packet_a, foreign[0], store
+
+    def test_block_spliced_from_another_document_raises_tampered(self):
+        packet, foreign, store = self.spliced()
+        spliced = Packet(packet.doc_id, packet.blocks + (foreign,),
+                         dict(packet.skeleton), packet.manifest)
+        assert "secret-B" in serialize(open_packet(spliced, store))
+        with pytest.raises(TamperedPackageError):
+            open_packet_checked(spliced, store)
+
+    def test_empty_manifest_raises_tampered(self):
+        bare = Packet(PACKET.doc_id, PACKET.blocks, dict(PACKET.skeleton),
+                      ())
+        with pytest.raises(TamperedPackageError):
+            open_packet_checked(bare, STORE)
+
+    def test_unlisted_duplicate_of_a_held_block_raises_tampered(self):
+        # The owner's own key and plaintext under a fresh nonce: a valid
+        # MAC, a listed key id, but bytes the manifest never listed.
+        packet, store, owner = make_setup()
+        held = next(block for block in packet.blocks if block.key_id in store)
+        copy = owner.encrypt(held.key_id, store.decrypt(held))
+        assert block_digest(copy) != block_digest(held)
+        duplicated = Packet(packet.doc_id, packet.blocks + (copy,),
+                            dict(packet.skeleton), packet.manifest)
+        with pytest.raises(TamperedPackageError):
+            open_packet_checked(duplicated, store)
 
 
 class TestDeterminism:

@@ -2,11 +2,12 @@
 
 ``batch_size`` bounds how many requests one tick takes, and so how the
 deficit-round-robin scheduler cuts a multi-tenant backlog into shard
-groups.  None of that may reach a decision: at one request per tick, at
-a few, and at one tick for the whole backlog, every response is
-byte-identical to the router deciding that request alone.  A batch
-admitted as one unit resolves to the same decisions, in submission
-order.
+groups.  None of that may reach a decision, and neither may the shard
+count: at one request per tick, at a few, and at one tick for the whole
+backlog, over one, four or eight shards, every response is
+byte-identical to the cache-free interpreter deciding that request
+alone.  A batch admitted as one unit resolves to the same decisions, in
+submission order.
 """
 
 import asyncio
@@ -14,7 +15,13 @@ import random
 
 import pytest
 
-from repro.gateway import AsyncRequestGateway, TenantConfig
+from repro.core.evaluator import PolicyEvaluator
+from repro.core.policy import PolicyBase
+from repro.gateway import (
+    AsyncRequestGateway,
+    EpochalShardRouter,
+    TenantConfig,
+)
 from repro.scale.gateway import Request
 
 from tests.faults.test_async_gateway_chaos import (
@@ -23,6 +30,7 @@ from tests.faults.test_async_gateway_chaos import (
     decision_bytes,
     workload,
 )
+from tests.scale.workloads import random_policies
 
 WIDE_OPEN = TenantConfig(rate=1e9, burst=1e9)
 
@@ -34,9 +42,13 @@ def reference(engine, requests) -> list[bytes]:
 
 
 @pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("shards", [1, 4, 8])
 @pytest.mark.parametrize("batch_size", [1, 5, 64])
-def test_decisions_do_not_depend_on_batch_size(batch_size, seed):
-    engine, requests = build_engine(seed), workload(seed)
+def test_decisions_do_not_depend_on_batch_size_or_shard_count(
+        batch_size, shards, seed):
+    policies = random_policies(random.Random(seed), 25)
+    engine = EpochalShardRouter.from_policies(policies, shard_count=shards)
+    requests = workload(seed)
 
     async def scenario():
         gateway = AsyncRequestGateway(
@@ -51,7 +63,8 @@ def test_decisions_do_not_depend_on_batch_size(batch_size, seed):
         assert gateway.stats.batches == -(-len(requests) // batch_size)
         return [decision_bytes(future.result()) for future in futures]
 
-    assert asyncio.run(scenario()) == reference(engine, requests)
+    interpreter = PolicyEvaluator(PolicyBase(policies))
+    assert asyncio.run(scenario()) == reference(interpreter, requests)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -70,3 +83,4 @@ def test_a_batch_admitted_as_one_unit_decides_like_single_requests(seed):
         return [decision_bytes(decision) for decision in await gathered]
 
     assert asyncio.run(scenario()) == reference(engine, requests)
+

@@ -88,8 +88,8 @@ class TestSaturatingBucket:
 
 class TestSubMillisecondResolution:
     def test_nearby_submillisecond_samples_resolve_apart(self):
-        # The BENCH_gateway regression: 4µs and 12µs request latencies
-        # used to collapse into one 16.384ms log2 bucket.  With linear
+        # A past regression: 4µs and 12µs request latencies used to
+        # collapse into one 16.384ms log2 bucket.  With linear
         # sub-buckets they land in distinct buckets and the percentiles
         # differentiate.
         histogram = LatencyHistogram()

@@ -1,9 +1,13 @@
 """Snapshot XML database: equivalence with the live store + interning."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.errors import ConfigurationError, QueryError
 from repro.merkle.xml_merkle import document_hash
+from repro.snap.frozen import thaw_document
 from repro.snap.intern import InternPool
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.xmldb.database import Collection
@@ -91,12 +95,79 @@ class TestEquivalence:
             assert (snap.merkle_root("c", doc_id)
                     == document_hash(live.get(doc_id))), doc_id
 
-    def test_thawed_document_serializes_identically_and_is_cached(self):
+    def test_thawed_document_serializes_identically(self):
         snap = snapshot_db().current()
-        thawed = snap.thawed("c", "d1")
+        thawed = thaw_document(snap.document("c", "d1"))
         assert serialize(thawed) == snap.serialize("c", "d1")
-        # Cached by frozen-root identity: same object on repeat reads.
-        assert snap.thawed("c", "d1") is thawed
+
+
+class TestConcurrentReaders:
+    def test_reader_threads_see_their_epochs_bytes_while_a_writer_runs(self):
+        """Readers on four threads hold an epoch from ``current()`` or
+        ``reading()`` across a pass over every document (and the first
+        epoch across the whole run), lock-free, while a writer advances
+        the epoch with each edit.  Every read is byte-identical to the
+        live store's serialization as of the epoch that read saw."""
+        db, live = snapshot_db(), live_collection()
+        expected = {db.current().epoch: {
+            doc_id: serialize(live.get(doc_id)) for doc_id in DOCS}}
+        done = threading.Event()
+        start = threading.Barrier(5, timeout=60)
+        reads: list[list[tuple[int, str, str]]] = [[] for _ in range(4)]
+
+        def read_all(out, snap):
+            for doc_id in sorted(DOCS):
+                out.append((snap.epoch, doc_id, snap.serialize("c", doc_id)))
+
+        def reader(out):
+            with db.epochs.reading() as first:
+                read_all(out, first)  # before any write
+                start.wait()
+                while not done.is_set():
+                    read_all(out, db.current())
+                    with db.epochs.reading() as snap:
+                        read_all(out, snap)
+                read_all(out, first)  # pinned across every write
+            read_all(out, db.current())  # after the last write
+
+        def writer():
+            start.wait()
+            try:
+                for step in range(60):
+                    record = live.get(f"d{1 + step % 2}").root \
+                        .element_children[0]
+                    if step % 2:
+                        db.set_attribute("c", "d2", "/hospital/record",
+                                         "step", str(step))
+                        record.set_attribute("step", str(step))
+                    else:
+                        db.set_text("c", "d1", "/hospital/record/diagnosis",
+                                    f"dx-{step}")
+                        record.element_children[1].set_text(f"dx-{step}")
+                    expected[db.current().epoch] = {
+                        doc_id: serialize(live.get(doc_id))
+                        for doc_id in DOCS}
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=reader, args=(out,), daemon=True)
+                   for out in reads]
+        threads.append(threading.Thread(target=writer, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(expected) == 61
+        seen = [entry for out in reads for entry in out]
+        assert len({epoch for epoch, _, _ in seen}) >= 2
+        for epoch, doc_id, text in seen:
+            assert text == expected[epoch][doc_id], (epoch, doc_id)
 
 
 class TestStoreSemantics:

@@ -23,6 +23,25 @@ class TestScan:
         result = recover(vfs, from_lsn=lsns[5])
         assert [lsn for lsn, _ in result.records] == lsns[6:]
 
+    def test_checkpoint_at_ninety_percent_cuts_replay_fivefold(self):
+        # A multi-segment log, its sealed prefix truncated up to a
+        # checkpoint at 90%: the suffix scan replays and reads at least
+        # 5x less than the full scan (10.1x records, 8.5x bytes here).
+        vfs = MemVfs()
+        payload = b"{'op': 'insert', 'collection': 'orders'}" * 2
+        wal = WriteAheadLog(vfs, segment_bytes=8 * 1024)
+        lsns = [wal.append(payload) for _ in range(2_000)]
+        wal.close()
+        full = recover(vfs)
+        assert [lsn for lsn, _ in full.records] == lsns
+        assert full.segments >= 20
+        checkpoint = lsns[1_800]
+        assert wal.truncate_until(checkpoint) >= 1
+        suffix = recover(vfs, from_lsn=checkpoint)
+        assert [lsn for lsn, _ in suffix.records] == lsns[1_801:]
+        assert len(full.records) >= 5 * len(suffix.records)
+        assert full.bytes_scanned >= 5 * suffix.bytes_scanned
+
 
 class TestDamage:
     def test_missing_interior_segment_is_corrupt(self):

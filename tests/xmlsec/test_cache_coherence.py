@@ -1,12 +1,10 @@
-"""The xmlsec caches carry their stamp in the key.
+"""The Author-X label cache carries its stamp in the key.
 
-The Author-X label cache, :class:`CachedViewBuilder` and the
-:class:`Disseminator`'s packaging-prep cache each key an entry by the
-subject and document it was computed for plus ``(policy generation,
-document version)``.  So after a policy add, a policy remove or an
-in-place document edit, each must return what an uncached computation
-returns.  The keys the mutations strand must not grow the cache past its
-``maxsize``.
+It keys an entry by the subject and document it was computed for plus
+``(policy generation, document version)``.  So after a policy add, a
+policy remove or an in-place document edit, it must return what an
+uncached computation returns.  The keys the mutations strand must not
+grow the cache past its ``maxsize``.
 """
 
 import pytest
@@ -14,10 +12,7 @@ import pytest
 from repro.core.credentials import has_role
 from repro.core.subjects import Role, Subject
 from repro.xmldb.model import Document, element
-from repro.xmldb.serializer import serialize
 from repro.xmlsec.authorx import XmlPolicyBase, xml_deny, xml_grant
-from repro.xmlsec.dissemination import Disseminator
-from repro.xmlsec.views import CachedViewBuilder, compute_view
 
 DOCTOR = Subject("dr", roles={Role("doctor")})
 
@@ -44,42 +39,10 @@ class Labels:
         return self.base.label_document(DOCTOR, "d1", doc, use_cache=False)
 
 
-class Views:
-    def __init__(self, base):
-        self.base = base
-        self.builder = CachedViewBuilder(base)
-        self.cache = self.builder._cache
-
-    @staticmethod
-    def _bytes(result):
-        view, stats = result
-        return serialize(view), stats
-
-    def cached(self, doc):
-        return self._bytes(self.builder.view(DOCTOR, "d1", doc))
-
-    def uncached(self, doc):
-        return self._bytes(compute_view(self.base, DOCTOR, "d1", doc))
-
-
-class Prep:
-    def __init__(self, base):
-        self.interned = Disseminator(base, intern=True)
-        self.plain = Disseminator(base)
-        self.cache = self.interned._prep_cache
-
-    def cached(self, doc):
-        return self.interned._prepare("d1", doc)
-
-    def uncached(self, doc):
-        return self.plain._prepare("d1", doc)
-
-
-@pytest.fixture(params=[Labels, Views, Prep],
-                ids=lambda kind: kind.__name__.lower())
-def setup(request):
+@pytest.fixture
+def setup():
     base = XmlPolicyBase([xml_grant(has_role("doctor"), "//record")])
-    return base, request.param(base), hospital()
+    return base, Labels(base), hospital()
 
 
 def first_record(doc):
