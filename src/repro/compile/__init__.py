@@ -17,9 +17,10 @@ The pipeline (§3.2's policy bases made cheap to enforce):
    label automata over tag chains, verified against the document
    labeller on spine documents.
 
-The table serves through :class:`~repro.snap.policy.EpochalPolicyEngine`:
-every published policy epoch carries its own :class:`CompiledPolicy`,
-so publication is recompilation and a read never checks freshness.
+The table serves through :class:`~repro.gateway.engine.EpochalShardRouter`:
+every publication carries one :class:`CompiledPolicy` per shard, and a
+change recompiles only the shards it routes to, so a read never checks
+freshness.
 """
 
 from repro.compile.pathdfa import (

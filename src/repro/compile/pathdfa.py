@@ -41,18 +41,13 @@ from fnmatch import fnmatchcase
 from typing import Iterator, Sequence
 
 from repro.core.errors import ConfigurationError
-from repro.core.objects import ResourcePath
+from repro.core.objects import ResourcePath, is_glob
 from repro.core.policy import Policy, Propagation
 
 #: Stand-in for "a segment no pattern mentions" in the witness alphabet.
 OTHER_SEGMENT = "~other~"
 
-_GLOB_CHARS = "*?["
 _CHAR_CLASS = re.compile(r"\[(!?)([^\]]+)\]")
-
-
-def _is_glob(segment: str) -> bool:
-    return any(ch in segment for ch in _GLOB_CHARS)
 
 
 def glob_witnesses(segment: str) -> frozenset[str]:
@@ -72,7 +67,7 @@ def glob_witnesses(segment: str) -> frozenset[str]:
     candidates.add(stripped.replace("*", "~"))
     return frozenset(
         c for c in candidates
-        if c and "/" not in c and not _is_glob(c)
+        if c and "/" not in c and not is_glob(c)
         and fnmatchcase(c, segment))
 
 
@@ -172,7 +167,7 @@ class MergedPathDfa:
         self._glob_literal_matches: dict[str, frozenset[str]] = {}
         self._all_literals = frozenset(
             seg for nfa in self._nfas for seg in nfa.segments
-            if not _is_glob(seg))
+            if not is_glob(seg))
         self.eager_states = 0
         self.start = self._intern(
             tuple(nfa.start_mask for nfa in self._nfas), witness=())
@@ -270,7 +265,7 @@ class MergedPathDfa:
                     continue
                 if seg in ("*", "**"):
                     continue
-                if _is_glob(seg):
+                if is_glob(seg):
                     segments |= glob_witnesses(seg)
                     segments |= self._matching_literals(seg)
                 else:

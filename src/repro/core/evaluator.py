@@ -17,7 +17,7 @@ and OPEN (grant, public web content).
 
 :class:`Authorizer` names the one authorization contract.
 :class:`PolicyEvaluator` is its interpreter — cache-free, the oracle;
-the compiled epochal tables behind
+the per-shard compiled tables published by
 :class:`~repro.gateway.engine.EpochalShardRouter` are its fast path,
 and the two are checked against each other.
 """
@@ -71,9 +71,10 @@ class Authorizer(Protocol):
     * :class:`PolicyEvaluator` — the cache-free interpreter: every
       request re-derives its applicable policies from the base.  It is
       the oracle every other answer is checked against.
-    * :class:`~repro.gateway.engine.EpochalShardRouter` (and each of its
-      :class:`~repro.snap.policy.EpochalPolicyEngine` shards) — the fast
-      path: every published epoch carries its compiled decision table.
+    * :class:`~repro.gateway.engine.EpochalShardRouter` — the fast
+      path: every publication carries one compiled decision table per
+      shard, and the gateway decides a shard group through
+      ``engine(shard).decide_batch``.
 
     ``decide_batch(requests)`` equals ``[decide(*r) for r in requests]``
     — decisions and audit rows, in input order.  A request is a

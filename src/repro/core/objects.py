@@ -80,6 +80,11 @@ class ResourcePath:
             yield ResourcePath(self.segments[:length])
 
 
+def is_glob(segment: str) -> bool:
+    """True when a pattern segment is a glob rather than a literal."""
+    return any(ch in segment for ch in "*?[")
+
+
 @dataclass(frozen=True)
 class ResourcePattern:
     """Glob pattern over resource paths, one glob per segment.
@@ -139,7 +144,7 @@ class ResourcePattern:
         for segment in self.segments:
             if segment == "**":
                 score += 1
-            elif any(ch in segment for ch in "*?["):
+            elif is_glob(segment):
                 score += 2
             else:
                 score += 3

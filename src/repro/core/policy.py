@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.core.credentials import CredentialExpression, anyone
 from repro.core.errors import ConfigurationError
-from repro.core.objects import ResourcePath, ResourcePattern
+from repro.core.objects import ResourcePath, ResourcePattern, is_glob
 from repro.core.subjects import Subject
 
 
@@ -161,6 +161,24 @@ def deny(subject_expression: CredentialExpression | None = None,
                   condition, priority)
 
 
+#: The index head of every policy whose pattern can match under any
+#: first path segment.
+GLOB_HEAD = "*"
+
+
+def index_head(policy: Policy) -> str:
+    """The first-segment key a policy is indexed (and placed) under.
+
+    A literal first segment is its own key; a glob one — and the empty
+    pattern, which matches only the root — is :data:`GLOB_HEAD`, since
+    such a policy can apply to a path under any head.
+    """
+    segments = policy.resource.segments
+    if segments and not is_glob(segments[0]):
+        return segments[0]
+    return GLOB_HEAD
+
+
 class PolicyBase:
     """An ordered collection of policies with simple indexing.
 
@@ -172,9 +190,7 @@ class PolicyBase:
 
     def __init__(self, policies: Iterable[Policy] = ()) -> None:
         self._policies: list[Policy] = []
-        self._by_action: dict[Action, list[Policy]] = {a: [] for a in Action}
-        # first-segment index: literal -> policies; '*' bucket for patterns
-        # whose first segment is a glob.
+        # first-segment index: index_head(policy) -> policies.
         self._by_head: dict[Action, dict[str, list[Policy]]] = {
             a: {} for a in Action}
         # Bumped on every add/remove; a compiled table records the value
@@ -192,11 +208,8 @@ class PolicyBase:
 
     def add(self, policy: Policy) -> Policy:
         self._policies.append(policy)
-        self._by_action[policy.action].append(policy)
-        head = policy.resource.segments[0] if policy.resource.segments else "**"
-        if any(ch in head for ch in "*?["):
-            head = "*"
-        self._by_head[policy.action].setdefault(head, []).append(policy)
+        self._by_head[policy.action].setdefault(
+            index_head(policy), []).append(policy)
         self.generation += 1
         return policy
 
@@ -205,11 +218,7 @@ class PolicyBase:
             self._policies.remove(policy)
         except ValueError:
             raise ConfigurationError(f"{policy!r} not in policy base") from None
-        self._by_action[policy.action].remove(policy)
-        head = policy.resource.segments[0] if policy.resource.segments else "**"
-        if any(ch in head for ch in "*?["):
-            head = "*"
-        self._by_head[policy.action][head].remove(policy)
+        self._by_head[policy.action][index_head(policy)].remove(policy)
         self.generation += 1
 
     def candidates(self, action: Action,
@@ -217,8 +226,7 @@ class PolicyBase:
         """Policies that could apply to (action, path), via the head index."""
         path = ResourcePath(path)
         index = self._by_head[action]
-        result: list[Policy] = list(index.get("*", ()))
-        result.extend(index.get("**", ()))
+        result: list[Policy] = list(index.get(GLOB_HEAD, ()))
         if path.segments:
             result.extend(index.get(path.segments[0], ()))
         # Deterministic order regardless of index iteration.

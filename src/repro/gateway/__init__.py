@@ -3,7 +3,7 @@
 The one serving pipeline, built around an event loop: non-blocking
 multi-tenant admission (token buckets + deficit-round-robin fairness +
 queue-depth watermarks), per-tick batched authorization against
-compiled epoch snapshots, and chunked dissemination streams built from
+per-shard compiled policy tables, and chunked dissemination streams built from
 interned snapshot fragments.
 :class:`~repro.gateway.core.AsyncRequestGateway` is the only
 implementation, and it records into
@@ -48,8 +48,6 @@ __all__ = [
     "GatewayStats",
     "LatencyHistogram",
     "ManualClock",
-    "ReplicaRouter",
-    "ReplicaSession",
     "Request",
     "TenantConfig",
     "TokenBucket",
@@ -58,13 +56,3 @@ __all__ = [
     "stream_element",
 ]
 
-
-def __getattr__(name: str):
-    # The replica router lives in repro.replica; lazily re-exported so
-    # importing the gateway package does not pull the replication
-    # stack (and its faults/scale dependencies) until it is used.
-    if name in ("ReplicaRouter", "ReplicaSession"):
-        from repro.replica.router import ReplicaRouter, ReplicaSession
-        return {"ReplicaRouter": ReplicaRouter,
-                "ReplicaSession": ReplicaSession}[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,8 +17,8 @@ read/write path and the replica path.  Its contracts:
   that runs before it lands in its batch.  The tick dequeues one batch
   fairly across tenants (deficit round robin), accounts it, and hands
   it to :meth:`_decide`, which groups by shard and resolves every
-  group inline through the engine's ``decide_batch``, against compiled
-  epoch snapshots when the engine is an
+  group inline through the engine's ``decide_batch`` — a shard's
+  compiled table when the engine is an
   :class:`~repro.gateway.engine.EpochalShardRouter`.  If work
   remains the tick schedules itself again: one loop turn between
   batches and none inside one, so ``batch_size`` bounds how long a

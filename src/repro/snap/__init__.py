@@ -17,10 +17,6 @@ generalizes that shape into a store-agnostic read path:
 * :mod:`repro.snap.intern` — per-node serialized-fragment and
   Merkle-subtree caches keyed by shared node identity, so unchanged
   subtrees reuse their bytes across requests *and across epochs*;
-* :mod:`repro.snap.policy` — a persistent policy base whose ``freeze()``
-  is O(1), plus :class:`EpochalPolicyEngine`, which compiles every
-  policy epoch it publishes and decides against the pinned epoch's
-  table — the compiled implementation of the authorization contract;
 * :mod:`repro.snap.xmlstore` — the snapshot variant of the XML
   database.
 """
@@ -35,22 +31,14 @@ from repro.snap.frozen import (
     thaw_element,
 )
 from repro.snap.intern import InternPool
-from repro.snap.policy import (
-    EpochalPolicyEngine,
-    PolicySnapshot,
-    SnapshotPolicyBase,
-)
 from repro.snap.xmlstore import SnapshotXmlDatabase, XmlSnapshot
 
 __all__ = [
     "EpochManager",
     "EpochStats",
-    "EpochalPolicyEngine",
     "FrozenDocument",
     "FrozenElement",
     "InternPool",
-    "PolicySnapshot",
-    "SnapshotPolicyBase",
     "SnapshotXmlDatabase",
     "XmlSnapshot",
     "freeze_document",

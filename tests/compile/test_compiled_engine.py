@@ -1,4 +1,4 @@
-"""The compiled path: byte-identical decisions, a new table per epoch."""
+"""The compiled path: byte-identical decisions, a new table per change."""
 
 from repro.core.audit import AuditLog
 from repro.core.credentials import anyone, has_role
@@ -6,7 +6,7 @@ from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import Action, PolicyBase, deny, grant
 from repro.analysis.probes import default_probe_subjects
 from repro.compile import compile_policy_base
-from repro.snap.policy import EpochalPolicyEngine
+from repro.gateway.engine import EpochalShardRouter
 
 
 def fixture_policies():
@@ -33,7 +33,7 @@ def fixture_requests(subjects):
 
 def test_decisions_identical_to_interpreter():
     policies = fixture_policies()
-    engine = EpochalPolicyEngine(policies)
+    engine = EpochalShardRouter.from_policies(policies)
     oracle = PolicyEvaluator(PolicyBase(policies))
     for request in fixture_requests(default_probe_subjects()[:12]):
         assert engine.decide(*request) == oracle.decide(*request)
@@ -42,7 +42,8 @@ def test_decisions_identical_to_interpreter():
 def test_decide_batch_matches_serial_and_audits_in_order():
     policies = fixture_policies()
     compiled_audit, serial_audit = AuditLog(), AuditLog()
-    engine = EpochalPolicyEngine(policies, audit=compiled_audit)
+    engine = EpochalShardRouter.from_policies(policies,
+                                              audit=compiled_audit)
     oracle = PolicyEvaluator(PolicyBase(policies), audit=serial_audit)
     requests = fixture_requests(default_probe_subjects()[:8])
     assert engine.decide_batch(requests) == \
@@ -55,20 +56,21 @@ def test_decide_batch_matches_serial_and_audits_in_order():
 
 
 def test_recompiles_on_mutation_and_stays_correct():
-    engine = EpochalPolicyEngine(fixture_policies())
+    router = EpochalShardRouter.from_policies(fixture_policies())
     subject = default_probe_subjects()[0]
-    first = engine.current()
+    (shard,) = router.shards_for_policy(fixture_policies()[0])
+    first, epoch = router.publication[shard].table, router.epoch
     extra = deny(anyone(), Action.READ, "records/r1")
-    engine.add_policy(extra)
-    second = engine.current()
-    assert second.epoch == first.epoch + 1
-    assert second.table is not first.table
-    assert second.table.source_generation == engine.base.generation
-    assert not engine.decide(subject, Action.READ, "records/r1").granted
-    engine.remove_policy(extra)
-    assert engine.current().table is not second.table
-    oracle = PolicyEvaluator(engine.base)
-    assert engine.decide(subject, Action.READ, "records/r1") == \
+    router.add(extra)
+    second = router.publication[shard].table
+    assert router.epoch == epoch + 1
+    assert second is not first
+    assert extra in second.policies
+    assert not router.decide(subject, Action.READ, "records/r1").granted
+    router.remove(extra)
+    assert router.publication[shard].table is not second
+    oracle = PolicyEvaluator(PolicyBase(router.policies()))
+    assert router.decide(subject, Action.READ, "records/r1") == \
         oracle.decide(subject, Action.READ, "records/r1")
 
 

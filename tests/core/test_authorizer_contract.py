@@ -2,8 +2,8 @@
 
 :class:`~repro.core.evaluator.Authorizer` has two implementations: the
 cache-free interpreter (:class:`PolicyEvaluator`) and the compiled path
-(:class:`EpochalShardRouter`, whose shards are
-:class:`EpochalPolicyEngine` instances and answer on their own too).
+(:class:`EpochalShardRouter`, run here at one shard and at three, where
+a glob-headed policy is broadcast).
 Each test here runs once per implementation and pins one clause of the
 contract — explicit verdicts for the section 3.2 conflict-resolution
 strategies and defaults, ``decide_batch`` as the serial loop, audit rows
@@ -28,7 +28,6 @@ from repro.core.objects import ResourcePath
 from repro.core.policy import Action, PolicyBase, deny, grant
 from repro.core.subjects import Role, Subject
 from repro.gateway.engine import EpochalShardRouter
-from repro.snap.policy import EpochalPolicyEngine
 
 DOCTOR = Subject("dr", roles={Role("doctor")})
 VISITOR = Subject("guest")
@@ -39,19 +38,16 @@ def interpreter(policies, **kwargs):
     return PolicyEvaluator(base, **kwargs), base.add, base.remove
 
 
-def epochal_engine(policies, **kwargs):
-    engine = EpochalPolicyEngine(policies, **kwargs)
-    return engine, engine.add_policy, engine.remove_policy
+def shard_router(shard_count):
+    def build(policies, **kwargs):
+        router = EpochalShardRouter.from_policies(
+            policies, shard_count=shard_count, **kwargs)
+        return router, router.add, router.remove
+    return build
 
 
-def shard_router(policies, **kwargs):
-    router = EpochalShardRouter.from_policies(policies, shard_count=3,
-                                              **kwargs)
-    return router, router.add, router.remove
-
-
-@pytest.fixture(params=[interpreter, epochal_engine, shard_router],
-                ids=lambda build: build.__name__)
+@pytest.fixture(params=[interpreter, shard_router(3), shard_router(1)],
+                ids=["interpreter", "shard_router", "shard_router1"])
 def build(request):
     """Builds (authorizer, add_policy, remove_policy) over a policy
     list."""

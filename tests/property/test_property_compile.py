@@ -1,7 +1,7 @@
 """Property-based tests: the compiled path is byte-identical to the
-interpreter's serial loop — the epochal engine under random grant/revoke
-interleavings (a new table compiled at every published epoch), and the
-sharded router over random policies, conflict resolutions, defaults,
+interpreter's serial loop — the router under random grant/revoke
+interleavings (the shards a change routes to recompiled at every
+publication), and over random policies, conflict resolutions, defaults,
 payloads and shard counts."""
 
 import random
@@ -17,7 +17,6 @@ from repro.core.evaluator import (
 from repro.core.policy import PolicyBase
 from repro.compile import verify_compiled
 from repro.gateway.engine import EpochalShardRouter
-from repro.snap.policy import EpochalPolicyEngine
 
 from tests.scale.workloads import random_policies, random_requests
 
@@ -46,17 +45,17 @@ class TestCompiledEngineEquivalence:
         base = PolicyBase()
         serial_audit, compiled_audit = AuditLog(), AuditLog()
         serial = PolicyEvaluator(base, audit=serial_audit)
-        compiled = EpochalPolicyEngine(audit=compiled_audit)
+        compiled = EpochalShardRouter(shard_count=3, audit=compiled_audit)
         live = []
         for step in steps:
             if step == "add":
                 policy = base.add(random_policies(rng, 1)[0])
-                compiled.add_policy(policy)
+                compiled.add(policy)
                 live.append(policy)
             elif step == "remove" and live:
                 policy = live.pop(rng.randrange(len(live)))
                 base.remove(policy)
-                compiled.remove_policy(policy)
+                compiled.remove(policy)
             elif step == "batch":
                 requests = random_requests(rng, rng.randrange(1, 12))
                 serial_decisions = [serial.decide(*r) for r in requests]
@@ -70,14 +69,15 @@ class TestCompiledEngineEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_recompiled_artifact_always_self_verifies(self, seed):
         rng = random.Random(seed)
-        engine = EpochalPolicyEngine(
-            random_policies(rng, rng.randrange(1, 10)))
+        router = EpochalShardRouter.from_policies(
+            random_policies(rng, rng.randrange(1, 10)), shard_count=1)
         for _ in range(3):
-            verification = verify_compiled(engine.current().table,
-                                           engine.base)
+            shard = router.publication[0]
+            verification = verify_compiled(shard.table,
+                                           PolicyBase(shard.policies))
             assert verification.verdict == "proved"
             assert verification.unexplained == 0
-            engine.add_policy(random_policies(rng, 1)[0])
+            router.add(random_policies(rng, 1)[0])
 
 
 class TestRouterEquivalence:

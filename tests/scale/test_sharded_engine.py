@@ -95,22 +95,24 @@ class TestPolicyPlacement:
         for policy in policies:
             router.remove(policy)
         assert len(router) == 0
-        for shard in range(4):
-            assert len(router.engine(shard).base) == 0
+        for shard in router.publication:
+            assert shard.policies == ()
 
-    def test_per_shard_epochs_advance_independently(self):
+    def test_literal_add_republishes_only_its_shard(self):
         router = EpochalShardRouter(shard_count=4)
-        epochs = [router.engine(i).current().epoch for i in range(4)]
+        before = router.publication
         policy = grant(None, resource="hospital/records/**")
         (shard,) = router.shards_for_policy(policy)
         router.add(policy)
-        after = [router.engine(i).current().epoch for i in range(4)]
-        assert after[shard] != epochs[shard]
-        assert all(after[i] == epochs[i] for i in range(4) if i != shard)
+        after = router.publication
+        assert router.epoch == 1
+        assert after[shard].policies == (policy,)
+        assert all(after[i] is before[i] for i in range(4) if i != shard)
 
-    def test_broadcast_add_advances_every_shard(self):
+    def test_broadcast_add_is_one_publication_on_every_shard(self):
         router = EpochalShardRouter(shard_count=4)
-        epochs = [router.engine(i).current().epoch for i in range(4)]
-        router.add(grant(None, resource="**"))
-        after = [router.engine(i).current().epoch for i in range(4)]
-        assert all(after[i] != epochs[i] for i in range(4))
+        policy = grant(None, resource="**")
+        router.add(policy)
+        assert router.epoch == 1
+        assert all(shard.policies == (policy,)
+                   for shard in router.publication)

@@ -7,7 +7,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import Action, PolicyBase, deny, grant
 from repro.core.subjects import Role, Subject
-from repro.snap.policy import EpochalPolicyEngine
+from repro.gateway.engine import EpochalShardRouter
 from repro.snap.xmlstore import SnapshotXmlDatabase
 
 from tests.gateway.driver import drive, sync_gateway
@@ -23,12 +23,12 @@ POLICIES = [
 
 
 def make_gateway(**kwargs):
-    engine = EpochalPolicyEngine(POLICIES)
+    engine = EpochalShardRouter.from_policies(POLICIES)
     return engine, sync_gateway(engine, **kwargs)
 
 
 class TestDeterministicDecisions:
-    def test_submissions_flow_through_the_epochal_engine(self):
+    def test_submissions_flow_through_the_shard_router(self):
         _, gateway = make_gateway()
         futures = drive(gateway, [
             (DOCTOR, Action.READ, "hospital/lobby"),
@@ -44,7 +44,7 @@ class TestDeterministicDecisions:
         engine, gateway = make_gateway(batch_size=4)
         request = (VISITOR, Action.READ, "hospital/lobby")
         before, = drive(gateway, [request])
-        engine.add_policy(deny(anyone(), Action.READ, "hospital/lobby"))
+        engine.add(deny(anyone(), Action.READ, "hospital/lobby"))
         after, = drive(gateway, [request])
         assert before.result().granted
         assert not after.result().granted
@@ -62,13 +62,6 @@ class TestDeterministicDecisions:
 
 
 class TestSnapshotReadWritePath:
-    def test_an_epochal_engine_can_be_the_snapshot_store(self):
-        engine = EpochalPolicyEngine(POLICIES)
-        gateway = sync_gateway(engine, store=engine)
-        generation = gateway.read(lambda snapshot: snapshot.generation)
-        assert generation == engine.current().generation
-        assert gateway.stats.snapshot()["snapshot_reads"] == 1
-
     def test_reads_and_writes_against_a_snapshot_store(self):
         db = SnapshotXmlDatabase()
         db.create_collection("c")

@@ -46,6 +46,10 @@ def even_id(row):
     return row["id"] % 2 == 0
 
 
+def odd_id(row):
+    return row["id"] % 2 == 1
+
+
 # -- relational ------------------------------------------------------------
 
 
@@ -123,6 +127,29 @@ class TestRelational:
                 user, "t00", columns=["id"], order_by="id").rows] == [
                     0, 2, 4]
 
+    @pytest.mark.parametrize("checkpoint_at", [None, 1],
+                             ids=["log", "checkpoint_and_tail"])
+    def test_update_and_delete_equal_plain_and_survive_recovery(
+            self, checkpoint_at):
+        plain, durable = build_databases(TABLES[:2], rows=6)
+        edits = [lambda db: db.update("dba", "t00", even_id,
+                                      {"val": "even"}),
+                 lambda db: db.delete("dba", "t01", even_id),
+                 lambda db: db.update("dba", "t01", odd_id,
+                                      {"val": "odd"})]
+        for index, edit in enumerate(edits):
+            if index == checkpoint_at:
+                assert durable.checkpoint() is True
+            assert edit(durable) == edit(plain)
+
+        def rows(db):
+            return [db.select("reader", name, order_by="id").rows
+                    for name in TABLES[:2]]
+
+        expected = rows(plain)
+        assert rows(durable) == expected
+        assert rows(recover(durable)) == expected
+
     def test_insertion_shuffle_order_is_irrelevant(self):
         shuffled = list(TABLES)
         random.Random(41).shuffle(shuffled)
@@ -187,6 +214,58 @@ class TestXml:
         recovered = recover(durable)
         assert recovered.current().doc_ids("c") == plain.doc_ids()
         assert "doc003" not in recovered.current().doc_ids("c")
+
+    @pytest.mark.parametrize("checkpoint_at", [None, 3],
+                             ids=["log", "checkpoint_and_tail"])
+    def test_point_edits_equal_plain_and_survive_recovery(
+            self, checkpoint_at):
+        plain, durable = SnapshotXmlDatabase(), DurableXmlStore(
+            SnapshotXmlDatabase(), MemVfs(), auto_flush=False)
+        child = '<note kind="a">x<b>y</b></note>'
+        for store in (plain, durable):
+            store.create_collection("c")
+            for i in range(6):
+                store.insert("c", f"doc{i:03d}", record(i))
+        # The durable store takes the child as text or as an element;
+        # the plain store only as an element.
+        edits = [
+            lambda db: db.create_collection("scratch"),
+            lambda db: db.insert("scratch", "s", "<s/>"),
+            lambda db: db.set_attribute("c", "doc001", "/rec", "flag",
+                                        "on"),
+            lambda db: db.set_attribute("c", "doc002", "/rec/name",
+                                        "lang", "en"),
+            lambda db: db.remove_attribute("c", "doc002", "/rec/name",
+                                           "lang"),
+            lambda db: db.append_child(
+                "c", "doc003", "/rec",
+                child if db is durable else parse(child).root),
+            lambda db: db.append_child("c", "doc005", "/rec",
+                                       parse(child).root),
+            lambda db: db.remove_child("c", "doc004", "/rec/dept"),
+            lambda db: db.drop_collection("scratch"),
+        ]
+        for index, edit in enumerate(edits):
+            if index == checkpoint_at:
+                assert durable.checkpoint() is True
+            edit(durable)
+            edit(plain)
+
+        def documents(db):
+            snapshot = db.current()
+            return {collection: {doc_id: snapshot.serialize(collection,
+                                                            doc_id)
+                                 for doc_id in snapshot.doc_ids(collection)}
+                    for collection in snapshot.collection_names()}
+
+        expected = documents(plain)
+        assert list(expected) == ["c"]
+        assert 'flag="on"' in expected["c"]["doc001"]
+        assert "<dept>" not in expected["c"]["doc004"]
+        assert documents(durable) == expected
+        assert durable.state_digest() == \
+            DurableXmlStore._digest_of(plain.current())
+        assert documents(recover(durable)) == expected
 
     def test_insertion_shuffle_order_is_irrelevant(self):
         ids = list(range(20))
