@@ -20,7 +20,8 @@ front-end (:mod:`repro.compile.pathdfa`) instead of a DTD graph:
 Shard invariance: finding text depends only on the policies involved
 (conflicts are decided on a two-policy DFA and name the pair and their
 shared probe witnesses), never on which base or shard holds them.  A
-sharded router is therefore analysed through its deduplicated union —
+sharded router is therefore analysed through the policies it holds,
+counted as a monolithic base counts them —
 ``analyze_core_policies(router.policies())`` — and the regression suite
 asserts that report equals the monolithic one for shard counts 1–8.
 """

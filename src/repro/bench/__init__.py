@@ -1,19 +1,5 @@
-"""Benchmark harness: experiment registry, timers, table rendering."""
+"""Benchmark harness: experiment registry, timers, table rendering.
 
-from repro.bench.harness import (
-    Experiment,
-    ExperimentResult,
-    Timer,
-    all_experiments,
-    get_experiment,
-    register,
-    run_all,
-    time_callable,
-)
-from repro.bench.tables import format_cell, render_table
-
-__all__ = [
-    "Experiment", "ExperimentResult", "Timer", "all_experiments",
-    "format_cell", "get_experiment", "register", "render_table",
-    "run_all", "time_callable",
-]
+Experiments register with :func:`repro.bench.harness.register`;
+``python -m repro.bench`` runs them and judges their verdicts.
+"""

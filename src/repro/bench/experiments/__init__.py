@@ -24,6 +24,3 @@ from repro.bench.experiments import (  # noqa: F401
     e13_layered_security,
     e14_web_transactions,
 )
-
-ALL_EXPERIMENT_IDS = [f"E{n}" for n in range(1, 15)] + ["A1", "A2", "A3",
-                                                        "A4"]

@@ -8,7 +8,12 @@ the cost model routing each query to the cheaper strategy.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register, time_callable
+from repro.bench.harness import (
+    ExperimentResult,
+    failed,
+    register,
+    time_callable,
+)
 from repro.datagen.documents import hospital_corpus
 from repro.xmldb.index import PathIndex, QueryCostModel, indexed_select
 from repro.xmldb.xpath import select_elements
@@ -19,9 +24,20 @@ NON_INDEXABLE = ["//record/name", "/hospital/record[3]",
                  "//record[diagnosis='influenza']/name"]
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    speedups = [row[5] for row in result.rows]
+    return failed(
+        (all(s > 5 for s in speedups), "speedup exceeds 5x at every size"),
+        (speedups == sorted(speedups), "speedup grows with document size"),
+        (all(row[6] == "4/3" for row in result.rows),
+         "index/scan decisions read 4/3: the 4 indexable queries go to "
+         "the index"),
+    )
+
+
 @register("A1", "ablation: inverted path indexes + cost model vs naive "
                "tree-walking XPath (§2.1 'index strategies' and 'cost "
-               "models')")
+               "models')", verdict)
 def run() -> ExperimentResult:
     rows = []
     for record_count in (50, 200, 800):

@@ -10,7 +10,7 @@ workload.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.credentials import anyone, has_role
 from repro.datagen.documents import hospital_corpus
 from repro.datagen.population import named_cast
@@ -30,8 +30,22 @@ def _policy_base() -> XmlPolicyBase:
     ])
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    doctor = [row for row in result.rows if row[1] == "doctor"]
+    nurse = [row for row in result.rows if row[1] == "nurse"]
+    return failed(
+        (all(row[3] == row[0] for row in doctor),
+         "grant-only configurations leak one element per record to the "
+         "doctor"),
+        (all("ssn" in row[4] for row in doctor),
+         "the doctor's leaked tags include the SSN"),
+        (all(row[3] == 0 for row in nurse), "the nurse leaks nothing"),
+    )
+
+
 @register("A2", "ablation: ignoring DENY policies when forming "
-               "dissemination configurations leaks forbidden portions")
+               "dissemination configurations leaks forbidden portions",
+          verdict)
 def run() -> ExperimentResult:
     cast = named_cast()
     base = _policy_base()

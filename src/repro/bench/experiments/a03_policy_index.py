@@ -10,7 +10,12 @@ consideration the access control policies" cost of §3.1 made concrete.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register, time_callable
+from repro.bench.harness import (
+    ExperimentResult,
+    failed,
+    register,
+    time_callable,
+)
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import Action, PolicyBase
 from repro.datagen.population import generate_population
@@ -24,8 +29,17 @@ class _ScanPolicyBase(PolicyBase):
         return [p for p in self._policies if p.action is action]
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    return failed(
+        (all(row[1] < row[2] for row in result.rows),
+         "indexed us/decision is below scan us/decision at every size"),
+        (all(row[3] > 1.0 for row in result.rows),
+         "speedup exceeds 1x at every size"),
+    )
+
+
 @register("A3", "ablation: the head-segment policy index vs scanning "
-               "the whole policy base per decision (§3.1)")
+               "the whole policy base per decision (§3.1)", verdict)
 def run() -> ExperimentResult:
     population = generate_population(50, seed=43)
     probes = list(population.subjects())[:25]

@@ -13,14 +13,34 @@ alongside the finding counts.
 from __future__ import annotations
 
 from repro.analysis.xmlpolicy import analyze_xml_policies
-from repro.bench.harness import ExperimentResult, register, time_callable
+from repro.bench.harness import (
+    ExperimentResult,
+    failed,
+    register,
+    time_callable,
+)
 from repro.datagen.documents import hospital_schema
 from repro.datagen.workload import xml_policy_workload
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    per_policy = [row[2] for row in result.rows]
+    return failed(
+        ([row[0] for row in result.rows] == [100, 1_000, 10_000],
+         "the sweep covers 100, 1,000 and 10,000 policies"),
+        # Forbids quadratic (100x), not superlinear: see EXPERIMENTS A4.
+        (per_policy[-1] < per_policy[0] * 20,
+         "us/policy at 10,000 policies stays under 20x its value at 100"),
+        (all(row[3] > 0 for row in result.rows),
+         "conflicts are found at every size"),
+        (all(row[4] > 0 for row in result.rows),
+         "dead policies are found at every size"),
+    )
+
+
 @register("A4", "static analysis of an n-policy Author-X base stays "
                "near-linear: credential overlap is a precomputed "
-               "bitmask, not a pairwise expression comparison (§3.2)")
+               "bitmask, not a pairwise expression comparison (§3.2)", verdict)
 def run() -> ExperimentResult:
     schema = hospital_schema()
     rows = []

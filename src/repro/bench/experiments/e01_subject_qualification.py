@@ -12,7 +12,12 @@ credential bases stay O(#roles)/O(#attributes).
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register, time_callable
+from repro.bench.harness import (
+    ExperimentResult,
+    failed,
+    register,
+    time_callable,
+)
 from repro.core.credentials import (
     attribute_equals,
     has_role,
@@ -46,8 +51,23 @@ def _coverage_policy_base(basis: str, directory) -> PolicyBase:
     return base
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    by_key = {(row[0], row[1]): row for row in result.rows}
+    return failed(
+        (by_key[2000, "identity"][2] > by_key[100, "identity"][2] * 5,
+         "identity policies grow more than 5x from 100 to 2,000 users"),
+        (by_key[2000, "role"][2] == by_key[100, "role"][2],
+         "role policies stay flat from 100 to 2,000 users"),
+        (by_key[2000, "credential"][2] == by_key[100, "credential"][2],
+         "credential policies stay flat from 100 to 2,000 users"),
+        (by_key[2000, "identity"][3] > by_key[2000, "role"][3],
+         "identity us/decision exceeds role's at 2,000 users"),
+    )
+
+
 @register("E1", "identity-based access control does not scale to web "
-               "populations; role/credential qualification does (§3.1)")
+               "populations; role/credential qualification does (§3.1)",
+          verdict)
 def run() -> ExperimentResult:
     rows = []
     observations = []

@@ -14,7 +14,12 @@ much non-sensitive content each granularity needlessly withholds
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register, time_callable
+from repro.bench.harness import (
+    ExperimentResult,
+    failed,
+    register,
+    time_callable,
+)
 from repro.core.credentials import anyone, has_role
 from repro.core.subjects import Role, Subject
 from repro.datagen.documents import hospital_corpus
@@ -69,8 +74,22 @@ def _policy_base(granularity: str) -> XmlPolicyBase:
     return base
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    over = {row[0]: row[4] for row in result.rows}
+    return failed(
+        (all(row[3] == 0 for row in result.rows),
+         "no granularity leaks a sensitive element"),
+        (over["content"] == min(over.values()),
+         "content-dependent policies over-restrict the least"),
+        (over["document"] == max(over.values()),
+         "whole-document protection over-restricts the most"),
+        (over["document"] > over["content"] * 5,
+         "whole documents over-restrict more than 5x as much as content"),
+    )
+
+
 @register("E2", "XML access control needs the full granularity ladder, "
-               "down to content-dependent portions (§3.2)")
+               "down to content-dependent portions (§3.2)", verdict)
 def run() -> ExperimentResult:
     document = hospital_corpus(60, seed=2)
     sensitive = _sensitive_paths(document)

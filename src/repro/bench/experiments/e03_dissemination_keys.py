@@ -13,7 +13,7 @@ ciphertext bytes prepared, and encryption wall time.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.core.credentials import anyone, attribute_equals, has_role
 from repro.crypto.keys import KeyStore
 from repro.datagen.documents import hospital_corpus
@@ -38,8 +38,19 @@ def _policy_base() -> XmlPolicyBase:
     return base
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    first, last = result.rows[0], result.rows[-1]
+    return failed(
+        (first[1] == last[1], "authorx keys do not grow with subscribers"),
+        (last[2] > first[2] * 5, "naive keys grow more than 5x"),
+        (last[3] < last[4], "authorx KiB < naive KiB at the most subscribers"),
+        (last[5] < last[6], "authorx ms < naive ms at the most subscribers"),
+    )
+
+
 @register("E3", "dissemination encrypts once per policy configuration; "
-               "keys do not grow with the subscriber population ([5])")
+               "keys do not grow with the subscriber population ([5])",
+          verdict)
 def run() -> ExperimentResult:
     document = hospital_corpus(40, seed=3)
     base = _policy_base()

@@ -13,7 +13,7 @@ rate of each attack is 100%.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.core.credentials import anyone, has_role
 from repro.crypto.rsa import generate_keypair, sign, verify
 from repro.datagen.documents import hospital_corpus
@@ -33,8 +33,22 @@ def _policy_base() -> XmlPolicyBase:
     ])
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    detection = next((o for o in result.observations
+                      if o.startswith("attack detection")), "")
+    nurse = [row for row in result.rows if row[1] == "nurse"]
+    return failed(
+        *((f"{attack} 3/3" in detection, f"every {attack} attack is detected")
+          for attack in ("tamper", "omit", "swap")),
+        (nurse[-1][2] > nurse[0][2],
+         "the nurse's filler hashes grow with the corpus"),
+        (all(row[3] < 1000 for row in result.rows),
+         "verify ms stays under 1,000"),
+    )
+
+
 @register("E4", "untrusted publishers can prove authenticity AND "
-               "completeness of partial answers ([3])")
+               "completeness of partial answers ([3])", verdict)
 def run() -> ExperimentResult:
     cast = named_cast()
     subjects = [("doctor", cast.doctor), ("nurse", cast.nurse),

@@ -12,7 +12,7 @@ view), answer verification latency, and filler-hash overhead.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.crypto.rsa import generate_keypair, sign
 from repro.datagen.registry_gen import generate_businesses
 from repro.uddi.registry import UddiRegistry
@@ -24,8 +24,19 @@ from repro.uddi.secure import (
 from repro.xmldb.serializer import serialize_element
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    return failed(
+        (all(row[1] == row[0] for row in result.rows),
+         "merkle sigs equal businesses (one signature per entry)"),
+        (all(row[2] > row[1] for row in result.rows),
+         "baseline sigs exceed merkle sigs"),
+        (all(row[3] < row[4] for row in result.rows),
+         "merkle sign ms is below baseline sign ms"),
+    )
+
+
 @register("E5", "Merkle summary signatures authenticate partial UDDI "
-               "answers with one signature per entry ([4])")
+               "answers with one signature per entry ([4])", verdict)
 def run() -> ExperimentResult:
     keys = generate_keypair(bits=512, seed=9)
     rows = []

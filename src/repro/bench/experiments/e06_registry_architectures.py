@@ -14,7 +14,7 @@ client-side Merkle verification).
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.credentials import anyone, has_role
 from repro.core.errors import AccessDenied, AuthenticationError
 from repro.core.evaluator import PolicyEvaluator
@@ -57,8 +57,23 @@ def _evaluator(entities, registry_name: str) -> PolicyEvaluator:
     return PolicyEvaluator(PolicyBase(policies))
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    leaked = {(row[0], row[1]): row[2] for row in result.rows}
+    return failed(
+        (leaked["two-party", "honest"] == 0,
+         "an honest two-party registry leaks no premium rows"),
+        (leaked["third-party", "honest"] == 0,
+         "an honest third-party registry leaks no premium rows"),
+        (leaked["third-party", "compromised"] > 0,
+         "a compromised agency leaks premium rows"),
+        (all(row[3] == 0 for row in result.rows),
+         "no deployment accepts a forgery"),
+    )
+
+
 @register("E6", "conventional access control suffices two-party; an "
-               "untrusted third party needs client-verifiable answers (§4.1)")
+               "untrusted third party needs client-verifiable answers (§4.1)",
+          verdict)
 def run() -> ExperimentResult:
     entities = _entities(12)
     rows = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.harness import ExperimentResult, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.datagen.tabular import market_baskets, numeric_column
 from repro.privacy.association import apriori, itemset_f1, mine_randomized
 from repro.privacy.ppdm import (
@@ -28,8 +28,22 @@ from repro.privacy.ppdm import (
 )
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    intervals = [row[1] for row in result.rows]
+    errors = [row[2] for row in result.rows]
+    noise_40 = [row[3] for row in result.rows if row[0] == 40.0]
+    return failed(
+        (all(row[3] < row[4] for row in result.rows if row[0] > 0),
+         "recon TV-dist beats naive TV-dist at every noise level"),
+        (intervals == sorted(intervals), "privacy interval grows with noise"),
+        (errors == sorted(errors), "individual MAE grows with noise"),
+        (any(tv_dist < 0.2 for tv_dist in noise_40),
+         "recon TV-dist stays below 0.2 at noise 40 (a 76-unit interval)"),
+    )
+
+
 @register("E7", "randomization preserves aggregate mining utility while "
-               "hiding individual values ([1])")
+               "hiding individual values ([1])", verdict)
 def run() -> ExperimentResult:
     ages = numeric_column(4000, seed=11)
     bins = np.linspace(15, 100, 18)

@@ -13,7 +13,7 @@ plus per-query latency overhead.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.core.errors import InferenceViolation
 from repro.datagen.tabular import load_patients
 from repro.privacy.constraints import PrivacyConstraintSet, PrivacyLevel
@@ -46,8 +46,21 @@ def _attack(select, row_ids) -> tuple[int, int]:
     return linkages, refusals
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    return failed(
+        (all(row[1] == row[2] == 40 for row in result.rows),
+         "without history tracking the attack links all 40 targets"),
+        (all(row[3] == 0 for row in result.rows),
+         "with history tracking it links none"),
+        (all(row[4] == 40 for row in result.rows),
+         "history tracking refuses every second step (40 refusals)"),
+        (all(row[6] < 10 for row in result.rows),
+         "tracked ms/q stays under 10"),
+    )
+
+
 @register("E8", "query-history inference control blocks linkage "
-               "sequences that per-query checks miss ([13,14])")
+               "sequences that per-query checks miss ([13,14])", verdict)
 def run() -> ExperimentResult:
     rows = []
     for extra_constraints in (0, 10, 40):

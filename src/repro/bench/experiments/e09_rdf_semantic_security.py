@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.core.mls import Label, Level
 from repro.rdfdb.containers import create_container
 from repro.rdfdb.model import RDF, RDFS, Literal, Namespace, triple
@@ -54,8 +54,27 @@ def _build(person_count: int, seed: int) -> SecureRdfStore:
     return store
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    leaks = [row[4] for row in result.rows]
+    context = next((o for o in result.observations
+                    if "declassification" in o), "")
+    return failed(
+        (all(row[4] > 0 for row in result.rows),
+         "the syntactic strawman leaks derived facts"),
+        (all(row[5] > 0 for row in result.rows),
+         "the syntactic strawman leaks reifications"),
+        (all(row[3] < row[2] for row in result.rows),
+         "semantic visible is below naive visible"),
+        (leaks == sorted(leaks), "derived leaks grow with the graph"),
+        ("hidden during wartime=True" in context,
+         "the §5 fact is hidden during wartime"),
+        ("visible after=True" in context, "the §5 fact is visible after"),
+    )
+
+
 @register("E9", "syntactic-only RDF enforcement leaks through inference "
-               "and reification; semantic enforcement does not (§3.2)")
+               "and reification; semantic enforcement does not (§3.2)",
+          verdict)
 def run() -> ExperimentResult:
     rows = []
     for person_count in (50, 150, 400):

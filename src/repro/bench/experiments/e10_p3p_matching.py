@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import ExperimentResult, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.p3p.matching import chain_acceptable, match, propagation_violations
 from repro.p3p.policy import (
     DataCategory,
@@ -55,8 +55,25 @@ def _random_policy(rng: random.Random, entity: str,
     return P3PPolicy(entity, tuple(statements))
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    accepted = [row[2] for row in result.rows]
+    chains = [o for o in result.observations if o.startswith("len=")]
+    audit = next((o for o in result.observations if "audit" in o), "")
+    return failed(
+        (accepted == sorted(accepted, reverse=True),
+         "acceptance falls with consumer strictness"),
+        (accepted[0] == 80, "anything-goes accepts all 80 services"),
+        (accepted[-1] < accepted[0],
+         "the strictest profile accepts fewer than anything-goes"),
+        (bool(chains)
+         and all(int(line.rsplit(" ", 1)[1]) > 0 for line in chains),
+         "propagation checking catches broadening at every chain length"),
+        ("passes 5/5" in audit, "the compliant deployment passes 5/5"),
+    )
+
+
 @register("E10", "consumers can gate on P3P policies; delegation chains "
-                "need explicit propagation checks (§4.2)")
+                "need explicit propagation checks (§4.2)", verdict)
 def run() -> ExperimentResult:
     rng = random.Random(17)
     services = [

@@ -13,15 +13,34 @@ operating point moves.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.semweb.flexible import (
     FlexiblePolicy,
     SituationalPolicy,
 )
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    dials = [row[0] for row in result.rows]
+    throughputs = [row[3] for row in result.rows]
+    risks = [row[4] for row in result.rows]
+    thirty = [row[4] for row in result.rows if row[0] == 30]
+    return failed(
+        (dials == sorted(dials), "the dial rises down the table"),
+        (throughputs == sorted(throughputs, reverse=True),
+         "throughput falls as the dial rises"),
+        (risks == sorted(risks, reverse=True),
+         "residual risk falls as the dial rises"),
+        (risks[-1] == 0.0, "full security leaves zero residual risk"),
+        (throughputs[-1] < throughputs[0], "full security costs throughput"),
+        (any(0 < risk < 1 for risk in thirty),
+         "'thirty percent security' leaves a residual risk in (0, 1)"),
+    )
+
+
 @register("E11", "a flexible security dial trades residual risk against "
-                "throughput; situations pick the operating point (§5)")
+                "throughput; situations pick the operating point (§5)",
+          verdict)
 def run() -> ExperimentResult:
     policy = FlexiblePolicy()
     rows = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.datagen.tabular import market_baskets
 from repro.privacy.multiparty import (
     centralized_apriori,
@@ -24,8 +24,22 @@ from repro.privacy.multiparty import (
 )
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    first, last = result.rows[0], result.rows[-1]
+    return failed(
+        (all(row[2] is True for row in result.rows),
+         "distributed equals centralized at every party count"),
+        (len({row[1] for row in result.rows}) == 1,
+         "frequent itemsets do not depend on the partitioning"),
+        (len({row[3] for row in result.rows}) == 1,
+         "secure-sum rounds do not depend on the party count"),
+        (last[4] / first[4] == last[0] / first[0],
+         "messages grow linearly with the party count"),
+    )
+
+
 @register("E12", "secure-sum multiparty mining equals centralized "
-                "mining without pooling raw data ([7])")
+                "mining without pooling raw data ([7])", verdict)
 def run() -> ExperimentResult:
     baskets = market_baskets(1000, seed=18)
     rows = []

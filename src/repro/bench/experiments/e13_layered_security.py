@@ -13,7 +13,7 @@ off vs on.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.errors import ServiceFault
 from repro.semweb.layers import ATTACK_CORPUS, LayerName, LayerStack
 from repro.wsa.actors import ServiceProvider, ServiceRequestor
@@ -111,8 +111,29 @@ def _proof_demo() -> tuple[bool, bool]:
     return honest_ok, forged_caught
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    regime = {row[0]: row for row in result.rows}
+    ladder = ["none", "network only", "up to XML", "up to RDF",
+              "up to ontology", "all layers"]
+    rates = [float(regime[name][2]) for name in ladder]
+    wire = next((o for o in result.observations if "wire demo" in o), "")
+    return failed(
+        (regime["all layers"][4] is True, "all layers is end-to-end secure"),
+        (regime["all layers"][2] == "0.00", "all layers breach rate is 0.00"),
+        (all(row[4] is False for name, row in regime.items()
+             if name != "all layers"),
+         "no other regime is end-to-end secure"),
+        (rates == sorted(rates, reverse=True),
+         "breach rate falls as layers are secured bottom-up"),
+        (regime["all but network"][3] == 4,
+         "an open network layer undermines the 4 layers above it"),
+        ("secured message layer 0/3" in wire,
+         "no wire attack succeeds on the secured message layer"),
+    )
+
+
 @register("E13", "end-to-end security requires every layer; a single "
-                "open layer keeps the stack breachable (§5)")
+                "open layer keeps the stack breachable (§5)", verdict)
 def run() -> ExperimentResult:
     rows = []
     regimes: list[tuple[str, set[LayerName]]] = [

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import ExperimentResult, Timer, register
+from repro.bench.harness import ExperimentResult, Timer, failed, register
 from repro.core.errors import TransactionError
 from repro.relational.bidding import (
     Bid,
@@ -36,8 +36,19 @@ def _bid_stream(item_count: int, bids_per_item: float,
     return items, bids
 
 
+def verdict(result: ExperimentResult) -> list[str]:
+    gaps = [row[8] - row[7] for row in result.rows]
+    return failed(
+        (all(row[2] == 0 for row in result.rows), "open rejected is 0"),
+        (all(row[1] > 0 for row in result.rows), "lock rejected exceeds 0"),
+        (all(row[8] >= row[7] for row in result.rows),
+         "open revenue is at least lock revenue"),
+        (gaps == sorted(gaps), "the revenue gap widens with contention"),
+    )
+
+
 @register("E14", "open bidding accepts every bid and extracts better "
-                "prices than lock-on-first-bid (§2.1)")
+                "prices than lock-on-first-bid (§2.1)", verdict)
 def run() -> ExperimentResult:
     rows = []
     for bids_per_item in (2.0, 5.0, 12.0):

@@ -1,10 +1,12 @@
 """Experiment harness: timing, registration and report assembly.
 
-Each benchmark module defines one :class:`Experiment` (id, claim, runner)
-and registers it; ``python -m repro.bench`` or the pytest-benchmark
-wrappers in ``benchmarks/`` run them.  Runners return
-:class:`ExperimentResult` — a titled table plus free-form observations —
-which is what EXPERIMENTS.md records.
+Each module under :mod:`repro.bench.experiments` registers one
+:class:`Experiment`: an id, the paper claim, a runner and the claim's
+verdict.  Runners return :class:`ExperimentResult` — a titled table plus
+free-form observations — which is what EXPERIMENTS.md records; the
+verdict reads that result and names every check on it that fails.
+``python -m repro.bench`` runs them, prints the tables and exits 1 when
+a verdict fails.
 """
 
 from __future__ import annotations
@@ -36,6 +38,17 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
+Verdict = Callable[[ExperimentResult], list[str]]
+"""Judges a result: one sentence per failed check, naming the quantity
+it read; empty when the claim holds."""
+
+
+def failed(*checks: tuple[bool, str]) -> list[str]:
+    """The sentences of the ``(holds, sentence)`` *checks* that do not
+    hold — every one of them, not just the first."""
+    return [sentence for holds, sentence in checks if not holds]
+
+
 @dataclass(frozen=True)
 class Experiment:
     """A registered experiment."""
@@ -43,6 +56,7 @@ class Experiment:
     experiment_id: str
     claim: str
     runner: Callable[[], ExperimentResult]
+    verdict: Verdict
 
 
 class Timer:
@@ -75,10 +89,10 @@ def time_callable(func: Callable[[], object],
 _REGISTRY: dict[str, Experiment] = {}
 
 
-def register(experiment_id: str, claim: str
+def register(experiment_id: str, claim: str, verdict: Verdict
              ) -> Callable[[Callable[[], ExperimentResult]],
                            Callable[[], ExperimentResult]]:
-    """Decorator: ``@register("E1", "claim...")`` on a runner."""
+    """Decorator: ``@register("E1", "claim...", verdict)`` on a runner."""
 
     def wrap(runner: Callable[[], ExperimentResult]
              ) -> Callable[[], ExperimentResult]:
@@ -88,7 +102,8 @@ def register(experiment_id: str, claim: str
             result.elapsed_seconds = timer.elapsed
             return result
 
-        _REGISTRY[experiment_id] = Experiment(experiment_id, claim, timed)
+        _REGISTRY[experiment_id] = Experiment(experiment_id, claim, timed,
+                                              verdict)
         return timed
 
     return wrap
@@ -100,12 +115,3 @@ def get_experiment(experiment_id: str) -> Experiment:
 
 def all_experiments() -> list[Experiment]:
     return [_REGISTRY[key] for key in sorted(_REGISTRY)]
-
-
-def run_all(ids: Sequence[str] | None = None) -> list[ExperimentResult]:
-    chosen = (all_experiments() if ids is None
-              else [get_experiment(i) for i in ids])
-    results = []
-    for experiment in chosen:
-        results.append(experiment.runner())
-    return results

@@ -200,14 +200,20 @@ class EpochalShardRouter:
                            for shard in shards})
 
     def policies(self) -> Iterator[Policy]:
-        seen: set[int] = set()
-        collected: list[Policy] = []
+        """Each copy of each policy, in ``policy_id`` order, as a
+        :class:`PolicyBase` over the same adds and removes lists them: a
+        broadcast policy sits on every shard, so a policy counts its
+        largest per-shard copy count."""
+        copies: dict[int, list[Policy]] = {}
         for shard in self.publication:
+            on_shard: dict[int, list[Policy]] = {}
             for policy in shard.policies:
-                if policy.policy_id not in seen:
-                    seen.add(policy.policy_id)
-                    collected.append(policy)
-        return iter(sorted(collected, key=lambda p: p.policy_id))
+                on_shard.setdefault(policy.policy_id, []).append(policy)
+            for policy_id, group in on_shard.items():
+                if len(group) > len(copies.get(policy_id, ())):
+                    copies[policy_id] = group
+        return iter([policy for policy_id in sorted(copies)
+                     for policy in copies[policy_id]])
 
     def __len__(self) -> int:
         return sum(1 for _ in self.policies())

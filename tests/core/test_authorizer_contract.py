@@ -199,3 +199,27 @@ class TestContract:
         with pytest.raises(ConfigurationError):
             remove_policy(grant(anyone(), Action.READ, "h/**"))
         assert authorizer.decide(DOCTOR, Action.READ, "h/x").granted
+
+
+class TestPolicyCount:
+    """The router lists and counts its policies as a ``PolicyBase`` over
+    the same adds and removes does: a broadcast policy once, however
+    many shards hold it, and a duplicate once per copy."""
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    @pytest.mark.parametrize("broadcast_copies", [0, 3])
+    @pytest.mark.parametrize("removes", [0, 1])
+    def test_matches_policy_base(self, shard_count, broadcast_copies,
+                                 removes):
+        policy = grant(anyone(), Action.READ, "h/records/r1")
+        broadcast = grant(anyone(), Action.READ, "*/public")
+        policies = [policy, policy] + [broadcast] * broadcast_copies
+        base = PolicyBase(policies)
+        router = EpochalShardRouter.from_policies(
+            policies, shard_count=shard_count)
+        for _ in range(removes):
+            base.remove(policy)
+            router.remove(policy)
+        assert len(router) == len(base)
+        assert list(router.policies()) == sorted(
+            base, key=lambda p: p.policy_id)

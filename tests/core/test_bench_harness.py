@@ -4,14 +4,30 @@ import pathlib
 
 import pytest
 
+from repro.bench import harness
+from repro.bench.__main__ import main
 from repro.bench.harness import (
     ExperimentResult,
     Timer,
+    failed,
+    get_experiment,
     register,
-    run_all,
     time_callable,
 )
 from repro.bench.tables import format_cell, render_table
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """An empty registry, so a test's experiments never join the
+    process-wide one."""
+    monkeypatch.setattr(harness, "_REGISTRY", {})
+
+
+def register_unit(verdict):
+    @register("T-unit", "a synthetic test experiment", verdict)
+    def runner() -> ExperimentResult:
+        return ExperimentResult("T-unit", "title", ["c"], [[1]])
 
 
 class TestTables:
@@ -67,19 +83,32 @@ class TestHarness:
         assert len(calls) == 4
         assert best >= 0
 
-    def test_register_and_run(self):
-        @register("T-unit", "a synthetic test experiment")
-        def runner() -> ExperimentResult:
-            return ExperimentResult("T-unit", "title", ["c"], [[1]])
+    def test_register_and_run(self, registry, capsys):
+        register_unit(lambda result: [])
+        result = get_experiment("T-unit").runner()
+        assert result.elapsed_seconds >= 0
+        assert "[T-unit]" in result.render()
+        assert main(["T-unit"]) == 0
+        assert "FAILED" not in capsys.readouterr().out
 
-        results = run_all(["T-unit"])
-        assert len(results) == 1
-        assert results[0].elapsed_seconds >= 0
-        assert "[T-unit]" in results[0].render()
+    def test_failed_checks_fail_the_run_and_are_all_named(
+            self, registry, capsys):
+        register_unit(lambda result: failed(
+            (result.rows == [[1]], "the synthetic row reads 1"),
+            (result.rows[0][0] > 1, "the synthetic count exceeds 1"),
+            (not result.rows, "the synthetic table is empty")))
+        assert main(["T-unit"]) == 1
+        output = capsys.readouterr().out
+        table, _, verdicts = output.partition("\n\n")
+        assert "[T-unit]" in table
+        assert verdicts.splitlines() == [
+            "FAILED T-unit: the synthetic count exceeds 1",
+            "FAILED T-unit: the synthetic table is empty",
+        ]
 
-    def test_unknown_experiment_raises(self):
+    def test_unknown_experiment_raises(self, registry):
         with pytest.raises(KeyError):
-            run_all(["nope"])
+            get_experiment("nope")
 
     def test_result_render_includes_observations(self):
         result = ExperimentResult("X", "t", ["a"], [[1]],

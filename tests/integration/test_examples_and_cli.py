@@ -68,8 +68,24 @@ class TestBenchCli:
         with pytest.raises(KeyError):
             main(["E99"])
 
+    def test_out_regenerates_the_committed_table(self, tmp_path):
+        from repro.bench.__main__ import main
+        assert main(["E11", "--out", str(tmp_path)]) == 0
+        committed = EXAMPLES.parent / "benchmarks" / "results" / "E11.txt"
+
+        def result_lines(path):
+            return [line for line in path.read_text(encoding="utf-8")
+                    .splitlines(keepends=True)
+                    if "(completed in " not in line]
+
+        assert result_lines(tmp_path / "E11.txt") == \
+            result_lines(committed)
+
     def test_registry_is_complete(self):
-        import repro.bench.experiments as experiments
+        import repro.bench.experiments  # noqa: F401
         from repro.bench.harness import all_experiments
-        ids = {e.experiment_id for e in all_experiments()}
-        assert set(experiments.ALL_EXPERIMENT_IDS) <= ids
+        experiments = all_experiments()
+        assert {e.experiment_id for e in experiments} == {
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
+            "E11", "E12", "E13", "E14", "A1", "A2", "A3", "A4"}
+        assert all(callable(e.verdict) for e in experiments)
