@@ -280,16 +280,30 @@ def check_conflicts(analysis: XmlPolicyAnalysis) -> list[Finding]:
 
 @REGISTRY.checker("XML-SHADOWED")
 def check_shadowed(analysis: XmlPolicyAnalysis) -> list[Finding]:
+    """One finding per live GRANT whose whole region live DENYs cover.
+
+    Only a deny whose region shares a tag with the grant's can cover
+    any of it, so denies are indexed by (privilege, tag) and each grant
+    visits just those, in base order (which ``shadowing[:4]`` names).
+    """
     denies = [d for d in analysis.denies() if not d.dead]
+    by_tag: dict[tuple[object, str], list[int]] = {}
+    for index, deny in enumerate(denies):
+        for tag in deny.region:
+            by_tag.setdefault((deny.policy.privilege, tag), []).append(
+                index)
     findings = []
     for grant in analysis.grants():
         if grant.dead or not grant.subject_mask:
             continue
         shadowing: list[PolicySummary] = []
         uncovered = dict(grant.region)
-        for deny in denies:
-            if deny.policy.privilege is not grant.policy.privilege:
-                continue
+        candidates = sorted({
+            index for tag in uncovered
+            for index in by_tag.get((grant.policy.privilege, tag), ())})
+        for deny in map(denies.__getitem__, candidates):
+            if not uncovered:
+                break
             if not mask_covers(deny.subject_mask, grant.subject_mask):
                 continue
             took_effect = False

@@ -26,7 +26,11 @@ NON_INDEXABLE = ["//record/name", "/hospital/record[3]",
 
 def verdict(result: ExperimentResult) -> list[str]:
     speedups = [row[5] for row in result.rows]
+    sizes = len(result.rows)
     return failed(
+        (f"answers identical between strategies at {sizes}/{sizes} sizes"
+         in result.observations,
+         "index and scan return identical answers at every size"),
         (all(s > 5 for s in speedups), "speedup exceeds 5x at every size"),
         (speedups == sorted(speedups), "speedup grows with document size"),
         (all(row[6] == "4/3" for row in result.rows),
@@ -40,6 +44,7 @@ def verdict(result: ExperimentResult) -> list[str]:
                "models')", verdict)
 def run() -> ExperimentResult:
     rows = []
+    identical = 0
     for record_count in (50, 200, 800):
         document = hospital_corpus(record_count, seed=41)
         build_time, index = time_callable(
@@ -56,7 +61,7 @@ def run() -> ExperimentResult:
 
         scan_time, scan_hits = time_callable(scan_all, repeats=3)
         probe_time, probe_hits = time_callable(probe_all, repeats=3)
-        assert scan_hits == probe_hits  # identical answers
+        identical += scan_hits == probe_hits
         for query in INDEXABLE + NON_INDEXABLE:
             model.run(query, document)
         rows.append([record_count, document.size(),
@@ -69,7 +74,8 @@ def run() -> ExperimentResult:
         "and the gap widens with document size",
         "the cost model routes indexable shapes to the index and "
         "everything else to the (always-correct) scan",
-        "answers are asserted identical between strategies",
+        f"answers identical between strategies at {identical}/"
+        f"{len(rows)} sizes",
     ]
     return ExperimentResult(
         "A1", "Ablation: path index vs naive scan "

@@ -30,7 +30,12 @@ class _ScanPolicyBase(PolicyBase):
 
 
 def verdict(result: ExperimentResult) -> list[str]:
+    sizes = len(result.rows)
     return failed(
+        (f"decisions identical with and without the index at {sizes}/"
+         f"{sizes} sizes" in result.observations,
+         "indexed and scanning evaluators decide identically at every "
+         "size"),
         (all(row[1] < row[2] for row in result.rows),
          "indexed us/decision is below scan us/decision at every size"),
         (all(row[3] > 1.0 for row in result.rows),
@@ -46,6 +51,7 @@ def run() -> ExperimentResult:
     resources = [f"hospital/records/r{n}/name" for n in range(1, 11)] \
         + [f"bank/accounts/a{n}" for n in range(1, 11)]
     rows = []
+    identical = 0
     for policy_count in (50, 200, 800):
         indexed = subject_qualification_policies(
             policy_count, "role", user_count=50, seed=44)
@@ -68,7 +74,7 @@ def run() -> ExperimentResult:
             decide(indexed_eval), repeats=3)
         scan_time, scan_granted = time_callable(
             decide(scan_eval), repeats=3)
-        assert indexed_granted == scan_granted  # identical decisions
+        identical += indexed_granted == scan_granted
         decisions = len(probes) * len(resources)
         rows.append([policy_count,
                      indexed_time * 1e6 / decisions,
@@ -77,7 +83,8 @@ def run() -> ExperimentResult:
     observations = [
         "half the probe resources live outside the policies' head "
         "segment; the index prunes them to zero candidates",
-        "decisions are asserted identical with and without the index",
+        f"decisions identical with and without the index at "
+        f"{identical}/{len(rows)} sizes",
     ]
     return ExperimentResult(
         "A3", "Ablation: policy head index vs full scan "

@@ -273,27 +273,3 @@ class WalCorrupt(WalError, IntegrityError):
             where = f" [{segment}" + (
                 f"@{offset}]" if offset is not None else "]")
         super().__init__(f"{message}{where}")
-
-
-class DurabilityLagExceeded(TransportError):
-    """An ``ack=enqueue`` writer ran too far ahead of the flusher: the
-    gap between the last enqueued record and the last fsynced record
-    crossed the configured bound.  Typed backpressure, not an error in
-    the data path — the writer should drain (wait for a sync) and
-    retry, exactly like a client receiving :class:`Overloaded` backs
-    off the admission queue.
-
-    Attributes
-    ----------
-    lag:
-        Unsynced records outstanding when the append was refused.
-    limit:
-        The configured bound the lag crossed.
-    """
-
-    def __init__(self, lag: int, limit: int) -> None:
-        self.lag = lag
-        self.limit = limit
-        super().__init__(
-            f"durability lag of {lag} unsynced records exceeds the "
-            f"configured bound of {limit}; wait for a sync and retry")

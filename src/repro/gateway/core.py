@@ -144,19 +144,17 @@ class AsyncRequestGateway:
                  durability: str | None = None) -> None:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        # Durability wiring (repro.wal): "fsync" makes write() block
-        # on the store's wal_sync() barrier, "enqueue" acks at enqueue
-        # under the store's bounded-lag backpressure.
+        # Durability wiring (repro.wal): "fsync" asserts a durable
+        # store, whose every write returns after its own fsync.
         if durability is not None:
-            if durability not in ("fsync", "enqueue"):
+            if durability != "fsync":
                 raise ConfigurationError(
                     f"unknown durability mode {durability!r}; expected "
-                    f"'fsync' or 'enqueue'")
+                    f"'fsync'")
             if not hasattr(store, "wal_sync"):
                 raise ConfigurationError(
                     "durability= needs a durable store (one with "
                     "wal_sync()); wrap the store in repro.wal.durable")
-        self.durability = durability
         self.engine = engine
         self.store = store
         self.batch_size = batch_size
@@ -490,10 +488,6 @@ class AsyncRequestGateway:
             publish = getattr(self.store, "publish", None)
             if publish is not None:
                 publish()
-        if self.durability == "fsync":
-            # Settle before acknowledging; a sealed pipeline's typed
-            # WalError reaches the caller instead of a false ack.
-            self.store.wal_sync()
         with self.stats._lock:
             self.stats.writes += 1
             self.stats.epochs_advanced += 1

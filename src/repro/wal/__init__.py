@@ -2,19 +2,20 @@
 
 Layering, bottom up:
 
-* :mod:`repro.wal.checksum` — frame checksums (CRC-32 / CRC-32C),
-  algorithm-agile behind an id byte in each segment header.
 * :mod:`repro.wal.vfs` — the file substrate: real files with directory
   fsyncs (:class:`OsVfs`) and the in-memory power-loss model the chaos
   battery crashes (:class:`MemVfs`).
-* :mod:`repro.wal.format` — segment/frame layout and the scanner that
+* :mod:`repro.wal.format` — segment/frame layout (every header, frame
+  and checkpoint checksummed with CRC-32) and the scanner that
   separates torn tails from corruption.
 * :mod:`repro.wal.log` — one segment chain per store and its LSN
   counter, rotation, checkpoint-driven truncation, and an open that
   refuses a directory nobody recovered.
 * :mod:`repro.wal.pipeline` — leader/follower group commit: one
   buffered write + one fsync per batch on the first committer's own
-  thread, traffic-conditional linger, the ``wal`` fault site.
+  thread, traffic-conditional linger, the ``wal`` fault site.  A write
+  is acknowledged only after its own fsync; nothing flushes in the
+  background.
 * :mod:`repro.wal.checkpoint` — atomic, digest-keyed checkpoint files.
 * :mod:`repro.wal.replay` — the chain scanned back in LSN order.
 * :mod:`repro.wal.durable` — the wrappers stores and gateways use: a

@@ -166,7 +166,7 @@ def run_chaos(seed: int) -> ChaosResult:
 
     vfs = MemVfs()
     store = DurableXmlStore(
-        SnapshotXmlDatabase(), vfs, durability="fsync", auto_flush=False,
+        SnapshotXmlDatabase(), vfs, durability="fsync",
         segment_bytes=SEGMENT_BYTES, max_batch=64)
     plan, scenario = scenario_plan(seed)
     store.pipeline.injector = FaultInjector(plan, FaultClock(), seed=seed)
@@ -211,8 +211,7 @@ def run_chaos(seed: int) -> ChaosResult:
                 store._apply(op, args, {})
             lsn = log.allocate()
             payload = encode_ops([(op, args, {}) for op, args in ops])
-            log.append_encoded(
-                encode_frame(lsn, payload, log._alg_id), lsn, 1)
+            log.append_encoded(encode_frame(lsn, payload), lsn, 1)
             lsn_ops[lsn] = ops
         tail = log.tail_name
         pending = vfs.size(tail) - vfs.durable_size(tail)
@@ -224,7 +223,7 @@ def run_chaos(seed: int) -> ChaosResult:
     try:
         scan = scan_logs(vfs, apply_truncation=False)
         recovered, report = DurableXmlStore.recover(
-            vfs, auto_flush=False, segment_bytes=SEGMENT_BYTES)
+            vfs, segment_bytes=SEGMENT_BYTES)
     except WalCorrupt as exc:
         return ChaosResult(
             seed=seed, scenario=scenario, outcome="typed",
@@ -241,7 +240,7 @@ def run_chaos(seed: int) -> ChaosResult:
     acked_durable = acked.issubset(durable_lsns)
     recovered.insert("alpha", "post-recovery",
                      "<item><v>revived</v></item>")
-    revived = recovered.durability_lag == 0
+    revived = recovered.wal.last_synced == recovered.wal.last_lsn
     recovered.close()
     return ChaosResult(
         seed=seed, scenario=scenario, outcome="identical",

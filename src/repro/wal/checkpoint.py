@@ -19,7 +19,7 @@ File layout (``ckpt-LLLLLLLLLLLLLLLL.rckp``)::
 
     !4s  magic b"RCKP"
     !H   version (1)
-    !B   checksum algorithm id
+    !B   checksum algorithm id (0x5A, CRC-32, as in a segment header)
     !B   reserved
     !Q   checkpoint LSN
     !I   digest length | digest bytes (utf-8)
@@ -30,9 +30,10 @@ File layout (``ckpt-LLLLLLLLLLLLLLLL.rckp``)::
 from __future__ import annotations
 
 import struct
+import zlib
 
 from repro.core.errors import WalCorrupt
-from repro.wal.checksum import DEFAULT_ALGORITHM, algorithm_id, checksum_fn
+from repro.wal.format import CRC32_ID, check_algorithm
 
 MAGIC = b"RCKP"
 FORMAT_VERSION = 1
@@ -52,14 +53,12 @@ def parse_checkpoint_name(name: str) -> int | None:
     return int(digits) if digits.isdigit() else None
 
 
-def encode_checkpoint(lsn: int, digest: str, payload: bytes,
-                      algorithm: str = DEFAULT_ALGORITHM) -> bytes:
-    alg_id = algorithm_id(algorithm)
+def encode_checkpoint(lsn: int, digest: str, payload: bytes) -> bytes:
     digest_bytes = digest.encode("utf-8")
-    body = (_HEAD.pack(MAGIC, FORMAT_VERSION, alg_id, 0, lsn)
+    body = (_HEAD.pack(MAGIC, FORMAT_VERSION, CRC32_ID, 0, lsn)
             + _LEN.pack(len(digest_bytes)) + digest_bytes
             + _LEN.pack(len(payload)) + payload)
-    return body + _LEN.pack(checksum_fn(alg_id)(body))
+    return body + _LEN.pack(zlib.crc32(body))
 
 
 def decode_checkpoint(data: bytes, name: str = "?") -> tuple[int, str, bytes]:
@@ -73,10 +72,10 @@ def decode_checkpoint(data: bytes, name: str = "?") -> tuple[int, str, bytes]:
     if version != FORMAT_VERSION:
         raise WalCorrupt(f"unsupported checkpoint version {version}",
                          segment=name)
-    fn = checksum_fn(alg_id)
+    check_algorithm(alg_id, name)
     body, stored_raw = data[:-_LEN.size], data[-_LEN.size:]
     (stored,) = _LEN.unpack(stored_raw)
-    if fn(body) != stored:
+    if zlib.crc32(body) != stored:
         raise WalCorrupt("checkpoint failed its checksum", segment=name)
     offset = _HEAD.size
     (digest_len,) = _LEN.unpack_from(body, offset)
@@ -94,9 +93,8 @@ def decode_checkpoint(data: bytes, name: str = "?") -> tuple[int, str, bytes]:
 class CheckpointStore:
     """Atomic, digest-keyed checkpoint files in one vfs directory."""
 
-    def __init__(self, vfs, algorithm: str = DEFAULT_ALGORITHM) -> None:
+    def __init__(self, vfs) -> None:
         self.vfs = vfs
-        self.algorithm = algorithm
         self.written = 0
         self.skipped = 0
 
@@ -132,8 +130,7 @@ class CheckpointStore:
         if self.vfs.exists(temp):
             self.vfs.delete(temp)
         handle = self.vfs.create(temp)
-        handle.write(encode_checkpoint(lsn, digest, payload,
-                                       self.algorithm))
+        handle.write(encode_checkpoint(lsn, digest, payload))
         handle.sync()
         handle.close()
         self.vfs.rename(temp, name)

@@ -21,17 +21,9 @@ and log order one and the same.  The durability wait happens
 idle leads the batch, the rest follow), which is what lets concurrent
 writers share one fsync instead of serializing on the device.
 
-Two acknowledgement modes:
-
-* ``durability="fsync"`` — every transaction blocks until the fsync
-  covering its record returns; an acknowledged write is durable.
-* ``durability="enqueue"`` — transactions return at enqueue;
-  durability trails by at most ``max_lag`` transactions, enforced with
-  a typed :class:`~repro.core.errors.DurabilityLagExceeded` before the
-  transaction's first op applies (bounded staleness, never silent
-  unbounded loss), and :meth:`wal_sync` is the barrier callers (the
-  gateway's write path) use to settle.  Only this mode runs a
-  background flusher thread — its acks return before anyone waits.
+One acknowledgement rule: a transaction returns only once the fsync
+covering its record has returned, so an acknowledged write is durable
+and no thread flushes in the background.
 
 Logged arguments must be picklable — module-level predicates, entity
 dataclasses, strings.  A lambda row-filter is rejected with a typed
@@ -68,8 +60,6 @@ from repro.wal.log import WriteAheadLog
 from repro.wal.pipeline import CommitPipeline
 from repro.wal.replay import recover as replay_recover
 from repro.xmldb.serializer import serialize, serialize_element
-
-DURABILITY_MODES = ("fsync", "enqueue")
 
 #: Argument types that always pickle; an op made only of these skips
 #: the trial pickle that refuses unloggable arguments before apply.
@@ -123,35 +113,29 @@ class DurableStore:
     """
 
     def __init__(self, inner, vfs, *, durability: str = "fsync",
-                 max_batch: int = 256, max_lag: int = 4096,
+                 max_batch: int = 256,
                  segment_bytes: int = 4 * 1024 * 1024,
-                 auto_flush: bool = True,
                  injector=None, start_lsn: int = 0) -> None:
-        if durability not in DURABILITY_MODES:
-            raise WalError(
-                f"unknown durability mode {durability!r}; expected one "
-                f"of {DURABILITY_MODES}")
+        # "fsync" names the one acknowledgement rule; the argument
+        # stays because benchmarks/e2e/workloads.py passes it.
+        if durability != "fsync":
+            raise WalError(f"unknown durability mode {durability!r}; "
+                           f"a write is acknowledged at fsync")
         self.inner = inner
         self.vfs = vfs
-        self.durability = durability
         self.checkpoints = CheckpointStore(vfs)
         if self.checkpoints.latest_lsn() > start_lsn:
             raise WalError(f"log directory holds a checkpoint above the "
                            f"start LSN {start_lsn}; open it with recover()")
         self.wal = WriteAheadLog(vfs, start_lsn=start_lsn,
                                  segment_bytes=segment_bytes)
-        # A flusher thread only where acks return before anyone waits;
-        # under "fsync" the committers flush on their own threads.
         self.pipeline = CommitPipeline(
-            self.wal, max_batch=max_batch, max_lag=max_lag,
-            auto_flush=auto_flush and durability == "enqueue",
-            injector=injector, vfs=vfs)
+            self.wal, max_batch=max_batch, injector=injector, vfs=vfs)
         # Re-entrant: a group() holds it across its ops, each of which
         # takes it again.  Everything below is guarded by it.
         self._mutex = threading.RLock()
         self._depth = 0
         self._ops: list[tuple[str, tuple, dict]] = []  # open transaction
-        self._pending: list = []  # enqueue-mode tickets, for wal_sync()
 
     @property
     def pipelines(self) -> tuple[CommitPipeline]:
@@ -174,7 +158,7 @@ class DurableStore:
         self._begin()
         try:
             if not self._ops:
-                # A sealed or lagging pipeline refuses before anything
+                # A sealed or closed pipeline refuses before anything
                 # applies.
                 self.pipeline.admit()
             if kwargs or not _PLAIN.issuperset(map(type, args)):
@@ -198,11 +182,9 @@ class DurableStore:
             if self._depth == 0 and self._ops:
                 ops, self._ops = self._ops, []
                 ticket = self.pipeline.submit(encode_ops(ops))
-                if self.durability == "enqueue":
-                    self._pending.append(ticket)
         finally:
             self._mutex.release()
-        if ticket is not None and self.durability == "fsync":
+        if ticket is not None:
             ticket.wait()
 
     @contextmanager
@@ -217,24 +199,10 @@ class DurableStore:
             self._end()
 
     def wal_sync(self) -> int:
-        """Barrier: wait out every pending (enqueue-mode) ticket;
-        returns how many were settled.  Typed errors from sealed
-        pipelines propagate — never swallowed."""
-        with self._mutex:
-            pending, self._pending = self._pending, []
-        first_error: WalError | None = None
-        for ticket in pending:
-            try:
-                ticket.wait()
-            except WalError as exc:
-                first_error = first_error or exc
-        if first_error is not None:
-            raise first_error
-        return len(pending)
-
-    @property
-    def durability_lag(self) -> int:
-        return self.pipeline.lag
+        """Settle acknowledged writes: there are none to settle, since
+        each waited for its own fsync; returns 0.  Kept only because
+        ``benchmarks/e2e/tracing.py`` reads it."""
+        return 0
 
     def close(self) -> None:
         self.pipeline.close()
@@ -246,8 +214,6 @@ class DurableStore:
             "pipeline": self.pipeline.stats_snapshot(),
             "checkpoints": {"written": self.checkpoints.written,
                             "skipped": self.checkpoints.skipped},
-            "durability": self.durability,
-            "lag": self.durability_lag,
         }
 
     # -- checkpointing -----------------------------------------------------

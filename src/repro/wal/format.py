@@ -5,7 +5,7 @@ Segment file (``seg-000-IIIIIIII.wal``, sequence ``IIIIIIII``)::
     header (24 bytes):
         !4s  magic  b"RWAL"
         !H   format version (1)
-        !B   checksum algorithm id (repro.wal.checksum.ALGORITHMS)
+        !B   checksum algorithm id (0x5A, CRC-32; nothing else is read)
         !B   reserved (0)
         !I   log number (always 0)
         !Q   base LSN (last LSN allocated before this segment opened;
@@ -50,13 +50,17 @@ Torn tail vs corruption — the call recovery has to get right:
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 from repro.core.errors import WalCorrupt
-from repro.wal.checksum import algorithm_id, checksum_fn
 
 MAGIC = b"RWAL"
 FORMAT_VERSION = 1
+#: The checksum id byte of every segment header and checkpoint:
+#: CRC-32 (:func:`zlib.crc32`).  Any other id, the retired CRC-32C's
+#: ``0x43`` included, is :class:`WalCorrupt`.
+CRC32_ID = 0x5A
 
 _HEADER = struct.Struct("!4sHBBIQ")
 _HEADER_CRC = struct.Struct("!I")
@@ -101,20 +105,20 @@ def list_segments(vfs) -> list[tuple[int, str]]:
                   if (index := parse_segment_name(name)) is not None)
 
 
-def encode_segment_header(base_lsn: int, algorithm: str) -> bytes:
-    alg_id = algorithm_id(algorithm)
-    head = _HEADER.pack(MAGIC, FORMAT_VERSION, alg_id, 0, 0, base_lsn)
-    return head + _HEADER_CRC.pack(checksum_fn(alg_id)(head))
+def encode_segment_header(base_lsn: int) -> bytes:
+    head = _HEADER.pack(MAGIC, FORMAT_VERSION, CRC32_ID, 0, 0, base_lsn)
+    return head + _HEADER_CRC.pack(zlib.crc32(head))
 
 
-@dataclass(frozen=True)
-class SegmentHeader:
-    base_lsn: int
-    algorithm_id: int
+def check_algorithm(alg_id: int, name: str) -> None:
+    if alg_id != CRC32_ID:
+        raise WalCorrupt(f"unknown checksum algorithm id 0x{alg_id:02x}",
+                         segment=name, offset=0)
 
 
 def decode_segment_header(data: bytes | memoryview,
-                          name: str = "?") -> SegmentHeader:
+                          name: str = "?") -> int:
+    """Verify a segment header; returns its base LSN."""
     if len(data) < HEADER_SIZE:
         raise WalCorrupt("segment shorter than its header",
                          segment=name, offset=0)
@@ -126,26 +130,24 @@ def decode_segment_header(data: bytes | memoryview,
     if version != FORMAT_VERSION:
         raise WalCorrupt(f"unsupported segment format version {version}",
                          segment=name, offset=0)
-    fn = checksum_fn(alg_id)  # raises WalCorrupt on unknown id
+    check_algorithm(alg_id, name)
     (stored,) = _HEADER_CRC.unpack_from(data, _HEADER.size)
-    if fn(bytes(data[:_HEADER.size])) != stored:
+    if zlib.crc32(data[:_HEADER.size]) != stored:
         raise WalCorrupt("segment header failed its checksum",
                          segment=name, offset=0)
     if log != 0:
         raise WalCorrupt(f"segment header names log {log}; a store has "
                          f"only log 0", segment=name, offset=0)
-    return SegmentHeader(base_lsn, alg_id)
+    return base_lsn
 
 
-def encode_frame(lsn: int, payload: bytes, algorithm_id_: int,
-                 rectype: int = RECORD) -> bytes:
+def encode_frame(lsn: int, payload: bytes, rectype: int = RECORD) -> bytes:
     if len(payload) > MAX_RECORD_BYTES:
         raise WalCorrupt(
             f"record of {len(payload)} bytes exceeds the "
             f"{MAX_RECORD_BYTES}-byte frame bound")
     body = _BODY_HEAD.pack(lsn, rectype) + payload
-    crc = checksum_fn(algorithm_id_)(body)
-    return _FRAME_HEAD.pack(len(body), crc) + body
+    return _FRAME_HEAD.pack(len(body), zlib.crc32(body)) + body
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class ScanResult:
     total: int           # bytes scanned (header included)
 
 
-def _frame_at(view: memoryview, offset: int, end: int, fn) -> Frame | None:
+def _frame_at(view: memoryview, offset: int, end: int) -> Frame | None:
     """Decode and verify the frame at *offset*; None if implausible or
     checksum-invalid (the caller decides torn-vs-corrupt)."""
     if offset + _FRAME_HEAD.size > end:
@@ -180,19 +182,19 @@ def _frame_at(view: memoryview, offset: int, end: int, fn) -> Frame | None:
     lsn, rectype = _BODY_HEAD.unpack_from(body, 0)
     if rectype not in _RECORD_TYPES:
         return None
-    if fn(body) != stored:
+    if zlib.crc32(body) != stored:
         return None
     return Frame(lsn, rectype, bytes(body[_BODY_HEAD.size:]))
 
 
-def _resyncs(view: memoryview, start: int, end: int, fn,
+def _resyncs(view: memoryview, start: int, end: int,
              after_lsn: int) -> bool:
     """Is there any valid frame with a later LSN within the resync
     window past *start*?  True means the damage sits in front of live
     data — corruption, not a torn tail."""
     limit = min(end, start + RESYNC_WINDOW)
     for offset in range(start + 1, limit):
-        frame = _frame_at(view, offset, end, fn)
+        frame = _frame_at(view, offset, end)
         if frame is not None and frame.lsn > after_lsn:
             return True
     return False
@@ -207,16 +209,15 @@ def scan_segment(data: bytes | memoryview, name: str = "?") -> ScanResult:
     chain may lawfully be torn).
     """
     view = memoryview(data)
-    header = decode_segment_header(view, name)
-    fn = checksum_fn(header.algorithm_id)
+    decode_segment_header(view, name)
     end = len(view)
     frames: list[Frame] = []
     offset = HEADER_SIZE
     last_lsn = -1
     while offset < end:
-        frame = _frame_at(view, offset, end, fn)
+        frame = _frame_at(view, offset, end)
         if frame is None:
-            if _resyncs(view, offset, end, fn, last_lsn):
+            if _resyncs(view, offset, end, last_lsn):
                 raise WalCorrupt(
                     "invalid frame followed by recoverable frames — "
                     "damage to possibly-acknowledged data",

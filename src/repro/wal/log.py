@@ -25,7 +25,6 @@ import threading
 from dataclasses import dataclass
 
 from repro.core.errors import WalError
-from repro.wal.checksum import DEFAULT_ALGORITHM, algorithm_id
 from repro.wal.format import (
     HEADER_SIZE,
     RECORD,
@@ -62,12 +61,9 @@ class WriteAheadLog:
     which owns the batching lock and allocates LSNs under it)."""
 
     def __init__(self, vfs, *, start_lsn: int = 0,
-                 segment_bytes: int = 4 * 1024 * 1024,
-                 algorithm: str = DEFAULT_ALGORITHM) -> None:
+                 segment_bytes: int = 4 * 1024 * 1024) -> None:
         self.vfs = vfs
         self.segment_bytes = segment_bytes
-        self.algorithm = algorithm
-        self._alg_id = algorithm_id(algorithm)
         self._mutex = threading.Lock()
         self._sealed: list[_Sealed] = []
         self._last_lsn = start_lsn  # last LSN allocated; 0 is "nothing"
@@ -126,7 +122,7 @@ class WriteAheadLog:
         return self._last_lsn
 
     def _open_segment(self) -> None:
-        header = encode_segment_header(self._last_lsn, self.algorithm)
+        header = encode_segment_header(self._last_lsn)
         self._segment = self.vfs.create(segment_name(self._index))
         self._segment.write(header)
         self._segment_size = len(header)
@@ -154,7 +150,7 @@ class WriteAheadLog:
                 raise WalError(
                     f"append of LSN {lsn} at or below last appended "
                     f"{self._last_appended}")
-            frame = encode_frame(lsn, payload, self._alg_id, rectype)
+            frame = encode_frame(lsn, payload, rectype)
             self._append_bytes(frame)
             self._last_appended = lsn
             self.stats.appended_records += 1

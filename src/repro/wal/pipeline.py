@@ -21,9 +21,8 @@ fraction of the *measured* sync cost — **only when the previous batch
 carried more than one record**: a rule over observed traffic, so a lone
 writer never waits for company that cannot arrive.
 
-A background flusher thread exists only for ``auto_flush=True``, which
-ack-on-enqueue stores ask for: their acks return before anyone waits,
-so somebody else has to lead.  It runs the same ``_lead``.
+Nothing flushes in the background, so an acknowledged record is one
+its own committer saw synced.
 
 LSNs are allocated at submit time, under the queue mutex, so queue
 order, LSN order, and file order all agree.
@@ -48,7 +47,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.errors import DurabilityLagExceeded, WalError
+from repro.core.errors import WalError
 from repro.faults.plan import FaultKind
 from repro.wal.format import encode_frame
 from repro.wal.log import WriteAheadLog
@@ -110,22 +109,17 @@ class CommitTicket:
 class CommitPipeline:
     """A log's group-commit queue; committers flush it themselves.
 
-    ``auto_flush=True`` adds a daemon flusher thread for ack-on-enqueue
-    callers that never wait; with ``auto_flush=False`` the queue drains
-    when a ticket is waited on or :meth:`flush` is called — same code
-    path, no wall-clock dependence, which is what deterministic tests
-    and the chaos battery use.
+    The queue drains when a ticket is waited on or :meth:`flush` is
+    called, on the caller's thread and with no wall-clock dependence,
+    which is what deterministic tests and the chaos battery rely on.
     """
 
     def __init__(self, log: WriteAheadLog, *,
                  max_batch: int = 256,
-                 max_lag: int = 4096,
-                 auto_flush: bool = False,
                  injector=None,
                  vfs=None) -> None:
         self.log = log
         self.max_batch = max_batch
-        self.max_lag = max_lag
         self.injector = injector
         self.vfs = vfs
         self.stats = PipelineStats()
@@ -141,12 +135,6 @@ class CommitPipeline:
         self._sealed: WalError | None = None
         self._closed = False
         self._sync_cost_ema = 0.0
-        self._flusher = None
-        if auto_flush:
-            self._flusher = threading.Thread(
-                target=self._flush_loop,
-                name="wal-flusher", daemon=True)
-            self._flusher.start()
 
     # -- writer side -------------------------------------------------------
 
@@ -157,41 +145,24 @@ class CommitPipeline:
                 f"{self._sealed}")
         if self._closed:
             raise WalError("commit pipeline is closed")
-        if len(self._queue) >= self.max_lag:
-            raise DurabilityLagExceeded(len(self._queue), self.max_lag)
 
     def admit(self) -> None:
         """Raise what :meth:`submit` would raise right now.  A store
-        asks *before* applying a transaction, so a sealed or lagging
+        asks *before* applying a transaction, so a sealed or closed
         log refuses the write instead of diverging from it."""
         with self._mutex:
             self._refuse()
 
     def submit(self, payload: bytes) -> CommitTicket:
-        """Frame and enqueue one record; returns its ticket.
-
-        ``ack-on-fsync`` callers ``ticket.wait()``; ``ack-on-enqueue``
-        callers return immediately but are thrown
-        :class:`DurabilityLagExceeded` here, at submit, once more than
-        ``max_lag`` records are waiting on the device — unbounded
-        not-yet-durable acknowledgement is how a "fast" log quietly
-        stops being a log.
-        """
+        """Frame and enqueue one record; returns its ticket, which the
+        caller waits on before acknowledging."""
         with self._mutex:
             self._refuse()
             lsn = self.log.allocate()
             ticket = CommitTicket(lsn, self)
-            self._queue.append(
-                (ticket, encode_frame(lsn, payload, self.log._alg_id)))
+            self._queue.append((ticket, encode_frame(lsn, payload)))
             self.stats.submitted += 1
-            if self._flusher is not None:
-                self._idle.notify_all()
             return ticket
-
-    @property
-    def lag(self) -> int:
-        with self._mutex:
-            return len(self._queue)
 
     def _await(self, ticket: CommitTicket, timeout: float | None) -> None:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -329,28 +300,13 @@ class CommitPipeline:
         return min(MAX_LINGER_SECONDS,
                    self._sync_cost_ema * LINGER_FRACTION) or 0.0001
 
-    def _flush_loop(self) -> None:
-        with self._mutex:
-            while not self._closed:
-                if self._leading or not self._queue:
-                    self._idle.wait()
-                    continue
-                try:
-                    self._lead()
-                except WalError:
-                    pass  # sealed: every ticket already failed typed
-
     def close(self) -> None:
         with self._mutex:
             self._closed = True
-            self._idle.notify_all()
-        if self._flusher is not None:
-            self._flusher.join(timeout=5.0)
         while self.flush():
             pass
 
     def stats_snapshot(self) -> dict[str, float]:
         snap = self.stats.snapshot()
-        snap["lag"] = self.lag
         snap["sealed"] = self._sealed is not None
         return snap

@@ -1,12 +1,18 @@
 """Tests for static XML policy-base analysis over the hospital DTD."""
 
+import pytest
+
+from repro.analysis.probes import mask_covers
 from repro.analysis.xmlpolicy import (
     DtdGraph,
+    XmlPolicyAnalysis,
     analyze_xml_policies,
     attachment_tags,
+    check_shadowed,
 )
 from repro.core.credentials import anyone, has_role, is_identity
 from repro.datagen.documents import hospital_schema
+from repro.datagen.workload import xml_policy_workload
 from repro.xmldb.xpath import compile_xpath
 from repro.xmlsec.authorx import (
     Privilege,
@@ -97,6 +103,45 @@ class TestShadowing:
             xml_deny(anyone(), "/hospital",
                      propagation=XmlPropagation.CASCADE))
         assert report.by_rule("XML-SHADOWED") == []
+
+
+def all_pairs_shadowing(analysis):
+    """XML-SHADOWED by visiting every live grant x deny pair: per
+    shadowed grant, its location and every deny that covered part of
+    it, in base order."""
+    denies = [d for d in analysis.denies() if not d.dead]
+    found = []
+    for grant in analysis.grants():
+        if grant.dead or not grant.subject_mask:
+            continue
+        uncovered, shadowing = dict(grant.region), []
+        for deny in denies:
+            if (deny.policy.privilege is not grant.policy.privilege
+                    or not mask_covers(deny.subject_mask,
+                                       grant.subject_mask)):
+                continue
+            covered = [tag for tag, depth in uncovered.items()
+                       if deny.region.get(tag, -1) >= depth]
+            for tag in covered:
+                del uncovered[tag]
+            if covered:
+                shadowing.append(deny.policy.policy_id)
+        if shadowing and not uncovered:
+            found.append((f"policy#{grant.policy.policy_id}",
+                          ", ".join(f"policy#{i}" for i in shadowing[:4])))
+    return found
+
+
+class TestShadowingMatchesAllPairs:
+    @pytest.mark.parametrize("count, seed", [(1_000, 11), (500, 3)])
+    def test_generated_base(self, count, seed):
+        analysis = XmlPolicyAnalysis.build(
+            xml_policy_workload(count, seed=seed), SCHEMA)
+        expected = all_pairs_shadowing(analysis)
+        assert len(expected) > 50
+        findings = check_shadowed(analysis)
+        assert [(f.location, f.message.rsplit(" by ", 1)[1])
+                for f in findings] == expected
 
 
 class TestCleanBase:

@@ -287,7 +287,7 @@ class TestRetainUntil:
         from repro.wal.durable import DurableXmlStore
         from repro.wal.vfs import MemVfs
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
         store.create_collection("c")
         store.insert("c", "d1", "<doc><a>1</a></doc>")
         assert store.checkpoint() is True
@@ -295,5 +295,5 @@ class TestRetainUntil:
         store.insert("c", "d2", "<doc><a>2</a></doc>")
         digest = store.state_digest()
         store.close()
-        recovered, _ = DurableXmlStore.recover(vfs, auto_flush=False)
+        recovered, _ = DurableXmlStore.recover(vfs)
         assert recovered.state_digest() == digest

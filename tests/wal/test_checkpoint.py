@@ -12,6 +12,16 @@ from repro.wal.checkpoint import (
 )
 from repro.wal.vfs import MemVfs
 
+#: ``encode_checkpoint(7, "d1g3st", b"payload")``, as written when
+#: checkpoints could also be checksummed with CRC-32C; and the same
+#: checkpoint as written with that retired algorithm (id 0x43).
+GOLDEN = bytes.fromhex(
+    "52434b5000015a0000000000000000070000000664316733737400000007"
+    "7061796c6f61643b904a40")
+RETIRED_CRC32C = bytes.fromhex(
+    "52434b500001430000000000000000070000000664316733737400000007"
+    "7061796c6f61644f739aa1")
+
 
 class TestEncoding:
     def test_round_trip(self):
@@ -25,6 +35,14 @@ class TestEncoding:
             damaged[offset] ^= 0xFF
             with pytest.raises(WalCorrupt):
                 decode_checkpoint(bytes(damaged))
+
+    def test_bytes_are_the_golden_checkpoint(self):
+        assert encode_checkpoint(7, "d1g3st", b"payload") == GOLDEN
+        assert decode_checkpoint(GOLDEN) == (7, "d1g3st", b"payload")
+
+    def test_the_retired_crc32c_id_is_refused_typed(self):
+        with pytest.raises(WalCorrupt, match="algorithm id 0x43"):
+            decode_checkpoint(RETIRED_CRC32C)
 
     def test_truncated_file_is_refused(self):
         data = encode_checkpoint(42, "digest-abc", b"payload")

@@ -1,6 +1,7 @@
 """Durable wrappers: log-then-ack, checkpoints, recovery digests."""
 
 import struct
+import zlib
 from typing import Callable, NamedTuple
 
 import pytest
@@ -11,12 +12,7 @@ from repro.core.credentials import (
     attribute_in,
     has_role,
 )
-from repro.core.errors import (
-    DurabilityLagExceeded,
-    ReproError,
-    WalCorrupt,
-    WalError,
-)
+from repro.core.errors import ReproError, WalCorrupt, WalError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import Action, PolicyBase, grant
 from repro.core.subjects import Role, Subject
@@ -26,7 +22,6 @@ from repro.relational.table import Column, ColumnType, TableSchema
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.model import BusinessEntity, PublisherAssertion
 from repro.uddi.registry import UddiRegistry
-from repro.wal.checksum import checksum_fn
 from repro.wal.durable import (
     DurablePolicyStore,
     DurableRelationalStore,
@@ -38,7 +33,6 @@ from repro.wal.vfs import MemVfs
 
 
 def xml_store(vfs, **kwargs):
-    kwargs.setdefault("auto_flush", False)
     return DurableXmlStore(SnapshotXmlDatabase(), vfs, **kwargs)
 
 
@@ -111,7 +105,7 @@ KINDS = {
 
 def seeded(kind, vfs, **kwargs):
     spec = KINDS[kind]
-    store = spec.cls(spec.inner(), vfs, auto_flush=False, **kwargs)
+    store = spec.cls(spec.inner(), vfs, **kwargs)
     spec.seed(store)
     return spec, store
 
@@ -124,7 +118,7 @@ class TestEveryKind:
         assert store.checkpoint() is True
         digest = store.state_digest()
         store.close()
-        recovered, report = spec.cls.recover(vfs, auto_flush=False)
+        recovered, report = spec.cls.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.checkpoint_digest == digest
         assert report.records_replayed == 0
@@ -136,7 +130,7 @@ class TestEveryKind:
         spec.more(store, 0)
         digest = store.state_digest()
         store.close()
-        recovered, report = spec.cls.recover(vfs, auto_flush=False)
+        recovered, report = spec.cls.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.checkpoint_lsn == 4
         assert report.records_replayed == 1  # just the op after it
@@ -150,7 +144,7 @@ class TestEveryKind:
         vfs = MemVfs()
         spec, store = seeded(kind, vfs, segment_bytes=192)
         store.close()
-        first, _ = spec.cls.recover(vfs, auto_flush=False, segment_bytes=192)
+        first, _ = spec.cls.recover(vfs, segment_bytes=192)
         inherited = [n for n in vfs.listdir() if n.endswith(".wal")]
         for n in range(8):
             spec.more(first, n)
@@ -160,7 +154,7 @@ class TestEveryKind:
         # The checkpoint reclaimed the pre-recovery chain prefix...
         assert not any(vfs.exists(name) for name in inherited)
         # ...and what remains is a recoverable contiguous chain.
-        second, _ = spec.cls.recover(vfs, auto_flush=False, segment_bytes=192)
+        second, _ = spec.cls.recover(vfs, segment_bytes=192)
         assert second.state_digest() == digest
 
     def test_unchanged_digest_skips_the_checkpoint(self, kind):
@@ -183,14 +177,14 @@ class TestEveryKind:
         digest = store.state_digest()
         store.close()
         with pytest.raises(WalError, match=r"recover\(\)"):
-            spec.cls(spec.inner(), vfs, auto_flush=False)
-        recovered, _ = spec.cls.recover(vfs, auto_flush=False)
+            spec.cls(spec.inner(), vfs)
+        recovered, _ = spec.cls.recover(vfs)
         assert recovered.checkpoint() is True  # truncates the whole log
         recovered.close()
         assert not any(name.endswith(".wal") for name in vfs.listdir())
         with pytest.raises(WalError, match=r"recover\(\)"):
-            spec.cls(spec.inner(), vfs, auto_flush=False)
-        again, _ = spec.cls.recover(vfs, auto_flush=False)
+            spec.cls(spec.inner(), vfs)
+        again, _ = spec.cls.recover(vfs)
         assert again.state_digest() == digest
 
     def test_corrupt_log_recovers_typed(self, kind):
@@ -203,7 +197,7 @@ class TestEveryKind:
                       key=vfs.durable_size)
         vfs.corrupt_byte(largest, 30)
         with pytest.raises(WalCorrupt):
-            spec.cls.recover(vfs, auto_flush=False)
+            spec.cls.recover(vfs)
 
 
 class TestXmlStore:
@@ -213,7 +207,7 @@ class TestXmlStore:
         seed_xml(store)
         digest = store.state_digest()
         store.close()
-        recovered, report = DurableXmlStore.recover(vfs, auto_flush=False)
+        recovered, report = DurableXmlStore.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 4
         assert "total>12" in recovered.current().serialize("orders", "o1")
@@ -223,18 +217,8 @@ class TestXmlStore:
         with store.group():
             seed_xml(store)
         stats = store.wal_stats()
-        assert stats["lag"] == 0
+        assert store.wal.last_synced == store.wal.last_lsn
         assert stats["log"]["syncs"] == 1
-
-    def test_enqueue_mode_bounds_the_lag_typed(self):
-        store = xml_store(MemVfs(), durability="enqueue", max_lag=3)
-        store.create_collection("c")
-        for n in range(3 - store.pipeline.lag):
-            store.insert("c", f"d{n}", "<x/>")
-        with pytest.raises(DurabilityLagExceeded):
-            store.insert("c", "overflow", "<x/>")
-        store.wal_sync()
-        store.insert("c", "fits", "<x/>")
 
     def test_writer_block_is_one_durable_group(self):
         vfs = MemVfs()
@@ -242,17 +226,17 @@ class TestXmlStore:
         with store.writer():
             store.create_collection("batch")
             store.insert("batch", "d1", "<x/>")
-        assert store.durability_lag == 0
+        assert store.wal.last_synced == store.wal.last_lsn
         digest = store.state_digest()
         store.close()
-        recovered, _ = DurableXmlStore.recover(vfs, auto_flush=False)
+        recovered, _ = DurableXmlStore.recover(vfs)
         assert recovered.state_digest() == digest
 
 
 class TestUddiRegistry:
     def test_cross_shard_delete_replays_in_order(self):
         vfs = MemVfs()
-        registry = DurableUddiRegistry(UddiRegistry(), vfs, auto_flush=False)
+        registry = DurableUddiRegistry(UddiRegistry(), vfs)
         registry.save_business(
             BusinessEntity(business_key="biz-001", name="Acme"), "alice")
         registry.save_business(
@@ -261,7 +245,7 @@ class TestUddiRegistry:
         registry.delete_business("biz-001", "alice")
         digest = registry.state_digest()
         registry.close()
-        recovered, report = DurableUddiRegistry.recover(vfs, auto_flush=False)
+        recovered, report = DurableUddiRegistry.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 3
 
@@ -269,12 +253,11 @@ class TestUddiRegistry:
 class TestRelationalStore:
     def test_replay_rebuilds_rows_and_grants(self):
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs)
         seed_relational(db)
         digest = db.state_digest()
         db.close()
-        recovered, report = DurableRelationalStore.recover(
-            vfs, auto_flush=False)
+        recovered, report = DurableRelationalStore.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.checkpoint_lsn == 0
         assert report.records_replayed == 4
@@ -285,7 +268,7 @@ class TestRelationalStore:
         # "op" or "shard" must insert and replay as data, not collide
         # with _durable_op's own parameters.
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs)
         schema = TableSchema("audit", (
             Column("id", ColumnType.INT),
             Column("op", ColumnType.TEXT),
@@ -294,28 +277,26 @@ class TestRelationalStore:
         db.insert("root", "audit", id=1, op="grant", shard=3)
         digest = db.state_digest()
         db.close()
-        recovered, report = DurableRelationalStore.recover(
-            vfs, auto_flush=False)
+        recovered, report = DurableRelationalStore.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 2
 
     def test_metadata_survives_checkpoint_and_replay(self):
         # Metadata is outside state_digest(): check it directly.
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs)
         seed_relational(db)
         db.set_metadata("patients", "privacy", "hipaa")
         assert db.checkpoint() is True
         db.set_metadata("patients", "owner", "ward-7")
         db.close()
-        recovered, report = DurableRelationalStore.recover(
-            vfs, auto_flush=False)
+        recovered, report = DurableRelationalStore.recover(vfs)
         assert report.records_replayed == 1
         assert recovered.get_metadata("patients", "privacy") == "hipaa"
         assert recovered.get_metadata("patients", "owner") == "ward-7"
 
     def test_unpicklable_args_are_refused_before_apply(self):
-        db = DurableRelationalStore(Database(), MemVfs(), auto_flush=False)
+        db = DurableRelationalStore(Database(), MemVfs())
         schema = TableSchema("t", (Column("id", ColumnType.INT),),
                              primary_key="id")
         db.create_table(schema, "root")
@@ -331,26 +312,26 @@ class TestRelationalStore:
 class TestPolicyStore:
     def test_remove_by_id_survives_pickle_round_trip(self):
         vfs = MemVfs()
-        store = DurablePolicyStore(PolicyBase(), vfs, auto_flush=False)
+        store = DurablePolicyStore(PolicyBase(), vfs)
         store.add(grant(anyone(), Action.READ, "/a"))
         dropped = store.add(grant(anyone(), Action.READ, "/b"))
         store.remove(dropped)
         digest = store.state_digest()
         store.checkpoint()
         store.close()
-        recovered, report = DurablePolicyStore.recover(vfs, auto_flush=False)
+        recovered, report = DurablePolicyStore.recover(vfs)
         assert recovered.state_digest() == digest
         assert report.records_replayed == 0  # checkpoint covers all
 
     def test_credential_expression_survives_checkpoint_and_recovery(self):
         vfs = MemVfs()
-        store = DurablePolicyStore(PolicyBase(), vfs, auto_flush=False)
+        store = DurablePolicyStore(PolicyBase(), vfs)
         store.add(grant(
             attribute_in("staff", "ward", {"icu", "er"})
             & ~has_role("intern"), Action.READ, "/charts/**"))
         store.checkpoint()
         store.close()
-        recovered, _ = DurablePolicyStore.recover(vfs, auto_flush=False)
+        recovered, _ = DurablePolicyStore.recover(vfs)
         staff = CredentialType("staff", {"ward"})
         matching = Subject("nurse", credentials=[staff.issue(ward="icu")])
         intern = Subject("intern", roles={Role("intern")},
@@ -374,7 +355,7 @@ def _repack_header(vfs, name):
     head = data[:8] + struct.pack("!IQ", 1, 0)
     vfs.delete(name)
     handle = vfs.create(name)
-    handle.write(head + struct.pack("!I", checksum_fn(data[6])(head))
+    handle.write(head + struct.pack("!I", zlib.crc32(head))
                  + data[HEADER_SIZE:])
     handle.close()
 

@@ -37,7 +37,7 @@ def recover(store):
     must have the live digest."""
     live = store.state_digest()
     store.close()
-    recovered, _ = type(store).recover(store.vfs, auto_flush=False)
+    recovered, _ = type(store).recover(store.vfs)
     assert recovered.state_digest() == live
     return recovered
 
@@ -60,7 +60,7 @@ def schema(name: str) -> TableSchema:
 
 def build_databases(table_order, rows=15):
     plain = Database("plain")
-    durable = DurableRelationalStore(Database(), MemVfs(), auto_flush=False)
+    durable = DurableRelationalStore(Database(), MemVfs())
     for name in table_order:
         for db in (plain, durable):
             db.create_table(schema(name), owner="dba")
@@ -172,8 +172,7 @@ def record(i: int) -> str:
 
 def build_collections(order):
     plain = Collection("c")
-    durable = DurableXmlStore(SnapshotXmlDatabase(), MemVfs(),
-                              auto_flush=False)
+    durable = DurableXmlStore(SnapshotXmlDatabase(), MemVfs())
     durable.create_collection("c")
     for i in order:
         plain.insert(f"doc{i:03d}", parse(record(i), name=f"doc{i:03d}"))
@@ -220,7 +219,7 @@ class TestXml:
     def test_point_edits_equal_plain_and_survive_recovery(
             self, checkpoint_at):
         plain, durable = SnapshotXmlDatabase(), DurableXmlStore(
-            SnapshotXmlDatabase(), MemVfs(), auto_flush=False)
+            SnapshotXmlDatabase(), MemVfs())
         child = '<note kind="a">x<b>y</b></note>'
         for store in (plain, durable):
             store.create_collection("c")
@@ -295,7 +294,7 @@ def entity(i: int) -> BusinessEntity:
 
 def build_registries(order=range(20)):
     plain = UddiRegistry("plain")
-    durable = DurableUddiRegistry(UddiRegistry(), MemVfs(), auto_flush=False)
+    durable = DurableUddiRegistry(UddiRegistry(), MemVfs())
     for i in order:
         for registry in (plain, durable):
             registry.save_business(entity(i), publisher=f"pub{i % 3}")

@@ -1,11 +1,11 @@
 """Frame/segment encoding and the torn-vs-corrupt scanner verdicts."""
 
 import struct
+import zlib
 
 import pytest
 
 from repro.core.errors import WalCorrupt
-from repro.wal.checksum import ALGORITHMS, algorithm_id, checksum_fn
 from repro.wal.format import (
     HEADER_SIZE,
     decode_segment_header,
@@ -16,11 +16,19 @@ from repro.wal.format import (
     segment_name,
 )
 
-ALG = algorithm_id("crc32")
+#: ``encode_segment_header(0) + encode_frame(1, b"x")``, as written
+#: when segments could also be framed with CRC-32C: the format is
+#: byte-identical since.
+GOLDEN_SEGMENT = bytes.fromhex(
+    "5257414c00015a00000000000000000000000000d517bb91"
+    "0000000aa58dca0e00000000000000010178")
+#: ``encode_segment_header(0)`` as written with the retired CRC-32C.
+RETIRED_CRC32C_HEADER = bytes.fromhex(
+    "5257414c000143000000000000000000000000002b8be77f")
 
 
 def segment(frames, base_lsn=0):
-    return encode_segment_header(base_lsn, "crc32") + b"".join(frames)
+    return encode_segment_header(base_lsn) + b"".join(frames)
 
 
 class TestNames:
@@ -35,11 +43,10 @@ class TestNames:
 
 class TestHeader:
     def test_round_trip(self):
-        header = decode_segment_header(encode_segment_header(99, "crc32"))
-        assert header.base_lsn == 99
+        assert decode_segment_header(encode_segment_header(99)) == 99
 
     def test_flipped_byte_is_refused(self):
-        data = bytearray(encode_segment_header(99, "crc32"))
+        data = bytearray(encode_segment_header(99))
         data[9] ^= 0xFF
         with pytest.raises(WalCorrupt):
             decode_segment_header(bytes(data))
@@ -48,10 +55,16 @@ class TestHeader:
         with pytest.raises(WalCorrupt):
             decode_segment_header(b"RWAL")
 
+    def test_the_retired_crc32c_id_is_refused_typed(self):
+        # A header as written with CRC-32C (id 0x43) when that was
+        # selectable: refused for its id, not for its checksum.
+        with pytest.raises(WalCorrupt, match="algorithm id 0x43"):
+            decode_segment_header(RETIRED_CRC32C_HEADER)
+
 
 class TestScan:
     def test_clean_segment_yields_every_frame(self):
-        frames = [encode_frame(lsn, f"op-{lsn}".encode(), ALG)
+        frames = [encode_frame(lsn, f"op-{lsn}".encode())
                   for lsn in (1, 2, 5)]
         result = scan_segment(segment(frames))
         assert [f.lsn for f in result.frames] == [1, 2, 5]
@@ -59,18 +72,14 @@ class TestScan:
             b"op-1", b"op-2", b"op-5"]
         assert not result.torn
 
-    @pytest.mark.parametrize(
-        "algorithm", sorted(name for name, _ in ALGORITHMS.values()))
-    def test_every_checksum_algorithm_round_trips(self, algorithm):
-        alg = algorithm_id(algorithm)
-        data = (encode_segment_header(0, algorithm)
-                + encode_frame(1, b"payload", alg))
-        result = scan_segment(data)
-        assert result.frames[0].payload == b"payload"
+    def test_bytes_are_the_golden_segment(self):
+        data = encode_segment_header(0) + encode_frame(1, b"x")
+        assert data == GOLDEN_SEGMENT
+        assert scan_segment(GOLDEN_SEGMENT).frames[0].payload == b"x"
 
     def test_partial_final_frame_is_a_torn_tail(self):
-        frames = [encode_frame(1, b"first", ALG),
-                  encode_frame(2, b"second", ALG)]
+        frames = [encode_frame(1, b"first"),
+                  encode_frame(2, b"second")]
         data = segment(frames)
         result = scan_segment(data[:-3])
         assert result.torn
@@ -80,8 +89,8 @@ class TestScan:
     def test_every_cut_point_is_torn_never_corrupt(self):
         # A prefix cut anywhere inside the final frame must always read
         # as a torn tail: there is nothing valid after the damage.
-        frames = [encode_frame(1, b"first", ALG),
-                  encode_frame(2, b"second", ALG)]
+        frames = [encode_frame(1, b"first"),
+                  encode_frame(2, b"second")]
         data = segment(frames)
         start = HEADER_SIZE + len(frames[0])
         for cut in range(start + 1, len(data)):
@@ -90,9 +99,9 @@ class TestScan:
             assert len(result.frames) == 1
 
     def test_interior_damage_before_live_data_is_corrupt(self):
-        frames = [encode_frame(1, b"first", ALG),
-                  encode_frame(2, b"second", ALG),
-                  encode_frame(3, b"third", ALG)]
+        frames = [encode_frame(1, b"first"),
+                  encode_frame(2, b"second"),
+                  encode_frame(3, b"third")]
         data = bytearray(segment(frames))
         data[HEADER_SIZE + len(frames[0]) + 10] ^= 0xFF
         with pytest.raises(WalCorrupt) as excinfo:
@@ -100,13 +109,13 @@ class TestScan:
         assert "possibly-acknowledged" in str(excinfo.value)
 
     def test_lsn_running_backwards_is_corrupt(self):
-        frames = [encode_frame(5, b"first", ALG),
-                  encode_frame(3, b"second", ALG)]
+        frames = [encode_frame(5, b"first"),
+                  encode_frame(3, b"second")]
         with pytest.raises(WalCorrupt) as excinfo:
             scan_segment(segment(frames))
         assert "not above predecessor" in str(excinfo.value)
 
     def test_wrong_shard_is_refused(self):
-        head = struct.pack("!4sHBBIQ", b"RWAL", 1, ALG, 0, 1, 0)
+        head = struct.pack("!4sHBBIQ", b"RWAL", 1, 0x5A, 0, 1, 0)
         with pytest.raises(WalCorrupt, match="log 1"):
-            scan_segment(head + struct.pack("!I", checksum_fn(ALG)(head)))
+            scan_segment(head + struct.pack("!I", zlib.crc32(head)))

@@ -1,8 +1,10 @@
-"""Gateway durability wiring: ack-on-fsync vs ack-on-enqueue."""
+"""Gateway durability wiring: a write is acknowledged at its fsync."""
+
+import threading
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, WalError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.policy import PolicyBase
 from repro.snap.xmlstore import SnapshotXmlDatabase
@@ -17,7 +19,6 @@ def engine():
 
 
 def durable_store(vfs, **kwargs):
-    kwargs.setdefault("auto_flush", False)
     return DurableXmlStore(SnapshotXmlDatabase(), vfs, **kwargs)
 
 
@@ -32,20 +33,24 @@ class TestGatewayDurability:
             publisher.insert("g", "d1", "<doc><v>1</v></doc>")
 
         gateway.write(seed)
-        assert store.durability_lag == 0
+        assert store.wal.last_synced == store.wal.last_lsn
         digest = store.state_digest()
         store.close()
-        recovered, _ = DurableXmlStore.recover(vfs, auto_flush=False)
+        recovered, _ = DurableXmlStore.recover(vfs)
         assert recovered.state_digest() == digest
 
-    def test_enqueue_write_acks_before_the_fsync(self):
-        store = durable_store(MemVfs(), durability="enqueue")
-        gateway = sync_gateway(engine(), store=store,
-                               durability="enqueue")
+    def test_a_written_and_closed_store_starts_no_thread(self, monkeypatch):
+        # Every record is synced by the committer that waits on it.
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread)
+                            or start(thread))
+        store = durable_store(MemVfs())
+        gateway = sync_gateway(engine(), store=store, durability="fsync")
         gateway.write(lambda s: s.create_collection("g"))
-        assert store.durability_lag > 0  # acked, durability trails
-        store.wal_sync()
-        assert store.durability_lag == 0
+        store.close()
+        assert started == []
 
     def test_durability_needs_a_durable_store(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -54,6 +59,10 @@ class TestGatewayDurability:
         assert "wal_sync" in str(excinfo.value)
 
     def test_unknown_mode_is_refused(self):
-        with pytest.raises(ConfigurationError):
-            sync_gateway(engine(), store=durable_store(MemVfs()),
-                         durability="paranoid")
+        # Nothing acknowledges a write before its fsync ("enqueue").
+        for mode in ("enqueue", "paranoid"):
+            with pytest.raises(ConfigurationError):
+                sync_gateway(engine(), store=durable_store(MemVfs()),
+                             durability=mode)
+            with pytest.raises(WalError):
+                durable_store(MemVfs(), durability=mode)

@@ -80,8 +80,7 @@ def test_sigkill_mid_commit_recovers_byte_identical(tmp_path, grace):
 
     vfs = OsVfs(root)
     scan = scan_logs(vfs, apply_truncation=False)
-    recovered, report = DurableXmlStore.recover(
-        vfs, auto_flush=False, segment_bytes=8 * 1024)
+    recovered, report = DurableXmlStore.recover(vfs, segment_bytes=8 * 1024)
     # (b) self-consistent: recovered state is the reference replay of
     # exactly the records the scan decoded, byte for byte.
     assert recovered.state_digest() == _reference_digest(scan.records)
@@ -96,10 +95,9 @@ def test_sigkill_mid_commit_recovers_byte_identical(tmp_path, grace):
     # The recovered store keeps writing against the same directory —
     # reopen never appends to old segments, the LSN space continues.
     recovered.insert("kills", "post-kill", "<doc><v>revived</v></doc>")
-    assert recovered.durability_lag == 0
+    assert recovered.wal.last_synced == recovered.wal.last_lsn
     digest = recovered.state_digest()
     recovered.close()
-    second, _ = DurableXmlStore.recover(
-        vfs, auto_flush=False, segment_bytes=8 * 1024)
+    second, _ = DurableXmlStore.recover(vfs, segment_bytes=8 * 1024)
     assert second.state_digest() == digest
     second.close()

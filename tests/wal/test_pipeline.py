@@ -1,4 +1,4 @@
-"""Segment chains and group commit: batching, lag bounds, fault seals."""
+"""Segment chains and group commit: batching, fault seals."""
 
 import sys
 import threading
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core.errors import DurabilityLagExceeded, WalError
+from repro.core.errors import WalError
 from repro.faults.clock import FaultClock
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
@@ -92,7 +92,7 @@ class TestWriteAheadLog:
 class TestGroupCommit:
     def test_one_sync_covers_the_whole_batch(self):
         vfs, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False)
+        pipeline = CommitPipeline(log)
         tickets = [pipeline.submit(f"op-{n}".encode()) for n in range(32)]
         assert log.stats.syncs == 0
         assert pipeline.flush() == 32
@@ -104,24 +104,12 @@ class TestGroupCommit:
 
     def test_submit_order_is_lsn_order_is_file_order(self):
         vfs, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False)
+        pipeline = CommitPipeline(log)
         tickets = [pipeline.submit(f"op-{n}".encode()) for n in range(10)]
         pipeline.flush()
         scan = recover(vfs)
         assert [lsn for lsn, _ in scan.records] == [
             ticket.lsn for ticket in tickets]
-
-    def test_lag_bound_throws_typed_backpressure_at_submit(self):
-        _, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False, max_lag=3)
-        for n in range(3):
-            pipeline.submit(b"x")
-        with pytest.raises(DurabilityLagExceeded) as excinfo:
-            pipeline.submit(b"one too many")
-        assert excinfo.value.lag == 3
-        assert excinfo.value.limit == 3
-        pipeline.flush()
-        pipeline.submit(b"fits again")
 
     def test_concurrent_writers_share_fsync_batches(self):
         # Judged on a device with a cost.  Followers wake together, so
@@ -173,7 +161,7 @@ class TestGroupCommit:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert pipeline.lag == 0
+        assert pipeline.flush() == 0
         stats = pipeline.stats_snapshot()
         assert stats["records_flushed"] == 800 and not stats["sealed"]
         assert [lsn for lsn, _ in recover(vfs).records] == sorted(
@@ -194,24 +182,12 @@ class TestGroupCommit:
         assert stats["mean_batch"] == 1.0
         assert lingers == []
 
-    def test_only_auto_flush_starts_a_flusher_thread(self):
-        _, log = make_log()
-        assert CommitPipeline(log)._flusher is None
-        pipeline = CommitPipeline(log, auto_flush=True)
-        ticket = pipeline.submit(b"nobody waits on this")
-        deadline = time.monotonic() + 5
-        while not ticket.synced and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert ticket.synced
-        pipeline.close()
-        assert not pipeline._flusher.is_alive()
-
     def test_device_fault_fails_every_ticket_and_seals(self):
         plan = FaultPlan()
         plan.add("wal", 0, FaultKind.CRASH)
         injector = FaultInjector(plan, FaultClock())
         _, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False,
+        pipeline = CommitPipeline(log,
                                   injector=injector)
         tickets = [pipeline.submit(b"x") for _ in range(4)]
         pipeline.flush()
@@ -225,7 +201,7 @@ class TestGroupCommit:
 
     def test_nothing_is_acked_before_its_fsync(self):
         _, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False)
+        pipeline = CommitPipeline(log)
         ticket = pipeline.submit(b"x")
         assert not ticket.synced
         pipeline.flush()
@@ -237,7 +213,7 @@ class TestGroupCommit:
         # earlier one into applied-but-unlogged records and strands
         # its tickets.
         vfs, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False, max_batch=4)
+        pipeline = CommitPipeline(log, max_batch=4)
         tickets = [pipeline.submit(f"op-{n}".encode()) for n in range(64)]
         errors = []
 
@@ -263,7 +239,7 @@ class TestGroupCommit:
         # A flush that dies after taking its batch must fail those
         # tickets — leaving them unresolved hangs their waiters.
         _, log = make_log()
-        pipeline = CommitPipeline(log, auto_flush=False)
+        pipeline = CommitPipeline(log)
         ticket = pipeline.submit(b"x")
         log.append(b"interloper", lsn=ticket.lsn + 100)
         with pytest.raises(WalError):
@@ -284,7 +260,7 @@ class TestGroupCommit:
         plan.add("wal", 0, FaultKind.CRASH)
         vfs, log = make_log()
         pipeline = CommitPipeline(
-            log, auto_flush=False, max_batch=2,
+            log, max_batch=2,
             injector=FaultInjector(plan, FaultClock()))
         tickets = [pipeline.submit(f"op-{n}".encode()) for n in range(4)]
         pipeline.flush()
@@ -292,7 +268,6 @@ class TestGroupCommit:
             with pytest.raises(WalError) as excinfo:
                 ticket.wait(timeout=1)
             assert "device fault" in str(excinfo.value)
-        assert pipeline.lag == 0
         assert pipeline.flush() == 0
         assert recover(vfs).records == []
 

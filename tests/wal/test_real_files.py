@@ -9,7 +9,7 @@ segment at recovery.
 
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.wal.durable import DurableXmlStore, encode_ops
-from repro.wal.format import decode_segment_header, encode_frame
+from repro.wal.format import encode_frame
 from repro.wal.vfs import OsVfs
 
 
@@ -41,16 +41,13 @@ def test_checkpoint_truncate_and_torn_tail_round_trip(tmp_path):
 
     tail = segments(vfs)[-1]
     whole = vfs.size(tail)
-    header = decode_segment_header(vfs.read_bytes(tail), tail)
     frame = encode_frame(
         last_lsn + 1,
-        encode_ops([("insert", ("c", "torn", "<torn/>"), {})]),
-        header.algorithm_id)
+        encode_ops([("insert", ("c", "torn", "<torn/>"), {})]))
     with open(tmp_path / tail, "ab") as handle:
         handle.write(frame[:len(frame) // 2])
 
-    recovered, report = DurableXmlStore.recover(OsVfs(tmp_path),
-                                                auto_flush=False)
+    recovered, report = DurableXmlStore.recover(OsVfs(tmp_path))
     try:
         assert report.checkpoint_lsn > 0
         assert report.records_replayed == 6

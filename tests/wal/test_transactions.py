@@ -51,7 +51,7 @@ AFTER = "<doc><a>1</a><b>1</b><c>1</c><d>1</d></doc>"
 
 def xml_transaction():
     vfs = UnsyncedVfs()
-    store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
+    store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
     store.create_collection("c")
     store.insert("c", "d", BEFORE)
     vfs.hold = True
@@ -63,7 +63,7 @@ def xml_transaction():
 
 def uddi_transaction():
     vfs = UnsyncedVfs()
-    registry = DurableUddiRegistry(UddiRegistry(), vfs, auto_flush=False)
+    registry = DurableUddiRegistry(UddiRegistry(), vfs)
     registry.save_business(
         BusinessEntity(business_key="biz-000", name="Base"), "alice")
     before = registry.state_digest()
@@ -89,7 +89,7 @@ class TestCrashAtomicity:
         for keep in range(pending + 1):
             vfs = xml_transaction()
             vfs.crash(keep_partial={tail: keep})
-            recovered, report = DurableXmlStore.recover(vfs, auto_flush=False)
+            recovered, report = DurableXmlStore.recover(vfs)
             document = recovered.current().serialize("c", "d")
             whole = keep == pending
             assert document == (AFTER if whole else BEFORE), (
@@ -104,8 +104,7 @@ class TestCrashAtomicity:
         for keep in range(pending + 1):
             vfs, _, _ = uddi_transaction()
             vfs.crash(keep_partial={tail: keep})
-            recovered, report = DurableUddiRegistry.recover(
-                vfs, auto_flush=False)
+            recovered, report = DurableUddiRegistry.recover(vfs)
             whole = keep == pending
             assert recovered.state_digest() == (after if whole
                                                 else before)
@@ -115,7 +114,7 @@ class TestCrashAtomicity:
 class TestOneRecordPerTransaction:
     def test_a_block_is_one_frame_one_lsn(self):
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
         store.create_collection("c")
         with store.writer():
             store.insert("c", "d", BEFORE)
@@ -130,23 +129,23 @@ class TestOneRecordPerTransaction:
 
     def test_a_block_that_raises_logs_exactly_what_it_applied(self):
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
         store.create_collection("c")
         with pytest.raises(QueryError):
             with store.writer():
                 store.insert("c", "d", BEFORE)
                 store.insert("nowhere", "d", BEFORE)
-        assert store.durability_lag == 0
+        assert store.wal.last_synced == store.wal.last_lsn
         live = store.state_digest()
         store.close()
-        recovered, report = DurableXmlStore.recover(vfs, auto_flush=False)
+        recovered, report = DurableXmlStore.recover(vfs)
         assert report.records_replayed == 2
         assert recovered.state_digest() == live
         assert recovered.current().serialize("c", "d") == BEFORE
 
     def test_unpicklable_argument_is_refused_mid_block_before_apply(self):
         vfs = MemVfs()
-        db = DurableRelationalStore(Database(), vfs, auto_flush=False)
+        db = DurableRelationalStore(Database(), vfs)
         schema = TableSchema("t", (Column("id", ColumnType.INT),),
                              primary_key="id")
         with pytest.raises(WalError) as excinfo:
@@ -158,14 +157,12 @@ class TestOneRecordPerTransaction:
         assert "unpicklable" in str(excinfo.value)
         assert db.state_digest() == applied
         db.close()
-        recovered, report = DurableRelationalStore.recover(
-            vfs, auto_flush=False)
+        recovered, report = DurableRelationalStore.recover(vfs)
         assert report.records_replayed == 1
         assert recovered.state_digest() == applied
 
     def test_checkpoint_inside_a_transaction_is_refused_typed(self):
-        store = DurableXmlStore(SnapshotXmlDatabase(), MemVfs(),
-                                auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), MemVfs())
         with store.group():
             store.create_collection("c")
             with pytest.raises(WalError):
@@ -188,7 +185,7 @@ class TestOneRecordPerTransaction:
         log.append(payload)
         log.close()
         with pytest.raises(WalCorrupt) as excinfo:
-            DurableXmlStore.recover(vfs, auto_flush=False)
+            DurableXmlStore.recover(vfs)
         assert "op triples" in str(excinfo.value)
 
 
@@ -198,7 +195,7 @@ class TestLockOrder:
         # want the op mutex per edit, while a plain op held the op
         # mutex and wanted the inner lock.
         vfs = MemVfs()
-        store = DurableXmlStore(SnapshotXmlDatabase(), vfs, auto_flush=False)
+        store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
         store.create_collection("c")
         store.insert("c", "d", "<doc><a>0</a><b>0</b></doc>")
         inside, racing = threading.Event(), threading.Event()

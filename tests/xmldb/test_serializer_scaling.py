@@ -66,6 +66,21 @@ def bushy(width: int) -> Element:
     return root
 
 
+def best_times(*nodes, repeats: int = 9) -> list[float]:
+    """Best ``serialize_element`` time of each node, over *repeats*
+    rounds that each time every node once: load that comes and goes
+    lands on all of them alike, not on whichever ran second."""
+    for node in nodes:
+        serialize_element(node)  # warm-up
+    best = [float("inf")] * len(nodes)
+    for _ in range(repeats):
+        for index, node in enumerate(nodes):
+            start = time.perf_counter()
+            serialize_element(node)
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
 class TestSemantics:
     def test_matches_the_recursive_reference_on_shallow_documents(self):
         for node in (bushy(50), chain(40),
@@ -90,29 +105,11 @@ class TestScaling:
         """4x the depth must cost well under 16x the time (with slack:
         under 8x).  The quadratic emission failed this by an order of
         magnitude."""
-        def measure(depth: int) -> float:
-            node = chain(depth)
-            serialize_element(node)  # warm-up
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                serialize_element(node)
-                best = min(best, time.perf_counter() - start)
-            return best
-        small, large = measure(1500), measure(6000)
+        small, large = best_times(chain(1500), chain(6000))
         assert large < small * 8, (small, large)
 
     def test_wide_document_cost_is_linear(self):
-        def measure(width: int) -> float:
-            node = bushy(width)
-            serialize_element(node)
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                serialize_element(node)
-                best = min(best, time.perf_counter() - start)
-            return best
-        small, large = measure(2000), measure(8000)
+        small, large = best_times(bushy(2000), bushy(8000))
         assert large < small * 8, (small, large)
 
     def test_deep_roundtrip_through_the_parser(self):
