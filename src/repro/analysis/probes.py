@@ -11,8 +11,8 @@ qualifiers (roles, departments, credential types) are all represented.
 
 Each policy's probe set is packed into a bitmask once, making the
 pairwise overlap tests during conflict/shadow detection O(1) bitwise
-operations — this is what keeps whole-policy-base analysis near-linear
-(benchmark A4).
+operations, and benchmark A4 counts those tests per policy as the base
+grows.
 """
 
 from __future__ import annotations

@@ -241,26 +241,31 @@ def check_dead_policies(analysis: XmlPolicyAnalysis) -> list[Finding]:
 def check_conflicts(analysis: XmlPolicyAnalysis) -> list[Finding]:
     """One finding per GRANT that collides with DENYs on a DTD node.
 
-    Indexing denies by attachment tag keeps this near-linear in practice;
-    subject overlap is a single bitwise AND thanks to probe masks.
+    Denies are indexed by (attachment tag, privilege) and, within that
+    bucket, grouped by subject mask, so a grant makes one overlap test
+    (a bitwise AND of probe masks) per distinct mask, not per deny.
     """
-    by_tag: dict[tuple[str, object], list[PolicySummary]] = {}
+    by_tag: dict[tuple[str, object], dict[int, list[PolicySummary]]] = {}
     for deny in analysis.denies():
         if not deny.subject_mask:
             continue
         for tag in deny.attachments:
-            by_tag.setdefault((tag, deny.policy.privilege), []).append(deny)
+            (by_tag.setdefault((tag, deny.policy.privilege), {})
+             .setdefault(deny.subject_mask, []).append(deny))
     findings = []
     for grant in analysis.grants():
         if not grant.subject_mask:
             continue
         conflicting: dict[int, tuple[str, int]] = {}
         for tag in grant.attachments:
-            for deny in by_tag.get((tag, grant.policy.privilege), ()):
-                if masks_overlap(grant.subject_mask, deny.subject_mask):
+            bucket = by_tag.get((tag, grant.policy.privilege), {})
+            for mask, denies in bucket.items():
+                if not masks_overlap(grant.subject_mask, mask):
+                    continue
+                for deny in denies:
                     conflicting.setdefault(
                         deny.policy.policy_id,
-                        (tag, grant.subject_mask & deny.subject_mask))
+                        (tag, grant.subject_mask & mask))
         if not conflicting:
             continue
         sample_id = min(conflicting)

@@ -5,19 +5,14 @@ control are not enough" for web populations; role/credential
 qualification is needed.
 
 Operationalization: to give a population of N users access to a fixed
-resource set, count how many policies each basis needs and how decision
-latency scales.  Identity-based bases need O(N) policies; role and
-credential bases stay O(#roles)/O(#attributes).
+resource set, count how many policies each basis needs and how many
+candidate policies each decision examines.  Identity-based bases need
+O(N) policies; role and credential bases stay O(#roles)/O(#attributes).
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import (
-    ExperimentResult,
-    failed,
-    register,
-    time_callable,
-)
+from repro.bench.harness import ExperimentResult, failed, register, tally
 from repro.core.credentials import (
     attribute_equals,
     has_role,
@@ -61,7 +56,8 @@ def verdict(result: ExperimentResult) -> list[str]:
         (by_key[2000, "credential"][2] == by_key[100, "credential"][2],
          "credential policies stay flat from 100 to 2,000 users"),
         (by_key[2000, "identity"][3] > by_key[2000, "role"][3],
-         "identity us/decision exceeds role's at 2,000 users"),
+         "candidates examined per decision, identity > role at 2,000 "
+         "users"),
     )
 
 
@@ -79,23 +75,21 @@ def run() -> ExperimentResult:
             base = _coverage_policy_base(basis, directory)
             evaluator = PolicyEvaluator(base)
 
-            def workload() -> int:
-                granted = 0
+            granted = 0
+            with tally(PolicyBase, "candidates", len) as examined:
                 for subject in probe:
                     if evaluator.check(subject, Action.READ,
                                        "hospital/records/r1/name"):
                         granted += 1
-                return granted
-
-            latency, granted = time_callable(workload, repeats=3)
             rows.append([population_size, basis, len(base),
-                         latency * 1e6 / len(probe), granted])
+                         examined.count / len(probe), granted])
     identity_growth = rows[6][2] / max(rows[0][2], 1)
     role_growth = rows[7][2] / max(rows[1][2], 1)
     observations.append(
         f"policy count growth 100->2000 users: identity x{identity_growth:.0f}, "
         f"role x{role_growth:.0f} (flat)")
     return ExperimentResult(
-        "E1", "Subject qualification: policies needed and decision latency",
-        ["users", "basis", "policies", "us/decision", "granted"],
+        "E1", "Subject qualification: policies needed and candidates "
+              "examined per decision",
+        ["users", "basis", "policies", "candidates/decision", "granted"],
         rows, observations)

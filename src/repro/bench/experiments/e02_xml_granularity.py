@@ -7,19 +7,14 @@ content-dependent policies.
 
 Operationalization: on the hospital corpus, express the *same*
 protection goal ("hide sensitive oncology data from non-doctors") at
-four granularities and measure (a) view-computation cost and (b) how
+four granularities and count (a) the policies each needs and (b) how
 much non-sensitive content each granularity needlessly withholds
 (over-restriction) — the cost of NOT having fine granularity.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import (
-    ExperimentResult,
-    failed,
-    register,
-    time_callable,
-)
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.credentials import anyone, has_role
 from repro.core.subjects import Role, Subject
 from repro.datagen.documents import hospital_corpus
@@ -75,9 +70,9 @@ def _policy_base(granularity: str) -> XmlPolicyBase:
 
 
 def verdict(result: ExperimentResult) -> list[str]:
-    over = {row[0]: row[4] for row in result.rows}
+    over = {row[0]: row[3] for row in result.rows}
     return failed(
-        (all(row[3] == 0 for row in result.rows),
+        (all(row[2] == 0 for row in result.rows),
          "no granularity leaks a sensitive element"),
         (over["content"] == min(over.values()),
          "content-dependent policies over-restrict the least"),
@@ -97,14 +92,10 @@ def run() -> ExperimentResult:
     rows = []
     for granularity in ("document", "subtree", "element", "content"):
         base = _policy_base(granularity)
-
-        def build():
-            # Markers keep sibling indexes aligned with the original, so
-            # the leakage accounting below maps paths exactly.
-            return compute_view(base, NURSE, "h", document,
-                                with_markers=True)
-
-        latency, (view, _stats) = time_callable(build, repeats=3)
+        # Markers keep sibling indexes aligned with the original, so
+        # the leakage accounting below maps paths exactly.
+        view, _stats = compute_view(base, NURSE, "h", document,
+                                    with_markers=True)
         visible_paths = set()
         if view is not None:
             from repro.merkle.xml_merkle import (
@@ -121,8 +112,7 @@ def run() -> ExperimentResult:
             if (node.text or node.attributes)
             and node.node_path() in visible_paths
             and node.node_path() not in sensitive)
-        rows.append([granularity, len(base), latency * 1e3, leaked,
-                     over_restricted])
+        rows.append([granularity, len(base), leaked, over_restricted])
     observations = [
         "every granularity keeps leakage at 0 — the difference is how "
         "much non-sensitive content each needlessly withholds",
@@ -132,6 +122,5 @@ def run() -> ExperimentResult:
     return ExperimentResult(
         "E2", "Granularity ladder: cost and over-restriction "
               f"(document: {total} elements, {len(sensitive)} sensitive)",
-        ["granularity", "policies", "view ms", "leaked",
-         "over-restricted"],
+        ["granularity", "policies", "leaked", "over-restricted"],
         rows, observations)

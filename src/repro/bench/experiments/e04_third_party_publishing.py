@@ -4,16 +4,16 @@ publisher ([3], §3.2).
 Claim: subjects can "verify the authenticity and completeness of the
 received answer" without trusting the publisher.
 
-Operationalization: corpus + subject mix; measure proof overhead (filler
-hashes, verification latency) of the Merkle scheme against the
-trusted-owner baseline (owner signs each subject's view individually —
-which forces the *owner* to be online per query), and show the detection
-rate of each attack is 100%.
+Operationalization: corpus + subject mix; count the proof overhead
+(filler hashes, against the document's element count) of the Merkle
+scheme, check the trusted-owner baseline (owner signs each subject's
+view individually — which forces the *owner* to be online per query),
+and show the detection rate of each attack is 100%.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentResult, Timer, failed, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.credentials import anyone, has_role
 from repro.crypto.rsa import generate_keypair, sign, verify
 from repro.datagen.documents import hospital_corpus
@@ -36,7 +36,7 @@ def _policy_base() -> XmlPolicyBase:
 def verdict(result: ExperimentResult) -> list[str]:
     detection = next((o for o in result.observations
                       if o.startswith("attack detection")), "")
-    nurse = [row for row in result.rows if row[1] == "nurse"]
+    nurse = [row for row in result.rows if row[2] == "nurse"]
     answers = len(result.rows)
     return failed(
         (f"honest answers verified: {answers}/{answers} Merkle proofs, "
@@ -44,10 +44,11 @@ def verdict(result: ExperimentResult) -> list[str]:
          "every honest answer's proof and owner signature verifies"),
         *((f"{attack} 3/3" in detection, f"every {attack} attack is detected")
           for attack in ("tamper", "omit", "swap")),
-        (nurse[-1][2] > nurse[0][2],
+        (nurse[-1][3] > nurse[0][3],
          "the nurse's filler hashes grow with the corpus"),
-        (all(row[3] < 1000 for row in result.rows),
-         "verify ms stays under 1,000"),
+        (all(row[3] < row[1] for row in result.rows),
+         "each answer's proof carries fewer hashes than the document "
+         "has elements"),
     )
 
 
@@ -69,20 +70,15 @@ def run() -> ExperimentResult:
         for name, subject in subjects:
             answer = publisher.request(subject, "h")
             verifier = SubjectVerifier(subject, owner.public_key, base)
-            with Timer() as verify_timer:
-                report = verifier.verify(answer)
-            proofs += report.ok
+            proofs += verifier.verify(answer).ok
             # Baseline: owner online, signs this subject's view directly.
             owner_keys = generate_keypair(bits=512, seed=7)
             view, _ = compute_view(base, subject, "h", document)
-            with Timer() as baseline_timer:
-                payload = serialize(view)
-                signature = sign(owner_keys.private, payload)
-                signatures += verify(owner_keys.public, payload, signature)
-            rows.append([record_count, name,
-                         answer.proof_hash_count(),
-                         verify_timer.elapsed * 1e3,
-                         baseline_timer.elapsed * 1e3])
+            payload = serialize(view)
+            signature = sign(owner_keys.private, payload)
+            signatures += verify(owner_keys.public, payload, signature)
+            rows.append([record_count, document.size(), name,
+                         answer.proof_hash_count()])
 
     # Attack detection sweep.
     base = _policy_base()
@@ -116,6 +112,5 @@ def run() -> ExperimentResult:
     return ExperimentResult(
         "E4", "Third-party publishing: proof size, verification cost, "
               "attack detection",
-        ["records", "subject", "filler hashes", "verify ms",
-         "owner-online ms"],
+        ["records", "elements", "subject", "filler hashes"],
         rows, observations)

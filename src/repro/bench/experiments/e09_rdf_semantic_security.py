@@ -7,14 +7,14 @@ through RDFS entailment, reification and containers.
 Operationalization: synthetic personnel graphs with secret employments,
 a public schema (domain/range/subClassOf), reifications and containers;
 count leaked derived triples and reification leaks under syntactic vs
-semantic enforcement, plus the enforcement overhead.
+semantic enforcement.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.bench.harness import ExperimentResult, Timer, failed, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.mls import Label, Level
 from repro.rdfdb.containers import create_container
 from repro.rdfdb.model import RDF, RDFS, Literal, Namespace, triple
@@ -79,17 +79,13 @@ def run() -> ExperimentResult:
     rows = []
     for person_count in (50, 150, 400):
         store = _build(person_count, seed=16)
-        with Timer() as naive_timer:
-            naive = store.query(UNCLEARED, infer=True, semantic=False)
-        with Timer() as semantic_timer:
-            semantic = store.query(UNCLEARED, infer=True, semantic=True)
+        naive = store.query(UNCLEARED, infer=True, semantic=False)
+        semantic = store.query(UNCLEARED, infer=True, semantic=True)
         leaked = store.leaked_by_syntactic_enforcement(UNCLEARED)
         reif_leaks = store.reification_leaks(UNCLEARED)
         rows.append([person_count, len(store.store),
                      len(naive), len(semantic), len(leaked),
-                     len(reif_leaks) // 3,
-                     naive_timer.elapsed * 1e3,
-                     semantic_timer.elapsed * 1e3])
+                     len(reif_leaks) // 3])
     # Context declassification demo on the last store.
     fact = triple(EX.person0, EX.missionReport, "delivered")
     store.add(fact)
@@ -111,6 +107,5 @@ def run() -> ExperimentResult:
     return ExperimentResult(
         "E9", "RDF semantic enforcement vs the syntactic strawman",
         ["persons", "stored triples", "naive visible",
-         "semantic visible", "derived leaks", "reified leaks",
-         "naive ms", "semantic ms"],
+         "semantic visible", "derived leaks", "reified leaks"],
         rows, observations)

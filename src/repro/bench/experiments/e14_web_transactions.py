@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import ExperimentResult, Timer, failed, register
+from repro.bench.harness import ExperimentResult, failed, register
 from repro.core.errors import TransactionError
 from repro.relational.bidding import (
     Bid,
@@ -58,23 +58,21 @@ def run() -> ExperimentResult:
         locked = ImmediateLockAuction()
         for item in items:
             locked.list_item(item, reserve)
-        with Timer() as locked_timer:
-            for bid in bids:
-                locked.place_bid(bid)
-            for item in items:
-                try:
-                    locked.complete_sale(item)
-                except TransactionError:
-                    pass  # unsold items have no sale to complete
+        for bid in bids:
+            locked.place_bid(bid)
+        for item in items:
+            try:
+                locked.complete_sale(item)
+            except TransactionError:
+                pass  # unsold items have no sale to complete
 
         open_model = OpenBidAuction()
         for item in items:
             open_model.list_item(item, reserve)
-        with Timer() as open_timer:
-            for bid in bids:
-                open_model.place_bid(bid)
-            for item in items:
-                open_model.close(item)
+        for bid in bids:
+            open_model.place_bid(bid)
+        for item in items:
+            open_model.close(item)
 
         def average_price(stats):
             return (stats.revenue / stats.items_sold

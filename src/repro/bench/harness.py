@@ -1,4 +1,4 @@
-"""Experiment harness: timing, registration and report assembly.
+"""Experiment harness: registration, work counting and report assembly.
 
 Each module under :mod:`repro.bench.experiments` registers one
 :class:`Experiment`: an id, the paper claim, a runner and the claim's
@@ -7,13 +7,18 @@ free-form observations — which is what EXPERIMENTS.md records; the
 verdict reads that result and names every check on it that fails.
 ``python -m repro.bench`` runs them, prints the tables and exits 1 when
 a verdict fails.
+
+Nothing here reads a clock.  A runner runs its workload once and reports
+what it counts (elements examined, candidates, hashes, messages), often
+through :func:`tally`, so every table is a pure function of the code and
+``--out`` regenerates the committed tables byte for byte.
 """
 
 from __future__ import annotations
 
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.bench.tables import render_table
 
@@ -27,14 +32,12 @@ class ExperimentResult:
     headers: Sequence[str]
     rows: list[Sequence[object]]
     observations: list[str] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
 
     def render(self) -> str:
         parts = [render_table(self.headers, self.rows,
                               title=f"[{self.experiment_id}] {self.title}")]
         for observation in self.observations:
             parts.append(f"  * {observation}")
-        parts.append(f"  (completed in {self.elapsed_seconds:.2f}s)")
         return "\n".join(parts)
 
 
@@ -59,31 +62,37 @@ class Experiment:
     verdict: Verdict
 
 
-class Timer:
-    """Context-manager stopwatch used inside runners."""
+@dataclass
+class Tally:
+    """The running total of one :func:`tally`."""
 
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
+    count: int = 0
 
 
-def time_callable(func: Callable[[], object],
-                  repeats: int = 3) -> tuple[float, object]:
-    """Best-of-N wall time in seconds, plus the last return value."""
-    best = float("inf")
-    result: object = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+@contextmanager
+def tally(owner: object, name: str,
+          weigh: Callable[[object], int] = lambda result: 1
+          ) -> Iterator[Tally]:
+    """Count the calls to ``owner.name`` made while the block runs.
+
+    Each call adds ``weigh(result)`` — 1 by default, so the total is a
+    call count; ``len`` makes it the number of items the calls returned.
+    *owner* is the module or class that defines *name*; the original is
+    back in place when the block exits.
+    """
+    original = vars(owner)[name]
+    total = Tally()
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        total.count += weigh(result)
+        return result
+
+    setattr(owner, name, counted)
+    try:
+        yield total
+    finally:
+        setattr(owner, name, original)
 
 
 _REGISTRY: dict[str, Experiment] = {}
@@ -96,15 +105,9 @@ def register(experiment_id: str, claim: str, verdict: Verdict
 
     def wrap(runner: Callable[[], ExperimentResult]
              ) -> Callable[[], ExperimentResult]:
-        def timed() -> ExperimentResult:
-            with Timer() as timer:
-                result = runner()
-            result.elapsed_seconds = timer.elapsed
-            return result
-
-        _REGISTRY[experiment_id] = Experiment(experiment_id, claim, timed,
+        _REGISTRY[experiment_id] = Experiment(experiment_id, claim, runner,
                                               verdict)
-        return timed
+        return runner
 
     return wrap
 

@@ -103,8 +103,8 @@ class PolicyEvaluator:
 
     Nothing is memoised: every :meth:`decide` asks the base for its
     applicable policies and resolves them, so its cost is the cost of
-    evaluation (what experiments E1 and A3 time) and its answer is the
-    oracle for the compiled path.
+    evaluation (experiments E1 and A3 count the candidates each decision
+    examines) and its answer is the oracle for the compiled path.
 
     Parameters
     ----------

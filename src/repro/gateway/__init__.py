@@ -31,12 +31,7 @@ from repro.gateway.admission import (
 from repro.gateway.core import AsyncRequestGateway
 from repro.gateway.engine import EpochalShardRouter
 from repro.gateway.stats import GatewayStats, LatencyHistogram
-from repro.gateway.streaming import (
-    DEFAULT_CHUNK_SIZE,
-    collect,
-    serialize_pieces,
-    stream_element,
-)
+from repro.gateway.streaming import DEFAULT_CHUNK_SIZE, serialize_pieces
 from repro.scale.gateway import Request
 
 __all__ = [
@@ -51,8 +46,6 @@ __all__ = [
     "Request",
     "TenantConfig",
     "TokenBucket",
-    "collect",
     "serialize_pieces",
-    "stream_element",
 ]
 

@@ -1,11 +1,12 @@
-"""Chunked dissemination: async serialization over frozen snapshots.
+"""Chunked dissemination: the chunks of a stream over frozen snapshots.
 
 A streaming response must satisfy the same contract as the serial
 serializer — concatenating every chunk yields output *byte-identical*
 to :func:`repro.xmldb.serializer.serialize_element` — while never
 holding the event loop for the whole document.  A stream is the one
 walk of frozen trees, :func:`repro.snap.intern.serialize_pieces`, cut
-into chunks: it emits interned fragments where the pool has them,
+into chunks by :func:`chunked` (the gateway's ``stream_document``
+serves them): it emits interned fragments where the pool has them,
 serializes where it does not, and interns what it serialized.  The
 first stream of a document pays for the later ones: a repeat stream is
 one pool probe, one join and one slice per chunk, and
@@ -22,10 +23,9 @@ across whatever they publish.
 
 from __future__ import annotations
 
-from typing import AsyncIterator, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.errors import ConfigurationError
-from repro.snap.frozen import FrozenElement
 from repro.snap.intern import DEFAULT_CHUNK_SIZE, serialize_pieces
 
 
@@ -49,25 +49,3 @@ def chunked(pieces: Iterable[str], chunk_size: int) -> Iterator[str]:
             room -= size - start
     if buffer:
         yield "".join(buffer)
-
-
-async def stream_element(node: FrozenElement, pool=None,
-                         chunk_size: int = DEFAULT_CHUNK_SIZE
-                         ) -> AsyncIterator[str]:
-    """Serialize *node* as an async stream of *chunk_size* chunks.
-
-    ``"".join([chunk async for chunk in stream_element(n, pool)])`` is
-    byte-identical to ``pool.serialize(n)``.  No yield suspends: the
-    event loop runs other work between chunks only if the consumer
-    awaits something that does.
-    """
-    for chunk in chunked(serialize_pieces(node, pool), chunk_size):
-        yield chunk
-
-
-async def collect(chunks: AsyncIterator[str]) -> str:
-    """Concatenate an async chunk stream (tests and oracles)."""
-    parts: list[str] = []
-    async for chunk in chunks:
-        parts.append(chunk)
-    return "".join(parts)

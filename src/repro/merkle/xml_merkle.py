@@ -45,10 +45,9 @@ def node_hash(tag: str, local_hash: str, child_hashes: list[str]) -> str:
     """Compose one element's Merkle hash from already-computed parts.
 
     The single place the Mh(e) recurrence is spelled out, shared by the
-    recursive :func:`merkle_hash`, the :class:`IncrementalXmlHasher`, and
-    the snapshot layer's cross-epoch subtree cache
-    (:class:`repro.snap.intern.InternPool`) — three caching strategies,
-    one hash definition, so their results are interchangeable.
+    recursive :func:`merkle_hash` and the snapshot layer's cross-epoch
+    subtree cache (:class:`repro.snap.intern.InternPool`), so a cached
+    hash and a recomputed one are interchangeable.
     """
     return combine(_XML_NODE_PREFIX, tag, local_hash, *child_hashes)
 
@@ -61,109 +60,6 @@ def merkle_hash(node: Element) -> str:
 
 def document_hash(document: Document) -> str:
     return merkle_hash(document.root)
-
-
-class IncrementalXmlHasher:
-    """Maintains ``merkle_hash(root)`` under point mutations.
-
-    A full :func:`merkle_hash` recomputation is O(n) per edit; republishing
-    a large document after a one-element update should cost O(depth).
-    The hasher caches Ch and Mh per element — keyed by the
-    :class:`Element` objects themselves, which hash by identity; holding
-    them as keys also pins them, so a freed element's recycled ``id`` can
-    never alias a cache entry — and a mutation drops exactly the dirty
-    leaf-to-root path.  The next :meth:`root_hash` then recomputes only
-    what changed.
-
-    Use either the mutation helpers (:meth:`set_text`,
-    :meth:`set_attribute`, :meth:`remove_attribute`, :meth:`insert_child`,
-    :meth:`remove_child`), or mutate the document directly and call
-    :meth:`invalidate` on every touched element.
-
-    ``hash_operations`` counts Ch/Mh computations since construction,
-    giving benchmarks a timing-independent way to demonstrate the
-    O(depth)-vs-O(n) shape.
-    """
-
-    def __init__(self, document: Document) -> None:
-        self.document = document
-        self._content: dict[Element, str] = {}
-        self._merkle: dict[Element, str] = {}
-        self.hash_operations = 0
-
-    # -- hashing --------------------------------------------------------
-
-    def _content_hash(self, node: Element) -> str:
-        cached = self._content.get(node)
-        if cached is None:
-            self.hash_operations += 1
-            cached = content_hash(node)
-            self._content[node] = cached
-        return cached
-
-    def _merkle_hash(self, node: Element) -> str:
-        cached = self._merkle.get(node)
-        if cached is None:
-            child_hashes = [self._merkle_hash(child)
-                            for child in node.element_children]
-            self.hash_operations += 1
-            cached = node_hash(node.tag, self._content_hash(node),
-                               child_hashes)
-            self._merkle[node] = cached
-        return cached
-
-    def root_hash(self) -> str:
-        """The document's Merkle hash, recomputing only dirty paths."""
-        return self._merkle_hash(self.document.root)
-
-    # -- invalidation ---------------------------------------------------
-
-    def invalidate(self, node: Element, content: bool = True) -> None:
-        """Mark *node* dirty after an external mutation.
-
-        Drops the node's cached hashes and the Merkle hashes of its
-        ancestor chain; pass ``content=False`` when only the child list
-        changed (the local content hash is still valid).
-        """
-        if content:
-            self._content.pop(node, None)
-        self._merkle.pop(node, None)
-        for ancestor in node.ancestors():
-            self._merkle.pop(ancestor, None)
-
-    def _drop_subtree(self, node: Element) -> None:
-        for descendant in node.iter():
-            self._content.pop(descendant, None)
-            self._merkle.pop(descendant, None)
-
-    # -- tracked mutations ---------------------------------------------
-
-    def set_text(self, node: Element, text: str) -> None:
-        node.set_text(text)
-        self.invalidate(node)
-
-    def set_attribute(self, node: Element, name: str, value: str) -> None:
-        node.set_attribute(name, value)
-        self.invalidate(node)
-
-    def remove_attribute(self, node: Element, name: str) -> None:
-        node.remove_attribute(name)
-        self.invalidate(node)
-
-    def insert_child(self, parent: Element, child: Element) -> None:
-        parent.append(child)
-        self.invalidate(parent, content=False)
-
-    def remove_child(self, parent: Element, child: Element) -> None:
-        parent.remove(child)
-        self._drop_subtree(child)
-        self.invalidate(parent, content=False)
-
-    # -- oracle ---------------------------------------------------------
-
-    def verify_against_rebuild(self) -> bool:
-        """Does the incremental root hash equal a from-scratch rebuild?"""
-        return self.root_hash() == merkle_hash(self.document.root)
 
 
 @dataclass(frozen=True)

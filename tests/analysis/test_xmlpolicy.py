@@ -1,13 +1,16 @@
 """Tests for static XML policy-base analysis over the hospital DTD."""
 
+import re
+
 import pytest
 
-from repro.analysis.probes import mask_covers
+from repro.analysis.probes import mask_covers, masks_overlap
 from repro.analysis.xmlpolicy import (
     DtdGraph,
     XmlPolicyAnalysis,
     analyze_xml_policies,
     attachment_tags,
+    check_conflicts,
     check_shadowed,
 )
 from repro.core.credentials import anyone, has_role, is_identity
@@ -142,6 +145,50 @@ class TestShadowingMatchesAllPairs:
         findings = check_shadowed(analysis)
         assert [(f.location, f.message.rsplit(" by ", 1)[1])
                 for f in findings] == expected
+
+
+def all_pairs_conflicts(analysis):
+    """XML-CONFLICT by testing every grant x deny pair: per conflicting
+    grant, its location, the tag and lowest id of the deny it names,
+    and how many further denies collide with it."""
+    denies = [d for d in analysis.denies() if d.subject_mask]
+    found = []
+    for grant in analysis.grants():
+        if not grant.subject_mask:
+            continue
+        conflicting = {}
+        for tag in grant.attachments:
+            for deny in denies:
+                if (deny.policy.privilege is grant.policy.privilege
+                        and tag in deny.attachments
+                        and masks_overlap(grant.subject_mask,
+                                          deny.subject_mask)):
+                    conflicting.setdefault(deny.policy.policy_id, tag)
+        if conflicting:
+            sample = min(conflicting)
+            found.append((f"policy#{grant.policy.policy_id}",
+                          f"grants <{conflicting[sample]}> that "
+                          f"policy#{sample} denies",
+                          len(conflicting) - 1))
+    return found
+
+
+class TestConflictsMatchAllPairs:
+    @pytest.mark.parametrize("count, seed", [(1_000, 11), (500, 3)])
+    def test_generated_base(self, count, seed):
+        analysis = XmlPolicyAnalysis.build(
+            xml_policy_workload(count, seed=seed), SCHEMA)
+        expected = all_pairs_conflicts(analysis)
+        assert len(expected) > 50
+        assert any(more for _, _, more in expected)
+
+        def summary(finding):
+            more = re.search(r"\(\+(\d+) more denial", finding.message)
+            return (finding.location,
+                    finding.message.split(" for overlapping")[0],
+                    int(more.group(1)) if more else 0)
+
+        assert [summary(f) for f in check_conflicts(analysis)] == expected
 
 
 class TestCleanBase:

@@ -25,7 +25,6 @@ from repro.gateway import (
     AsyncRequestGateway,
     EpochalShardRouter,
     TenantConfig,
-    collect,
 )
 from repro.scale.gateway import Request
 from repro.snap.intern import InternPool
@@ -190,8 +189,9 @@ class TestStreamingChaos:
                 auto_dispatch=False,
                 default_tenant=TenantConfig(rate=1e9, burst=1e9))
             try:
-                text = await collect(gateway.stream_document(
-                    "t", "c", "d1", chunk_size=chunk_size))
+                text = "".join([chunk async for chunk in
+                                gateway.stream_document(
+                                    "t", "c", "d1", chunk_size=chunk_size)])
                 return ("ok", text)
             except TransportError as exc:
                 return ("err", type(exc).__name__)

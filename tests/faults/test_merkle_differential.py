@@ -3,9 +3,9 @@ verification, across 200 seeded runs.
 
 Each seed drives the deterministic corruption primitive
 (:meth:`FaultInjector.corrupt_bytes` / ``corrupt_text``) against data
-protected by the repo's three Merkle surfaces — binary leaf trees,
-XML merkle hashes, and the incremental hasher — and asserts the
-verifier side rejects the mutation every single time.  One accepted
+protected by the repo's two Merkle surfaces — binary leaf trees and
+XML merkle hashes — and asserts the verifier side rejects the mutation
+every single time.  One accepted
 mutation is one silent integrity failure, so the pass criterion is
 universal, not statistical.
 """
@@ -14,11 +14,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.merkle.tree import MerkleTree, verify_subset
-from repro.merkle.xml_merkle import (
-    IncrementalXmlHasher,
-    document_hash,
-    merkle_hash,
-)
+from repro.merkle.xml_merkle import document_hash, merkle_hash
 from repro.xmldb.parser import parse
 
 SEEDS = range(200)
@@ -83,29 +79,3 @@ class TestXmlMerkleRejectsCorruption:
         for i, (a, b) in enumerate(zip(after, baselines)):
             if i != victim_idx:
                 assert a == b  # untouched subtrees keep their hashes
-
-
-class TestIncrementalHasherRejectsCorruption:
-    @pytest.mark.parametrize("seed", range(50))
-    def test_tracked_mutation_changes_root_and_rebuild_agrees(self, seed):
-        document = parse(DOC_TEXT, name="records")
-        hasher = IncrementalXmlHasher(document)
-        baseline = hasher.root_hash()
-        nodes = [n for n in document.iter() if n.text]
-        victim = nodes[seed % len(nodes)]
-        hasher.set_text(victim,
-                        injector(seed).corrupt_text(victim.text, "inc"))
-        assert hasher.root_hash() != baseline
-        assert hasher.verify_against_rebuild()
-
-    @pytest.mark.parametrize("seed", range(50))
-    def test_untracked_mutation_is_caught_by_rebuild(self, seed):
-        """A corruption that bypasses the hasher's API (in-flight rot)
-        makes the cached root a lie — the rebuild check exposes it."""
-        document = parse(DOC_TEXT, name="records")
-        hasher = IncrementalXmlHasher(document)
-        hasher.root_hash()
-        nodes = [n for n in document.iter() if n.text]
-        victim = nodes[seed % len(nodes)]
-        victim.set_text(injector(seed).corrupt_text(victim.text, "raw"))
-        assert not hasher.verify_against_rebuild()

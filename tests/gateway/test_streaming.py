@@ -6,13 +6,9 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.gateway import (
-    DEFAULT_CHUNK_SIZE,
-    collect,
-    serialize_pieces,
-    stream_element,
-)
+from repro.gateway import DEFAULT_CHUNK_SIZE, serialize_pieces
 from repro.gateway.core import AsyncRequestGateway
+from repro.gateway.streaming import chunked
 from repro.snap import intern
 from repro.snap.frozen import freeze_document
 from repro.snap.intern import InternPool
@@ -92,12 +88,8 @@ class TestByteIdentity:
         frozen = freeze_document(parse(xml, "d"))
         pool = InternPool()
         expected = pool.serialize(frozen.root)
-
-        async def scenario():
-            return await collect(stream_element(
-                frozen.root, pool, chunk_size=chunk_size))
-
-        assert asyncio.run(scenario()) == expected
+        assert "".join(chunked(serialize_pieces(frozen.root, pool),
+                               chunk_size)) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stream_without_pool_matches_stream_with_pool(self, seed):
@@ -105,13 +97,9 @@ class TestByteIdentity:
         frozen = freeze_document(parse(xml, "d"))
         pool = InternPool()
         pool.serialize(frozen.root)     # warm every fragment
-
-        async def scenario():
-            bare = await collect(stream_element(frozen.root, None))
-            warmed = await collect(stream_element(frozen.root, pool))
-            return bare, warmed
-
-        bare, warmed = asyncio.run(scenario())
+        bare, warmed = ("".join(chunked(serialize_pieces(frozen.root, p),
+                                        DEFAULT_CHUNK_SIZE))
+                        for p in (None, pool))
         assert bare == warmed == pool.serialize(frozen.root)
 
 
@@ -121,15 +109,8 @@ class TestChunkBoundaries:
             self, chunk_size):
         frozen = freeze_document(parse(BIG_XML, "d"))
         pool = InternPool()
-
-        async def scenario():
-            walks = []
-            for _ in range(2):
-                walks.append([chunk async for chunk in stream_element(
-                    frozen.root, pool, chunk_size=chunk_size)])
-            return walks
-
-        cold, warm = asyncio.run(scenario())
+        cold, warm = (list(chunked(serialize_pieces(frozen.root, pool),
+                                   chunk_size)) for _ in range(2))
         assert cold == warm
         assert "".join(cold) == BIG_XML
         assert {len(chunk) for chunk in cold[:-1]} <= {chunk_size}
@@ -137,24 +118,14 @@ class TestChunkBoundaries:
 
     def test_exact_multiple_of_chunk_size_has_no_empty_tail(self):
         frozen = freeze_document(parse("<doc>abcdef</doc>", "d"))
-
-        async def scenario():
-            return [chunk async for chunk in stream_element(
-                frozen.root, chunk_size=4)]
-
-        assert asyncio.run(scenario()) == [
+        assert list(chunked(serialize_pieces(frozen.root), 4)) == [
             "<doc", ">abc", "def<", "/doc", ">"]
 
     @pytest.mark.parametrize("chunk_size", [0, -1])
     def test_chunk_size_below_one_is_refused(self, chunk_size):
         frozen = freeze_document(parse("<doc/>", "d"))
-
-        async def scenario():
-            await collect(stream_element(frozen.root,
-                                         chunk_size=chunk_size))
-
         with pytest.raises(ConfigurationError):
-            asyncio.run(scenario())
+            list(chunked(serialize_pieces(frozen.root), chunk_size))
 
 
 class TestInternReuse:
@@ -281,8 +252,8 @@ class TestGatewayStreaming:
         async def scenario():
             gateway = AsyncRequestGateway(router_free_engine, store=db,
                                           auto_dispatch=False)
-            text = await collect(gateway.stream_document(
-                "t", "c", "d1", chunk_size=8))
+            text = "".join([chunk async for chunk in gateway.stream_document(
+                "t", "c", "d1", chunk_size=8)])
             return text, gateway.stats.snapshot()
 
         text, stats = asyncio.run(scenario())
@@ -378,8 +349,8 @@ class TestGatewayStreaming:
                                           auto_dispatch=False)
             counts = []
             for _ in range(2):
-                await collect(gateway.stream_document(
-                    "t", "c", "d", chunk_size=512))
+                [_ async for _ in gateway.stream_document(
+                    "t", "c", "d", chunk_size=512)]
                 counts.append(gateway.stats.stream_chunks)
             return counts
 

@@ -72,14 +72,7 @@ class TestBenchCli:
         from repro.bench.__main__ import main
         assert main(["E11", "--out", str(tmp_path)]) == 0
         committed = EXAMPLES.parent / "benchmarks" / "results" / "E11.txt"
-
-        def result_lines(path):
-            return [line for line in path.read_text(encoding="utf-8")
-                    .splitlines(keepends=True)
-                    if "(completed in " not in line]
-
-        assert result_lines(tmp_path / "E11.txt") == \
-            result_lines(committed)
+        assert (tmp_path / "E11.txt").read_bytes() == committed.read_bytes()
 
     def test_registry_is_complete(self):
         import repro.bench.experiments  # noqa: F401

@@ -1,12 +1,9 @@
 """Incremental Merkle recomputation must equal a full rebuild.
 
-Two constructions are covered: ``MerkleTree.update_leaves`` and its
-one-leaf form ``update_leaf`` (flat leaf lists; promoted odd nodes are
-the tricky case) and
-``IncrementalXmlHasher`` (XML trees under random mutation sequences).
-Each asserts hash-for-hash equality with a from-scratch rebuild, plus
-the O(log n)/O(depth) operation counts that make the optimisation worth
-having.
+``MerkleTree.update_leaves`` and its one-leaf form ``update_leaf`` (flat
+leaf lists; promoted odd nodes are the tricky case) must agree
+hash-for-hash with a from-scratch rebuild, within the O(log n)
+operation counts that make the optimisation worth having.
 """
 
 import math
@@ -16,12 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.merkle.tree import MerkleTree
-from repro.merkle.xml_merkle import (
-    IncrementalXmlHasher,
-    document_hash,
-    merkle_hash,
-)
-from repro.xmldb.model import Document, Element, element
 
 
 class TestMerkleTreeUpdateLeaf:
@@ -110,87 +101,3 @@ class TestMerkleTreeUpdateLeaves:
         with pytest.raises(ConfigurationError):
             tree.update_leaves({0: "changed", 3: "out of range"})
         assert tree._levels == levels
-
-
-def build_document():
-    return Document(element(
-        "hospital", None, None,
-        *[element("record", None, {"id": f"r{i}"},
-                  element("name", f"name-{i}"),
-                  element("diagnosis", "flu" if i % 2 else "ok"))
-          for i in range(8)]), name="doc")
-
-
-class TestIncrementalXmlHasher:
-    def test_initial_hash_matches_full(self):
-        doc = build_document()
-        hasher = IncrementalXmlHasher(doc)
-        assert hasher.root_hash() == document_hash(doc)
-
-    def test_mutations_track_full_rebuild(self):
-        doc = build_document()
-        hasher = IncrementalXmlHasher(doc)
-        hasher.root_hash()
-        record = doc.root.element_children[3]
-        hasher.set_text(record.element_children[0], "renamed")
-        assert hasher.verify_against_rebuild()
-        hasher.set_attribute(record, "flag", "1")
-        assert hasher.verify_against_rebuild()
-        hasher.remove_attribute(record, "flag")
-        assert hasher.verify_against_rebuild()
-        hasher.insert_child(record, element("note", "watch"))
-        assert hasher.verify_against_rebuild()
-        hasher.remove_child(doc.root, doc.root.element_children[5])
-        assert hasher.verify_against_rebuild()
-
-    def test_update_rehashes_only_dirty_path(self):
-        # A deep chain: an edit at the bottom must rehash O(depth)
-        # nodes, not the whole sibling forest.
-        depth = 30
-        leaf = Element("leaf")
-        node = leaf
-        for i in range(depth):
-            wrapper = Element(f"lvl{i}")
-            wrapper.append(node)
-            for j in range(3):
-                wrapper.append(Element("pad", {"i": f"{i}-{j}"}))
-            node = wrapper
-        doc = Document(node)
-        hasher = IncrementalXmlHasher(doc)
-        hasher.root_hash()
-        total_nodes = doc.size()
-        before = hasher.hash_operations
-        hasher.set_text(leaf, "dirty")
-        hasher.root_hash()
-        dirty_cost = hasher.hash_operations - before
-        # Dirty path: depth+1 merkle hashes + 1 content hash, far below
-        # the ~2n of a full recomputation.
-        assert dirty_cost <= 2 * (depth + 2)
-        assert dirty_cost < total_nodes
-
-    @given(st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_property_random_edit_sequences(self, data):
-        doc = build_document()
-        hasher = IncrementalXmlHasher(doc)
-        hasher.root_hash()
-        for _ in range(data.draw(st.integers(1, 8))):
-            nodes = list(doc.iter())
-            kind = data.draw(st.sampled_from(
-                ["text", "attr", "insert", "remove"]))
-            node = nodes[data.draw(st.integers(0, len(nodes) - 1))]
-            if kind == "text":
-                hasher.set_text(node, data.draw(
-                    st.sampled_from(["a", "bb", ""])))
-            elif kind == "attr":
-                hasher.set_attribute(node, "m", data.draw(
-                    st.sampled_from(["0", "1"])))
-            elif kind == "insert":
-                hasher.insert_child(node, element("extra", "e"))
-            else:
-                removable = node.element_children
-                if not removable or node is doc.root and \
-                        len(doc.root.element_children) == 0:
-                    continue
-                hasher.remove_child(node, removable[0])
-            assert hasher.root_hash() == merkle_hash(doc.root)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TransportError
 from repro.faults import FaultInjector, FaultKind, FaultPlan
-from repro.gateway import AsyncRequestGateway, TenantConfig, collect
+from repro.gateway import AsyncRequestGateway, TenantConfig
 from repro.snap.frozen import thaw_document
 from repro.snap.intern import InternPool
 from repro.snap.xmlstore import SnapshotXmlDatabase
@@ -154,8 +154,8 @@ class TestStreamsInternWhatTheySerialize:
                 plan.add("agateway:stream", stop_after, FaultKind.CRASH)
                 broken = make_gateway(db, FaultInjector(plan))
                 try:
-                    await collect(broken.stream_document(
-                        "t", "c", "d", chunk_size=chunk_size))
+                    [_ async for _ in broken.stream_document(
+                        "t", "c", "d", chunk_size=chunk_size)]
                 except TransportError:
                     pass
             else:
@@ -167,8 +167,10 @@ class TestStreamsInternWhatTheySerialize:
                     except StopAsyncIteration:
                         break
                 await stream.aclose()               # consumer walks away
-            return [await collect(make_gateway(db).stream_document(
-                "t", "c", "d", chunk_size=chunk_size)) for _ in range(2)]
+            return ["".join([chunk async for chunk in
+                             make_gateway(db).stream_document(
+                                 "t", "c", "d", chunk_size=chunk_size)])
+                    for _ in range(2)]
 
         assert asyncio.run(scenario()) == [expected, expected]
         assert db.epochs.stats.acquires == db.epochs.stats.releases

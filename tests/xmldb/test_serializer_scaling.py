@@ -37,11 +37,14 @@ def reference_serialize(node) -> str:
     return f"<{node.tag}{attrs}>{body}</{node.tag}>"
 
 
-def chain(depth: int) -> Element:
+def chain(depth: int, text: str = "") -> Element:
+    """A *depth*-element chain, each level opening with *text*."""
     root = Element("n0")
     node = root
     for index in range(1, depth):
         child = Element(f"n{index}", {"i": str(index)})
+        if text:
+            node.append(text)
         node.append(child)
         node = child
     node.append("leaf")
@@ -103,9 +106,13 @@ class TestScaling:
 
     def test_deep_chain_cost_is_linear_not_quadratic(self):
         """4x the depth must cost well under 16x the time (with slack:
-        under 8x).  The quadratic emission failed this by an order of
-        magnitude."""
-        small, large = best_times(chain(1500), chain(6000))
+        under 8x).  Each level carries 1,000 characters, so an emission
+        that copies each element's bytes once per ancestor — recursive
+        or not — moves ~16x the bytes at 4x the depth, and the copying,
+        not per-node overhead, sets its time: such a mutant reads ~30x
+        here, the linear writer ~4x."""
+        text = "x" * 1000
+        small, large = best_times(chain(500, text), chain(2000, text))
         assert large < small * 8, (small, large)
 
     def test_wide_document_cost_is_linear(self):
