@@ -3,8 +3,9 @@ verification, across 200 seeded runs.
 
 Each seed drives the deterministic corruption primitive
 (:meth:`FaultInjector.corrupt_bytes` / ``corrupt_text``) against data
-protected by the repo's two Merkle surfaces — binary leaf trees and
-XML merkle hashes — and asserts the verifier side rejects the mutation
+protected by the repo's Merkle surfaces — binary leaf trees and their
+incremental ``update_leaf``, XML merkle hashes, and partial views with
+filler hashes — and asserts the verifier side rejects the mutation
 every single time.  One accepted
 mutation is one silent integrity failure, so the pass criterion is
 universal, not statistical.
@@ -14,7 +15,13 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.merkle.tree import MerkleTree, verify_subset
-from repro.merkle.xml_merkle import document_hash, merkle_hash
+from repro.merkle.xml_merkle import (
+    FillerHashes,
+    build_partial_view,
+    document_hash,
+    merkle_hash,
+    verify_view,
+)
 from repro.xmldb.parser import parse
 
 SEEDS = range(200)
@@ -56,6 +63,31 @@ class TestLeafTreeRejectsCorruption:
         assert not verify_subset(tree.root, bad, proofs)
 
 
+class TestLeafUpdateRejectsCorruption:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_tracked_mutation_changes_root_and_rebuild_agrees(self, seed):
+        leaves = list(LEAVES)
+        tree = MerkleTree(leaves)
+        baseline = tree.root
+        index = seed % len(leaves)
+        leaves[index] = injector(seed).corrupt_bytes(leaves[index], "inc")
+        tree.update_leaf(index, leaves[index])
+        assert tree.root != baseline
+        assert tree.root == MerkleTree(leaves).root
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_untracked_mutation_is_caught_by_rebuild(self, seed):
+        """A corruption that bypasses ``update_leaf`` (rot in the stored
+        leaves) makes the tree's root a lie: a rebuild over the stored
+        leaves exposes it, and so does the leaf's proof."""
+        leaves = list(LEAVES)
+        tree = MerkleTree(leaves)
+        index = seed % len(leaves)
+        leaves[index] = injector(seed).corrupt_bytes(leaves[index], "raw")
+        assert MerkleTree(leaves).root != tree.root
+        assert not tree.verify_leaf(index, leaves[index])
+
+
 class TestXmlMerkleRejectsCorruption:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_document_hash_detects_text_rot(self, seed):
@@ -79,3 +111,37 @@ class TestXmlMerkleRejectsCorruption:
         for i, (a, b) in enumerate(zip(after, baselines)):
             if i != victim_idx:
                 assert a == b  # untouched subtrees keep their hashes
+
+
+def partial_view():
+    document = parse(DOC_TEXT, name="records")
+    view, fillers = build_partial_view(document.root,
+                                       lambda node: node.tag == "name")
+    root_hash = document_hash(document)
+    assert verify_view(view, fillers, root_hash)
+    return view, fillers, root_hash
+
+
+class TestPartialViewRejectsCorruption:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_view_rejects_rot_in_visible_text(self, seed):
+        view, fillers, root_hash = partial_view()
+        nodes = [n for n in view.iter() if n.text]
+        victim = nodes[seed % len(nodes)]
+        victim.set_text(injector(seed).corrupt_text(victim.text, "view"))
+        assert not verify_view(view, fillers, root_hash)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_view_rejects_a_corrupted_filler_hash(self, seed):
+        """Both kinds of filler (pruned-subtree Merkle hashes and
+        stripped-content hashes) are bound by the root hash."""
+        view, fillers, root_hash = partial_view()
+        subtrees, contents = dict(fillers.subtrees), dict(fillers.contents)
+        entries = ([(subtrees, path) for path in sorted(subtrees)]
+                   + [(contents, path) for path in sorted(contents)])
+        table, path = entries[seed % len(entries)]
+        corrupted = injector(seed).corrupt_text(table[path], "filler")
+        assert corrupted != table[path]
+        table[path] = corrupted
+        assert not verify_view(view, FillerHashes(subtrees, contents),
+                               root_hash)
