@@ -10,9 +10,12 @@ segments yields the exact applicability bitmask of the whole policy
 base.  Two properties make the result usable as a compiled artifact:
 
 * **Runtime exactness.**  Transitions are memoized per (state, segment)
-  but computed from the NFAs with ``fnmatchcase`` on demand, so
-  :meth:`classify` agrees with the interpreter on *every* path — also
-  paths whose segments were never seen at compile time.
+  but computed from the NFAs on demand, so :meth:`classify` agrees with
+  the interpreter on *every* path — also paths whose segments were
+  never seen at compile time.  A state holds only its live policies;
+  a transition looks up the ones waiting on its segment as a literal
+  and steps only the glob and ``**`` ones (``fnmatchcase``), so it
+  costs the policies it can move, not the whole base.
 
 * **Static enumerability.**  :meth:`explore` eagerly closes the
   automaton over a *witness alphabet*: every literal segment appearing
@@ -77,13 +80,18 @@ class PatternNfa:
     Position *i* means "the first *i* segments of the (extended) pattern
     are consumed".  A ``**`` segment self-loops (absorbing a segment)
     and epsilon-advances (absorbing zero), which :meth:`close` applies.
+    ``globs[i]`` records once whether segment *i* is a glob; a literal
+    segment matches by ``==``, which is what ``fnmatchcase`` does with a
+    pattern free of ``*``, ``?`` and ``[``.
     """
 
-    __slots__ = ("segments", "accept_mask", "start_mask", "_star_bits")
+    __slots__ = ("segments", "globs", "accept_mask", "start_mask",
+                 "_star_bits")
 
     def __init__(self, segments: tuple[str, ...],
                  accept_positions: frozenset[int]) -> None:
         self.segments = segments
+        self.globs = tuple(is_glob(seg) for seg in segments)
         self.accept_mask = 0
         for position in accept_positions:
             self.accept_mask |= 1 << position
@@ -110,13 +118,15 @@ class PatternNfa:
         if not mask:
             return 0
         out = 0
-        for index, pattern_segment in enumerate(self.segments):
+        for index, (pattern_segment, glob) in enumerate(
+                zip(self.segments, self.globs)):
             bit = 1 << index
             if not mask & bit:
                 continue
             if pattern_segment == "**":
                 out |= bit
-            elif fnmatchcase(segment, pattern_segment):
+            elif (fnmatchcase(segment, pattern_segment) if glob
+                  else segment == pattern_segment):
                 out |= bit << 1
         return self.close(out)
 
@@ -139,10 +149,11 @@ def nfa_for_policy(policy: Policy) -> PatternNfa:
 
 @dataclass
 class DfaState:
-    """One path class: all paths sharing this per-policy position tuple."""
+    """One path class, keyed by its live ``(policy index, position
+    mask)`` pairs ascending by index (a policy at mask 0 is left out)."""
 
     state_id: int
-    key: tuple[int, ...]
+    key: tuple[tuple[int, int], ...]
     applies_mask: int
     witness: tuple[str, ...] | None = None
     transitions: dict[str, int] = field(default_factory=dict)
@@ -163,18 +174,22 @@ class MergedPathDfa:
         self.max_states = max_states
         self._nfas = tuple(nfa_for_policy(p) for p in self.policies)
         self._states: list[DfaState] = []
-        self._by_key: dict[tuple[int, ...], int] = {}
+        self._by_key: dict[tuple[tuple[int, int], ...], int] = {}
+        self._splits: dict[int, tuple[dict[str, list[tuple[int, int]]],
+                                        list[tuple[int, int]]]] = {}
         self._glob_literal_matches: dict[str, frozenset[str]] = {}
         self._all_literals = frozenset(
-            seg for nfa in self._nfas for seg in nfa.segments
-            if not is_glob(seg))
+            seg for nfa in self._nfas
+            for seg, glob in zip(nfa.segments, nfa.globs) if not glob)
         self.eager_states = 0
         self.start = self._intern(
-            tuple(nfa.start_mask for nfa in self._nfas), witness=())
+            tuple((index, nfa.start_mask)
+                  for index, nfa in enumerate(self._nfas)
+                  if nfa.start_mask), witness=())
 
     # -- construction ---------------------------------------------------
 
-    def _intern(self, key: tuple[int, ...],
+    def _intern(self, key: tuple[tuple[int, int], ...],
                 witness: tuple[str, ...] | None = None) -> int:
         state_id = self._by_key.get(key)
         if state_id is not None:
@@ -187,24 +202,58 @@ class MergedPathDfa:
                 f"path DFA exceeded {self.max_states} states; the policy "
                 f"base's patterns are pathologically diverse")
         applies = 0
-        for index, (nfa, mask) in enumerate(zip(self._nfas, key)):
-            if mask and nfa.accepts(mask):
+        for index, mask in key:
+            if self._nfas[index].accepts(mask):
                 applies |= 1 << index
         state = DfaState(len(self._states), key, applies, witness)
         self._states.append(state)
         self._by_key[key] = state.state_id
         return state.state_id
 
+    def _split(self, state_id: int
+               ) -> tuple[dict[str, list[tuple[int, int]]],
+                          list[tuple[int, int]]]:
+        """One state's live pairs, split once for all its transitions.
+
+        A pair whose only active position before its pattern's end is
+        a literal is filed under that literal with its successor mask;
+        the rest (glob or ``**`` positions, several positions) step
+        their NFA per segment.  A pair active only at its pattern's end
+        is dropped: no segment can follow it.
+        """
+        split = self._splits.get(state_id)
+        if split is None:
+            literal: dict[str, list[tuple[int, int]]] = {}
+            rest: list[tuple[int, int]] = []
+            for index, mask in self._states[state_id].key:
+                nfa = self._nfas[index]
+                waiting = mask & ~(-1 << len(nfa.segments))
+                if not waiting:
+                    continue
+                position = waiting.bit_length() - 1
+                if waiting == 1 << position and not nfa.globs[position]:
+                    literal.setdefault(nfa.segments[position], []).append(
+                        (index, nfa.close(waiting << 1)))
+                else:
+                    rest.append((index, mask))
+            split = self._splits[state_id] = (literal, rest)
+        return split
+
     def step(self, state_id: int, segment: str) -> int:
         """Memoized transition; exact for arbitrary segments."""
         state = self._states[state_id]
         nxt = state.transitions.get(segment)
         if nxt is None:
-            key = tuple(nfa.step(mask, segment)
-                        for nfa, mask in zip(self._nfas, state.key))
+            literal, rest = self._split(state_id)
+            pairs = list(literal.get(segment, ()))
+            for index, mask in rest:
+                mask = self._nfas[index].step(mask, segment)
+                if mask:
+                    pairs.append((index, mask))
+            pairs.sort()
             witness = (None if state.witness is None
                        else state.witness + (segment,))
-            nxt = self._intern(key, witness)
+            nxt = self._intern(tuple(pairs), witness)
             state.transitions[segment] = nxt
         return nxt
 
@@ -255,17 +304,15 @@ class MergedPathDfa:
         pattern literal it matches (the "literal under glob" classes).
         :data:`OTHER_SEGMENT` represents every remaining segment.
         """
-        segments: set[str] = {OTHER_SEGMENT}
-        state = self._states[state_id]
-        for nfa, mask in zip(self._nfas, state.key):
-            if not mask:
-                continue
-            for index, seg in enumerate(nfa.segments):
-                if not mask & (1 << index):
+        literal, rest = self._split(state_id)
+        segments: set[str] = {OTHER_SEGMENT, *literal}
+        for index, mask in rest:
+            nfa = self._nfas[index]
+            for position, (seg, glob) in enumerate(
+                    zip(nfa.segments, nfa.globs)):
+                if not mask >> position & 1 or seg in ("*", "**"):
                     continue
-                if seg in ("*", "**"):
-                    continue
-                if is_glob(seg):
+                if glob:
                     segments |= glob_witnesses(seg)
                     segments |= self._matching_literals(seg)
                 else:

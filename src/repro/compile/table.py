@@ -94,10 +94,11 @@ class CompiledPolicy:
         # the empty base keeps the resolver free of mutable state.
         self._resolver = PolicyEvaluator(
             PolicyBase(), resolution=resolution, default=default)
-        self._by_action: dict[Action, tuple[int, ...]] = {}
+        by_action: dict[Action, list[int]] = {}
         for index, policy in enumerate(self.policies):
-            self._by_action.setdefault(policy.action, ())
-            self._by_action[policy.action] += (index,)
+            by_action.setdefault(policy.action, []).append(index)
+        self._by_action = {action: tuple(indices)
+                           for action, indices in by_action.items()}
         self.conditional_mask = 0
         for index, policy in enumerate(self.policies):
             if policy.condition is not None:

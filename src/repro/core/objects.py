@@ -82,7 +82,7 @@ class ResourcePath:
 
 def is_glob(segment: str) -> bool:
     """True when a pattern segment is a glob rather than a literal."""
-    return any(ch in segment for ch in "*?[")
+    return "*" in segment or "?" in segment or "[" in segment
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,17 @@ class PathIndex:
                       text: str) -> list[Element]:
         return list(self._by_child_text.get((tag, child_tag, text), ()))
 
+    def posting_count(self, step: Step) -> int:
+        """Length of the posting list an indexable *step* reads (no copy)."""
+        if not step.predicates:
+            return len(self._by_tag.get(step.test, ()))
+        predicate = step.predicates[0]
+        if predicate.kind == "attr-equals":
+            return len(self._by_attr.get(
+                (step.test, predicate.attribute, predicate.value), ()))
+        return len(self._by_child_text.get(
+            (step.test, predicate.path[0], predicate.value), ()))
+
     def entry_count(self) -> int:
         return (sum(len(v) for v in self._by_tag.values())
                 + sum(len(v) for v in self._by_attr.values())
@@ -151,7 +162,8 @@ class QueryCostModel:
     """The §2.1 'special cost model': decides scan vs index per query.
 
     Cost estimates in visited-element units: a scan touches every
-    element; an index probe touches the posting list.  ``choose``
+    element; an index probe touches the posting list the query reads
+    (by tag, attribute value or child text).  ``estimate``
     returns ("index" | "scan", estimated_cost) and
     :meth:`run` executes accordingly, recording its decisions for
     benchmark A1.
@@ -169,8 +181,7 @@ class QueryCostModel:
         if step is None:
             return "scan", self.document_size
         self.index.ensure_fresh()
-        postings = len(self.index.by_tag(step.test))
-        return "index", max(postings, 1)
+        return "index", max(self.index.posting_count(step), 1)
 
     def run(self, path: XPath | str,
             context: Document | Element) -> list[Element]:

@@ -6,7 +6,12 @@ replays exactly.
 
 import random
 
-from repro.core.credentials import anyone, attribute_equals, has_role
+from repro.core.credentials import (
+    anyone,
+    attribute_equals,
+    has_credential,
+    has_role,
+)
 from repro.core.policy import (
     Action,
     Policy,
@@ -14,6 +19,7 @@ from repro.core.policy import (
     deny,
     grant,
 )
+from repro.datagen.documents import DEPARTMENTS
 from repro.datagen.population import ROLE_NAMES, generate_population
 
 #: Literal resource heads plus glob heads (the broadcast case).
@@ -57,6 +63,38 @@ def random_policy(rng: random.Random) -> Policy:
 
 def random_policies(rng: random.Random, count: int) -> list[Policy]:
     return [random_policy(rng) for _ in range(count)]
+
+
+#: Eight literal heads over 60 records each: the serving benchmark's
+#: policy shape, where almost every pattern segment is a literal.
+LITERAL_HEADS = ("hospital", "clinic", "lab", "pharmacy",
+                 "billing", "research", "archive", "admin")
+
+
+def literal_policies(rng: random.Random, count: int) -> list[Policy]:
+    """*count* role/credential policies on one record each (~15%
+    denials), plus role grants on every head's documents."""
+    policies = []
+    for index in range(count):
+        head = LITERAL_HEADS[index % len(LITERAL_HEADS)]
+        resource = f"{head}/records/r{rng.randrange(1, 61)}/**"
+        roll = rng.random()
+        if roll < 0.5:
+            expression = has_role(rng.choice(ROLE_NAMES))
+        elif roll < 0.8:
+            expression = attribute_equals(
+                "physician", "department", rng.choice(DEPARTMENTS))
+        else:
+            expression = has_credential(
+                rng.choice(["physician", "researcher", "insurer"]))
+        make = deny if rng.random() < 0.15 else grant
+        policies.append(make(expression, Action.READ, resource))
+    for head in LITERAL_HEADS:
+        for role in ROLE_NAMES:
+            for action in (Action.READ, Action.WRITE):
+                policies.append(grant(has_role(role), action,
+                                      f"{head}/docs/**"))
+    return policies
 
 
 def random_requests(rng: random.Random, count: int,

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.harness import tally
 from repro.datagen.documents import hospital_corpus
 from repro.xmldb.index import PathIndex, QueryCostModel, indexed_select
 from repro.xmldb.model import Document, Element
@@ -86,6 +87,19 @@ class TestCostModel:
         strategy, cost = model.estimate("//record/name")
         assert strategy == "scan"
         assert cost == DOC.size()
+
+    def test_prices_each_shape_by_the_postings_it_reads(self):
+        model = QueryCostModel(INDEX, DOC.size())
+        assert model.estimate("//record[@id='r3']") == ("index", 1)
+        assert model.estimate("//record[diagnosis='flu']") == ("index", 2)
+
+    def test_a_point_lookup_costs_one_posting_and_copies_none(self):
+        # A1's 800-record corpus: the tag list holds 800 postings.
+        document = hospital_corpus(800, seed=41)
+        model = QueryCostModel(PathIndex(document.root), document.size())
+        with tally(PathIndex, "by_tag", len) as copied:
+            assert model.estimate("//record[@id='r7']") == ("index", 1)
+        assert copied.count == 0
 
     def test_run_records_decisions(self):
         model = QueryCostModel(INDEX, DOC.size())
