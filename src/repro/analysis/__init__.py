@@ -39,6 +39,10 @@ from repro.analysis.xmlpolicy import (
     attachment_tags,
     propagation_region,
 )
+# The compiler's rules (COMPILE-DIVERGE, COMPILE-RESIDUAL, XML-DYNPRED)
+# register when their modules load: import them so the catalog is whole.
+import repro.compile.verify  # noqa: F401  (rule registration)
+import repro.compile.xmltable  # noqa: F401  (rule registration)
 
 __all__ = [
     "CorePolicyAnalysis", "DtdGraph", "Finding", "PrivacyAnalysis",

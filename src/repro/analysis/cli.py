@@ -40,6 +40,9 @@ from repro.analysis.grants import analyze_grants
 from repro.analysis.mlsrdf import analyze_rdf
 from repro.analysis.selfcheck import run_self_check
 from repro.analysis.xmlpolicy import analyze_xml_policies
+from repro.compile.table import compile_policy_base
+from repro.compile.verify import verify_compiled
+from repro.compile.xmltable import compile_xml_policy_base, verify_label_table
 from repro.core.policy import PolicyBase
 from repro.privacy.constraints import PrivacyConstraintSet
 from repro.privacy.controller import PrivacyController
@@ -91,22 +94,13 @@ def analyze_fixture_paths(paths: list[str]) -> Report:
 def compile_report_for_globals(bindings: dict[str, object]
                                ) -> list[dict]:
     """Compile + verify every policy base in one module's globals."""
-    # Imported here so plain fixture analysis never pays for (or
-    # depends on) the compiler package.
-    from repro.compile import (
-        compile_policy_base,
-        compile_xml_policy_base,
-        verify_compiled,
-        verify_label_table,
-    )
-
     entries: list[dict] = []
     schemas = [v for v in bindings.values() if isinstance(v, Schema)]
     subjects = bindings.get("SUBJECTS")
     probes = subjects if isinstance(subjects, (list, tuple)) else None
     for name, value in bindings.items():
         if isinstance(value, PolicyBase):
-            artifact = compile_policy_base(value, probes=probes)
+            artifact = compile_policy_base(value)
             verification = verify_compiled(artifact, value,
                                            probes=probes)
             entries.append({

@@ -67,7 +67,8 @@ def seeded_compile_divergence() -> Report:
     divergence (``COMPILE-DIVERGE``) and report the conditional policy
     as a residual (``COMPILE-RESIDUAL``).
     """
-    from repro.compile import compile_policy_base, verify_compiled
+    from repro.compile.table import compile_policy_base
+    from repro.compile.verify import verify_compiled
 
     base = PolicyBase()
     base.add(grant(has_role("doctor"), Action.READ, "records/**"))
@@ -80,7 +81,7 @@ def seeded_compile_divergence() -> Report:
 
 def seeded_xml_label_divergence() -> Report:
     """A predicate policy surviving compilation only as its skeleton."""
-    from repro.compile import (
+    from repro.compile.xmltable import (
         compile_xml_policy_base,
         verify_label_table,
     )

@@ -25,7 +25,8 @@ Subjects hash by identity and the
 them on credential change, so a subject is a sound memo key for the
 artifact's lifetime; the memo is unbounded because the subject
 population is bounded by construction.  Unlike the analyzer's
-:func:`~repro.analysis.probes.probe_mask`, profile computation does
+``probe_mask`` (:mod:`repro.analysis.probes`, a layer above this
+package, which never imports it), profile computation does
 *not* swallow exceptions — the interpreter would raise on the same
 hostile predicate, and the compiled engine must agree with the
 interpreter bit for bit, failures included.  Groups are evaluated in
@@ -34,7 +35,8 @@ where a per-policy loop would.
 
 :meth:`profile_classes` quotients a finite probe universe by profile
 mask — the credential-profile classes of the compiled decision table,
-each carrying one witness subject for the verification pass.
+each carrying one witness subject for the verification pass, which
+passes the universe in: the table itself holds no probes.
 """
 
 from __future__ import annotations

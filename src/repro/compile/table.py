@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.analysis.probes import as_probe_list
 from repro.core.evaluator import (
     ConflictResolution,
     Decision,
@@ -50,7 +49,7 @@ from repro.core.subjects import Subject
 from repro.crypto.hashing import sha256_hex
 
 from repro.compile.pathdfa import MergedPathDfa
-from repro.compile.profiles import CredentialProfileIndex, ProfileClass
+from repro.compile.profiles import CredentialProfileIndex
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,13 @@ class CompiledPolicy:
                  profiles: CredentialProfileIndex,
                  resolution: ConflictResolution,
                  default: DefaultDecision,
-                 source_generation: int,
-                 probes: Sequence[Subject]) -> None:
+                 source_generation: int) -> None:
         self.source_generation = source_generation
         self.policies = tuple(policies)
         self.dfa = dfa
         self.profiles = profiles
         self.resolution = resolution
         self.default = default
-        self.probes = tuple(probes)
         # resolve() never touches the base, only resolution/default;
         # the empty base keeps the resolver free of mutable state.
         self._resolver = PolicyEvaluator(
@@ -183,12 +180,6 @@ class CompiledPolicy:
 
     # -- reporting ------------------------------------------------------
 
-    def profile_classes(self,
-                        probes: Sequence[Subject] | None = None
-                        ) -> list[ProfileClass]:
-        return self.profiles.profile_classes(
-            self.probes if probes is None else probes)
-
     def stats(self) -> CompileStats:
         return CompileStats(
             policies=len(self.policies),
@@ -206,7 +197,6 @@ def compile_policy_base(base: PolicyBase | Iterable[Policy],
                         resolution: ConflictResolution =
                         ConflictResolution.DENY_OVERRIDES,
                         default: DefaultDecision = DefaultDecision.CLOSED,
-                        probes: Sequence[Subject] | None = None,
                         explore: bool = True,
                         max_states: int = 50_000) -> CompiledPolicy:
     """Compile a policy base (or bare policy iterable) to a table.
@@ -224,5 +214,4 @@ def compile_policy_base(base: PolicyBase | Iterable[Policy],
         policies, dfa,
         CredentialProfileIndex([p.subject_expression for p in policies]),
         resolution, default,
-        source_generation=getattr(base, "generation", 0),
-        probes=as_probe_list(probes))
+        source_generation=getattr(base, "generation", 0))

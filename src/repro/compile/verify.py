@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.analysis.corepolicy import analyze_core_policies
 from repro.analysis.findings import Finding, Severity, REGISTRY
 from repro.analysis.probes import as_probe_list
 from repro.core.evaluator import Decision, PolicyEvaluator
@@ -139,9 +140,6 @@ class CompileVerification:
 
 def _analysis_explanations(policies: Sequence) -> dict[int, list[str]]:
     """policy id → analysis findings naming it (dead/conflict/shadow)."""
-    # Function-level import: corepolicy builds its overlap test on the
-    # compile package, so a module-level import would be circular.
-    from repro.analysis.corepolicy import analyze_core_policies
     report = analyze_core_policies(policies)
     by_policy: dict[int, list[str]] = {}
     for finding in report:
@@ -161,19 +159,19 @@ def verify_compiled(artifact: CompiledPolicy, base: PolicyBase,
 
     *base* is the authority the artifact claims to compile; verifying
     an artifact against a drifted base is exactly how a stale table is
-    caught.  *actions* defaults to every action the compiled policies
-    mention plus READ (cells for unmentioned actions are all
-    default-decision and carry no information).
+    caught.  *probes* (the analyzer's default universe when ``None``)
+    supply the profile classes' witnesses.  *actions* defaults to
+    every action the compiled policies mention plus READ (cells for
+    unmentioned actions are all default-decision and carry no
+    information).
     """
-    probe_list = as_probe_list(
-        probes if probes is not None else artifact.probes)
     interpreter = PolicyEvaluator(
         base, resolution=artifact.resolution, default=artifact.default)
     if actions is None:
         mentioned = {p.action for p in artifact.policies}
         mentioned.add(Action.READ)
         actions = sorted(mentioned, key=lambda a: a.value)
-    classes = artifact.profile_classes(probe_list)
+    classes = artifact.profiles.profile_classes(as_probe_list(probes))
     residual_ids = tuple(
         p.policy_id for p in artifact.policies if p.condition is not None)
     result = CompileVerification(

@@ -1,5 +1,9 @@
 """Seeded synthetic workloads: documents, populations, registries,
 tabular data and query mixes (the data-substitution layer of DESIGN.md).
+
+The package re-exports the document and population generators the
+serving stack is driven with; ``registry_gen`` (UDDI), ``tabular``
+(numpy) and ``workload`` (Author-X) are imported by module path.
 """
 
 from repro.datagen.documents import (
@@ -21,36 +25,11 @@ from repro.datagen.population import (
     named_cast,
     random_credential,
 )
-from repro.datagen.registry_gen import (
-    generate_businesses,
-    random_business,
-    random_service,
-    standard_tmodels,
-)
-from repro.datagen.tabular import (
-    BASKET_ITEMS,
-    PLANTED_PATTERNS,
-    load_patients,
-    market_baskets,
-    numeric_column,
-    patients_schema,
-)
-from repro.datagen.workload import (
-    XPathWorkload,
-    hospital_xpath_workload,
-    subject_qualification_policies,
-    xml_policy_workload,
-)
 
 __all__ = [
-    "BASKET_ITEMS", "CREDENTIAL_TYPES", "INSURANCE_TYPE",
-    "NamedSubjects", "PHYSICIAN_TYPE", "PLANTED_PATTERNS",
-    "RESEARCHER_TYPE", "ROLE_NAMES", "XPathWorkload", "catalog_document",
-    "generate_businesses", "generate_population", "hospital_corpus",
+    "CREDENTIAL_TYPES", "INSURANCE_TYPE", "NamedSubjects",
+    "PHYSICIAN_TYPE", "RESEARCHER_TYPE", "ROLE_NAMES",
+    "catalog_document", "generate_population", "hospital_corpus",
     "hospital_documents", "hospital_record", "hospital_role_hierarchy",
-    "hospital_schema", "hospital_xpath_workload", "load_patients",
-    "market_baskets", "named_cast", "numeric_column", "patients_schema",
-    "random_business", "random_credential", "random_service",
-    "standard_tmodels", "subject_qualification_policies",
-    "xml_policy_workload",
+    "hospital_schema", "named_cast", "random_credential",
 ]

@@ -209,7 +209,8 @@ class MemVfs:
         return name in self._files
 
     def size(self, name: str) -> int:
-        return len(self._file(name).image())
+        backing = self._file(name)
+        return len(backing.durable) + len(backing.pending)
 
     def listdir(self) -> list[str]:
         return sorted(self._files)

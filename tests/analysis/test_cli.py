@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro.analysis`` CLI."""
 
+import ast
 import json
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -129,3 +133,26 @@ class TestMisc:
             main(["--lint", "/no/such/tree"])
         assert excinfo.value.code == 2
         assert "/no/such/tree" in capsys.readouterr().err
+
+
+def test_fresh_rules_catalog_lists_every_registered_rule():
+    # In a fresh interpreter, so no earlier test's imports can register
+    # a rule the CLI itself would not load.
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    declared = set()
+    for path in (src / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "register"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "REGISTRY"):
+                declared.add(node.args[0].value)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "--rules"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert result.returncode == 0, result.stderr
+    listed = {line.split()[0] for line in result.stdout.splitlines()}
+    assert len(declared) >= 26
+    assert listed == declared

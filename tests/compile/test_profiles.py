@@ -19,11 +19,8 @@ from repro.core.policy import Action, PolicyBase, grant
 from repro.core.subjects import Role, Subject
 from repro.datagen.documents import hospital_schema
 from repro.xmlsec.authorx import XmlPolicyBase, xml_grant
-from repro.compile import (
-    CredentialProfileIndex,
-    compile_policy_base,
-    compile_xml_policy_base,
-)
+from repro.compile import CredentialProfileIndex, compile_policy_base
+from repro.compile.xmltable import compile_xml_policy_base
 
 
 def _described_like_doctor():

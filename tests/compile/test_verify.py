@@ -4,7 +4,8 @@ import random
 
 from repro.core.credentials import anyone, has_role
 from repro.core.policy import Action, PolicyBase, deny, grant
-from repro.compile import compile_policy_base, verify_compiled
+from repro.compile import compile_policy_base
+from repro.compile.verify import verify_compiled
 
 from tests.scale.workloads import random_policies
 

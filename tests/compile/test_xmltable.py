@@ -10,7 +10,7 @@ from repro.xmlsec.authorx import (
     xml_deny,
     xml_grant,
 )
-from repro.compile import (
+from repro.compile.xmltable import (
     compile_xml_policy_base,
     verify_label_table,
     xpath_nfa,

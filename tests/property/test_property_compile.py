@@ -15,7 +15,7 @@ from repro.core.evaluator import (
     PolicyEvaluator,
 )
 from repro.core.policy import PolicyBase
-from repro.compile import verify_compiled
+from repro.compile.verify import verify_compiled
 from repro.gateway.engine import EpochalShardRouter
 
 from tests.scale.workloads import random_policies, random_requests

@@ -104,3 +104,31 @@ class TestDamage:
         vfs.corrupt_byte(segment_name(0), HEADER_SIZE + 8)
         with pytest.raises(WalCorrupt):
             recover(vfs)
+
+
+class TestMemVfsSize:
+    def test_size_is_the_length_of_the_image_through_its_life(self):
+        # recover() sizes every segment before mapping it, so size()
+        # must agree with the bytes a read sees at every step.
+        vfs = MemVfs()
+        handle = vfs.create("f")
+
+        def same():
+            assert vfs.size("f") == len(vfs.read_bytes("f"))
+
+        same()
+        handle.write(b"durable-")
+        same()
+        handle.sync()
+        handle.write(b"pending-tail")
+        same()
+        vfs.crash(keep_partial={"f": 4})
+        same()
+        assert vfs.read_bytes("f") == b"durable-pend"
+        handle.write(b"more")
+        vfs.crash()
+        same()
+        handle.write(b"xyz")
+        vfs.truncate("f", 10)
+        same()
+        assert vfs.size("f") == 10
