@@ -471,7 +471,8 @@ class AsyncRequestGateway:
         return result
 
     def write(self, fn):
-        """Apply ``fn(store)`` as one write and publish a new epoch.
+        """Apply ``fn(store)`` as one write and publish a new epoch;
+        *store* is what the store's ``writer()`` block yields.
 
         Streams opened before this call keep their pinned snapshot;
         streams opened after it see the new epoch.
@@ -481,8 +482,8 @@ class AsyncRequestGateway:
                 "gateway has no snapshot store; pass store=")
         writer = getattr(self.store, "writer", None)
         if writer is not None:
-            with writer():
-                result = fn(self.store)
+            with writer() as store:
+                result = fn(store)
         else:
             result = fn(self.store)
             publish = getattr(self.store, "publish", None)

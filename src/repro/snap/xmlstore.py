@@ -32,7 +32,6 @@ documents are dictionary hits, across requests and across epochs.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Iterator
 
 from repro.core.errors import ConfigurationError, QueryError
@@ -137,6 +136,31 @@ class XmlSnapshot:
                 f"collections={len(self._collections)}>")
 
 
+def _spine_edit(edit):
+    """A node-level mutation: the document's root becomes
+    ``edit(root, path, *args)``.  Flat, as a transaction pays for it
+    per edit: one lookup, the owned-dict check inline, and a publish
+    unless a :meth:`~SnapshotXmlDatabase.writer` block defers it."""
+
+    def mutation(self, collection: str, doc_id: str, path: str,
+                 *args) -> None:
+        with self._lock:
+            try:
+                frozen = self._collections[collection][doc_id]
+            except KeyError:
+                raise self._missing(collection, doc_id) from None
+            root = edit(frozen.root, path, *args)
+            if self._owned is not None and collection in self._owned:
+                documents = self._collections[collection]
+            else:
+                documents = self._own(collection)
+            documents[doc_id] = FrozenDocument(root, frozen.name)
+            if not self._deferred:
+                self.publish()
+
+    return mutation
+
+
 class SnapshotXmlDatabase:
     """Writer-side store; every mutation publishes a new epoch.
 
@@ -176,22 +200,28 @@ class SnapshotXmlDatabase:
     def current(self) -> XmlSnapshot:
         return self.epochs.current()
 
-    @contextmanager
-    def writer(self):
+    def writer(self) -> "SnapshotXmlDatabase":
         """Group several mutations into one atomically-published epoch.
 
         Readers pinning the current epoch during the block keep seeing
         the pre-write state; the combined result becomes visible in a
-        single :meth:`publish` when the outermost block exits.
+        single :meth:`publish` when the outermost block exits.  The
+        database is its own block: entering one costs a call.
         """
-        with self._lock:
-            self._deferred += 1
-            try:
-                yield self
-            finally:
-                self._deferred -= 1
-                if self._deferred == 0:
-                    self.publish()
+        return self
+
+    def __enter__(self) -> "SnapshotXmlDatabase":
+        self._lock.acquire()
+        self._deferred += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._deferred -= 1
+            if not self._deferred:
+                self.publish()
+        finally:
+            self._lock.release()
 
     def _own(self, collection: str | None = None) -> dict:
         """The collections dict — or *collection*'s document dict —
@@ -209,12 +239,6 @@ class SnapshotXmlDatabase:
             self._owned.add(collection)
         return self._collections[collection]
 
-    def _commit(self) -> None:
-        """Publish one applied mutation (caller holds the lock) unless
-        inside a :meth:`writer` block."""
-        if self._deferred == 0:
-            self.publish()
-
     # -- collection / document mutations --------------------------------
 
     def create_collection(self, name: str) -> None:
@@ -224,7 +248,8 @@ class SnapshotXmlDatabase:
                     f"collection {name!r} already exists")
             self._own()[name] = {}
             self._owned.add(name)
-            self._commit()
+            if not self._deferred:
+                self.publish()
 
     def drop_collection(self, name: str) -> None:
         with self._lock:
@@ -232,27 +257,31 @@ class SnapshotXmlDatabase:
                 raise QueryError(f"no collection {name!r}")
             del self._own()[name]
             self._owned.discard(name)
-            self._commit()
+            if not self._deferred:
+                self.publish()
 
     def insert(self, collection: str, doc_id: str,
                document: Document | str) -> FrozenDocument:
         frozen = (parse_frozen(document, doc_id)
                   if isinstance(document, str) else freeze_document(document))
         with self._lock:
-            documents = self._documents_of(collection)
-            if doc_id in documents:
+            if collection not in self._collections:
+                raise self._missing(collection, doc_id)
+            if doc_id in self._collections[collection]:
                 raise ConfigurationError(
                     f"document {doc_id!r} already in collection "
                     f"{collection!r}")
             self._own(collection)[doc_id] = frozen
-            self._commit()
+            if not self._deferred:
+                self.publish()
         return frozen
 
     def delete(self, collection: str, doc_id: str) -> FrozenDocument:
         with self._lock:
             frozen = self._document(collection, doc_id)
             del self._own(collection)[doc_id]
-            self._commit()
+            if not self._deferred:
+                self.publish()
         return frozen
 
     def replace(self, collection: str, doc_id: str,
@@ -262,58 +291,39 @@ class SnapshotXmlDatabase:
         with self._lock:
             self._document(collection, doc_id)  # must exist
             self._own(collection)[doc_id] = frozen
-            self._commit()
+            if not self._deferred:
+                self.publish()
         return frozen
 
     # -- node-level mutations (copy-on-write spine edits) ----------------
+    # Each takes (collection, doc_id, path, *the edit's own arguments).
 
-    def set_text(self, collection: str, doc_id: str, path: str,
-                 text: str) -> None:
-        self._edit_root(collection, doc_id, with_text, path, text)
-
-    def set_attribute(self, collection: str, doc_id: str, path: str,
-                      name: str, value: str) -> None:
-        self._edit_root(collection, doc_id, with_attribute, path, name,
-                        value)
-
-    def remove_attribute(self, collection: str, doc_id: str, path: str,
-                         name: str) -> None:
-        self._edit_root(collection, doc_id, without_attribute, path, name)
+    set_text = _spine_edit(with_text)
+    set_attribute = _spine_edit(with_attribute)
+    remove_attribute = _spine_edit(without_attribute)
+    remove_child = _spine_edit(without_child)
+    _append_child = _spine_edit(with_appended_child)
 
     def append_child(self, collection: str, doc_id: str, parent_path: str,
-                     child: Element | FrozenElement) -> None:
-        if isinstance(child, Element):
+                     child: Element | FrozenElement | str) -> None:
+        """*child*: live, frozen, or canonical XML (as logged)."""
+        if isinstance(child, str):
+            child = parse_frozen(child).root
+        elif isinstance(child, Element):
             child = freeze_element(child)
-        self._edit_root(collection, doc_id, with_appended_child,
-                        parent_path, child)
-
-    def remove_child(self, collection: str, doc_id: str,
-                     path: str) -> None:
-        self._edit_root(collection, doc_id, without_child, path)
+        self._append_child(collection, doc_id, parent_path, child)
 
     # -- internals -------------------------------------------------------
 
-    def _documents_of(self, collection: str) -> dict:
-        try:
-            return self._collections[collection]
-        except KeyError:
-            raise QueryError(f"no collection {collection!r}") from None
+    def _missing(self, collection: str, doc_id: str) -> QueryError:
+        if collection not in self._collections:
+            return QueryError(f"no collection {collection!r}")
+        return QueryError(
+            f"no document {doc_id!r} in collection {collection!r}")
 
     def _document(self, collection: str, doc_id: str) -> FrozenDocument:
-        documents = self._documents_of(collection)
         try:
-            return documents[doc_id]
+            return self._collections[collection][doc_id]
         except KeyError:
-            raise QueryError(
-                f"no document {doc_id!r} in collection {collection!r}"
-            ) from None
+            raise self._missing(collection, doc_id) from None
 
-    def _edit_root(self, collection: str, doc_id: str, edit,
-                   *args) -> None:
-        """Replace the document's root with ``edit(root, *args)``."""
-        with self._lock:
-            frozen = self._document(collection, doc_id)
-            new_root = edit(frozen.root, *args)
-            self._own(collection)[doc_id] = FrozenDocument(new_root,
-                                                           frozen.name)
-            self._commit()

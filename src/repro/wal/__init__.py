@@ -18,17 +18,20 @@ Layering, bottom up:
   background.
 * :mod:`repro.wal.checkpoint` — atomic, digest-keyed checkpoint files.
 * :mod:`repro.wal.replay` — the chain scanned back in LSN order.
-* :mod:`repro.wal.durable` — the wrappers stores and gateways use: a
-  transaction (``group()`` block or stand-alone op) is one record, one
-  log and one pipeline per store.
+* :mod:`repro.wal.durable` — the wrappers stores and gateways use, one
+  log and one pipeline per store.  A transaction (a ``group()`` or
+  ``writer()`` block, or a stand-alone op) is entered once — store
+  mutex, inner writer lock, pipeline admission — and is one record;
+  an op inside it is a pickle check, one call into the inner store and
+  one append.  The durable UDDI and relational kinds live beside their
+  stores (``repro.uddi.durable``, ``repro.relational.durable``), so
+  this package loads neither.
 """
 
 from repro.wal.checkpoint import CheckpointStore
 from repro.wal.durable import (
     DurablePolicyStore,
-    DurableRelationalStore,
     DurableStore,
-    DurableUddiRegistry,
     DurableXmlStore,
     RecoveryReport,
 )
@@ -42,9 +45,7 @@ __all__ = [
     "CommitPipeline",
     "CommitTicket",
     "DurablePolicyStore",
-    "DurableRelationalStore",
     "DurableStore",
-    "DurableUddiRegistry",
     "DurableXmlStore",
     "MemVfs",
     "OsVfs",

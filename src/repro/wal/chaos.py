@@ -208,7 +208,7 @@ def run_chaos(seed: int) -> ChaosResult:
                                f'<item><v>extra-{seed}-{extra}</v></item>'))
                    for part in "ab"]
             for op, args in ops:
-                store._apply(op, args, {})
+                getattr(store.inner, op)(*args)
             lsn = log.allocate()
             payload = encode_ops([(op, args, {}) for op, args in ops])
             log.append_encoded(encode_frame(lsn, payload), lsn, 1)

@@ -1,18 +1,21 @@
 """Durable wrappers: WAL + checkpoints under the existing stores.
 
 Each wrapper keeps the inner store's read surface intact (attribute
-delegation) and intercepts its mutators.  The unit of logging is the
-**transaction**: a :meth:`DurableStore.group` block (a stand-alone op
-is a transaction of one) holds the store-wide re-entrant mutex from
-its first op to its last, applies each op **first** — so a rejected op
-(authorization failure, missing document) raises before anything is
-logged — collects the ``(op, args, kwargs)`` triples it applied, and
-at the outermost exit pickles them *once* into **one record**: one
-payload, one submit, one frame, one LSN, one ticket.  A frame is valid
-or torn as a whole, so a crash leaves all of a transaction or none of
-it — the log is crash-atomic at the same grain at which the snapshot
-store is reader-atomic.  A block that raises still logs exactly the
-prefix it applied before the exception leaves: state and log agree.
+delegation) and logs its mutators.  The unit of work is the
+**transaction**, with one path through it.  A ``group()`` block (on
+the XML store also ``writer()``: the same block, and one epoch) is
+entered once — store mutex, pipeline admission (a sealed or closed log
+refuses before anything applies), the inner writer lock — and an op
+on the owning thread then only refuses arguments that would not
+pickle, applies itself **first** to the inner store (so a rejected op
+raises before anything is logged) and appends its ``(op, args,
+kwargs)`` triple.  An op anywhere else is a transaction of one on the
+same path, waiting on the mutex for any open block.  Nested blocks
+join the outermost one, whose exit pickles the triples *once* into
+**one record**: one payload, one submit, one frame, one LSN, one
+ticket.  A frame is valid or torn as a whole, so a crash leaves all of
+a transaction or none of it, and a block that raises still logs
+exactly the prefix it applied: state and log agree.
 
 Submitting inside the critical section makes apply order, LSN order,
 and log order one and the same.  The durability wait happens
@@ -26,7 +29,7 @@ covering its record has returned, so an acknowledged write is durable
 and no thread flushes in the background.
 
 Logged arguments must be picklable — module-level predicates, entity
-dataclasses, strings.  A lambda row-filter is rejected with a typed
+dataclasses, strings.  A lambda row-filter is refused with a typed
 :class:`~repro.core.errors.WalError` *before* the op applies, so the
 store never diverges from its log.
 
@@ -38,23 +41,22 @@ opened any other way over records or a checkpoint above its
 Replaying an op that fails, or a payload that is not a sequence of op
 triples, is :class:`~repro.core.errors.WalCorrupt`: only *successful*
 ops are ever logged, so a replay failure means the log and checkpoint
-disagree.
+disagree.  The UDDI and relational kinds live beside their stores
+(:mod:`repro.uddi.durable`, :mod:`repro.relational.durable`), so the
+WAL loads no store it does not serve.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from threading import get_ident
 
 from repro.core.errors import ReproError, WalCorrupt, WalError
 from repro.core.policy import PolicyBase
 from repro.crypto.hashing import combine, sha256_hex
-from repro.relational.database import Database
-from repro.snap.frozen import parse_frozen
 from repro.snap.xmlstore import SnapshotXmlDatabase
-from repro.uddi.registry import UddiRegistry
 from repro.wal.checkpoint import CheckpointStore
 from repro.wal.log import WriteAheadLog
 from repro.wal.pipeline import CommitPipeline
@@ -131,11 +133,14 @@ class DurableStore:
                                  segment_bytes=segment_bytes)
         self.pipeline = CommitPipeline(
             self.wal, max_batch=max_batch, injector=injector, vfs=vfs)
-        # Re-entrant: a group() holds it across its ops, each of which
-        # takes it again.  Everything below is guarded by it.
-        self._mutex = threading.RLock()
+        # The open transaction: its thread, nesting depth and applied
+        # ops.  Only the owner, holding the mutex, changes them.
+        self._mutex = threading.Lock()
+        self._owner: int | None = None
         self._depth = 0
-        self._ops: list[tuple[str, tuple, dict]] = []  # open transaction
+        self._ops: list[tuple[str, tuple, dict]] = []
+        self._epoch = None  # an inner write block, held per transaction
+        self._appliers: dict[str, object] = {}
 
     @property
     def pipelines(self) -> tuple[CommitPipeline]:
@@ -149,54 +154,70 @@ class DurableStore:
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
 
-    # -- the durable op path ----------------------------------------------
+    # -- the transaction path ----------------------------------------------
 
-    def _apply(self, op: str, args: tuple, kwargs: dict):
-        return getattr(self.inner, op)(*args, **kwargs)
-
-    def _durable_op(self, op: str, *args, **kwargs):
-        self._begin()
+    def _op(self, op: str, args: tuple):
+        """The one op path: inside the calling thread's open block,
+        refuse unloggable arguments, apply, record; anywhere else, the
+        same as a transaction of one."""
+        if self._owner != get_ident():
+            with self:
+                return self._op(op, args)
+        if not _PLAIN.issuperset(map(type, args)):
+            encode_ops([(op, args, {})])  # refuse *before* apply
         try:
-            if not self._ops:
-                # A sealed or closed pipeline refuses before anything
-                # applies.
-                self.pipeline.admit()
-            if kwargs or not _PLAIN.issuperset(map(type, args)):
-                encode_ops([(op, args, kwargs)])  # refuse *before* apply
-            result = self._apply(op, args, kwargs)
-            self._ops.append((op, args, kwargs))
-            return result
-        finally:
-            self._end()
+            apply = self._appliers[op]
+        except KeyError:
+            apply = self._appliers[op] = self._applier(op)
+        result = apply(*args)
+        self._ops.append((op, args, {}))
+        return result
 
-    def _begin(self) -> None:
+    def _applier(self, op: str):
+        """What applies logged op *op*: the inner store's method of
+        that name, unless a kind logs it under another."""
+        return getattr(self.inner, op)
+
+    def group(self) -> "DurableStore":
+        """One transaction: every op of the block in one WAL record,
+        one durability wait at exit.  Nested blocks join the outermost
+        one.  Other writers wait for the whole block.  The store is its
+        own block, so entering one costs a call, not a generator."""
+        return self
+
+    def __enter__(self) -> "DurableStore":
+        if self._owner == get_ident():
+            self._depth += 1  # a nested block joins the open one
+            return self
         self._mutex.acquire()
-        self._depth += 1
-
-    def _end(self) -> None:
-        """Leave a transaction level; the outermost exit logs the ops
-        applied as one record and settles it outside the mutex."""
-        ticket = None
         try:
-            self._depth -= 1
-            if self._depth == 0 and self._ops:
-                ops, self._ops = self._ops, []
-                ticket = self.pipeline.submit(encode_ops(ops))
-        finally:
+            self.pipeline.admit()  # refuse before anything applies
+        except BaseException:
             self._mutex.release()
+            raise
+        self._owner, self._depth = get_ident(), 1
+        if self._epoch is not None:
+            self._epoch.__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """The outermost exit publishes, logs the ops applied as one
+        record and waits for its fsync outside the mutex."""
+        self._depth -= 1
+        if self._depth:
+            return
+        ops, self._ops = self._ops, []
+        try:
+            if self._epoch is not None:
+                self._epoch.__exit__(*exc_info)
+        finally:
+            try:
+                ticket = self.pipeline.submit(encode_ops(ops)) if ops else None
+            finally:
+                self._owner = None
+                self._mutex.release()
         if ticket is not None:
             ticket.wait()
-
-    @contextmanager
-    def group(self):
-        """One transaction: every op of the block in one WAL record,
-        one durability wait at exit.  Nested groups join the outermost
-        one.  Other writers wait for the whole block."""
-        self._begin()
-        try:
-            yield self
-        finally:
-            self._end()
 
     def wal_sync(self) -> int:
         """Settle acknowledged writes: there are none to settle, since
@@ -228,11 +249,11 @@ class DurableStore:
     def checkpoint(self) -> bool:
         """Write an incremental checkpoint and truncate the covered log
         prefix; returns False when skipped (digest unchanged)."""
+        if self._owner == get_ident():
+            raise WalError(
+                "checkpoint inside an open transaction: its ops "
+                "are applied but have no LSN yet")
         with self._mutex:
-            if self._depth:
-                raise WalError(
-                    "checkpoint inside an open transaction: its ops "
-                    "are applied but have no LSN yet")
             # Under the op mutex the log's last LSN is exactly the
             # last *applied* transaction, so the serialized state
             # covers every record at or below it.
@@ -265,7 +286,7 @@ class DurableStore:
     def _replay(self, ops) -> None:
         """Re-apply one recovered transaction."""
         for op, args, kwargs in ops:
-            self._apply(op, args, kwargs)
+            self._applier(op)(*args, **kwargs)
 
     @classmethod
     def recover(cls, vfs, *, inner_kwargs: dict | None = None,
@@ -319,67 +340,63 @@ class DurableXmlStore(DurableStore):
     serialization.
     """
 
+    def __init__(self, inner: SnapshotXmlDatabase, vfs, **kwargs) -> None:
+        super().__init__(inner, vfs, **kwargs)
+        self._epoch = inner  # each transaction holds the inner writer
+
     def create_collection(self, name: str) -> None:
-        return self._durable_op("create_collection", name)
+        return self._op("create_collection", (name,))
 
     def drop_collection(self, name: str) -> None:
-        return self._durable_op("drop_collection", name)
+        return self._op("drop_collection", (name,))
 
     def insert(self, collection: str, doc_id: str, document):
         if not isinstance(document, str):
             document = serialize(document)
-        return self._durable_op("insert", collection, doc_id, document)
+        return self._op("insert", (collection, doc_id, document))
 
     def delete(self, collection: str, doc_id: str):
-        return self._durable_op("delete", collection, doc_id)
+        return self._op("delete", (collection, doc_id))
 
     def replace(self, collection: str, doc_id: str, document):
         if not isinstance(document, str):
             document = serialize(document)
-        return self._durable_op("replace", collection, doc_id, document)
+        return self._op("replace", (collection, doc_id, document))
 
     def set_text(self, collection: str, doc_id: str, path: str,
                  text: str) -> None:
-        return self._durable_op("set_text", collection, doc_id, path,
-                                text)
+        return self._op("set_text", (collection, doc_id, path, text))
 
     def set_attribute(self, collection: str, doc_id: str, path: str,
                       name: str, value: str) -> None:
-        return self._durable_op("set_attribute", collection, doc_id,
-                                path, name, value)
+        return self._op("set_attribute",
+                        (collection, doc_id, path, name, value))
 
     def remove_attribute(self, collection: str, doc_id: str, path: str,
                          name: str) -> None:
-        return self._durable_op("remove_attribute", collection, doc_id,
-                                path, name)
+        return self._op("remove_attribute",
+                        (collection, doc_id, path, name))
 
     def append_child(self, collection: str, doc_id: str,
                      parent_path: str, child) -> None:
         if not isinstance(child, str):
             child = serialize_element(child)
-        return self._durable_op("append_child", collection, doc_id,
-                                parent_path, child)
+        return self._op("append_child",
+                        (collection, doc_id, parent_path, child))
 
     def remove_child(self, collection: str, doc_id: str,
                      path: str) -> None:
-        return self._durable_op("remove_child", collection, doc_id, path)
+        return self._op("remove_child", (collection, doc_id, path))
 
-    @contextmanager
-    def writer(self):
-        """One transaction that is also one epoch: atomic for readers
-        (inner writer) and for crashes (one record)."""
-        with self.group(), self.inner.writer():
-            yield self
+    def writer(self) -> "DurableXmlStore":
+        """The same block as :meth:`group`: here every transaction is
+        also one epoch, atomic for readers and for crashes."""
+        return self
 
     def _replay(self, ops) -> None:
         # All-or-nothing, and the epochs the live store published.
         with self.inner.writer():
             super()._replay(ops)
-
-    def _apply(self, op: str, args: tuple, kwargs: dict):
-        if op == "append_child" and isinstance(args[3], str):
-            args = (*args[:3], parse_frozen(args[3]).root)
-        return getattr(self.inner, op)(*args, **kwargs)
 
     def state_digest(self) -> str:
         return self._digest_of(self.inner.freeze())
@@ -423,108 +440,6 @@ class DurableXmlStore(DurableStore):
         return inner
 
 
-# -- UDDI registry ---------------------------------------------------------
-
-
-class DurableUddiRegistry(DurableStore):
-    """WAL + whole-registry pickle checkpoints under a
-    :class:`~repro.uddi.registry.UddiRegistry`."""
-
-    def save_business(self, entity, publisher: str,
-                      idempotency_key: str | None = None):
-        return self._durable_op("save_business", entity, publisher,
-                                idempotency_key)
-
-    def delete_business(self, business_key: str, publisher: str) -> None:
-        return self._durable_op("delete_business", business_key, publisher)
-
-    def save_tmodel(self, tmodel, publisher: str,
-                    idempotency_key: str | None = None):
-        return self._durable_op("save_tmodel", tmodel, publisher,
-                                idempotency_key)
-
-    def add_assertion(self, assertion, publisher: str,
-                      idempotency_key: str | None = None) -> None:
-        return self._durable_op("add_assertion", assertion, publisher,
-                                idempotency_key)
-
-    def state_digest(self) -> str:
-        return self.inner.state_digest()
-
-    @classmethod
-    def _fresh_inner(cls, **inner_kwargs):
-        return UddiRegistry(**inner_kwargs)
-
-
-# -- relational store ------------------------------------------------------
-
-
-class DurableRelationalStore(DurableStore):
-    """WAL + whole-database pickle checkpoints under a
-    :class:`~repro.relational.database.Database`.  GRANT/REVOKE apply
-    to the database's one grant graph (``inner.authorization``).
-    Predicates and row filters logged through here must be module-level
-    functions."""
-
-    def create_table(self, table_schema, owner: str):
-        return self._durable_op("create_table", table_schema, owner)
-
-    def grant(self, grantor: str, grantee: str, table: str, privilege,
-              with_grant_option: bool = False, row_filter=None,
-              column_mask=()):
-        return self._durable_op("grant", grantor, grantee, table,
-                                privilege, with_grant_option, row_filter,
-                                tuple(column_mask))
-
-    def revoke(self, revoker: str, grantee: str, table: str, privilege):
-        return self._durable_op("revoke", revoker, grantee, table,
-                                privilege)
-
-    def insert(self, user: str, table_name: str, **values):
-        # Values travel as one positional dict: re-splatting them into
-        # _durable_op's signature would make a column named "op" a
-        # TypeError instead of data.
-        return self._durable_op("insert", user, table_name, dict(values))
-
-    def update(self, user: str, table_name: str, where, changes):
-        return self._durable_op("update", user, table_name, where,
-                                dict(changes))
-
-    def delete(self, user: str, table_name: str, where):
-        return self._durable_op("delete", user, table_name, where)
-
-    def set_metadata(self, table: str, key: str, value) -> None:
-        return self._durable_op("set_metadata", table, key, value)
-
-    def _apply(self, op: str, args: tuple, kwargs: dict):
-        if op == "insert":
-            user, table_name, values = args
-            return self.inner.insert(user, table_name, **values)
-        if op in ("grant", "revoke"):
-            return getattr(self.inner.authorization, op)(*args, **kwargs)
-        return super()._apply(op, args, kwargs)
-
-    def state_digest(self) -> str:
-        grants = self.inner.authorization.all_grants()
-        parts = []
-        for name in self.inner.table_names():
-            table = self.inner.table(name)
-            rows = sorted(repr(sorted(row.items()))
-                          for row in table.rows_as_dicts())
-            parts.append(sha256_hex(
-                f"table:{name}:" + "|".join(rows)))
-            edges = sorted(
-                f"{g.grantor}>{g.grantee}:{g.table}:{g.privilege.value}"
-                f":{g.with_grant_option}"
-                for g in grants if g.table == name)
-            parts.append(sha256_hex(f"grants:{name}:" + "|".join(edges)))
-        return combine(*parts) if parts else sha256_hex("empty-reldb")
-
-    @classmethod
-    def _fresh_inner(cls, **inner_kwargs):
-        return Database(**inner_kwargs)
-
-
 # -- policy store ----------------------------------------------------------
 
 
@@ -538,19 +453,19 @@ class DurablePolicyStore(DurableStore):
     """
 
     def add(self, policy):
-        return self._durable_op("add", policy)
+        return self._op("add", (policy,))
 
     def remove(self, policy) -> None:
-        self._durable_op("remove_id", policy.policy_id)
+        self._op("remove_id", (policy.policy_id,))
 
-    def _apply(self, op: str, args: tuple, kwargs: dict):
-        if op == "remove_id":
-            (policy_id,) = args
-            for policy in list(self.inner):
-                if policy.policy_id == policy_id:
-                    return self.inner.remove(policy)
-            raise WalError(f"no policy with id {policy_id} to remove")
-        return getattr(self.inner, op)(*args, **kwargs)
+    def _applier(self, op: str):
+        return self._remove_id if op == "remove_id" else super()._applier(op)
+
+    def _remove_id(self, policy_id) -> None:
+        for policy in list(self.inner):
+            if policy.policy_id == policy_id:
+                return self.inner.remove(policy)
+        raise WalError(f"no policy with id {policy_id} to remove")
 
     def state_digest(self) -> str:
         parts = sorted(repr(policy) for policy in self.inner)

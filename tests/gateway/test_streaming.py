@@ -2,6 +2,7 @@
 
 import asyncio
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -338,6 +339,22 @@ class TestGatewayStreaming:
         assert db.epochs.stats.acquires == db.epochs.stats.releases == 1
         assert db.epochs.retired_epochs() == []     # nothing held back
         assert (stats["completed"], stats["failed"]) == (0, 1)
+
+    def test_write_hands_fn_what_the_writer_block_yields(self):
+        handle = object()
+
+        class Db(SnapshotXmlDatabase):
+            @contextmanager
+            def writer(self):
+                with super().writer():
+                    yield handle
+
+        async def scenario():
+            gateway = AsyncRequestGateway(_tiny_engine(), store=Db(),
+                                          auto_dispatch=False)
+            return gateway.write(lambda store: store)
+
+        assert asyncio.run(scenario()) is handle
 
     def test_first_and_second_stream_count_the_same_chunks(self):
         db = SnapshotXmlDatabase()

@@ -21,13 +21,10 @@ from repro.relational.database import Database
 from repro.relational.table import Column, ColumnType, TableSchema
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.model import BusinessEntity, PublisherAssertion
+from repro.relational.durable import DurableRelationalStore
+from repro.uddi.durable import DurableUddiRegistry
 from repro.uddi.registry import UddiRegistry
-from repro.wal.durable import (
-    DurablePolicyStore,
-    DurableRelationalStore,
-    DurableUddiRegistry,
-    DurableXmlStore,
-)
+from repro.wal.durable import DurablePolicyStore, DurableXmlStore
 from repro.wal.format import HEADER_SIZE, segment_name
 from repro.wal.vfs import MemVfs
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core.errors import AccessDenied, RegistryError
 from repro.relational.authorization import Privilege
 from repro.relational.database import Database
+from repro.relational.durable import DurableRelationalStore
 from repro.relational.table import Column, ColumnType, TableSchema
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.model import (
@@ -21,12 +22,9 @@ from repro.uddi.model import (
     PublisherAssertion,
     TModel,
 )
+from repro.uddi.durable import DurableUddiRegistry
 from repro.uddi.registry import UddiRegistry
-from repro.wal.durable import (
-    DurableRelationalStore,
-    DurableUddiRegistry,
-    DurableXmlStore,
-)
+from repro.wal.durable import DurableXmlStore
 from repro.wal.vfs import MemVfs
 from repro.xmldb.database import Collection
 from repro.xmldb.parser import parse

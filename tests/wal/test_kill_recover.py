@@ -47,11 +47,9 @@ def _writer_process(root: str, acked_path: str) -> None:
 
 def _reference_digest(records) -> str:
     reference = SnapshotXmlDatabase()
-    store = DurableXmlStore.__new__(DurableXmlStore)
-    store.inner = reference
     for lsn, payload in records:
         for op, args, kwargs in decode_ops(lsn, payload):
-            DurableXmlStore._apply(store, op, args, kwargs)
+            getattr(reference, op)(*args, **kwargs)
     return DurableXmlStore._digest_of(reference.freeze())
 
 

@@ -19,13 +19,10 @@ from repro.relational.database import Database
 from repro.relational.table import Column, ColumnType, TableSchema
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.uddi.model import BusinessEntity
+from repro.relational.durable import DurableRelationalStore
+from repro.uddi.durable import DurableUddiRegistry
 from repro.uddi.registry import UddiRegistry
-from repro.wal.durable import (
-    DurableRelationalStore,
-    DurableUddiRegistry,
-    DurableXmlStore,
-    decode_ops,
-)
+from repro.wal.durable import DurableXmlStore, decode_ops
 from repro.wal.log import WriteAheadLog
 from repro.wal.replay import recover as scan_logs
 from repro.wal.vfs import MemVfs
@@ -229,8 +226,9 @@ class TestLockOrder:
 
     def test_concurrent_writer_blocks_stay_whole_and_recoverable(self):
         # More writers than cores, each block three edits of one
-        # document: blocks never interleave (each record is one block,
-        # its three texts equal), and the log replays to the live state.
+        # document, beside writers of stand-alone ops: blocks never
+        # interleave (each record is one block, its three texts equal,
+        # or one op), and the log replays to the live state.
         vfs = MemVfs()
         store = DurableXmlStore(SnapshotXmlDatabase(), vfs)
         store.create_collection("c")
@@ -245,8 +243,15 @@ class TestLockOrder:
                             store.set_text("c", "d", f"/doc/{tag}",
                                            f"{name}-{n}")
 
+            def single(name):
+                for n in range(40):
+                    store.set_text("c", "d", f"/doc/{'abc'[n % 3]}",
+                                   f"{name}-{n}")
+
             threads = [threading.Thread(target=writer, args=(name,),
                                         daemon=True) for name in "wxyz"]
+            threads += [threading.Thread(target=single, args=(name,),
+                                         daemon=True) for name in "uv"]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -257,10 +262,12 @@ class TestLockOrder:
         live = store.state_digest()
         store.close()
         records = scan_logs(vfs, apply_truncation=False).records
-        assert len(records) == 2 + 4 * 40
+        assert len(records) == 2 + 4 * 40 + 2 * 40
         for lsn, payload in records[2:]:
-            texts = {args[-1] for _, args, _ in decode_ops(lsn, payload)}
+            ops = decode_ops(lsn, payload)
+            texts = {args[-1] for _, args, _ in ops}
             assert len(texts) == 1
+            assert len(ops) == (1 if texts.pop()[0] in "uv" else 3)
         recovered, _ = DurableXmlStore.recover(vfs)
         assert recovered.state_digest() == live
         recovered.close()
