@@ -108,7 +108,7 @@ class RecoveryReport:
 
 
 class DurableStore:
-    """Common WAL/checkpoint machinery; subclasses own op dispatch.
+    """Common WAL/checkpoint machinery; subclasses name their ops.
 
     One plain inner store, one :class:`WriteAheadLog`, one
     :class:`CommitPipeline`.
