@@ -263,7 +263,7 @@ class TestRelationalStore:
     def test_columns_named_like_wrapper_params_are_data(self):
         # Column values travel as a positional dict: a column named
         # "op" or "shard" must insert and replay as data, not collide
-        # with _durable_op's own parameters.
+        # with the op path's own parameters.
         vfs = MemVfs()
         db = DurableRelationalStore(Database(), vfs)
         schema = TableSchema("audit", (
