@@ -71,6 +71,10 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Membership alone: moves no entry and counts no probe."""
+        return key in self._entries
+
     def get(self, key: Hashable) -> Any:
         with self._lock:
             try:

@@ -408,6 +408,8 @@ class AsyncRequestGateway:
         if self._stream_epochs is None:
             raise ConfigurationError(
                 "gateway has no snapshot store; pass store= to stream")
+        if chunk_size < 1:
+            raise ConfigurationError("chunk_size must be >= 1")
         self._admit(tenant)
         snapshot = self._stream_epochs.acquire()
         try:

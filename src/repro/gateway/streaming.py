@@ -9,8 +9,9 @@ into chunks by :func:`chunked` (the gateway's ``stream_document``
 serves them): it emits interned fragments where the pool has them,
 serializes where it does not, and interns what it serialized.  The
 first stream of a document pays for the later ones: a repeat stream is
-one pool probe, one join and one slice per chunk, and
-after a transaction only the copied spine is serialized again.
+one pool probe, one join and one slice per chunk, and the first stream
+after a transaction costs the transaction (its bytes are derived from
+the version last read), not the document.
 
 Chunk boundaries do not depend on what the pool holds: every chunk but
 the last is exactly ``chunk_size`` characters, cold or warm.  A chunk

@@ -19,8 +19,9 @@ node's recycled ``id()`` can never alias an entry):
   than a chunk of characters (unless one text run is longer); leaves
   are neither probed nor interned.  The walk hands its output on in
   coalesced runs of about a chunk, not a piece per tag.  A warm read
-  is one probe and one join, and a point edit re-serializes only the
-  spine it copied;
+  is one probe and one join; a read after a write costs the write
+  (:meth:`InternPool.derive`: two probes, the edited leaves spliced
+  into their records' strings) unless nobody read the old version;
 * **merkle** — Merkle subtree hashes, composed with the same
   :func:`repro.merkle.xml_merkle.node_hash` recurrence as the live
   hashers, so snapshot root hashes are interchangeable with theirs.
@@ -29,12 +30,14 @@ The pool is shared across epochs on purpose — that is where the
 cross-epoch reuse of unchanged subtrees comes from.  Both caches
 are plain :class:`~repro.core.cache.LRUCache` instances keyed by node
 identity (frozen state never mutates, so an entry can never go stale,
-only cold).  Fragment hit rates are low by construction: one
-hit per warm read against one miss per non-leaf element walked cold.
+only cold).  Fragment hit rates are low by construction: one hit per
+warm read, one miss per non-leaf element walked cold, one of each per
+derived read.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator
 
 from repro.merkle.xml_merkle import content_hash, node_hash
@@ -93,6 +96,39 @@ def _flat(rope: tuple) -> str:
     return "".join(pieces)
 
 
+def _markup(child) -> str | None:
+    """A text run's or a leaf's bytes; None for a non-leaf element."""
+    return escape_text(child) if isinstance(child, str) else _leaf(child)
+
+
+def _splice(node: FrozenElement, base, string: str) -> str | None:
+    """*string*, *base*'s bytes, edited into *node*'s (None if the shape
+    differs or they outgrow a chunk): each changed text, leaf or open
+    tag is replaced where its old bytes occur, if exactly once."""
+    edits: list[tuple[str | None, str]] = []
+    pairs = [(node, base)]
+    while pairs:
+        new, old = pairs.pop()
+        if (isinstance(old, str) or new.tag != old.tag
+                or len(new.children) != len(old.children)):
+            return None
+        if new.attributes is not old.attributes:
+            edits.append((_open_tag(old) + ">", _open_tag(new) + ">"))
+        for child, was in zip(new.children, old.children):
+            if child is not was:
+                after = _markup(child)
+                if after is None:
+                    pairs.append((child, was))
+                else:
+                    edits.append((_markup(was), after))
+    for before, after in edits:
+        at = -1 if before is None else string.find(before)
+        if at < 0 or string.find(before, at + 1) >= 0:
+            return None
+        string = string[:at] + after + string[at + len(before):]
+    return string if len(string) <= DEFAULT_CHUNK_SIZE else None
+
+
 def serialize_pieces(node: FrozenElement,
                      pool: "InternPool | None" = None) -> Iterator[str]:
     """The canonical serialization of *node* (byte-identical to
@@ -124,6 +160,8 @@ def serialize_pieces(node: FrozenElement,
                 piece = _leaf(child)
                 if piece is None:
                     piece = fragments.get(child)
+                    if piece is MISS and child is node and pool is not None:
+                        piece = pool.derive(child)
                     if piece is MISS:
                         frames.append((owner, pending, pieces, start, fresh))
                         piece = _open_tag(child) + ">"
@@ -177,6 +215,60 @@ class InternPool:
                  merkle_capacity: int = 200_000) -> None:
         self._fragments = LRUCache(maxsize=fragment_capacity)
         self._merkle = LRUCache(maxsize=merkle_capacity)
+        # new root -> its document's last version a reader interned.
+        self._bases: dict[FrozenElement, FrozenElement] = {}
+        self._bases_lock = threading.Lock()
+
+    def supersede(self, pairs) -> None:
+        """Record, per ``(superseded root, new root)`` pair, the base the
+        new root derives from: the superseded root if interned, else its
+        own base.  A new root of ``None`` only drops the old entry."""
+        fragments = self._fragments
+        with self._bases_lock:
+            for old, new in pairs:
+                inherited = self._bases.pop(old, None)
+                base = old if old in fragments else inherited
+                if new is not None and base in fragments:
+                    self._bases[new] = base
+
+    def derive(self, node: FrozenElement):
+        """*node*'s fragment derived from its base (interning what a cold
+        walk would; racing derivations put equal values), or :data:`MISS`.
+        Unchanged children keep their pieces by reference; a changed
+        small child is spliced; a changed rope is left to the walk."""
+        base = self._bases.get(node)
+        fragment = MISS if base is None else self._fragments.get(base)
+        entries: list[tuple] = []
+        if isinstance(fragment, str):
+            fragment = _splice(node, base, fragment)
+        elif fragment is not MISS:
+            if (node.tag != base.tag
+                    or len(node.children) != len(base.children)):
+                return MISS
+            pieces = [fragment[0] if node.attributes is base.attributes
+                      else _open_tag(node) + ">"]
+            for child, old, piece in zip(node.children, base.children,
+                                         fragment[1:-1]):
+                if child is not old:
+                    markup = _markup(child)
+                    if markup is None:
+                        markup = (None if isinstance(piece, tuple)
+                                  else _splice(child, old, piece))
+                        if markup is None:
+                            return MISS
+                        entries.append((child, markup))
+                    piece = markup
+                pieces.append(piece)
+            pieces.append(fragment[-1])
+            if all(isinstance(piece, str) for piece in pieces) and sum(
+                    map(len, pieces)) <= DEFAULT_CHUNK_SIZE:
+                return MISS                 # it shrank into a chunk
+            fragment = tuple(pieces)
+        if fragment is None or fragment is MISS:
+            return MISS
+        for entry in [*entries, (node, fragment)]:
+            self._fragments.put(*entry)
+        return fragment
 
     # -- canonical serialization ----------------------------------------
 
@@ -233,3 +325,5 @@ class InternPool:
     def clear(self) -> None:
         self._fragments.clear()
         self._merkle.clear()
+        with self._bases_lock:
+            self._bases.clear()

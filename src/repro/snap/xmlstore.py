@@ -155,6 +155,7 @@ def _spine_edit(edit):
             else:
                 documents = self._own(collection)
             documents[doc_id] = FrozenDocument(root, frozen.name)
+            self._superseded.setdefault((collection, doc_id), frozen.root)
             if not self._deferred:
                 self.publish()
 
@@ -181,6 +182,8 @@ class SnapshotXmlDatabase:
         # was copied since the last freeze(): no snapshot holds them
         # yet, so edits may update them in place.
         self._owned: set[str] | None = None
+        # (collection, doc_id) -> its root before this publication's edits.
+        self._superseded: dict[tuple[str, str], FrozenElement] = {}
         self._deferred = 0
         self.publish()
 
@@ -193,7 +196,14 @@ class SnapshotXmlDatabase:
             return XmlSnapshot(self._collections, self.pool)
 
     def publish(self) -> XmlSnapshot:
-        snapshot = self.freeze()
+        """Publish, handing the pool each edited document's roots first."""
+        with self._lock:
+            snapshot = self.freeze()
+            if self._superseded:
+                self.pool.supersede([(old, self._collections[c][d].root)
+                                     for (c, d), old
+                                     in self._superseded.items()])
+                self._superseded = {}
         self.epochs.publish(snapshot)
         return snapshot
 
@@ -255,6 +265,8 @@ class SnapshotXmlDatabase:
         with self._lock:
             if name not in self._collections:
                 raise QueryError(f"no collection {name!r}")
+            for doc_id, frozen in self._collections[name].items():
+                self._forget(name, doc_id, frozen)
             del self._own()[name]
             self._owned.discard(name)
             if not self._deferred:
@@ -280,6 +292,7 @@ class SnapshotXmlDatabase:
         with self._lock:
             frozen = self._document(collection, doc_id)
             del self._own(collection)[doc_id]
+            self._forget(collection, doc_id, frozen)
             if not self._deferred:
                 self.publish()
         return frozen
@@ -289,7 +302,8 @@ class SnapshotXmlDatabase:
         frozen = (parse_frozen(document, doc_id)
                   if isinstance(document, str) else freeze_document(document))
         with self._lock:
-            self._document(collection, doc_id)  # must exist
+            self._forget(collection, doc_id,
+                         self._document(collection, doc_id))  # must exist
             self._own(collection)[doc_id] = frozen
             if not self._deferred:
                 self.publish()
@@ -320,6 +334,11 @@ class SnapshotXmlDatabase:
             return QueryError(f"no collection {collection!r}")
         return QueryError(
             f"no document {doc_id!r} in collection {collection!r}")
+
+    def _forget(self, collection: str, doc_id: str, frozen) -> None:
+        """*doc_id* is deleted or replaced: nothing derives from it."""
+        self.pool.supersede([(frozen.root, None), (self._superseded.pop(
+            (collection, doc_id), None), None)])
 
     def _document(self, collection: str, doc_id: str) -> FrozenDocument:
         try:

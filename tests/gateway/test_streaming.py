@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.gateway import DEFAULT_CHUNK_SIZE, serialize_pieces
+from repro.gateway.admission import ManualClock, TenantConfig
 from repro.gateway.core import AsyncRequestGateway
 from repro.gateway.streaming import chunked
 from repro.snap import intern
@@ -220,11 +221,14 @@ class TestInternReuse:
         hits, misses = fragment_counts(db.pool)
         after = db.current().serialize("c", "d")
         assert after == BIG_XML.replace("payload 6", "edited")
-        # The root and the one copied record (all five of its
-        # elements; nothing below a record is interned) — the other 59
-        # records are re-linked by reference.
-        assert sorted(opened) == ["doc", "name", "rec", "v", "vals", "w"]
-        assert fragment_counts(db.pool) == (hits + 59, misses + 3)
+        # Derived from the version read before the edit: the record's
+        # string is spliced where the old <v> stood, so only the old
+        # and the new <v> are serialized, and the other 59 records are
+        # re-linked by reference.  Two probes: the new root misses, its
+        # base hits.  (A walk opened doc, rec, name, vals, v and w and
+        # made 62 probes: 59 hits and 3 misses.)
+        assert sorted(opened) == ["v", "v"]
+        assert fragment_counts(db.pool) == (hits + 1, misses + 1)
 
     def test_abandoned_walk_leaves_the_pool_consistent(self):
         frozen = freeze_document(parse(BIG_XML, "d"))
@@ -403,6 +407,32 @@ class TestGatewayStreaming:
                 gateway.stream("t", lambda snapshot: snapshot)
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_bad_chunk_size_is_refused_before_admission(self, chunk_size):
+        """Refused at the call: no token charged, no counter moved, no
+        epoch pinned (it used to fail only on the first chunk, after
+        all three, as a failed stream)."""
+        db = self.make_db()
+
+        async def scenario():
+            gateway = AsyncRequestGateway(
+                _tiny_engine(), store=db, auto_dispatch=False,
+                clock=ManualClock(),
+                default_tenant=TenantConfig(rate=1.0, burst=2.0))
+            gateway.register("t")
+            bucket = gateway.admission._buckets["t"]
+            with pytest.raises(ConfigurationError, match="chunk_size"):
+                gateway.stream_document("t", "c", "d1",
+                                        chunk_size=chunk_size)
+            return bucket.tokens(), gateway.stats.snapshot()
+
+        tokens, stats = asyncio.run(scenario())
+        assert tokens == 2.0
+        assert [stats[key] for key in (
+            "admitted", "streams", "snapshot_reads", "completed",
+            "failed", "rejected", "shed")] == [0] * 7
+        assert db.epochs.stats.acquires == db.epochs.stats.releases
 
 
 def _tiny_engine():

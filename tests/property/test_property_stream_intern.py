@@ -7,7 +7,11 @@ and warm, at every epoch — equals
 with every chunk but the last exactly ``chunk_size`` characters.  A
 stream abandoned or faulted mid-walk leaves the pool consistent, and
 two cold streams of one document interleaved chunk by chunk both come
-out right.
+out right.  Multi-edit ``writer()`` blocks, epochs nobody reads (so a
+read derives from a version several epochs back), replace and delete
+between reads: every first read after a write, derived or walked,
+matches the serializer, and the pool holds only what a cold walk would
+make of each node.
 """
 
 import asyncio
@@ -18,7 +22,7 @@ from repro.core.errors import TransportError
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.gateway import AsyncRequestGateway, TenantConfig
 from repro.snap.frozen import thaw_document
-from repro.snap.intern import InternPool
+from repro.snap.intern import DEFAULT_CHUNK_SIZE, InternPool
 from repro.snap.xmlstore import SnapshotXmlDatabase
 from repro.xmldb.model import Document, Element
 from repro.xmldb.serializer import serialize_element
@@ -45,6 +49,16 @@ edits = st.lists(
     st.tuples(st.sampled_from(["text", "attr", "append", "remove"]),
               st.integers(0, 1000), st.integers(0, 1000)),
     max_size=5)
+#: A ``writer()`` block: node edits (mostly the ones derivation can
+#: follow), replacing the document or deleting and re-inserting it;
+#: and whether a stream reads after it.
+blocks = st.lists(
+    st.tuples(st.lists(
+        st.tuples(st.sampled_from(["text"] * 4 + ["attr"] * 2 + [
+            "append", "remove", "replace", "delete"]),
+                  st.integers(0, 1000), st.integers(0, 1000)),
+        min_size=1, max_size=4), st.booleans()),
+    max_size=6)
 capacities = st.sampled_from([1, 8, None])
 chunk_sizes = st.sampled_from([1, 7, 64, 4096])
 
@@ -73,7 +87,7 @@ def element_paths(root) -> list[str]:
 
 def apply_edit(db: SnapshotXmlDatabase, edit) -> None:
     kind, which, what = edit
-    paths = element_paths(db.current().document("c", "d").root)
+    paths = element_paths(db.freeze().document("c", "d").root)
     path = paths[which % len(paths)]
     if kind == "text":
         db.set_text("c", "d", path, TEXTS[what % len(TEXTS)])
@@ -84,6 +98,36 @@ def apply_edit(db: SnapshotXmlDatabase, edit) -> None:
             (TAGS[what % 3], {}, [TEXTS[what % len(TEXTS)]])))
     elif len(paths) > 1:
         db.remove_child("c", "d", paths[1 + which % (len(paths) - 1)])
+
+
+def apply_block_edit(db: SnapshotXmlDatabase, edit, tree) -> None:
+    if edit[0] == "replace":
+        db.replace("c", "d", Document(build(tree), "d"))
+    elif edit[0] == "delete":
+        db.delete("c", "d")
+        db.insert("c", "d", Document(build(tree), "d"))
+    else:
+        apply_edit(db, edit)
+
+
+def held_bytes(value) -> str:
+    return value if isinstance(value, str) else "".join(
+        map(held_bytes, value))
+
+
+def assert_pool_consistent(db, complete: bool) -> None:
+    """Every entry holds its node's bytes, as a rope exactly when they
+    outgrow a chunk; *complete* (nothing evicted): every entry a cold
+    walk of the current root would make is held."""
+    entries = dict(db.pool._fragments._entries)
+    for node, value in entries.items():
+        text = held_bytes(value)
+        assert text == serialize_element(node)
+        assert isinstance(value, tuple) == (len(text) > DEFAULT_CHUNK_SIZE)
+    if complete:
+        cold = InternPool()
+        cold.serialize(db.current().document("c", "d").root)
+        assert set(cold._fragments._entries) <= set(entries)
 
 
 def make_db(tree, capacity) -> SnapshotXmlDatabase:
@@ -133,6 +177,34 @@ class TestStreamsInternWhatTheySerialize:
                     assert 1 <= len(chunks[-1]) <= chunk_size
                 # The serial entry point is the same walk.
                 assert db.current().serialize("c", "d") == expected
+            return gateway.stats.snapshot()
+
+        stats = asyncio.run(scenario())
+        assert stats["completed"] == stats["streams"]
+        assert db.epochs.stats.acquires == db.epochs.stats.releases
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=trees, copies=st.integers(1, 6), script=blocks,
+           capacity=capacities, chunk_size=chunk_sizes)
+    def test_reads_after_write_blocks_match_the_serializer(
+            self, tree, copies, script, capacity, chunk_size):
+        tree = ("a", {}, [tree] * copies)   # wide: ropes over strings
+        db = make_db(tree, capacity)
+
+        async def scenario():
+            gateway = make_gateway(db)
+            for block, read_after in [([], True), *script, ([], True)]:
+                with db.writer():
+                    for edit in block:
+                        apply_block_edit(db, edit, tree)
+                if not read_after:
+                    continue
+                chunks = [chunk async for chunk in gateway.stream_document(
+                    "t", "c", "d", chunk_size=chunk_size)]
+                assert "".join(chunks) == expected_bytes(db)
+                assert all(len(chunk) == chunk_size for chunk in chunks[:-1])
+                assert_pool_consistent(db, complete=capacity is None)
+                assert len(db.pool._bases) <= 1     # one document
             return gateway.stats.snapshot()
 
         stats = asyncio.run(scenario())
